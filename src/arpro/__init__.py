@@ -25,6 +25,6 @@ from .properties import (
     tnr,
 )
 from .repair import GuidanceSchedule, RepairConfig, RepairResult, baseline_repair, guided_repair, make_guidance_schedule
-from .tensor import AdamW, Mlp, Tensor, normal, stream
+from .tensor import AdamW, Mlp, normal, stream
 
 __version__ = "0.1.0"

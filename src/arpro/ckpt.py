@@ -2,7 +2,8 @@
 
 A checkpoint is a single JSON document carrying the layer layout and all
 float64 parameters as one base64 blob of little-endian bytes. Loading
-validates the schema tag, the expected kind, and finiteness of every value.
+validates the schema tag, the expected kind, the keys that kind requires, and
+finiteness of every value.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ import numpy as np
 from .tensor import Array, Mlp
 
 SCHEMA = "arpro-ckpt-v1"
+
+# Keys each checkpoint kind must carry besides "schema" and "kind", and the
+# keys of the object (or of every entry of the list) stored under some of them.
+REQUIRED_KEYS = {
+    "gauss": ("n", "data"),
+    "recon": ("layers", "data"),
+    "denoiser": ("layers", "data", "schedule"),
+    "mlp": ("layers", "data"),
+}
+NESTED_KEYS = {"layers": ("in", "out", "act"), "schedule": ("T", "b_start", "b_end", "std_mode")}
 
 
 def encode_arrays(arrays) -> str:
@@ -34,6 +45,8 @@ def decode_array(data: str, count: int) -> Array:
 
 
 def write(path, payload: dict) -> None:
+    """Write `payload` as JSON with indent=1 and a trailing newline, creating
+    parent directories. Checkpoints and the report files all go through here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
@@ -47,10 +60,20 @@ def read(path, expected_kind: str | None = None) -> dict:
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: checkpoint must hold a JSON object")
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {payload.get('schema')!r}")
     if expected_kind is not None and payload.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {payload.get('kind')!r}")
+    for key in REQUIRED_KEYS.get(str(payload.get("kind")), ()):
+        if key not in payload:
+            raise ValueError(f"{path}: checkpoint lacks required key {key!r}")
+        value = payload[key]
+        for entry in value if isinstance(value, list) else [value]:
+            for sub in NESTED_KEYS.get(key, ()):
+                if not isinstance(entry, dict) or sub not in entry:
+                    raise ValueError(f"{path}: checkpoint lacks required key {key + '.' + sub!r}")
     return payload
 
 
@@ -61,7 +84,7 @@ def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
         "layers": net.layer_dims(),
         "in_dim": net.in_dim,
         "time_embed": net.time_embed,
-        "data": encode_arrays([p.data for p in net.parameters()]),
+        "data": encode_arrays(net.parameters()),
     }
     if extra:
         payload.update(extra)
@@ -94,11 +117,7 @@ def mlp_from_payload(payload: dict) -> Mlp:
     count = sum(l["in"] * l["out"] + l["out"] for l in layers)
     flat = decode_array(payload["data"], count)
     offset = 0
-    for w, b in zip(net.weights, net.biases):
-        k = w.data.size
-        w.data = flat[offset : offset + k].reshape(w.data.shape).copy()
-        offset += k
-        k = b.data.size
-        b.data = flat[offset : offset + k].reshape(b.data.shape).copy()
-        offset += k
+    for p in net.parameters():
+        p[...] = flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
     return net

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness
+from . import ckpt, harness
 from .data import load_csv_dataset, save_dataset
 from .detector import load_detector
 from .diffusion import Denoiser, make_schedule
@@ -175,13 +175,6 @@ def _load_denoiser(path: str, std_mode: str | None) -> Denoiser:
     return denoiser
 
 
-def _dump_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def _cmd_gen_data(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg, _ = _experiment_config(args, file_cfg)
@@ -249,8 +242,8 @@ def _cmd_repair(args) -> int:
             for instance_id, result in results
         ],
     }
-    _dump_json(out_dir / "repairs.json", payload)
-    _dump_json(
+    ckpt.write(out_dir / "repairs.json", payload)
+    ckpt.write(
         out_dir / "timings.json",
         {
             "note": "measured wall-clock timing; not byte-reproducible across runs",

@@ -80,7 +80,7 @@ def _as_specs(spec) -> list[AnomalySpec]:
     return specs
 
 
-def _contiguous_runs(total: int, count: int, run_max: int, g: np.random.Generator):
+def _contiguous_runs(total: int, count: int, run_max: int):
     """Split `total` coordinates into `count` run lengths capped at run_max."""
     lengths = []
     remaining = total
@@ -103,7 +103,7 @@ def _inject_ts(x: Array, spec: AnomalySpec, n_features: int, window_len: int, g:
     n = x.size
     total = max(1, round(spec.extent * n))
     mask = np.zeros(n)
-    lengths = _contiguous_runs(total, spec.count, window_len, g)
+    lengths = _contiguous_runs(total, spec.count, window_len)
     for run in lengths:
         f = int(g.integers(0, n_features))
         start = int(g.integers(0, window_len - run + 1))

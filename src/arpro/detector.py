@@ -4,7 +4,7 @@ A detector assigns each input a vector of per-feature scores ``alpha`` and a
 scalar regularizer ``beta``; the total anomaly score is their sum. Region
 scores restrict the sum of ``alpha`` to a binary selection, feature-wise
 thresholds binarize ``alpha`` into an anomaly mask, and region-score gradients
-come off the differentiation tape.
+are closed-form vector-Jacobian products of ``alpha``.
 
 Two detectors ship: squared reconstruction error of an autoencoder, and
 independent per-feature Gaussian negative log-likelihood. Both use a constant
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import AdamW, Array, Mlp, Tensor, stream
+from .tensor import AdamW, Array, Mlp, stream
 
 DECOMP_RTOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-3
@@ -59,6 +59,8 @@ def _check_input(x, n: int) -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"input dimension mismatch: expected ({n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input contains non-finite values")
     return x
 
 
@@ -87,8 +89,17 @@ class _DetectorBase:
         data = _check_batch(data, self.n)
         return np.stack([self.alpha(row) for row in data])
 
-    def alpha_graph(self, x: Tensor) -> Tensor:
+    def alpha_with_vjp(self, x: Array):
+        """alpha(x) and its vector-Jacobian product ``vjp(g_alpha, acc=None)``.
+
+        `vjp` returns the gradient of ``sum(g_alpha * alpha(x))`` with respect
+        to x, added onto `acc` when one is given.
+        """
         raise NotImplementedError
+
+    def alpha_vjp(self, x, g_alpha) -> Array:
+        """Gradient of ``sum(g_alpha * alpha(x))`` with respect to x."""
+        return self.alpha_with_vjp(_check_input(x, self.n))[1](g_alpha)
 
     def beta_value(self, x: Array) -> float:
         return 0.0
@@ -103,13 +114,8 @@ class _DetectorBase:
         return float(self.beta_value(x) + (self.alpha(x) * z).sum())
 
     def grad_region_score(self, x, z) -> Array:
-        """Gradient of the region score with respect to the input, via the tape."""
-        x = _check_input(x, self.n)
-        z = as_mask(z, self.n)
-        leaf = Tensor(x, requires_grad=True)
-        s = (self.alpha_graph(leaf) * Tensor(z)).sum()
-        s.backward()
-        return leaf.gradient()
+        """Gradient of the region score with respect to the input."""
+        return self.alpha_vjp(x, as_mask(z, self.n))
 
 
 class GaussDetector(_DetectorBase):
@@ -141,9 +147,15 @@ class GaussDetector(_DetectorBase):
         data = _check_batch(data, self.n)
         return self._log_term + (data - self.mu) ** 2 * self._inv_two_var
 
-    def alpha_graph(self, x: Tensor) -> Tensor:
-        diff = x - Tensor(self.mu)
-        return diff.square() * Tensor(self._inv_two_var) + Tensor(self._log_term)
+    def alpha_with_vjp(self, x: Array):
+        diff = x - self.mu
+        alpha = diff * diff * self._inv_two_var + self._log_term
+
+        def vjp(g_alpha, acc=None):
+            g = g_alpha * self._inv_two_var * 2.0 * diff
+            return g if acc is None else acc + g
+
+        return alpha, vjp
 
     def save(self, path) -> None:
         ckpt.write(
@@ -189,8 +201,19 @@ class ReconDetector(_DetectorBase):
         data = _check_batch(data, self.n)
         return (self.net.forward_np(data) - data) ** 2
 
-    def alpha_graph(self, x: Tensor) -> Tensor:
-        return (self.net(x) - x).square()
+    def alpha_with_vjp(self, x: Array):
+        cache: list = []
+        r = self.net._forward(x, None, cache) - x
+
+        def vjp(g_alpha, acc=None):
+            # alpha = r*r with r = f(x) - x. The residual's own -g_r term is
+            # added before the network's input gradient; the order fixes the
+            # rounding of the sum.
+            g_r = g_alpha * 2.0 * r
+            g = -g_r if acc is None else acc - g_r
+            return g + self.net.backward(cache, g_r, want_input=True)[1]
+
+        return r * r, vjp
 
     def save(self, path) -> None:
         ckpt.write(path, ckpt.mlp_payload(self.net, kind=self.kind))
@@ -241,12 +264,8 @@ def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> Reco
     picker = stream(seed, "recon-batch")
     m = data.shape[0]
     for _ in range(cfg.steps):
-        idx = picker.integers(0, m, size=min(cfg.batch, m))
-        xb = data[idx]
-        loss = (net(xb) - Tensor(xb)).square().mean()
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        xb = data[picker.integers(0, m, size=min(cfg.batch, m))]
+        opt.step(net.mse_grads(xb, xb))
     return ReconDetector(net)
 
 

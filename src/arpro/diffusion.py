@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import AdamW, Array, Mlp, Tensor, stream
+from .tensor import AdamW, Array, Mlp, stream
 
 STD_MODES = ("standard", "paper-literal")
 
@@ -184,10 +184,7 @@ def train_denoiser(
         t = steps_rng.integers(1, schedule.T + 1, size=x0.shape[0])
         eps = noiser.standard_normal(x0.shape)
         x_t = root_a[t - 1, None] * x0 + root_one_minus_a[t - 1, None] * eps
-        loss = (net(x_t, t) - Tensor(eps)).square().mean()
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        opt.step(net.mse_grads(x_t, eps, t))
     return Denoiser(net, schedule)
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import ckpt
 from .data import AnomalySpec, Dataset, Scaler, fit_scaler, gen_synthetic_image, gen_synthetic_ts
 from .detector import (
     ReconTrainConfig,
@@ -582,12 +582,6 @@ def ablation_sweep(
 # -- report files ------------------------------------------------------------------
 
 
-def _dump_json(path: Path, payload) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def write_report(report: AggregateReport, directory) -> dict:
     """Write report.json, summary.csv, aggregates.csv, and timings.json.
 
@@ -599,7 +593,7 @@ def write_report(report: AggregateReport, directory) -> dict:
     directory.mkdir(parents=True, exist_ok=True)
 
     report_path = directory / "report.json"
-    _dump_json(report_path, report.to_dict())
+    ckpt.write(report_path, report.to_dict())
 
     summary_path = directory / "summary.csv"
     with summary_path.open("w", newline="", encoding="utf-8") as fh:
@@ -648,7 +642,7 @@ def write_report(report: AggregateReport, directory) -> dict:
         writer.writerow(["satisfaction_delta2", repr(report.satisfaction_delta2), "", ""])
 
     timings_path = directory / "timings.json"
-    _dump_json(
+    ckpt.write(
         timings_path,
         {
             "note": "measured wall-clock timing; not byte-reproducible across runs",

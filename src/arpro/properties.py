@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import as_mask, _check_input
-from .tensor import Array, Tensor
+from .tensor import Array
 
 # Smoothing inside the masked-distance gradient so guidance stays defined at
 # the distance minimum; loss *values* use the raw Euclidean norm.
@@ -107,39 +107,34 @@ def loss_breakdown(detector, x_bad, x_fix, omega, tol: Tolerances, weights: Prop
     return LossBreakdown(l1=l1, l2=l2, l3=l3, l4=l4, total=float(total))
 
 
-def guidance_loss_graph(detector, x_bad, x_fix: Tensor, omega, tol: Tolerances, weights: PropertyWeights) -> Tensor:
-    """Tape graph of the weighted loss, differentiable in the repair iterate.
+def guidance_grad(detector, x: Array, x_bad: Array, omega: Array, regions, tol: Tolerances, weights: PropertyWeights) -> Array:
+    """Gradient of the weighted loss at a validated repair iterate x, given
+    the validated target and its ``_regions(detector, x_bad, omega)``.
 
     The masked distance uses a smoothed norm sqrt(sum(..)^2 + eps) so its
-    gradient exists at zero distance; hinge terms use relu, whose subgradient
-    at the kink is zero.
+    gradient exists at zero distance; the hinge terms have subgradient zero at
+    the kink. Because the score decomposes, the three score terms reduce to
+    one vector-Jacobian product of alpha with weight
+    ``lambda1 + lambda3*[l3>0]*omega + lambda4*[l4>0]*omega_bar``.
     """
-    x_bad = _check_input(x_bad, detector.n)
-    omega = as_mask(omega, detector.n)
-    omega_bar = 1.0 - omega
-    s_om_bad = detector.region_score(x_bad, omega)
-    s_ob_bad = detector.region_score(x_bad, omega_bar)
-    beta_fix = detector.beta_value(x_fix.data)
-
-    alpha_fix = detector.alpha_graph(x_fix)
-    l1 = alpha_fix.sum() + beta_fix
-    masked = (x_fix - Tensor(x_bad)) * Tensor(omega_bar)
-    l2 = (masked.square().sum() + L2_SMOOTH_EPS).sqrt()
-    l3 = ((alpha_fix * Tensor(omega)).sum() + beta_fix - s_om_bad).relu()
-    l4 = ((alpha_fix * Tensor(omega_bar)).sum() + beta_fix - s_ob_bad - tol.delta4).relu()
-    return (
-        weights.lambda1 * l1
-        + weights.lambda2 * l2
-        + weights.lambda3 * l3
-        + weights.lambda4 * l4
-    )
+    omega_bar, s_om_bad, s_ob_bad = regions
+    beta = detector.beta_value(x)
+    alpha, vjp = detector.alpha_with_vjp(x)
+    on3 = float((alpha * omega).sum() + beta - s_om_bad > 0.0)
+    on4 = float((alpha * omega_bar).sum() + beta - s_ob_bad - tol.delta4 > 0.0)
+    g_alpha = (weights.lambda1 + weights.lambda3 * on3 * omega) + weights.lambda4 * on4 * omega_bar
+    masked = (x - x_bad) * omega_bar
+    root = np.sqrt((masked * masked).sum() + L2_SMOOTH_EPS)
+    g_l2 = weights.lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
+    return vjp(g_alpha, g_l2)
 
 
 def grad_guidance(detector, x_bad, x_fix, omega, tol: Tolerances, weights: PropertyWeights) -> Array:
     """Gradient of the weighted loss with respect to the repair iterate."""
-    leaf = Tensor(_check_input(x_fix, detector.n), requires_grad=True)
-    guidance_loss_graph(detector, x_bad, leaf, omega, tol, weights).backward()
-    return leaf.gradient()
+    x_bad = _check_input(x_bad, detector.n)
+    x_fix = _check_input(x_fix, detector.n)
+    omega = as_mask(omega, detector.n)
+    return guidance_grad(detector, x_fix, x_bad, omega, _regions(detector, x_bad, omega), tol, weights)
 
 
 def metrics(detector, x_bad, x_fix, omega) -> MetricsRecord:

@@ -23,7 +23,8 @@ from .properties import (
     MetricsRecord,
     PropertyWeights,
     Tolerances,
-    grad_guidance,
+    _regions,
+    guidance_grad,
     loss_breakdown,
     metrics,
 )
@@ -134,6 +135,8 @@ def _run_repair(
         raise ValueError(f"guidance schedule length {eta.size} != step count {schedule.T}")
     omega_bar = 1.0 - omega
     level_matched = cfg.infill_mode == "level-matched"
+    guided = bool(np.any(eta != 0.0))
+    regions = _regions(detector, x_bad, omega) if guided else None
 
     base = f"{cfg.stream_tag}"
     init = stream(cfg.seed, f"{base}/init")
@@ -154,7 +157,7 @@ def _run_repair(
             xhat = xhat + schedule.sigma[t - 1] * zs.standard_normal(n)
         eta_t = float(eta[t - 1])
         if eta_t != 0.0:
-            xhat = xhat - eta_t * grad_guidance(detector, x_bad, x, omega, cfg.tol, cfg.weights)
+            xhat = xhat - eta_t * guidance_grad(detector, x, x_bad, omega, regions, cfg.tol, cfg.weights)
         eps_t = es.standard_normal(n)
         level = t - 1 if level_matched else t
         if level == 0:
@@ -162,21 +165,27 @@ def _run_repair(
         else:
             x_bad_level = root_a[level - 1] * x_bad + root_rem[level - 1] * eps_t
         x = omega_bar * x_bad_level + omega * xhat
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"repair {cfg.stream_tag}: iterate became non-finite at step t={t}")
         hasher.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
         if steps is not None:
             steps.append((t, x_bad_level.copy(), x.copy()))
 
     seconds = time.perf_counter() - started
+    loss = loss_breakdown(detector, x_bad, x, omega, cfg.tol, cfg.weights)
+    record = metrics(detector, x_bad, x, omega)
+    if not np.all(np.isfinite([*loss.as_dict().values(), *record.as_dict().values()])):
+        raise ValueError(f"repair {cfg.stream_tag}: the final iterate's losses or metrics are non-finite")
     return RepairResult(
         x_fix=x,
-        loss=loss_breakdown(detector, x_bad, x, omega, cfg.tol, cfg.weights),
-        metrics=metrics(detector, x_bad, x, omega),
+        loss=loss,
+        metrics=record,
         trajectory_hash=hasher.hexdigest(),
         seconds=seconds,
         seed=cfg.seed,
         infill_mode=cfg.infill_mode,
         std_mode=schedule.std_mode,
-        guided=bool(np.any(eta != 0.0)),
+        guided=guided,
         trajectory=tuple(steps) if steps is not None else None,
     )
 

@@ -1,10 +1,12 @@
-"""Dense float64 tensors with a reverse-mode tape, a small MLP, and AdamW.
+"""A small float64 MLP with a hand-written backward pass, AdamW, and named
+random streams.
 
-Everything downstream runs on this module: values are numpy float64 arrays,
-and any operation whose inputs require gradients is recorded on a tape so a
-scalar loss can be differentiated back to its leaves. Randomness comes from
-counter-based streams addressed by an explicit (seed, name) pair, which keeps
-paired experiment arms and re-runs bit-reproducible.
+Everything downstream runs on this module. Parameters are plain numpy float64
+arrays; `Mlp.backward` is the closed-form vector-Jacobian product of the
+forward pass, which is all the training losses and guidance gradients need.
+Randomness comes from counter-based streams addressed by an explicit
+(seed, name) pair, which keeps paired experiment arms and re-runs
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,280 +22,12 @@ Array = np.ndarray
 ACTIVATIONS = ("linear", "relu", "silu")
 
 
-def _coerce(value) -> Array:
-    return np.asarray(value, dtype=np.float64)
-
-
 def _sigmoid(x: Array) -> Array:
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a broadcast gradient back down to `shape`."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-class Tensor:
-    """Array value doubling as a node on the differentiation tape.
-
-    A tensor produced by an operation keeps its operation tag, references to
-    its parents, and a closure that routes adjoints backwards. ``backward`` on
-    a scalar root fills ``grad`` for every tensor the root depends on; leaves
-    the root never touched read back as zeros through ``gradient()``.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
-
-    def __init__(self, data, requires_grad: bool = False, op: str = "leaf", parents=()):
-        self.data = _coerce(data)
-        self.grad: Array | None = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self.op = op
-        self._parents = tuple(parents) if self.requires_grad else ()
-        self._backward = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
-    def _accum(self, g: Array) -> None:
-        if not self.requires_grad:
-            return
-        self.grad = g if self.grad is None else self.grad + g
-
-    def gradient(self) -> Array:
-        """Adjoint after backward; zeros for leaves the root did not reach."""
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
-
-    # -- elementwise arithmetic -------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = _apply2("add", self, other, lambda a, b: a + b)
-        out = _result(data, "add", self, other)
-        if out.requires_grad:
-            def _bw(g, a=self, b=other):
-                a._accum(_unbroadcast(g, a.data.shape))
-                b._accum(_unbroadcast(g, b.data.shape))
-            out._backward = _bw
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = _apply2("sub", self, other, lambda a, b: a - b)
-        out = _result(data, "sub", self, other)
-        if out.requires_grad:
-            def _bw(g, a=self, b=other):
-                a._accum(_unbroadcast(g, a.data.shape))
-                b._accum(_unbroadcast(-g, b.data.shape))
-            out._backward = _bw
-        return out
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
-
-    def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = _apply2("mul", self, other, lambda a, b: a * b)
-        out = _result(data, "mul", self, other)
-        if out.requires_grad:
-            def _bw(g, a=self, b=other):
-                a._accum(_unbroadcast(g * b.data, a.data.shape))
-                b._accum(_unbroadcast(g * a.data, b.data.shape))
-            out._backward = _bw
-        return out
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * (-1.0)
-
-    # -- matrix multiply ---------------------------------------------------
-
-    def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError(
-                f"matmul needs 2-D operands, got {self.data.shape} @ {other.data.shape}"
-            )
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ValueError(
-                f"matmul shape mismatch: {self.data.shape} @ {other.data.shape}"
-            )
-        out = _result(self.data @ other.data, "matmul", self, other)
-        if out.requires_grad:
-            def _bw(g, a=self, b=other):
-                a._accum(g @ b.data.T)
-                b._accum(a.data.T @ g)
-            out._backward = _bw
-        return out
-
-    # -- nonlinearities and shape ops ---------------------------------------
-
-    def relu(self) -> "Tensor":
-        out = _result(np.maximum(self.data, 0.0), "relu", self)
-        if out.requires_grad:
-            mask = (self.data > 0.0).astype(np.float64)
-            out._backward = lambda g, a=self, m=mask: a._accum(g * m)
-        return out
-
-    def silu(self) -> "Tensor":
-        sig = _sigmoid(self.data)
-        out = _result(self.data * sig, "silu", self)
-        if out.requires_grad:
-            deriv = sig * (1.0 + self.data * (1.0 - sig))
-            out._backward = lambda g, a=self, d=deriv: a._accum(g * d)
-        return out
-
-    def square(self) -> "Tensor":
-        out = _result(self.data * self.data, "square", self)
-        if out.requires_grad:
-            out._backward = lambda g, a=self: a._accum(g * 2.0 * a.data)
-        return out
-
-    def sqrt(self) -> "Tensor":
-        if np.any(self.data < 0.0):
-            raise ValueError("sqrt of negative operand")
-        root = np.sqrt(self.data)
-        out = _result(root, "sqrt", self)
-        if out.requires_grad:
-            out._backward = lambda g, a=self, r=root: a._accum(g / (2.0 * r))
-        return out
-
-    def log(self) -> "Tensor":
-        if np.any(self.data <= 0.0):
-            raise ValueError("log of non-positive operand")
-        out = _result(np.log(self.data), "log", self)
-        if out.requires_grad:
-            out._backward = lambda g, a=self: a._accum(g / a.data)
-        return out
-
-    def sum(self) -> "Tensor":
-        out = _result(self.data.sum(), "sum", self)
-        if out.requires_grad:
-            out._backward = lambda g, a=self: a._accum(np.broadcast_to(g, a.data.shape).copy())
-        return out
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        out = _result(self.data.mean(), "mean", self)
-        if out.requires_grad:
-            out._backward = lambda g, a=self, k=n: a._accum(
-                np.broadcast_to(g / k, a.data.shape).copy()
-            )
-        return out
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = _result(self.data.reshape(shape), "reshape", self)
-        if out.requires_grad:
-            out._backward = lambda g, a=self: a._accum(g.reshape(a.data.shape))
-        return out
-
-    def __getitem__(self, key) -> "Tensor":
-        out = _result(np.array(self.data[key]), "slice", self)
-        if out.requires_grad:
-            def _bw(g, a=self, k=key):
-                buf = np.zeros_like(a.data)
-                np.add.at(buf, k, g)
-                a._accum(buf)
-            out._backward = _bw
-        return out
-
-    # -- backward pass ------------------------------------------------------
-
-    def backward(self) -> None:
-        """Populate adjoints of every reachable tensor from this scalar root."""
-        if self.data.size != 1:
-            raise ValueError(f"backward requires a scalar root, got shape {self.data.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        for node in topo:
-            node.grad = None
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, op={self.op!r}, grad={self.requires_grad})"
-
-
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _result(data: Array, op: str, *parents: Tensor) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, op=op, parents=parents)
-    return Tensor(data, op=op)
-
-
-def _apply2(op: str, a: Tensor, b: Tensor, fn) -> Array:
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError as exc:
-        raise ValueError(f"shape mismatch for {op}: {a.data.shape} vs {b.data.shape}") from exc
-    return fn(a.data, b.data)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along `axis`, splitting the adjoint back on backward."""
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat of empty sequence")
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    out = _result(data, "concat", *ts)
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in ts]
-        def _bw(g, parts=ts, sz=sizes, ax=axis):
-            offset = 0
-            for t, k in zip(parts, sz):
-                index = [slice(None)] * g.ndim
-                index[ax] = slice(offset, offset + k)
-                t._accum(g[tuple(index)])
-                offset += k
-        out._backward = _bw
     return out
 
 
@@ -375,16 +109,17 @@ class Mlp:
         self.time_embed = int(time_embed) if time_embed else None
         self.acts = acts
         g = stream(seed, stream_name)
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
+        self.weights: list[Array] = []
+        self.biases: list[Array] = []
         for i in range(n_layers):
             fan_in = dims[i]
             gain = 2.0 if acts[i] in ("relu", "silu") else 1.0
-            w = g.standard_normal((dims[i], dims[i + 1])) * math.sqrt(gain / fan_in)
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(dims[i + 1]), requires_grad=True))
+            self.weights.append(g.standard_normal((dims[i], dims[i + 1])) * math.sqrt(gain / fan_in))
+            self.biases.append(np.zeros(dims[i + 1]))
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[Array]:
+        """Weights and biases interleaved layer by layer; `backward` and
+        `AdamW` use the same order."""
         params = []
         for w, b in zip(self.weights, self.biases):
             params.append(w)
@@ -393,70 +128,98 @@ class Mlp:
 
     def layer_dims(self) -> list[dict]:
         return [
-            {"in": w.data.shape[0], "out": w.data.shape[1], "act": a}
+            {"in": w.shape[0], "out": w.shape[1], "act": a}
             for w, a in zip(self.weights, self.acts)
         ]
 
     def _prepare(self, x, t):
-        was_1d = False
-        if isinstance(x, Tensor):
-            xt = x
-        else:
-            xt = Tensor(x)
-        if xt.data.ndim == 1:
-            xt = xt.reshape(1, xt.data.shape[0])
-            was_1d = True
-        elif xt.data.ndim != 2:
-            raise ValueError(f"expected a vector or a batch, got shape {xt.data.shape}")
-        if xt.data.shape[1] != self.in_dim:
+        """Input as a 2-D batch with the step embedding appended; whether it was 1-D."""
+        h = np.asarray(x, dtype=np.float64)
+        was_1d = h.ndim == 1
+        if was_1d:
+            h = h.reshape(1, h.shape[0])
+        elif h.ndim != 2:
+            raise ValueError(f"expected a vector or a batch, got shape {h.shape}")
+        if h.shape[1] != self.in_dim:
             raise ValueError(
-                f"input dimension mismatch: expected {self.in_dim}, got {xt.data.shape[1]}"
+                f"input dimension mismatch: expected {self.in_dim}, got {h.shape[1]}"
             )
-        emb = None
         if self.time_embed is not None:
             if t is None:
                 raise ValueError("this network is step-conditioned; a step index is required")
             emb = time_embedding(t, self.time_embed)
-            if emb.shape[0] == 1 and xt.data.shape[0] > 1:
-                emb = np.broadcast_to(emb, (xt.data.shape[0], self.time_embed)).copy()
-            if emb.shape[0] != xt.data.shape[0]:
+            if emb.shape[0] == 1 and h.shape[0] > 1:
+                emb = np.broadcast_to(emb, (h.shape[0], self.time_embed)).copy()
+            if emb.shape[0] != h.shape[0]:
                 raise ValueError(
-                    f"step batch {emb.shape[0]} does not match input batch {xt.data.shape[0]}"
+                    f"step batch {emb.shape[0]} does not match input batch {h.shape[0]}"
                 )
-        return xt, emb, was_1d
+            h = np.concatenate([h, emb], axis=1)
+        return h, was_1d
 
-    def __call__(self, x, t=None) -> Tensor:
-        """Tape-recorded forward pass; accepts a vector or a batch."""
-        xt, emb, was_1d = self._prepare(x, t)
-        h = xt if emb is None else concat([xt, Tensor(emb)], axis=1)
+    def _forward(self, x, t=None, cache: list | None = None) -> Array:
+        """Forward pass; with `cache`, append each layer's input and activation
+        derivative (None for linear layers) for `backward`."""
+        h, was_1d = self._prepare(x, t)
         for w, b, act in zip(self.weights, self.biases, self.acts):
+            h_in = h
             h = h @ w + b
+            deriv = None
             if act == "relu":
-                h = h.relu()
-            elif act == "silu":
-                h = h.silu()
-        if was_1d:
-            h = h.reshape(self.out_dim)
-        return h
-
-    def forward_np(self, x: Array, t=None) -> Array:
-        """Plain numpy forward pass (no tape), for scoring and sampling loops."""
-        xt, emb, was_1d = self._prepare(np.asarray(x, dtype=np.float64), t)
-        h = xt.data if emb is None else np.concatenate([xt.data, emb], axis=1)
-        for w, b, act in zip(self.weights, self.biases, self.acts):
-            h = h @ w.data + b.data
-            if act == "relu":
+                if cache is not None:
+                    deriv = (h > 0.0).astype(np.float64)
                 h = np.maximum(h, 0.0)
             elif act == "silu":
-                h = h * _sigmoid(h)
+                sig = _sigmoid(h)
+                if cache is not None:
+                    deriv = sig * (1.0 + h * (1.0 - sig))
+                h = h * sig
+            if cache is not None:
+                cache.append((h_in, deriv))
         return h.reshape(self.out_dim) if was_1d else h
+
+    def forward_np(self, x: Array, t=None) -> Array:
+        """Forward pass of a vector or a batch."""
+        return self._forward(x, t)
+
+    def backward(self, cache: list, g_out: Array, want_input: bool = False):
+        """Vector-Jacobian product of a `_forward` pass that filled `cache`.
+
+        Returns the gradients of ``sum(g_out * output)`` with respect to the
+        parameters (in `parameters()` order) and, when `want_input` is set,
+        with respect to the input (same shape as the input); otherwise None.
+        """
+        g = np.asarray(g_out, dtype=np.float64)
+        was_1d = g.ndim == 1
+        if was_1d:
+            g = g.reshape(1, g.shape[0])
+        grads: list[Array] = []
+        for i in range(len(self.weights) - 1, -1, -1):
+            h_in, deriv = cache[i]
+            if deriv is not None:
+                g = g * deriv
+            grads.append(g.sum(axis=0))
+            grads.append(h_in.T @ g)
+            if i > 0 or want_input:
+                g = g @ self.weights[i].T
+        grads.reverse()
+        if not want_input:
+            return grads, None
+        g_in = g[:, : self.in_dim]
+        return grads, g_in.reshape(self.in_dim) if was_1d else g_in
+
+    def mse_grads(self, x: Array, target: Array, t=None) -> list[Array]:
+        """Parameter gradients of mean((forward(x, t) - target)^2)."""
+        cache: list = []
+        diff = self._forward(x, t, cache) - target
+        return self.backward(cache, (2.0 / diff.size) * diff)[0]
 
 
 # -- optimizer -----------------------------------------------------------------
 
 
 class AdamW:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay, updating parameter arrays in place.
 
     The decay multiplies parameters by ``1 - lr*weight_decay`` independently of
     the moment-based update, so a zero gradient with nonzero decay still
@@ -465,7 +228,7 @@ class AdamW:
 
     def __init__(
         self,
-        params: Sequence[Tensor],
+        params: Sequence[Array],
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -486,24 +249,22 @@ class AdamW:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
 
-    def step(self) -> None:
+    def step(self, grads: Sequence[Array]) -> None:
+        """One update from `grads`, given in the order of the parameters."""
+        if len(grads) != len(self.params):
+            raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             if self.weight_decay != 0.0:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+                p *= 1.0 - self.lr * self.weight_decay
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from arpro.cli import main
+from arpro.detector import ReconDetector
+from arpro.tensor import Mlp
 
 TINY_CONFIG = {
     "data": {
@@ -184,6 +186,49 @@ class TestValidationFailures:
                      "--seed", "7", "--config", str(config), "--out", str(tmp_path / "r")])
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
+
+    def test_diverging_repair_exits_1_without_report(self, workspace, tmp_path, capsys):
+        _, config, data_dir, models = workspace
+        out = tmp_path / "diverged"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["evaluate", "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                         "--detector", str(models / "detector.json"),
+                         "--denoiser", str(models / "denoiser.json"),
+                         "--eta-start", "1e6", "--eta-end", "1e9", "--lambda1", "1e6", "--out", str(out)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("kind,key", [
+        ("gauss", "n"), ("gauss", "data"),
+        ("recon", "layers"), ("recon", "data"),
+        ("denoiser", "layers"), ("denoiser", "data"), ("denoiser", "schedule"),
+        ("recon", "layers.act"), ("denoiser", "layers.in"), ("denoiser", "schedule.T"),
+    ])
+    def test_checkpoint_missing_key_exits_1(self, workspace, tmp_path, capsys, kind, key):
+        _, config, data_dir, models = workspace
+        detector, denoiser = models / "detector.json", models / "denoiser.json"
+        if kind == "recon":
+            detector = tmp_path / "recon.json"
+            ReconDetector(Mlp(24, [8], 24, seed=0)).save(detector)
+        target = denoiser if kind == "denoiser" else detector
+        payload = json.loads(target.read_text())
+        assert payload["kind"] == kind
+        outer, _, inner = key.partition(".")
+        if inner:
+            nested = payload[outer]
+            del (nested[0] if isinstance(nested, list) else nested)[inner]
+        else:
+            del payload[key]
+        broken = tmp_path / f"broken-{target.name}"
+        broken.write_text(json.dumps(payload))
+        detector, denoiser = (detector, broken) if kind == "denoiser" else (broken, denoiser)
+        code = main(["repair", "--input", str(data_dir), "--detector", str(detector),
+                     "--denoiser", str(denoiser), "--guided", "--seed", "7", "--config", str(config),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert broken.name in err and repr(key) in err
 
     def test_inputs_never_modified(self, workspace, tmp_path):
         _, config, data_dir, models = workspace

@@ -21,8 +21,8 @@ from conftest import central_diff, max_rel_err, type7_quantile
 
 def identity_recon(n: int) -> ReconDetector:
     net = Mlp(n, [], n, acts=["linear"], seed=0)
-    net.weights[0].data = np.eye(n)
-    net.biases[0].data = np.zeros(n)
+    net.weights[0][...] = np.eye(n)
+    net.biases[0][...] = 0.0
     return ReconDetector(net)
 
 

@@ -19,10 +19,10 @@ from arpro.tensor import Mlp, normal, stream
 def constant_eps_denoiser(n: int, value: float, schedule) -> Denoiser:
     net = Mlp(n, [4], n, time_embed=4, seed=0)
     for w in net.weights:
-        w.data[...] = 0.0
+        w[...] = 0.0
     for b in net.biases:
-        b.data[...] = 0.0
-    net.biases[-1].data[...] = value
+        b[...] = 0.0
+    net.biases[-1][...] = value
     return Denoiser(net, schedule)
 
 
@@ -165,7 +165,7 @@ class TestTraining:
         den = train_denoiser(data, sched, cfg, seed=2)
         fresh = Mlp(4, [8], 4, time_embed=4, seed=2, stream_name="denoiser-init")
         for got, want in zip(den.net.parameters(), fresh.parameters()):
-            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got, want)
 
     def test_perfect_prediction_gives_zero_loss(self):
         # The objective is mean squared prediction error, so matching the

@@ -175,6 +175,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="does not match"):
             guided_repair(det, den, other, x_bad, omega, RepairConfig(seed=0))
 
+    def test_divergence_raises_naming_stream_and_step(self, small_world):
+        det, den, sched, x_bad, omega = small_world
+        cfg = RepairConfig(seed=0, stream_tag="inst3", eta_start=1e6, eta_end=1e9,
+                           weights=PropertyWeights(lambda1=1e6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"inst3: iterate became non-finite at step t=\d+"):
+                guided_repair(det, den, sched, x_bad, omega, cfg)
+
     def test_bad_config(self):
         with pytest.raises(ValueError, match="infill mode"):
             RepairConfig(infill_mode="bogus")

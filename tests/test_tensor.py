@@ -2,123 +2,23 @@ import numpy as np
 import pytest
 
 from arpro import ckpt
-from arpro.tensor import AdamW, Mlp, Tensor, concat, normal, stream, time_embedding
+from arpro.tensor import AdamW, Mlp, normal, stream, time_embedding
 
 from conftest import central_diff, max_rel_err
-
-
-class TestForwardOps:
-    def test_add(self):
-        out = Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])
-        assert np.array_equal(out.data, [4.0, 6.0])
-
-    def test_matmul(self):
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([[1.0], [1.0]])
-        assert np.array_equal(out.data, [[3.0], [7.0]])
-
-    def test_relu(self):
-        out = Tensor([-1.0, 0.0, 2.0]).relu()
-        assert np.array_equal(out.data, [0.0, 0.0, 2.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="matmul"):
-            Tensor([[1.0, 2.0]]) @ Tensor([[1.0, 2.0]])
-
-    def test_log_sqrt_domain(self):
-        with pytest.raises(ValueError, match="sqrt"):
-            Tensor([-1.0]).sqrt()
-        with pytest.raises(ValueError, match="log"):
-            Tensor([0.0]).log()
-
-    def test_concat_and_slice(self):
-        a = Tensor([1.0, 2.0])
-        b = Tensor([3.0])
-        joined = concat([a, b])
-        assert np.array_equal(joined.data, [1.0, 2.0, 3.0])
-        assert np.array_equal(joined[1:].data, [2.0, 3.0])
-
-
-class TestBackward:
-    def test_square_scalar(self):
-        x = Tensor([3.0], requires_grad=True)
-        x.square().sum().backward()
-        assert np.allclose(x.gradient(), [6.0])
-
-    def test_quadratic(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        ((x - Tensor([0.0, 0.0])).square()).sum().backward()
-        assert np.allclose(x.gradient(), [2.0, 4.0])
-
-    def test_non_scalar_root_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ValueError, match="scalar"):
-            (x * 2.0).backward()
-
-    def test_unreached_leaf_is_zero(self):
-        x = Tensor([1.0], requires_grad=True)
-        y = Tensor([2.0], requires_grad=True)
-        x.square().sum().backward()
-        assert np.array_equal(y.gradient(), [0.0])
-
-    @pytest.mark.parametrize(
-        "name,build",
-        [
-            ("add", lambda x, c: (x + c).sum()),
-            ("sub", lambda x, c: (x - c).sum()),
-            ("mul", lambda x, c: (x * c).sum()),
-            ("square", lambda x, c: x.square().sum()),
-            ("silu", lambda x, c: x.silu().sum()),
-            ("sqrt", lambda x, c: (x.square() + 1.0).sqrt().sum()),
-            ("log", lambda x, c: (x.square() + 1.0).log().sum()),
-            ("mean", lambda x, c: (x * c).mean()),
-            ("slice", lambda x, c: x[1:4].square().sum()),
-            ("concat", lambda x, c: concat([x, x * c]).square().sum()),
-            ("matmul", lambda x, c: (x.reshape(1, 6) @ c.reshape(6, 1)).square().sum()),
-        ],
-    )
-    def test_gradient_matches_finite_differences(self, name, build):
-        # 100 random points per op, max relative error <= 1e-6 against the
-        # central-difference oracle with step 1e-5.
-        g = stream(101, f"fd-{name}")
-        worst = 0.0
-        for _ in range(100):
-            x0 = g.standard_normal(6)
-            c0 = g.standard_normal(6) + 2.0
-
-            def f(v):
-                return build(Tensor(v), Tensor(c0)).item()
-
-            leaf = Tensor(x0, requires_grad=True)
-            build(leaf, Tensor(c0)).backward()
-            worst = max(worst, max_rel_err(leaf.gradient(), central_diff(f, x0)))
-        assert worst <= 1e-6
-
-    def test_backward_is_pure(self):
-        g = stream(7, "pure")
-        x0 = g.standard_normal(5)
-
-        def grad_once():
-            leaf = Tensor(x0, requires_grad=True)
-            (leaf.silu().square().sum() + leaf.mean()).backward()
-            return leaf.gradient()
-
-        assert np.array_equal(grad_once(), grad_once())
 
 
 class TestMlp:
     def test_identity_layer(self):
         net = Mlp(2, [], 2, acts=["linear"], seed=0)
-        net.weights[0].data = np.eye(2)
-        net.biases[0].data = np.zeros(2)
+        net.weights[0][...] = np.eye(2)
+        net.biases[0][...] = 0.0
         assert np.array_equal(net.forward_np(np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_zero_weights_constant_output(self):
         net = Mlp(3, [4], 1, acts=["relu", "linear"], seed=0)
         for w in net.weights:
-            w.data[...] = 0.0
-        net.biases[-1].data[...] = 5.0
+            w[...] = 0.0
+        net.biases[-1][...] = 5.0
         assert np.allclose(net.forward_np(np.array([9.0, -2.0, 3.0])), [5.0])
 
     def test_deterministic_construction_and_forward(self):
@@ -145,12 +45,6 @@ class TestMlp:
         with pytest.raises(ValueError, match="even"):
             time_embedding(1, 5)
 
-    def test_tape_and_numpy_forward_agree(self):
-        net = Mlp(5, [7, 7], 5, time_embed=4, seed=9)
-        g = stream(2, "agree")
-        x = g.standard_normal((3, 5))
-        assert np.allclose(net(x, t=np.array([1, 5, 9])).data, net.forward_np(x, t=np.array([1, 5, 9])), atol=0, rtol=0)
-
     def test_batch_gradient_matches_finite_differences(self):
         net = Mlp(8, [6], 8, seed=5)
         g = stream(5, "mlp-fd")
@@ -160,45 +54,138 @@ class TestMlp:
         def f(v):
             return float(((net.forward_np(v) - target) ** 2).sum())
 
-        leaf = Tensor(x0, requires_grad=True)
-        ((net(leaf) - Tensor(target)).square()).sum().backward()
-        assert max_rel_err(leaf.gradient(), central_diff(f, x0)) <= 1e-6
+        cache = []
+        out = net._forward(x0, None, cache)
+        _, g_in = net.backward(cache, 2.0 * (out - target), want_input=True)
+        assert g_in.shape == x0.shape
+        assert max_rel_err(g_in, central_diff(f, x0)) <= 1e-6
+
+
+# Every activation kind, with and without the step embedding.
+BACKWARD_CASES = [
+    pytest.param(act, te, id=f"{act}-{'time' if te else 'plain'}")
+    for act in ("silu", "relu", "linear")
+    for te in (None, 4)
+]
+
+
+def _probe(act, time_embed, seed):
+    """A small net, a batch with its steps, and a random output weighting."""
+    net = Mlp(5, [4, 3], 5, acts=[act] * 3, time_embed=time_embed, seed=seed)
+    g = stream(seed, f"backward-{act}-{time_embed}")
+    for b in net.biases:
+        b[...] = 0.1 * g.standard_normal(b.shape)
+    x = g.standard_normal((3, 5))
+    t = g.integers(1, 20, size=3) if time_embed else None
+    c = g.standard_normal((3, 5))
+    return net, x, t, c
+
+
+def _param_fd(net, loss):
+    """Central differences of loss() with respect to each parameter array."""
+    out = []
+    for p in net.parameters():
+        saved = p.copy()
+
+        def f(v):
+            p[...] = v.reshape(p.shape)
+            return loss()
+
+        out.append(central_diff(f, saved.ravel()).reshape(p.shape))
+        p[...] = saved
+    return out
+
+
+class TestMlpBackward:
+    # 10 random points per case, max relative error <= 1e-6 against the
+    # central-difference oracle with step 1e-5, as for the other gradients.
+
+    @pytest.mark.parametrize("act,time_embed", BACKWARD_CASES)
+    def test_input_gradient_matches_finite_differences(self, act, time_embed):
+        worst = 0.0
+        for seed in range(10):
+            net, x, t, c = _probe(act, time_embed, seed)
+            cache = []
+            net._forward(x, t, cache)
+            _, g_in = net.backward(cache, c, want_input=True)
+            assert g_in.shape == x.shape
+
+            def f(v):
+                return float((c * net.forward_np(v.reshape(x.shape), t)).sum())
+
+            worst = max(worst, max_rel_err(g_in, central_diff(f, x.ravel()).reshape(x.shape)))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("act,time_embed", BACKWARD_CASES)
+    def test_parameter_gradients_match_finite_differences(self, act, time_embed):
+        worst = 0.0
+        for seed in range(10):
+            net, x, t, c = _probe(act, time_embed, seed)
+            cache = []
+            net._forward(x, t, cache)
+            grads, g_in = net.backward(cache, c)
+            assert g_in is None
+            fds = _param_fd(net, lambda: float((c * net.forward_np(x, t)).sum()))
+            for grad, fd in zip(grads, fds, strict=True):
+                assert grad.shape == fd.shape
+                worst = max(worst, max_rel_err(grad, fd))
+        assert worst <= 1e-6
+
+    def test_vector_input_gives_vector_gradient(self):
+        net = Mlp(4, [3], 4, seed=2)
+        x = normal(2, "vec", 4)
+        cache = []
+        net._forward(x, None, cache)
+        _, g_in = net.backward(cache, np.ones(4), want_input=True)
+        cache = []
+        net._forward(x.reshape(1, 4), None, cache)
+        _, g_batch = net.backward(cache, np.ones((1, 4)), want_input=True)
+        assert g_in.shape == (4,)
+        assert np.array_equal(g_in, g_batch[0])
+
+    def test_mse_grads_match_finite_differences(self):
+        net = Mlp(4, [5], 4, time_embed=4, seed=8)
+        g = stream(8, "mse-fd")
+        x = g.standard_normal((6, 4))
+        target = g.standard_normal((6, 4))
+        t = g.integers(1, 10, size=6)
+        grads = net.mse_grads(x, target, t)
+        fds = _param_fd(net, lambda: float(np.mean((net.forward_np(x, t) - target) ** 2)))
+        assert max(max_rel_err(grad, fd) for grad, fd in zip(grads, fds, strict=True)) <= 1e-6
 
 
 class TestAdamW:
     def test_single_step_hand_derived(self):
         # One bias-corrected step at w=1, g=1: m_hat = v_hat = 1, so the
         # update is lr / (1 + eps).
-        w = Tensor(np.array([1.0]), requires_grad=True)
+        w = np.array([1.0])
         opt = AdamW([w], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
-        w.grad = np.array([1.0])
-        opt.step()
+        opt.step([np.array([1.0])])
         expected = 1.0 - 0.1 / (1.0 + 1e-8)
-        assert np.allclose(w.data, [expected], rtol=0, atol=1e-15)
+        assert np.allclose(w, [expected], rtol=0, atol=1e-15)
 
     def test_zero_gradient_no_decay_is_identity(self):
-        w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        w = np.array([1.5, -2.0])
         opt = AdamW([w], lr=0.1)
-        w.grad = np.zeros(2)
-        opt.step()
-        assert np.array_equal(w.data, [1.5, -2.0])
+        opt.step([np.zeros(2)])
+        assert np.array_equal(w, [1.5, -2.0])
 
     def test_decoupled_decay(self):
-        w = Tensor(np.array([1.0]), requires_grad=True)
+        w = np.array([1.0])
         opt = AdamW([w], lr=0.1, weight_decay=0.1)
-        w.grad = np.array([0.0])
-        opt.step()
-        assert np.allclose(w.data, [0.99], rtol=0, atol=1e-15)
+        opt.step([np.array([0.0])])
+        assert np.allclose(w, [0.99], rtol=0, atol=1e-15)
 
     def test_zero_lr_is_identity(self):
-        w = Tensor(np.array([3.0]), requires_grad=True)
+        w = np.array([3.0])
         opt = AdamW([w], lr=0.0, weight_decay=0.5)
-        w.grad = np.array([7.0])
-        opt.step()
-        assert np.array_equal(w.data, [3.0])
+        opt.step([np.array([7.0])])
+        assert np.array_equal(w, [3.0])
 
     def test_invalid_hyperparameters(self):
-        w = Tensor(np.array([1.0]), requires_grad=True)
+        w = np.array([1.0])
+        with pytest.raises(ValueError, match="gradients"):
+            AdamW([w]).step([])
         with pytest.raises(ValueError):
             AdamW([w], lr=-1.0)
         with pytest.raises(ValueError):
@@ -252,7 +239,7 @@ class TestCheckpoint:
 
     def test_non_finite_rejected(self, tmp_path):
         net = Mlp(3, [], 3, acts=["linear"], seed=0)
-        net.weights[0].data[0, 0] = np.nan
+        net.weights[0][0, 0] = np.nan
         path = tmp_path / "model.json"
         ckpt.write(path, ckpt.mlp_payload(net))
         with pytest.raises(ValueError, match="non-finite"):
