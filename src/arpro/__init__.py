@@ -24,7 +24,16 @@ from .properties import (
     satisfaction_rate,
     tnr,
 )
-from .repair import GuidanceSchedule, RepairConfig, RepairResult, baseline_repair, guided_repair, make_guidance_schedule
+from .repair import (
+    GuidanceSchedule,
+    RepairConfig,
+    RepairResult,
+    RepairRow,
+    baseline_repair,
+    guided_repair,
+    make_guidance_schedule,
+    repair_batch,
+)
 from .tensor import AdamW, Mlp, normal, stream
 
 __version__ = "0.1.0"

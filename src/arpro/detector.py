@@ -102,6 +102,8 @@ class _DetectorBase:
         return self.alpha_with_vjp(_check_input(x, self.n))[1](g_alpha)
 
     def beta_value(self, x: Array) -> float:
+        """beta of a vector; for a batch of rows, a scalar shared by every row
+        or a column with one value per row."""
         return 0.0
 
     def score(self, x) -> DecomposableScore:

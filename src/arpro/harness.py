@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .properties import (
     satisfaction_rate,
     tnr,
 )
-from .repair import RepairConfig, RepairResult, baseline_repair, guided_repair
+from .repair import RepairConfig, RepairResult, RepairRow, repair_batch
 
 REPORT_SCHEMA = "arpro-report-v1"
 METRIC_NAMES = ("m_s", "m_d", "m_omega", "m_omega_bar")
@@ -263,8 +262,12 @@ class ExperimentConfig:
     quantile: float = 0.9
     confidence: float = 0.95
     normalize: bool = True
-    jobs: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("n_instances", "ablation_instances"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @classmethod
     def from_dict(cls, payload: dict, where: str = "config") -> "ExperimentConfig":
@@ -291,7 +294,6 @@ class ExperimentConfig:
             "quantile": self.quantile,
             "confidence": self.confidence,
             "normalize": self.normalize,
-            "jobs": self.jobs,
             "seed": self.seed,
         }
 
@@ -424,35 +426,49 @@ def aggregate_delta(baseline, guided) -> float:
     return float(np.median(pairs))
 
 
-def tnr_report(detector, train, repairs: dict, confidence: float) -> dict:
-    """Conformal threshold from training totals and per-arm TNR of repairs."""
-    train = np.asarray(train, dtype=np.float64)
-    if train.size == 0 or not repairs:
-        raise ValueError("tnr_report needs training data and at least one repair arm")
-    threshold = conformal_threshold([detector.score(row).total for row in train], confidence)
+def tnr_report(train_totals, repair_totals: dict, confidence: float) -> dict:
+    """Conformal threshold from the training totals and per-arm TNR of the
+    repairs' total scores (their `m_s`)."""
+    train_totals = np.asarray(train_totals, dtype=np.float64)
+    if train_totals.size == 0 or not repair_totals:
+        raise ValueError("tnr_report needs training totals and at least one repair arm")
+    threshold = conformal_threshold(train_totals, confidence)
     out = {"threshold": threshold}
-    for arm, vectors in repairs.items():
-        vectors = list(vectors)
-        if not vectors:
+    for arm, totals in repair_totals.items():
+        totals = list(totals)
+        if not totals:
             raise ValueError(f"no repairs in arm {arm!r}")
-        out[f"tnr_{arm}"] = tnr([detector.score(v).total for v in vectors], threshold)
+        out[f"tnr_{arm}"] = tnr(totals, threshold)
     return out
 
 
-def _repair_instance(pipe: Pipeline, cfg: ExperimentConfig, instance_id: int) -> InstanceRecord:
-    x_bad = pipe.test[instance_id]
-    omega = binarize(pipe.detector.score(x_bad), pipe.thresholds)
-    rcfg = cfg.repair.repair_config(cfg.seed, stream_tag=f"inst{instance_id}")
-    base = baseline_repair(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, x_bad, omega, rcfg)
-    guided = guided_repair(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, x_bad, omega, rcfg)
-    return InstanceRecord(instance_id=instance_id, baseline=base, guided=guided)
+def repair_timing(results) -> dict:
+    """Measured time of one repair batch. Every row of a batch carries the
+    loop time divided by the number of rows, so the batch is timed as a whole."""
+    results = list(results)
+    per_row = results[0].seconds
+    return {"repair_rows": len(results), "repair_s": per_row * len(results), "repair_per_row_s": per_row}
 
 
-def _map_instances(fn, ids, jobs: int):
-    if jobs <= 1:
-        return [fn(i) for i in ids]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, ids))
+def _repair(pipe: Pipeline, cfg: ExperimentConfig, instance_ids, arms, settings=((None, 1.0),)) -> list[RepairResult]:
+    """Repair the given instances in one batch; results are ordered by
+    setting, then instance, then arm.
+
+    Each instance's mask comes from binarizing its score at the calibrated
+    thresholds; each ``(weights, eta_scale)`` setting overrides the repair
+    settings (None keeps the configured weights).
+    """
+    targets = []
+    for instance_id in instance_ids:
+        x_bad = pipe.test[instance_id]
+        targets.append((instance_id, x_bad, binarize(pipe.detector.score(x_bad), pipe.thresholds)))
+    rows = []
+    for weights, eta_scale in settings:
+        for instance_id, x_bad, omega in targets:
+            rcfg = cfg.repair.repair_config(cfg.seed, stream_tag=f"inst{instance_id}", weights=weights,
+                                            eta_scale=eta_scale)
+            rows.extend(RepairRow(x_bad, omega, rcfg, guided=arm == "guided") for arm in arms)
+    return repair_batch(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, rows)
 
 
 def run_experiment(
@@ -463,7 +479,11 @@ def run_experiment(
 ) -> AggregateReport:
     """Paired baseline/guided repairs over the selected anomalous instances."""
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
-    records = _map_instances(lambda i: _repair_instance(pipe, cfg, i), pipe.instance_ids, cfg.jobs)
+    results = _repair(pipe, cfg, pipe.instance_ids, ("baseline", "guided"))
+    records = [
+        InstanceRecord(instance_id=i, baseline=results[2 * k], guided=results[2 * k + 1])
+        for k, i in enumerate(pipe.instance_ids)
+    ]
 
     metric_lists = {
         arm: {name: [getattr(getattr(r, arm).metrics, name) for r in records] for name in METRIC_NAMES}
@@ -479,10 +499,7 @@ def run_experiment(
     }
 
     tnr_info = tnr_report(
-        pipe.detector,
-        pipe.train,
-        {"baseline": [r.baseline.x_fix for r in records], "guided": [r.guided.x_fix for r in records]},
-        cfg.confidence,
+        pipe.train_totals, {arm: metric_lists[arm]["m_s"] for arm in ("baseline", "guided")}, cfg.confidence
     )
 
     delta2 = cfg.repair.delta2
@@ -492,10 +509,6 @@ def run_experiment(
     sat_baseline = satisfaction_rate([r.baseline.loss for r in records], sat_tol)
     sat_guided = satisfaction_rate([r.guided.loss for r in records], sat_tol)
 
-    wall_clock = {
-        "baseline_median_s": float(np.median([r.baseline.seconds for r in records])),
-        "guided_median_s": float(np.median([r.guided.seconds for r in records])),
-    }
     return AggregateReport(
         seed=cfg.seed,
         config=cfg.to_dict(),
@@ -509,7 +522,7 @@ def run_experiment(
         satisfaction_delta2=delta2,
         satisfaction_baseline=sat_baseline,
         satisfaction_guided=sat_guided,
-        wall_clock=wall_clock,
+        wall_clock=repair_timing(results),
     )
 
 
@@ -524,15 +537,8 @@ def run_single_arm(
     if arm not in ("baseline", "guided"):
         raise ValueError(f"arm must be 'baseline' or 'guided', got {arm!r}")
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
-    runner = baseline_repair if arm == "baseline" else guided_repair
-
-    def one(instance_id: int):
-        x_bad = pipe.test[instance_id]
-        omega = binarize(pipe.detector.score(x_bad), pipe.thresholds)
-        rcfg = cfg.repair.repair_config(cfg.seed, stream_tag=f"inst{instance_id}")
-        return instance_id, runner(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, x_bad, omega, rcfg)
-
-    return pipe, _map_instances(one, pipe.instance_ids, cfg.jobs)
+    results = _repair(pipe, cfg, pipe.instance_ids, (arm,))
+    return pipe, list(zip(pipe.instance_ids, results))
 
 
 def ablation_sweep(
@@ -556,25 +562,20 @@ def ablation_sweep(
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
     subset = pipe.instance_ids[: cfg.ablation_instances]
 
-    rows = []
+    settings = []
     for value in values:
-        weights = cfg.repair.weights()
-        eta_scale = 1.0
         if param == "eta_scale":
-            eta_scale = value
+            settings.append((None, value))
         else:
-            weights = dataclasses.replace(weights, **{param: value})
+            settings.append((dataclasses.replace(cfg.repair.weights(), **{param: value}), 1.0))
+    results = _repair(pipe, cfg, subset, ("guided",), settings)
 
-        def one(instance_id: int, w=weights, s=eta_scale):
-            x_bad = pipe.test[instance_id]
-            omega = binarize(pipe.detector.score(x_bad), pipe.thresholds)
-            rcfg = cfg.repair.repair_config(cfg.seed, stream_tag=f"inst{instance_id}", weights=w, eta_scale=s)
-            return guided_repair(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, x_bad, omega, rcfg)
-
-        results = _map_instances(one, subset, cfg.jobs)
+    rows = []
+    for k, value in enumerate(values):
+        chunk = results[k * len(subset):(k + 1) * len(subset)]
         row = {"param": param, "value": value, "n_instances": len(subset)}
         for name in METRIC_NAMES:
-            row[f"mean_{name}"] = float(np.mean([getattr(r.metrics, name) for r in results]))
+            row[f"mean_{name}"] = float(np.mean([getattr(r.metrics, name) for r in chunk]))
         rows.append(row)
     return rows
 
@@ -647,14 +648,6 @@ def write_report(report: AggregateReport, directory) -> dict:
         {
             "note": "measured wall-clock timing; not byte-reproducible across runs",
             "wall_clock": report.wall_clock,
-            "instances": [
-                {
-                    "instance_id": r.instance_id,
-                    "baseline_s": r.baseline.seconds,
-                    "guided_s": r.guided.seconds,
-                }
-                for r in report.records
-            ],
         },
     )
     return {

@@ -94,22 +94,27 @@ def _regions(detector, x_bad: Array, omega: Array):
 
 def loss_breakdown(detector, x_bad, x_fix, omega, tol: Tolerances, weights: PropertyWeights) -> LossBreakdown:
     """Evaluate the four losses of a repair and their weighted total."""
-    x_bad = _check_input(x_bad, detector.n)
-    x_fix = _check_input(x_fix, detector.n)
-    omega = as_mask(omega, detector.n)
-    omega_bar, s_om_bad, s_ob_bad = _regions(detector, x_bad, omega)
+    return losses_from_metrics(metrics(detector, x_bad, x_fix, omega), tol, weights)
 
-    l1 = detector.score(x_fix).total
-    l2 = float(np.linalg.norm(omega_bar * (x_fix - x_bad)))
-    l3 = max(0.0, detector.region_score(x_fix, omega) - s_om_bad)
-    l4 = max(0.0, detector.region_score(x_fix, omega_bar) - s_ob_bad - tol.delta4)
+
+def losses_from_metrics(record: MetricsRecord, tol: Tolerances, weights: PropertyWeights) -> LossBreakdown:
+    """The four losses of a repair from its metrics: the score, the masked
+    distance, and the hinged region-score changes."""
+    l1 = record.m_s
+    l2 = record.m_d
+    l3 = max(0.0, record.m_omega)
+    l4 = max(0.0, record.m_omega_bar - tol.delta4)
     total = weights.lambda1 * l1 + weights.lambda2 * l2 + weights.lambda3 * l3 + weights.lambda4 * l4
     return LossBreakdown(l1=l1, l2=l2, l3=l3, l4=l4, total=float(total))
 
 
-def guidance_grad(detector, x: Array, x_bad: Array, omega: Array, regions, tol: Tolerances, weights: PropertyWeights) -> Array:
-    """Gradient of the weighted loss at a validated repair iterate x, given
-    the validated target and its ``_regions(detector, x_bad, omega)``.
+def guidance_grad(detector, x: Array, x_bad: Array, omega: Array, regions, delta4, lambdas) -> Array:
+    """Gradient of the weighted loss at validated repair iterates.
+
+    `x` is one vector or a batch of rows. Each row brings its own target
+    `x_bad`, mask `omega`, ``regions`` as ``(omega_bar, s_om_bad, s_ob_bad)``
+    from the target, `delta4` and the four weights `lambdas`; a scalar serves
+    every row and a column gives one value per row.
 
     The masked distance uses a smoothed norm sqrt(sum(..)^2 + eps) so its
     gradient exists at zero distance; the hinge terms have subgradient zero at
@@ -117,15 +122,16 @@ def guidance_grad(detector, x: Array, x_bad: Array, omega: Array, regions, tol: 
     one vector-Jacobian product of alpha with weight
     ``lambda1 + lambda3*[l3>0]*omega + lambda4*[l4>0]*omega_bar``.
     """
+    lambda1, lambda2, lambda3, lambda4 = lambdas
     omega_bar, s_om_bad, s_ob_bad = regions
     beta = detector.beta_value(x)
     alpha, vjp = detector.alpha_with_vjp(x)
-    on3 = float((alpha * omega).sum() + beta - s_om_bad > 0.0)
-    on4 = float((alpha * omega_bar).sum() + beta - s_ob_bad - tol.delta4 > 0.0)
-    g_alpha = (weights.lambda1 + weights.lambda3 * on3 * omega) + weights.lambda4 * on4 * omega_bar
+    on3 = ((alpha * omega).sum(axis=-1, keepdims=True) + beta - s_om_bad > 0.0).astype(np.float64)
+    on4 = ((alpha * omega_bar).sum(axis=-1, keepdims=True) + beta - s_ob_bad - delta4 > 0.0).astype(np.float64)
+    g_alpha = (lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar
     masked = (x - x_bad) * omega_bar
-    root = np.sqrt((masked * masked).sum() + L2_SMOOTH_EPS)
-    g_l2 = weights.lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
+    root = np.sqrt((masked * masked).sum(axis=-1, keepdims=True) + L2_SMOOTH_EPS)
+    g_l2 = lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
     return vjp(g_alpha, g_l2)
 
 
@@ -134,7 +140,8 @@ def grad_guidance(detector, x_bad, x_fix, omega, tol: Tolerances, weights: Prope
     x_bad = _check_input(x_bad, detector.n)
     x_fix = _check_input(x_fix, detector.n)
     omega = as_mask(omega, detector.n)
-    return guidance_grad(detector, x_fix, x_bad, omega, _regions(detector, x_bad, omega), tol, weights)
+    lambdas = (weights.lambda1, weights.lambda2, weights.lambda3, weights.lambda4)
+    return guidance_grad(detector, x_fix, x_bad, omega, _regions(detector, x_bad, omega), tol.delta4, lambdas)
 
 
 def metrics(detector, x_bad, x_fix, omega) -> MetricsRecord:
@@ -142,12 +149,20 @@ def metrics(detector, x_bad, x_fix, omega) -> MetricsRecord:
     x_bad = _check_input(x_bad, detector.n)
     x_fix = _check_input(x_fix, detector.n)
     omega = as_mask(omega, detector.n)
-    omega_bar, s_om_bad, s_ob_bad = _regions(detector, x_bad, omega)
+    regions = _regions(detector, x_bad, omega)
+    return scored_metrics(detector.alpha(x_fix), detector.beta_value(x_fix), x_fix, x_bad, omega, regions)
+
+
+def scored_metrics(alpha_fix: Array, beta_fix: float, x_fix: Array, x_bad: Array, omega: Array, regions) -> MetricsRecord:
+    """The four metrics of a repair from the detector's alpha and beta at
+    x_fix and the target's ``_regions``, so a caller that already scored
+    either side does not score it again."""
+    omega_bar, s_om_bad, s_ob_bad = regions
     return MetricsRecord(
-        m_s=detector.score(x_fix).total,
+        m_s=float(alpha_fix.sum() + beta_fix),
         m_d=float(np.linalg.norm(omega_bar * (x_fix - x_bad))),
-        m_omega=detector.region_score(x_fix, omega) - s_om_bad,
-        m_omega_bar=detector.region_score(x_fix, omega_bar) - s_ob_bad,
+        m_omega=float(beta_fix + (alpha_fix * omega).sum()) - s_om_bad,
+        m_omega_bar=float(beta_fix + (alpha_fix * omega_bar).sum()) - s_ob_bad,
     )
 
 

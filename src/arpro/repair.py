@@ -6,6 +6,13 @@ gradient, and then overwrites the non-anomalous region with a correspondingly
 noised copy of the original input. The unguided baseline is the identical
 iteration with the guidance weight forced to zero, consuming the same random
 streams so paired comparisons see identical noise.
+
+Repairs run in lock step: every row of a batch (an instance, an arm, a weight
+setting) takes the same reverse steps together, with one denoiser forward and
+one guidance gradient per step for the whole batch. A row's result does not
+depend on the batch it runs in, provided BLAS gives each row of a matrix
+product the same bits at every batch height of two or more; the tests check
+this at the benchmark model shapes.
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ from .properties import (
     MetricsRecord,
     PropertyWeights,
     Tolerances,
-    _regions,
     guidance_grad,
-    loss_breakdown,
-    metrics,
+    losses_from_metrics,
+    scored_metrics,
 )
 from .tensor import Array, stream
 
@@ -115,88 +121,155 @@ class RepairResult:
         return out
 
 
-def _run_repair(
-    detector,
-    denoiser: Denoiser,
-    schedule: NoiseSchedule,
-    x_bad: Array,
-    omega: Array,
-    cfg: RepairConfig,
-    eta: Array,
-) -> RepairResult:
+@dataclass(frozen=True)
+class RepairRow:
+    """One repair of a batch: the target, its anomaly mask, its settings, and
+    whether it follows the guidance ramp or runs as the unguided baseline."""
+
+    x_bad: Array
+    omega: Array
+    cfg: RepairConfig
+    guided: bool = True
+
+
+def _batched(fn, *rows: Array) -> Array:
+    """`fn` of row-stacked arrays, with a lone row passed in twice.
+
+    BLAS multiplies a one-row matrix with gemv, which rounds differently from
+    the gemm every taller batch gets; two copies keep a row's bits the same
+    whatever batch it runs in.
+    """
+    if rows[0].shape[0] > 1:
+        return fn(*rows)
+    return fn(*(np.repeat(a, 2, axis=0) for a in rows))[:1]
+
+
+def _draw(generators, n: int) -> Array:
+    """The next n standard normals of each generator, one row per generator."""
+    return np.stack([g.standard_normal(n) for g in generators])
+
+
+def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) -> list[RepairResult]:
+    """Run the repairs of `rows` in lock step; one result per row, in order.
+
+    The rows share the detector, denoiser, schedule and infill mode. Rows with
+    the same ``(seed, stream_tag)`` share one set of random draws, so the two
+    arms of an instance see identical noise. Each result's `seconds` is the
+    loop time divided by the number of rows.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError("a repair batch needs at least one row")
     n = detector.n
-    x_bad = _check_input(x_bad, n)
-    omega = as_mask(omega, n)
     if denoiser.n != n:
         raise ValueError(f"denoiser dimension {denoiser.n} does not match detector {n}")
     if schedule.T != denoiser.schedule.T or not np.array_equal(schedule.b, denoiser.schedule.b):
         raise ValueError("noise schedule does not match the denoiser's training schedule")
-    if eta.size != schedule.T:
-        raise ValueError(f"guidance schedule length {eta.size} != step count {schedule.T}")
+    modes = sorted({row.cfg.infill_mode for row in rows})
+    if len(modes) > 1:
+        raise ValueError(f"the rows of a repair batch share one infill mode, got {modes}")
+    level_matched = modes[0] == "level-matched"
+
+    x_bad = np.stack([_check_input(row.x_bad, n) for row in rows])
+    omega = np.stack([as_mask(row.omega, n) for row in rows])
     omega_bar = 1.0 - omega
-    level_matched = cfg.infill_mode == "level-matched"
-    guided = bool(np.any(eta != 0.0))
-    regions = _regions(detector, x_bad, omega) if guided else None
+    zeros = np.zeros(schedule.T)
+    eta = np.stack([
+        make_guidance_schedule(schedule.T, row.cfg.eta_start, row.cfg.eta_end).eta if row.guided else zeros
+        for row in rows
+    ])
 
-    base = f"{cfg.stream_tag}"
-    init = stream(cfg.seed, f"{base}/init")
-    zs = stream(cfg.seed, f"{base}/z")
-    es = stream(cfg.seed, f"{base}/eps")
+    def column(values) -> Array:
+        return np.array(values, dtype=np.float64)[:, None]
 
-    started = time.perf_counter()
-    x = init.standard_normal(n)
-    hasher = hashlib.sha256()
-    hasher.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
-    steps = [] if cfg.record_trajectory else None
+    alpha_bad = _batched(detector.alpha_batch, x_bad)
+    beta_bad = detector.beta_value(x_bad)
+    s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
+    s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
+    # Per-row guidance operands, gathered for the rows guided at each step.
+    operands = (
+        x_bad, omega, omega_bar, s_om_bad, s_ob_bad,
+        column([row.cfg.tol.delta4 for row in rows]),
+        *(column([getattr(row.cfg.weights, f"lambda{k}") for row in rows]) for k in range(1, 5)),
+    )
+
+    def guide(x, x_bad, omega, omega_bar, s_om_bad, s_ob_bad, delta4, *lambdas):
+        return guidance_grad(detector, x, x_bad, omega, (omega_bar, s_om_bad, s_ob_bad), delta4, lambdas)
+
+    keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
+    owner = np.array([keys[(row.cfg.seed, row.cfg.stream_tag)] for row in rows])
+    init = [stream(seed, f"{tag}/init") for seed, tag in keys]
+    zs = [stream(seed, f"{tag}/z") for seed, tag in keys]
+    es = [stream(seed, f"{tag}/eps") for seed, tag in keys]
+
+    hashers = [hashlib.sha256() for _ in rows]
+    steps = [[] if row.cfg.record_trajectory else None for row in rows]
+
+    def update_hashes(x):
+        for hasher, row in zip(hashers, np.ascontiguousarray(x, dtype="<f8")):
+            hasher.update(row)
 
     root_a = np.sqrt(schedule.a)
     root_rem = np.sqrt(1.0 - schedule.a)
-    for t in range(schedule.T, 0, -1):
-        xhat = predict_mu(denoiser, x, t)
-        if t > 1:
-            xhat = xhat + schedule.sigma[t - 1] * zs.standard_normal(n)
-        eta_t = float(eta[t - 1])
-        if eta_t != 0.0:
-            xhat = xhat - eta_t * guidance_grad(detector, x, x_bad, omega, regions, cfg.tol, cfg.weights)
-        eps_t = es.standard_normal(n)
-        level = t - 1 if level_matched else t
-        if level == 0:
-            x_bad_level = x_bad
-        else:
-            x_bad_level = root_a[level - 1] * x_bad + root_rem[level - 1] * eps_t
-        x = omega_bar * x_bad_level + omega * xhat
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"repair {cfg.stream_tag}: iterate became non-finite at step t={t}")
-        hasher.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
-        if steps is not None:
-            steps.append((t, x_bad_level.copy(), x.copy()))
+    # Divergence is reported by the explicit check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        started = time.perf_counter()
+        x = _draw(init, n)[owner]
+        update_hashes(x)
+        for t in range(schedule.T, 0, -1):
+            xhat = _batched(lambda v: predict_mu(denoiser, v, t), x)
+            if t > 1:
+                xhat = xhat + schedule.sigma[t - 1] * _draw(zs, n)[owner]
+            eta_t = eta[:, t - 1]
+            sel = np.flatnonzero(eta_t)
+            if sel.size:
+                xhat[sel] = xhat[sel] - eta_t[sel, None] * _batched(guide, x[sel], *(a[sel] for a in operands))
+            eps_t = _draw(es, n)[owner]
+            level = t - 1 if level_matched else t
+            if level == 0:
+                x_bad_level = x_bad
+            else:
+                x_bad_level = root_a[level - 1] * x_bad + root_rem[level - 1] * eps_t
+            x = omega_bar * x_bad_level + omega * xhat
+            finite = np.isfinite(x).all(axis=1)
+            if not finite.all():
+                tag = rows[int(np.argmin(finite))].cfg.stream_tag
+                raise ValueError(f"repair {tag}: iterate became non-finite at step t={t}")
+            update_hashes(x)
+            for r, trajectory in enumerate(steps):
+                if trajectory is not None:
+                    trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
+        seconds = (time.perf_counter() - started) / len(rows)
 
-    seconds = time.perf_counter() - started
-    loss = loss_breakdown(detector, x_bad, x, omega, cfg.tol, cfg.weights)
-    record = metrics(detector, x_bad, x, omega)
-    if not np.all(np.isfinite([*loss.as_dict().values(), *record.as_dict().values()])):
-        raise ValueError(f"repair {cfg.stream_tag}: the final iterate's losses or metrics are non-finite")
-    return RepairResult(
-        x_fix=x,
-        loss=loss,
-        metrics=record,
-        trajectory_hash=hasher.hexdigest(),
-        seconds=seconds,
-        seed=cfg.seed,
-        infill_mode=cfg.infill_mode,
-        std_mode=schedule.std_mode,
-        guided=guided,
-        trajectory=tuple(steps) if steps is not None else None,
-    )
+        alpha_fix = _batched(detector.alpha_batch, x)
+        beta_fix = np.broadcast_to(detector.beta_value(x), (len(rows), 1))
+        results = []
+        for r, row in enumerate(rows):
+            regions = (omega_bar[r], float(s_om_bad[r, 0]), float(s_ob_bad[r, 0]))
+            scores = scored_metrics(alpha_fix[r], float(beta_fix[r, 0]), x[r], x_bad[r], omega[r], regions)
+            loss = losses_from_metrics(scores, row.cfg.tol, row.cfg.weights)
+            if not np.all(np.isfinite([*loss.as_dict().values(), *scores.as_dict().values()])):
+                raise ValueError(f"repair {row.cfg.stream_tag}: the final iterate's losses or metrics are non-finite")
+            results.append(RepairResult(
+                x_fix=x[r].copy(),
+                loss=loss,
+                metrics=scores,
+                trajectory_hash=hashers[r].hexdigest(),
+                seconds=seconds,
+                seed=row.cfg.seed,
+                infill_mode=row.cfg.infill_mode,
+                std_mode=schedule.std_mode,
+                guided=bool(np.any(eta[r] != 0.0)),
+                trajectory=tuple(steps[r]) if steps[r] is not None else None,
+            ))
+    return results
 
 
 def guided_repair(detector, denoiser: Denoiser, schedule: NoiseSchedule, x_bad, omega, cfg: RepairConfig) -> RepairResult:
     """Repair with the scheduled guidance ramp."""
-    eta = make_guidance_schedule(schedule.T, cfg.eta_start, cfg.eta_end).eta
-    return _run_repair(detector, denoiser, schedule, x_bad, omega, cfg, eta)
+    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg, guided=True)])[0]
 
 
 def baseline_repair(detector, denoiser: Denoiser, schedule: NoiseSchedule, x_bad, omega, cfg: RepairConfig) -> RepairResult:
     """Same iteration with guidance forced to zero; masked infill retained."""
-    eta = np.zeros(schedule.T)
-    return _run_repair(detector, denoiser, schedule, x_bad, omega, cfg, eta)
+    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg, guided=False)])[0]

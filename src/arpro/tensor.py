@@ -185,14 +185,28 @@ class Mlp:
     def backward(self, cache: list, g_out: Array, want_input: bool = False):
         """Vector-Jacobian product of a `_forward` pass that filled `cache`.
 
-        Returns the gradients of ``sum(g_out * output)`` with respect to the
-        parameters (in `parameters()` order) and, when `want_input` is set,
-        with respect to the input (same shape as the input); otherwise None.
+        Returns ``(param_grads, None)``: the gradients of
+        ``sum(g_out * output)`` with respect to the parameters, in
+        `parameters()` order. With `want_input` it returns
+        ``(None, input_grad)`` instead, the gradient with respect to the input
+        (same shape as the input), and computes no parameter gradient.
+
+        The input chain multiplies by C-contiguous copies of the transposed
+        weights: BLAS rounds a product with a transposed view differently
+        depending on the batch height, and each row must get the same bits
+        in any batch.
         """
         g = np.asarray(g_out, dtype=np.float64)
         was_1d = g.ndim == 1
         if was_1d:
             g = g.reshape(1, g.shape[0])
+        if want_input:
+            for (_, deriv), w in zip(reversed(cache), reversed(self.weights)):
+                if deriv is not None:
+                    g = g * deriv
+                g = g @ np.ascontiguousarray(w.T)
+            g_in = g[:, : self.in_dim]
+            return None, g_in.reshape(self.in_dim) if was_1d else g_in
         grads: list[Array] = []
         for i in range(len(self.weights) - 1, -1, -1):
             h_in, deriv = cache[i]
@@ -200,13 +214,10 @@ class Mlp:
                 g = g * deriv
             grads.append(g.sum(axis=0))
             grads.append(h_in.T @ g)
-            if i > 0 or want_input:
+            if i > 0:
                 g = g @ self.weights[i].T
         grads.reverse()
-        if not want_input:
-            return grads, None
-        g_in = g[:, : self.in_dim]
-        return grads, g_in.reshape(self.in_dim) if was_1d else g_in
+        return grads, None
 
     def mse_grads(self, x: Array, target: Array, t=None) -> list[Array]:
         """Parameter gradients of mean((forward(x, t) - target)^2)."""

@@ -199,6 +199,20 @@ class TestValidationFailures:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("key", ["n_instances", "ablation_instances"])
+    def test_zero_instance_count_exits_1_naming_key(self, workspace, tmp_path, capsys, key):
+        _, _, data_dir, models = workspace
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps({**TINY_CONFIG, key: 0}))
+        out = tmp_path / "ablate"
+        code = main(["ablate", "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                     "--detector", str(models / "detector.json"),
+                     "--denoiser", str(models / "denoiser.json"),
+                     "--param", "lambda1", "--values", "1", "--out", str(out)])
+        assert code == 1
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (out / "ablation.csv").exists()
+
     @pytest.mark.parametrize("kind,key", [
         ("gauss", "n"), ("gauss", "data"),
         ("recon", "layers"), ("recon", "data"),

@@ -1,15 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from arpro.detector import GaussDetector, binarize, calibrate_thresholds, fit_gauss
+from arpro.detector import (
+    GaussDetector,
+    ReconDetector,
+    ReconTrainConfig,
+    binarize,
+    calibrate_thresholds,
+    fit_gauss,
+    fit_recon,
+)
 from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, predict_mu, train_denoiser
-from arpro.properties import PropertyWeights, Tolerances
+from arpro.harness import image_benchmark_config, timeseries_benchmark_config
+from arpro.properties import PropertyWeights, Tolerances, guidance_grad
 from arpro.repair import (
     GuidanceSchedule,
     RepairConfig,
+    RepairRow,
+    _batched,
     baseline_repair,
     guided_repair,
     make_guidance_schedule,
+    repair_batch,
 )
 from arpro.tensor import Mlp, stream
 
@@ -198,3 +212,164 @@ class TestValidation:
         assert set(payload) == expected
         assert payload["seed"] == 1 and payload["guided"] is False
         assert set(out.as_dict(include_seconds=False)) == expected - {"seconds"}
+
+
+@pytest.fixture(scope="module", params=["gauss", "recon"])
+def batch_world(request):
+    """An 8-dim world with either detector and three anomalous targets."""
+    g = stream(52, "batch-world")
+    mu = g.uniform(-1.0, 1.0, size=8)
+    train = mu + 0.5 * g.standard_normal((150, 8))
+    if request.param == "gauss":
+        det = fit_gauss(train)
+    else:
+        det = fit_recon(train, ReconTrainConfig(hidden=(16, 4, 16), steps=300), seed=52)
+    sched = make_schedule(20)
+    den = train_denoiser(train, sched, DiffusionTrainConfig(hidden=(32, 32), time_embed=8, steps=200), seed=52)
+    tau = calibrate_thresholds(det, train, 0.9)
+    targets = []
+    for i in range(3):
+        x_bad = train[i].copy()
+        x_bad[2 * i] += 3.0
+        x_bad[7 - i] -= 2.5
+        omega = binarize(det.score(x_bad), tau)
+        assert omega.sum() >= 1
+        targets.append((x_bad, omega))
+    return det, den, sched, targets
+
+
+MODES = ["level-matched", "paper-literal"]
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_row_alone_matches_row_in_mixed_batch(self, batch_world, mode):
+        # Several instances, both arms and two settings (weights and ramp start)
+        # in one batch; the guided subset changes size at t=1.
+        det, den, sched, targets = batch_world
+        settings = [(PropertyWeights(), 0.0), (PropertyWeights(lambda1=3.0, lambda2=0.5), 0.02)]
+        rows = [
+            RepairRow(x_bad, omega, RepairConfig(weights=w, eta_start=start, eta_end=0.1, infill_mode=mode,
+                                                 seed=3, stream_tag=f"inst{i}"), guided=guided)
+            for w, start in settings
+            for i, (x_bad, omega) in enumerate(targets)
+            for guided in (False, True)
+        ]
+        batch = repair_batch(det, den, sched, rows)
+        assert len({result.seconds for result in batch}) == 1
+        for row, got in zip(rows, batch, strict=True):
+            runner = guided_repair if row.guided else baseline_repair
+            alone = runner(det, den, sched, row.x_bad, row.omega, row.cfg)
+            assert got.trajectory_hash == alone.trajectory_hash
+            assert np.array_equal(got.x_fix, alone.x_fix)
+            assert got.loss == alone.loss and got.metrics == alone.metrics
+            assert got.guided == row.guided
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_guidance_rows_equal_their_baseline_rows(self, batch_world, mode):
+        det, den, sched, targets = batch_world
+        zero = [RepairConfig(eta_start=0.0, eta_end=0.0, infill_mode=mode, seed=4, stream_tag=f"inst{i}")
+                for i in range(len(targets))]
+        rows = [RepairRow(x_bad, omega, cfg, guided=guided)
+                for cfg, (x_bad, omega) in zip(zero, targets) for guided in (False, True)]
+        x_bad, omega = targets[0]
+        rows.append(RepairRow(x_bad, omega, RepairConfig(eta_end=0.1, infill_mode=mode, seed=4, stream_tag="inst0")))
+        results = repair_batch(det, den, sched, rows)
+        for base, guided in zip(results[0:-1:2], results[1:-1:2]):
+            assert guided.trajectory_hash == base.trajectory_hash
+            assert np.array_equal(guided.x_fix, base.x_fix)
+            assert not guided.guided
+        assert results[-1].trajectory_hash != results[0].trajectory_hash
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_diverging_row_raises_with_its_tag(self, batch_world, mode):
+        det, den, sched, targets = batch_world
+        rows = [RepairRow(x_bad, omega, RepairConfig(eta_end=0.1, infill_mode=mode, stream_tag=f"inst{i}"))
+                for i, (x_bad, omega) in enumerate(targets)]
+        x_bad, omega = targets[1]
+        rows.insert(2, RepairRow(x_bad, omega, RepairConfig(
+            eta_start=1e9, eta_end=1e12, weights=PropertyWeights(lambda1=1e12), infill_mode=mode, stream_tag="boom")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the loop reports divergence itself, not through numpy warnings
+            with pytest.raises(ValueError, match=r"repair boom: iterate became non-finite at step t=\d+"):
+                repair_batch(det, den, sched, rows)
+
+    def test_mixed_infill_modes_rejected(self, small_world):
+        det, den, sched, x_bad, omega = small_world
+        rows = [RepairRow(x_bad, omega, RepairConfig(infill_mode=mode)) for mode in MODES]
+        with pytest.raises(ValueError, match="infill mode"):
+            repair_batch(det, den, sched, rows)
+
+    def test_empty_batch_rejected(self, small_world):
+        det, den, sched, _, _ = small_world
+        with pytest.raises(ValueError, match="at least one row"):
+            repair_batch(det, den, sched, [])
+
+
+# Batch heights around BLAS blocking boundaries, up to the largest batch the
+# benchmark configs build (2 arms x 50 instances, or an ablation sweep).
+HEIGHTS = (2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 24, 31, 32, 33, 47, 48, 49, 64, 65,
+           96, 100, 127, 128, 129, 192, 200, 255, 256, 257, 300)
+
+
+def _benchmark_nets():
+    """Randomly initialised networks with the shapes of the benchmark models:
+    both denoisers and the image autoencoder."""
+    ts, image = timeseries_benchmark_config(), image_benchmark_config()
+    n_ts = ts.data.n_features * ts.data.window_len
+    n_image = image.data.side ** 2
+    nets = {
+        "ts-denoiser": Mlp(n_ts, ts.diffusion.hidden, n_ts, time_embed=ts.diffusion.time_embed, seed=1),
+        "image-denoiser": Mlp(n_image, image.diffusion.hidden, n_image,
+                              time_embed=image.diffusion.time_embed, seed=2),
+        "image-autoencoder": Mlp(n_image, image.detector.hidden, n_image, seed=3),
+    }
+    for name, net in nets.items():
+        g = stream(9, f"bias-{name}")
+        for b in net.biases:
+            b[...] = 0.1 * g.standard_normal(b.shape)
+    return nets
+
+
+BENCHMARK_NETS = _benchmark_nets()
+
+
+class TestBatchHeightsAtBenchmarkShapes:
+    """The batch contract rests on BLAS giving each row of a product the same
+    bits at every batch height; these tests pin that down for the shapes the
+    benchmarks run, so a BLAS or CPU that breaks it fails here by name."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_NETS))
+    def test_forward_rows_do_not_depend_on_batch_height(self, name):
+        net = BENCHMARK_NETS[name]
+        x = stream(10, f"heights-{name}").standard_normal((HEIGHTS[-1], net.in_dim))
+        t = 37 if net.time_embed else None
+        full = net.forward_np(x, t)
+        for height in HEIGHTS[:-1]:
+            assert np.array_equal(net.forward_np(x[:height], t), full[:height]), height
+        assert np.array_equal(_batched(lambda v: net.forward_np(v, t), x[:1]), full[:1])
+
+    def test_recon_guidance_rows_do_not_depend_on_batch_height(self):
+        det = ReconDetector(BENCHMARK_NETS["image-autoencoder"])
+        n, rows = det.n, HEIGHTS[-1]
+        g = stream(11, "recon-guidance-heights")
+        x = g.standard_normal((rows, n))
+        x_bad = g.standard_normal((rows, n))
+        omega = (g.uniform(size=(rows, n)) < 0.1).astype(np.float64)
+        alpha_bad = det.alpha_batch(x_bad)
+        per_row = (
+            x, x_bad, omega, 1.0 - omega,
+            (alpha_bad * omega).sum(axis=1, keepdims=True),
+            (alpha_bad * (1.0 - omega)).sum(axis=1, keepdims=True),
+            g.uniform(0.0, 1.0, size=(rows, 1)),
+            *(g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(4)),
+        )
+
+        def guide(x, x_bad, omega, omega_bar, s_om_bad, s_ob_bad, delta4, *lambdas):
+            return guidance_grad(det, x, x_bad, omega, (omega_bar, s_om_bad, s_ob_bad), delta4, lambdas)
+
+        full = guide(*per_row)
+        for height in HEIGHTS[:-1]:
+            assert np.array_equal(guide(*(a[:height] for a in per_row)), full[:height]), height
+        assert np.array_equal(_batched(guide, *(a[:1] for a in per_row)), full[:1])
+

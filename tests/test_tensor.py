@@ -107,8 +107,8 @@ class TestMlpBackward:
             net, x, t, c = _probe(act, time_embed, seed)
             cache = []
             net._forward(x, t, cache)
-            _, g_in = net.backward(cache, c, want_input=True)
-            assert g_in.shape == x.shape
+            grads, g_in = net.backward(cache, c, want_input=True)
+            assert grads is None and g_in.shape == x.shape
 
             def f(v):
                 return float((c * net.forward_np(v.reshape(x.shape), t)).sum())
@@ -130,6 +130,19 @@ class TestMlpBackward:
                 assert grad.shape == fd.shape
                 worst = max(worst, max_rel_err(grad, fd))
         assert worst <= 1e-6
+
+    def test_input_only_rows_do_not_depend_on_batch_height(self):
+        net = Mlp(32, [96, 32], 32, seed=4)
+        g = stream(4, "heights")
+        x = g.standard_normal((60, 32))
+        c = g.standard_normal((60, 32))
+        rows = []
+        for height in (2, 5, 13, 38, 60):
+            cache = []
+            net._forward(x[:height], None, cache)
+            rows.append(net.backward(cache, c[:height], want_input=True)[1][:2])
+        for other in rows[1:]:
+            assert np.array_equal(other, rows[0])
 
     def test_vector_input_gives_vector_gradient(self):
         net = Mlp(4, [3], 4, seed=2)
