@@ -237,7 +237,7 @@ def _cmd_repair(args) -> int:
         "flags": overrides,
         "conformal_threshold": pipe.score_threshold,
         "results": [
-            {"instance_id": instance_id, **result.as_dict(include_seconds=False)}
+            {"instance_id": instance_id, **result.as_dict()}
             for instance_id, result in results
         ],
     }

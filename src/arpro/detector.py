@@ -78,19 +78,22 @@ def _check_batch(data, n: int | None = None) -> Array:
 
 
 class _DetectorBase:
-    """Shared decomposable-score operations; subclasses provide alpha."""
+    """Shared decomposable-score operations; subclasses provide
+    `alpha_with_vjp`, the one formula for alpha."""
 
     n: int
 
     def alpha(self, x: Array) -> Array:
-        raise NotImplementedError
+        return self.alpha_with_vjp(_check_input(x, self.n))[0]
 
     def alpha_batch(self, data: Array) -> Array:
-        data = _check_batch(data, self.n)
-        return np.stack([self.alpha(row) for row in data])
+        """alpha of each row of a batch; a row gets the same bits as `alpha`
+        of that row alone."""
+        return self.alpha_with_vjp(_check_batch(data, self.n))[0]
 
     def alpha_with_vjp(self, x: Array):
-        """alpha(x) and its vector-Jacobian product ``vjp(g_alpha, acc=None)``.
+        """alpha of a validated vector or batch of rows, and its
+        vector-Jacobian product ``vjp(g_alpha, acc=None)``.
 
         `vjp` returns the gradient of ``sum(g_alpha * alpha(x))`` with respect
         to x, added onto `acc` when one is given.
@@ -141,14 +144,6 @@ class GaussDetector(_DetectorBase):
         self._inv_two_var = 1.0 / (2.0 * self.sigma**2)
         self._log_term = 0.5 * np.log(2.0 * math.pi * self.sigma**2)
 
-    def alpha(self, x: Array) -> Array:
-        x = _check_input(x, self.n)
-        return self._log_term + (x - self.mu) ** 2 * self._inv_two_var
-
-    def alpha_batch(self, data: Array) -> Array:
-        data = _check_batch(data, self.n)
-        return self._log_term + (data - self.mu) ** 2 * self._inv_two_var
-
     def alpha_with_vjp(self, x: Array):
         diff = x - self.mu
         alpha = diff * diff * self._inv_two_var + self._log_term
@@ -193,15 +188,6 @@ class ReconDetector(_DetectorBase):
             raise ValueError("autoencoder must not be step-conditioned")
         self.net = net
         self.n = net.in_dim
-
-    def alpha(self, x: Array) -> Array:
-        x = _check_input(x, self.n)
-        xhat = self.net.forward_np(x)
-        return (xhat - x) ** 2
-
-    def alpha_batch(self, data: Array) -> Array:
-        data = _check_batch(data, self.n)
-        return (self.net.forward_np(data) - data) ** 2
 
     def alpha_with_vjp(self, x: Array):
         cache: list = []
@@ -274,15 +260,15 @@ def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> Reco
 # -- thresholds and binarization -------------------------------------------------
 
 
-def calibrate_thresholds(detector: _DetectorBase, train, q: float = 0.9) -> Array:
-    """Per-feature thresholds at the q-quantile of training alpha scores.
+def calibrate_thresholds(alphas, q: float = 0.9) -> Array:
+    """Per-feature thresholds at the q-quantile of the training alpha scores,
+    one row per training input (a detector's `alpha_batch`).
 
     Uses linear-interpolation (type-7) quantiles.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile must lie in (0, 1), got {q}")
-    alphas = detector.alpha_batch(_check_batch(train, detector.n))
-    return np.quantile(alphas, q, axis=0)
+    return np.quantile(_check_batch(alphas), q, axis=0)
 
 
 def binarize(score: DecomposableScore | Array, tau) -> Array:

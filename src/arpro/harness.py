@@ -268,6 +268,9 @@ class ExperimentConfig:
         for key in ("n_instances", "ablation_instances"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("quantile", "confidence"):
+            if not (0.0 < getattr(self, key) < 1.0):
+                raise ValueError(f"{key} must lie in (0, 1), got {getattr(self, key)}")
 
     @classmethod
     def from_dict(cls, payload: dict, where: str = "config") -> "ExperimentConfig":
@@ -312,6 +315,7 @@ class Pipeline:
     score_threshold: float
     train_totals: np.ndarray
     instance_ids: list[int]
+    masks: np.ndarray  # one anomaly mask per selected instance, in order
 
 
 def prepare_pipeline(
@@ -329,13 +333,14 @@ def prepare_pipeline(
 
     if detector is None:
         detector = cfg.detector.fit(train, seed=cfg.seed)
-    thresholds = calibrate_thresholds(detector, train, q=cfg.quantile)
-    train_totals = np.array([detector.score(row).total for row in train])
+    train_alpha = detector.alpha_batch(train)
+    test_alpha = detector.alpha_batch(test)
+    thresholds = calibrate_thresholds(train_alpha, q=cfg.quantile)
+    train_totals = _totals(detector, train, train_alpha)
     score_threshold = conformal_threshold(train_totals, cfg.confidence)
 
-    instance_ids = [i for i, row in enumerate(test) if detector.score(row).total > score_threshold]
-    instance_ids = instance_ids[: cfg.n_instances]
-    if not instance_ids:
+    instance_ids = np.flatnonzero(_totals(detector, test, test_alpha) > score_threshold)[: cfg.n_instances]
+    if not instance_ids.size:
         raise ValueError("no anomalous instances found: every test score is at or below the threshold")
 
     if denoiser is None:
@@ -353,8 +358,15 @@ def prepare_pipeline(
         thresholds=thresholds,
         score_threshold=score_threshold,
         train_totals=train_totals,
-        instance_ids=instance_ids,
+        instance_ids=instance_ids.tolist(),
+        masks=np.stack([binarize(test_alpha[i], thresholds) for i in instance_ids]),
     )
+
+
+def _totals(detector, data: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Total score of each row of `data` from its alpha rows; a per-row beta
+    column adds row by row."""
+    return (alpha.sum(axis=1, keepdims=True) + detector.beta_value(data))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -393,8 +405,8 @@ class AggregateReport:
             "instances": [
                 {
                     "instance_id": r.instance_id,
-                    "baseline": r.baseline.as_dict(include_seconds=False),
-                    "guided": r.guided.as_dict(include_seconds=False),
+                    "baseline": r.baseline.as_dict(),
+                    "guided": r.guided.as_dict(),
                 }
                 for r in self.records
             ],
@@ -450,24 +462,20 @@ def repair_timing(results) -> dict:
     return {"repair_rows": len(results), "repair_s": per_row * len(results), "repair_per_row_s": per_row}
 
 
-def _repair(pipe: Pipeline, cfg: ExperimentConfig, instance_ids, arms, settings=((None, 1.0),)) -> list[RepairResult]:
-    """Repair the given instances in one batch; results are ordered by
-    setting, then instance, then arm.
+def _repair(pipe: Pipeline, cfg: ExperimentConfig, count: int, arms, settings=((None, 1.0),)) -> list[RepairResult]:
+    """Repair the first `count` selected instances in one batch; results are
+    ordered by setting, then instance, then arm.
 
-    Each instance's mask comes from binarizing its score at the calibrated
-    thresholds; each ``(weights, eta_scale)`` setting overrides the repair
-    settings (None keeps the configured weights).
+    Each ``(weights, eta_scale)`` setting overrides the repair settings (None
+    keeps the configured weights).
     """
-    targets = []
-    for instance_id in instance_ids:
-        x_bad = pipe.test[instance_id]
-        targets.append((instance_id, x_bad, binarize(pipe.detector.score(x_bad), pipe.thresholds)))
+    targets = list(zip(pipe.instance_ids, pipe.masks))[:count]
     rows = []
     for weights, eta_scale in settings:
-        for instance_id, x_bad, omega in targets:
+        for instance_id, omega in targets:
             rcfg = cfg.repair.repair_config(cfg.seed, stream_tag=f"inst{instance_id}", weights=weights,
                                             eta_scale=eta_scale)
-            rows.extend(RepairRow(x_bad, omega, rcfg, guided=arm == "guided") for arm in arms)
+            rows.extend(RepairRow(pipe.test[instance_id], omega, rcfg, guided=arm == "guided") for arm in arms)
     return repair_batch(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, rows)
 
 
@@ -479,7 +487,7 @@ def run_experiment(
 ) -> AggregateReport:
     """Paired baseline/guided repairs over the selected anomalous instances."""
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
-    results = _repair(pipe, cfg, pipe.instance_ids, ("baseline", "guided"))
+    results = _repair(pipe, cfg, len(pipe.instance_ids), ("baseline", "guided"))
     records = [
         InstanceRecord(instance_id=i, baseline=results[2 * k], guided=results[2 * k + 1])
         for k, i in enumerate(pipe.instance_ids)
@@ -537,7 +545,7 @@ def run_single_arm(
     if arm not in ("baseline", "guided"):
         raise ValueError(f"arm must be 'baseline' or 'guided', got {arm!r}")
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
-    results = _repair(pipe, cfg, pipe.instance_ids, (arm,))
+    results = _repair(pipe, cfg, len(pipe.instance_ids), (arm,))
     return pipe, list(zip(pipe.instance_ids, results))
 
 
@@ -560,7 +568,7 @@ def ablation_sweep(
     if not values:
         raise ValueError("ablation needs at least one value")
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
-    subset = pipe.instance_ids[: cfg.ablation_instances]
+    count = min(cfg.ablation_instances, len(pipe.instance_ids))
 
     settings = []
     for value in values:
@@ -568,12 +576,12 @@ def ablation_sweep(
             settings.append((None, value))
         else:
             settings.append((dataclasses.replace(cfg.repair.weights(), **{param: value}), 1.0))
-    results = _repair(pipe, cfg, subset, ("guided",), settings)
+    results = _repair(pipe, cfg, count, ("guided",), settings)
 
     rows = []
     for k, value in enumerate(values):
-        chunk = results[k * len(subset):(k + 1) * len(subset)]
-        row = {"param": param, "value": value, "n_instances": len(subset)}
+        chunk = results[k * count:(k + 1) * count]
+        row = {"param": param, "value": value, "n_instances": count}
         for name in METRIC_NAMES:
             row[f"mean_{name}"] = float(np.mean([getattr(r.metrics, name) for r in chunk]))
         rows.append(row)

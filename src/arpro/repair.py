@@ -10,9 +10,8 @@ streams so paired comparisons see identical noise.
 Repairs run in lock step: every row of a batch (an instance, an arm, a weight
 setting) takes the same reverse steps together, with one denoiser forward and
 one guidance gradient per step for the whole batch. A row's result does not
-depend on the batch it runs in, provided BLAS gives each row of a matrix
-product the same bits at every batch height of two or more; the tests check
-this at the benchmark model shapes.
+depend on the batch it runs in, by the BLAS rules that `arpro.tensor.Mlp`
+follows; the tests check this at the benchmark model shapes.
 """
 
 from __future__ import annotations
@@ -105,8 +104,9 @@ class RepairResult:
     guided: bool = False
     trajectory: tuple | None = None
 
-    def as_dict(self, include_seconds: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        """The deterministic fields; the measured `seconds` is left out."""
+        return {
             "x_fix": [float(v) for v in self.x_fix],
             "losses": self.loss.as_dict(),
             "metrics": self.metrics.as_dict(),
@@ -116,9 +116,6 @@ class RepairResult:
             "guided": self.guided,
             "trajectory_hash": self.trajectory_hash,
         }
-        if include_seconds:
-            out["seconds"] = self.seconds
-        return out
 
 
 @dataclass(frozen=True)
@@ -130,18 +127,6 @@ class RepairRow:
     omega: Array
     cfg: RepairConfig
     guided: bool = True
-
-
-def _batched(fn, *rows: Array) -> Array:
-    """`fn` of row-stacked arrays, with a lone row passed in twice.
-
-    BLAS multiplies a one-row matrix with gemv, which rounds differently from
-    the gemm every taller batch gets; two copies keep a row's bits the same
-    whatever batch it runs in.
-    """
-    if rows[0].shape[0] > 1:
-        return fn(*rows)
-    return fn(*(np.repeat(a, 2, axis=0) for a in rows))[:1]
 
 
 def _draw(generators, n: int) -> Array:
@@ -182,7 +167,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     def column(values) -> Array:
         return np.array(values, dtype=np.float64)[:, None]
 
-    alpha_bad = _batched(detector.alpha_batch, x_bad)
+    alpha_bad = detector.alpha_batch(x_bad)
     beta_bad = detector.beta_value(x_bad)
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
@@ -217,13 +202,13 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
         x = _draw(init, n)[owner]
         update_hashes(x)
         for t in range(schedule.T, 0, -1):
-            xhat = _batched(lambda v: predict_mu(denoiser, v, t), x)
+            xhat = predict_mu(denoiser, x, t)
             if t > 1:
                 xhat = xhat + schedule.sigma[t - 1] * _draw(zs, n)[owner]
             eta_t = eta[:, t - 1]
             sel = np.flatnonzero(eta_t)
             if sel.size:
-                xhat[sel] = xhat[sel] - eta_t[sel, None] * _batched(guide, x[sel], *(a[sel] for a in operands))
+                xhat[sel] = xhat[sel] - eta_t[sel, None] * guide(x[sel], *(a[sel] for a in operands))
             eps_t = _draw(es, n)[owner]
             level = t - 1 if level_matched else t
             if level == 0:
@@ -241,7 +226,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
                     trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
         seconds = (time.perf_counter() - started) / len(rows)
 
-        alpha_fix = _batched(detector.alpha_batch, x)
+        alpha_fix = detector.alpha_batch(x)
         beta_fix = np.broadcast_to(detector.beta_value(x), (len(rows), 1))
         results = []
         for r, row in enumerate(rows):

@@ -7,6 +7,14 @@ forward pass, which is all the training losses and guidance gradients need.
 Randomness comes from counter-based streams addressed by an explicit
 (seed, name) pair, which keeps paired experiment arms and re-runs
 bit-reproducible.
+
+`Mlp` gives each row of a batch the same bits whatever the batch height, by
+two rules about BLAS. A one-row product goes to gemv, which rounds
+differently from the gemm every taller batch gets, so a lone row runs as a
+batch of two copies (its backward pads the gradient with a zero row). And a
+product with a transposed weight view changes its rounding with the batch
+height while one with a C-contiguous matrix does not, so the input-gradient
+chain multiplies by contiguous copies of the transposed weights.
 """
 
 from __future__ import annotations
@@ -23,12 +31,9 @@ ACTIVATIONS = ("linear", "relu", "silu")
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; both branches share the one denominator.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # -- random streams ----------------------------------------------------------
@@ -133,10 +138,11 @@ class Mlp:
         ]
 
     def _prepare(self, x, t):
-        """Input as a 2-D batch with the step embedding appended; whether it was 1-D."""
+        """Input as a 2-D batch with the step embedding appended, a lone row
+        passed in twice; and the caller's row count (None for a vector)."""
         h = np.asarray(x, dtype=np.float64)
-        was_1d = h.ndim == 1
-        if was_1d:
+        rows = h.shape[0] if h.ndim == 2 else None
+        if h.ndim == 1:
             h = h.reshape(1, h.shape[0])
         elif h.ndim != 2:
             raise ValueError(f"expected a vector or a batch, got shape {h.shape}")
@@ -155,12 +161,14 @@ class Mlp:
                     f"step batch {emb.shape[0]} does not match input batch {h.shape[0]}"
                 )
             h = np.concatenate([h, emb], axis=1)
-        return h, was_1d
+        if h.shape[0] == 1:
+            h = np.repeat(h, 2, axis=0)
+        return h, rows
 
     def _forward(self, x, t=None, cache: list | None = None) -> Array:
         """Forward pass; with `cache`, append each layer's input and activation
         derivative (None for linear layers) for `backward`."""
-        h, was_1d = self._prepare(x, t)
+        h, rows = self._prepare(x, t)
         for w, b, act in zip(self.weights, self.biases, self.acts):
             h_in = h
             h = h @ w + b
@@ -176,7 +184,7 @@ class Mlp:
                 h = h * sig
             if cache is not None:
                 cache.append((h_in, deriv))
-        return h.reshape(self.out_dim) if was_1d else h
+        return h[0] if rows is None else h[:rows]
 
     def forward_np(self, x: Array, t=None) -> Array:
         """Forward pass of a vector or a batch."""
@@ -191,22 +199,21 @@ class Mlp:
         ``(None, input_grad)`` instead, the gradient with respect to the input
         (same shape as the input), and computes no parameter gradient.
 
-        The input chain multiplies by C-contiguous copies of the transposed
-        weights: BLAS rounds a product with a transposed view differently
-        depending on the batch height, and each row must get the same bits
-        in any batch.
+        A lone row's `g_out` gets a zero row to match its doubled forward
+        pass; the zero row adds nothing to the parameter gradients.
         """
         g = np.asarray(g_out, dtype=np.float64)
-        was_1d = g.ndim == 1
-        if was_1d:
-            g = g.reshape(1, g.shape[0])
+        rows = g.shape[0] if g.ndim == 2 else None
+        g = g.reshape(-1, g.shape[-1])
+        if g.shape[0] == 1:
+            g = np.concatenate([g, np.zeros_like(g)])
         if want_input:
             for (_, deriv), w in zip(reversed(cache), reversed(self.weights)):
                 if deriv is not None:
                     g = g * deriv
                 g = g @ np.ascontiguousarray(w.T)
             g_in = g[:, : self.in_dim]
-            return None, g_in.reshape(self.in_dim) if was_1d else g_in
+            return None, g_in[0] if rows is None else g_in[:rows]
         grads: list[Array] = []
         for i in range(len(self.weights) - 1, -1, -1):
             h_in, deriv = cache[i]

@@ -199,7 +199,7 @@ class TestValidationFailures:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("key", ["n_instances", "ablation_instances"])
+    @pytest.mark.parametrize("key", ["n_instances", "ablation_instances", "quantile", "confidence"])
     def test_zero_instance_count_exits_1_naming_key(self, workspace, tmp_path, capsys, key):
         _, _, data_dir, models = workspace
         config = tmp_path / "zero.json"
@@ -210,7 +210,8 @@ class TestValidationFailures:
                      "--denoiser", str(models / "denoiser.json"),
                      "--param", "lambda1", "--values", "1", "--out", str(out)])
         assert code == 1
-        assert f"{key} must be >= 1" in capsys.readouterr().err
+        bound = "must lie in (0, 1), got 0" if key in ("quantile", "confidence") else "must be >= 1"
+        assert f"{key} {bound}" in capsys.readouterr().err
         assert not (out / "ablation.csv").exists()
 
     @pytest.mark.parametrize("kind,key", [

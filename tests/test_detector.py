@@ -111,27 +111,22 @@ class TestRegionScore:
 
 class TestCalibrateAndBinarize:
     def test_type7_quantile_values(self):
-        class Stub(GaussDetector):
-            def alpha_batch(self, data):
-                return np.asarray(data, dtype=np.float64)
-
-        stub = Stub(mu=np.zeros(1), sigma=np.ones(1))
         scores = np.arange(1.0, 11.0).reshape(-1, 1)
-        tau = calibrate_thresholds(stub, scores, q=0.9)
+        tau = calibrate_thresholds(scores, q=0.9)
         assert tau[0] == pytest.approx(type7_quantile(scores.ravel(), 0.9))
         assert tau[0] == pytest.approx(9.1)
-        assert calibrate_thresholds(stub, np.array([[1.0], [3.0]]), q=0.5)[0] == pytest.approx(2.0)
+        assert calibrate_thresholds(np.array([[1.0], [3.0]]), q=0.5)[0] == pytest.approx(2.0)
 
     def test_constant_scores(self):
         det = fit_gauss(np.full((5, 2), 7.0))
-        tau = calibrate_thresholds(det, np.full((5, 2), 7.0), q=0.9)
+        tau = calibrate_thresholds(det.alpha_batch(np.full((5, 2), 7.0)), q=0.9)
         alpha = det.alpha(np.full(2, 7.0))
         assert np.allclose(tau, alpha)
 
     def test_quantile_range_checked(self):
         det = fit_gauss(np.zeros((3, 1)))
         with pytest.raises(ValueError, match="quantile"):
-            calibrate_thresholds(det, np.zeros((3, 1)), q=1.0)
+            calibrate_thresholds(det.alpha_batch(np.zeros((3, 1))), q=1.0)
 
     def test_binarize_inclusive(self):
         mask = binarize(np.array([0.1, 0.9, 0.5]), np.array([0.5, 0.5, 0.5]))
@@ -151,7 +146,7 @@ class TestCalibrateAndBinarize:
         g = stream(5, "flag-rate")
         train = g.standard_normal((200, 6))
         det = fit_gauss(train)
-        tau = calibrate_thresholds(det, train, q=0.9)
+        tau = calibrate_thresholds(det.alpha_batch(train), q=0.9)
         flags = det.alpha_batch(train) >= tau
         per_coord = flags.mean(axis=0)
         assert np.all(per_coord <= 0.1 + 2.0 / 200)

@@ -21,7 +21,7 @@ from arpro.harness import (
     write_ablation,
     write_report,
 )
-from arpro.detector import fit_gauss
+from arpro.detector import binarize, fit_gauss
 from arpro.tensor import stream
 
 
@@ -226,16 +226,33 @@ class TestConfigParsing:
         assert again == cfg
 
     def test_zero_instances_rejected(self):
-        with pytest.raises(ValueError, match="n_instances must be >= 1"):
-            dataclasses.replace(tiny_config(), n_instances=0)
+        for key, value, message in (("n_instances", 0, "n_instances must be >= 1"),
+                                    ("quantile", 1.0, r"quantile must lie in \(0, 1\), got 1.0"),
+                                    ("confidence", 0.0, r"confidence must lie in \(0, 1\), got 0.0")):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(tiny_config(), **{key: value})
 
     def test_zero_ablation_instances_rejected(self):
-        with pytest.raises(ValueError, match="ablation_instances must be >= 1"):
-            ExperimentConfig.from_dict({**tiny_config().to_dict(), "ablation_instances": 0})
+        for key, value, message in (("ablation_instances", 0, "ablation_instances must be >= 1"),
+                                    ("quantile", -0.5, r"quantile must lie in \(0, 1\)"),
+                                    ("confidence", 1.5, r"confidence must lie in \(0, 1\)")):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig.from_dict({**tiny_config().to_dict(), key: value})
 
     def test_detector_kind_validated(self):
         with pytest.raises(ValueError, match="detector kind"):
             DetectorConfig(kind="flow")
+
+    def test_prepare_pipeline_totals_are_batched_alpha_sums(self):
+        cfg = dataclasses.replace(
+            tiny_config(seed=16),
+            detector=DetectorConfig(kind="recon", hidden=(8, 4, 8), steps=50),
+            diffusion=DiffusionConfig(T=5, hidden=(8,), time_embed=4, steps=5),
+        )
+        pipe = prepare_pipeline(cfg)
+        assert np.array_equal(pipe.train_totals, pipe.detector.alpha_batch(pipe.train).sum(axis=1))
+        for instance_id, omega in zip(pipe.instance_ids, pipe.masks, strict=True):
+            assert np.array_equal(omega, binarize(pipe.detector.score(pipe.test[instance_id]), pipe.thresholds))
 
     def test_prepare_pipeline_rejects_mismatched_denoiser(self):
         cfg = tiny_config(seed=15)

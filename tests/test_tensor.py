@@ -38,6 +38,8 @@ class TestMlp:
             net.forward_np(np.zeros(4))
         out = net.forward_np(np.zeros(4), t=3)
         assert out.shape == (4,)
+        with pytest.raises(ValueError, match="step batch 2 does not match input batch 1"):
+            net.forward_np(np.zeros((1, 4)), t=[3, 4])
 
     def test_time_embedding_dim_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
@@ -61,23 +63,25 @@ class TestMlp:
         assert max_rel_err(g_in, central_diff(f, x0)) <= 1e-6
 
 
-# Every activation kind, with and without the step embedding.
+# Every activation kind, with and without the step embedding, for a batch of
+# three rows and for a lone row (which `Mlp` runs padded to two).
 BACKWARD_CASES = [
-    pytest.param(act, te, id=f"{act}-{'time' if te else 'plain'}")
+    pytest.param(act, te, height, id=f"{act}-{'time' if te else 'plain'}{'-lone' if height == 1 else ''}")
     for act in ("silu", "relu", "linear")
     for te in (None, 4)
+    for height in (3, 1)
 ]
 
 
-def _probe(act, time_embed, seed):
+def _probe(act, time_embed, height, seed):
     """A small net, a batch with its steps, and a random output weighting."""
     net = Mlp(5, [4, 3], 5, acts=[act] * 3, time_embed=time_embed, seed=seed)
     g = stream(seed, f"backward-{act}-{time_embed}")
     for b in net.biases:
         b[...] = 0.1 * g.standard_normal(b.shape)
-    x = g.standard_normal((3, 5))
-    t = g.integers(1, 20, size=3) if time_embed else None
-    c = g.standard_normal((3, 5))
+    x = g.standard_normal((height, 5))
+    t = g.integers(1, 20, size=height) if time_embed else None
+    c = g.standard_normal((height, 5))
     return net, x, t, c
 
 
@@ -100,11 +104,11 @@ class TestMlpBackward:
     # 10 random points per case, max relative error <= 1e-6 against the
     # central-difference oracle with step 1e-5, as for the other gradients.
 
-    @pytest.mark.parametrize("act,time_embed", BACKWARD_CASES)
-    def test_input_gradient_matches_finite_differences(self, act, time_embed):
+    @pytest.mark.parametrize("act,time_embed,height", BACKWARD_CASES)
+    def test_input_gradient_matches_finite_differences(self, act, time_embed, height):
         worst = 0.0
         for seed in range(10):
-            net, x, t, c = _probe(act, time_embed, seed)
+            net, x, t, c = _probe(act, time_embed, height, seed)
             cache = []
             net._forward(x, t, cache)
             grads, g_in = net.backward(cache, c, want_input=True)
@@ -116,11 +120,11 @@ class TestMlpBackward:
             worst = max(worst, max_rel_err(g_in, central_diff(f, x.ravel()).reshape(x.shape)))
         assert worst <= 1e-6
 
-    @pytest.mark.parametrize("act,time_embed", BACKWARD_CASES)
-    def test_parameter_gradients_match_finite_differences(self, act, time_embed):
+    @pytest.mark.parametrize("act,time_embed,height", BACKWARD_CASES)
+    def test_parameter_gradients_match_finite_differences(self, act, time_embed, height):
         worst = 0.0
         for seed in range(10):
-            net, x, t, c = _probe(act, time_embed, seed)
+            net, x, t, c = _probe(act, time_embed, height, seed)
             cache = []
             net._forward(x, t, cache)
             grads, g_in = net.backward(cache, c)

@@ -1,0 +1,144 @@
+"""Compare the output files of two arpro source trees run on the same inputs.
+
+Usage:
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--seeds 0 3] [--work DIR]
+
+For each source tree and seed, the stock time-series and image benchmark
+configs (`timeseries_benchmark_config`, `image_benchmark_config`, as each
+tree defines them) run through `gen-data`, `train-detector`,
+`train-diffusion`, `evaluate`, `repair --guided` and
+`ablate --param lambda2 --values 0.1,1,10`, each as `python3 -m arpro` with
+that tree on PYTHONPATH. Every file the runs write is then compared between
+the two trees, except the measured timing: `timings.json` is skipped and the
+`seconds` column of `summary.csv` is dropped. Each differing file is printed
+with the JSON paths or CSV cells that differ.
+
+Exit codes: 0 when every compared file is byte-identical, 1 on any
+difference, 2 when a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = {"ts": "timeseries_benchmark_config", "image": "image_benchmark_config"}
+SKIPPED = {"timings.json"}
+MAX_LISTED = 8
+
+
+def _run(src: Path, args: list[str], cwd: Path) -> str:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(f"command failed ({proc.returncode}) in {cwd}: {' '.join(args)}\n{proc.stderr}")
+        raise SystemExit(2)
+    return proc.stdout
+
+
+def run_tree(src: Path, out: Path, kind: str, seed: int) -> None:
+    """All six stages of one stock config at one seed, written under `out`."""
+    out.mkdir(parents=True, exist_ok=True)
+    config = _run(src, ["-c", f"import json; from arpro import harness; "
+                              f"print(json.dumps(harness.{CONFIGS[kind]}({seed}).to_dict(), sort_keys=True))"], out)
+    (out / "config.json").write_text(config, encoding="utf-8")
+    common = ["--config", "config.json", "--seed", str(seed)]
+    models = ["--detector", "models/detector.json", "--denoiser", "models/denoiser.json"]
+    for stage in (
+        ["gen-data", "--out", "data"],
+        ["train-detector", "--input", "data", "--out", "models"],
+        ["train-diffusion", "--input", "data", "--out", "models"],
+        ["evaluate", "--input", "data", *models, "--out", "evaluate"],
+        ["repair", "--guided", "--input", "data", *models, "--out", "repair"],
+        ["ablate", "--input", "data", *models, "--param", "lambda2", "--values", "0.1,1,10", "--out", "ablate"],
+    ):
+        _run(src, ["-m", "arpro", *stage, *common], out)
+
+
+def _comparable(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name != "summary.csv":
+        return data
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    keep = [i for i, name in enumerate(rows[0]) if name != "seconds"] if rows else []
+    buf = io.StringIO()
+    csv.writer(buf).writerows([[row[i] for i in keep] for row in rows])
+    return buf.getvalue().encode("utf-8")
+
+
+def _json_paths(a, b, path: str = "") -> list[str]:
+    """JSON paths at which two decoded documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(set(a) | set(b), key=str)
+                for p in (_json_paths(a.get(key), b.get(key), f"{path}.{key}") if key in a and key in b
+                          else [f"{path}.{key} (only one side)"])]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in _json_paths(x, y, f"{path}[{i}]")]
+    return [] if a == b and type(a) is type(b) else [path or "."]
+
+
+def describe(name: str, a: bytes, b: bytes) -> list[str]:
+    """Where two versions of one file differ."""
+    if name.endswith(".json"):
+        return _json_paths(json.loads(a), json.loads(b))
+    if name.endswith(".csv"):
+        ra, rb = (list(csv.reader(io.StringIO(x.decode("utf-8")))) for x in (a, b))
+        if len(ra) != len(rb):
+            return [f"{len(ra)} vs {len(rb)} rows"]
+        return [f"row {i} ({row_a[0]}) column {ra[0][j] if j < len(ra[0]) else j}: {x!r} vs {y!r}"
+                for i, (row_a, row_b) in enumerate(zip(ra, rb))
+                for j, (x, y) in enumerate(zip(row_a, row_b)) if x != y] or ["row lengths differ"]
+    return ["bytes differ"]
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print the files that differ between two output trees; their count."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file() and p.name not in SKIPPED}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file() and p.name not in SKIPPED}
+    differ = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"DIFFERS {rel}: present in only one tree")
+        differ += 1
+    for rel in sorted(files_a & files_b):
+        x, y = _comparable(a / rel), _comparable(b / rel)
+        if x == y:
+            continue
+        differ += 1
+        where = describe(rel.name, x, y)
+        print(f"DIFFERS {rel}: {len(where)} place(s)")
+        for line in where[:MAX_LISTED]:
+            print(f"    {line}")
+        if len(where) > MAX_LISTED:
+            print(f"    ... {len(where) - MAX_LISTED} more")
+    print(f"compared {len(files_a & files_b)} files: {differ} differ")
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path, help="source tree holding the reference `arpro` package")
+    parser.add_argument("change_src", type=Path, help="source tree holding the changed `arpro` package")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
+    parser.add_argument("--work", type=Path, default=None, help="output directory (default: a new temporary one)")
+    args = parser.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (src / "arpro" / "__init__.py").is_file():
+            parser.error(f"{src} does not hold an arpro package")
+    work = args.work or Path(tempfile.mkdtemp(prefix="arpro-compare-"))
+    for side, src in (("parent", args.parent_src), ("change", args.change_src)):
+        for kind in CONFIGS:
+            for seed in args.seeds:
+                print(f"running {side} {kind} seed {seed}", flush=True)
+                run_tree(src.resolve(), work / side / f"{kind}-seed{seed}", kind, seed)
+    return 1 if compare(work / "parent", work / "change") else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
