@@ -64,16 +64,18 @@ def _check_input(x, n: int) -> Array:
     return x
 
 
-def _check_batch(data, n: int | None = None) -> Array:
+def _check_batch(data, n: int | None = None, subject: str = "training data") -> Array:
+    """`data` as a finite, non-empty 2-D float64 batch (of `n` columns when
+    given); errors name it as `subject`."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 0 or arr.size == 0:
-        raise ValueError("training data is empty")
+        raise ValueError(f"{subject} is empty")
     if arr.ndim != 2:
-        raise ValueError(f"training data must be a 2-D batch, got shape {arr.shape}")
+        raise ValueError(f"{subject} must be a 2-D batch, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("training data contains non-finite values")
+        raise ValueError(f"{subject} contains non-finite values")
     if n is not None and arr.shape[1] != n:
-        raise ValueError(f"training data has dimension {arr.shape[1]}, expected {n}")
+        raise ValueError(f"{subject} has dimension {arr.shape[1]}, expected {n}")
     return arr
 
 
@@ -89,7 +91,7 @@ class _DetectorBase:
     def alpha_batch(self, data: Array) -> Array:
         """alpha of each row of a batch; a row gets the same bits as `alpha`
         of that row alone."""
-        return self.alpha_with_vjp(_check_batch(data, self.n))[0]
+        return self.alpha_with_vjp(_check_batch(data, self.n, "batch"))[0]
 
     def alpha_with_vjp(self, x: Array):
         """alpha of a validated vector or batch of rows, and its
@@ -251,9 +253,10 @@ def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> Reco
     opt = AdamW(net.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     picker = stream(seed, "recon-batch")
     m = data.shape[0]
+    grads = [np.empty_like(p) for p in net.parameters()]
     for _ in range(cfg.steps):
         xb = data[picker.integers(0, m, size=min(cfg.batch, m))]
-        opt.step(net.mse_grads(xb, xb))
+        opt.step(net.mse_grads(xb, xb, out=grads))
     return ReconDetector(net)
 
 
@@ -268,7 +271,7 @@ def calibrate_thresholds(alphas, q: float = 0.9) -> Array:
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile must lie in (0, 1), got {q}")
-    return np.quantile(_check_batch(alphas), q, axis=0)
+    return np.quantile(_check_batch(alphas, subject="alphas"), q, axis=0)
 
 
 def binarize(score: DecomposableScore | Array, tau) -> Array:

@@ -178,13 +178,14 @@ def train_denoiser(
     steps_rng = stream(seed, "denoiser-steps")
     root_a = np.sqrt(schedule.a)
     root_one_minus_a = np.sqrt(1.0 - schedule.a)
+    grads = [np.empty_like(p) for p in net.parameters()]
     for _ in range(cfg.steps):
         idx = picker.integers(0, m, size=min(cfg.batch, m))
         x0 = data[idx]
         t = steps_rng.integers(1, schedule.T + 1, size=x0.shape[0])
         eps = noiser.standard_normal(x0.shape)
         x_t = root_a[t - 1, None] * x0 + root_one_minus_a[t - 1, None] * eps
-        opt.step(net.mse_grads(x_t, eps, t))
+        opt.step(net.mse_grads(x_t, eps, t, out=grads))
     return Denoiser(net, schedule)
 
 

@@ -15,6 +15,14 @@ batch of two copies (its backward pads the gradient with a zero row). And a
 product with a transposed weight view changes its rounding with the batch
 height while one with a C-contiguous matrix does not, so the input-gradient
 chain multiplies by contiguous copies of the transposed weights.
+
+A third rule is about memory: a training step writes its parameter-sized
+arrays into buffers allocated once. glibc hands a freed array of that size
+back to the kernel, so a fresh temporary on every step faults its pages in
+again, and the faults cost as much as the update's arithmetic. `AdamW` keeps
+two scratch arrays, and `Mlp.backward` writes the parameter gradients into a
+caller's list (`out`) that the training loops allocate before their first
+step.
 """
 
 from __future__ import annotations
@@ -190,14 +198,16 @@ class Mlp:
         """Forward pass of a vector or a batch."""
         return self._forward(x, t)
 
-    def backward(self, cache: list, g_out: Array, want_input: bool = False):
+    def backward(self, cache: list, g_out: Array, want_input: bool = False, out: list | None = None):
         """Vector-Jacobian product of a `_forward` pass that filled `cache`.
 
         Returns ``(param_grads, None)``: the gradients of
         ``sum(g_out * output)`` with respect to the parameters, in
-        `parameters()` order. With `want_input` it returns
-        ``(None, input_grad)`` instead, the gradient with respect to the input
-        (same shape as the input), and computes no parameter gradient.
+        `parameters()` order, written into `out` (arrays shaped like
+        `parameters()`) when it is given and returned as that same list. With
+        `want_input` it returns ``(None, input_grad)`` instead, the gradient
+        with respect to the input (same shape as the input), and computes no
+        parameter gradient.
 
         A lone row's `g_out` gets a zero row to match its doubled forward
         pass; the zero row adds nothing to the parameter gradients.
@@ -214,23 +224,23 @@ class Mlp:
                 g = g @ np.ascontiguousarray(w.T)
             g_in = g[:, : self.in_dim]
             return None, g_in[0] if rows is None else g_in[:rows]
-        grads: list[Array] = []
+        grads = out if out is not None else [np.empty_like(p) for p in self.parameters()]
         for i in range(len(self.weights) - 1, -1, -1):
             h_in, deriv = cache[i]
             if deriv is not None:
                 g = g * deriv
-            grads.append(g.sum(axis=0))
-            grads.append(h_in.T @ g)
+            np.sum(g, axis=0, out=grads[2 * i + 1])
+            np.matmul(h_in.T, g, out=grads[2 * i])
             if i > 0:
                 g = g @ self.weights[i].T
-        grads.reverse()
         return grads, None
 
-    def mse_grads(self, x: Array, target: Array, t=None) -> list[Array]:
-        """Parameter gradients of mean((forward(x, t) - target)^2)."""
+    def mse_grads(self, x: Array, target: Array, t=None, out: list | None = None) -> list[Array]:
+        """Parameter gradients of mean((forward(x, t) - target)^2), written
+        into `out` when it is given (see `backward`)."""
         cache: list = []
         diff = self._forward(x, t, cache) - target
-        return self.backward(cache, (2.0 / diff.size) * diff)[0]
+        return self.backward(cache, (2.0 / diff.size) * diff, out=out)[0]
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -241,7 +251,8 @@ class AdamW:
 
     The decay multiplies parameters by ``1 - lr*weight_decay`` independently of
     the moment-based update, so a zero gradient with nonzero decay still
-    shrinks the weights.
+    shrinks the weights. A step allocates no array: it works in two scratch
+    arrays the size of the largest parameter.
     """
 
     def __init__(
@@ -270,19 +281,36 @@ class AdamW:
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
+        size = max((p.size for p in self.params), default=0)
+        a, b = np.empty(size), np.empty(size)
+        self._scratch = [(a[: p.size].reshape(p.shape), b[: p.size].reshape(p.shape)) for p in self.params]
 
     def step(self, grads: Sequence[Array]) -> None:
         """One update from `grads`, given in the order of the parameters."""
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            if np.shape(g) != p.shape:
+                raise ValueError(f"gradient {i} has shape {np.shape(g)}, its parameter {p.shape}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time in
+        # the order that expression evaluates, so the bits match it.
+        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            np.multiply(1.0 - self.beta2, g, out=a)
+            a *= g
+            v += a
             if self.weight_decay != 0.0:
                 p *= 1.0 - self.lr * self.weight_decay
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a

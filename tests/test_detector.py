@@ -54,6 +54,17 @@ class TestFitGauss:
         with pytest.raises(ValueError):
             fit_gauss([[1.0, 2.0], [3.0]])
 
+    def test_batch_errors_name_their_subject(self):
+        det = fit_gauss(stream(1, "subject").standard_normal((20, 3)))
+        with pytest.raises(ValueError, match="^training data contains non-finite values$"):
+            fit_gauss(np.array([[1.0, np.nan, 2.0]]))
+        with pytest.raises(ValueError, match="^batch contains non-finite values$"):
+            det.alpha_batch(np.array([[1.0, np.nan, 2.0]]))
+        with pytest.raises(ValueError, match="^batch has dimension 4, expected 3$"):
+            det.alpha_batch(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="^alphas contains non-finite values$"):
+            calibrate_thresholds(np.array([[np.inf, 1.0], [0.0, 1.0]]))
+
 
 class TestScore:
     def test_identity_autoencoder_scores_zero(self):

@@ -304,6 +304,66 @@ class TestBatchContract:
             repair_batch(det, den, sched, [])
 
 
+def _random_world(seed: int, kind: str):
+    """A world of random size with an untrained denoiser, a few targets and
+    random anomaly masks (each flags at least one coordinate). The invariants
+    below hold whatever the models learned."""
+    g = stream(seed, f"invariant-world-{kind}")
+    n = int(g.integers(2, 10))
+    train = g.standard_normal((30, n))
+    if kind == "gauss":
+        det = fit_gauss(train)
+    else:
+        det = ReconDetector(Mlp(n, [int(g.integers(2, 12))], n, seed=seed, stream_name="recon-init"))
+    sched = make_schedule(int(g.integers(4, 16)))
+    den = Denoiser(Mlp(n, [int(g.integers(2, 12))], n, time_embed=4, seed=seed), sched)
+    rows = int(g.integers(1, 5))
+    x_bad = train[:rows] + g.normal(0.0, 2.0, size=(rows, n))
+    omega = (g.random((rows, n)) < 0.5).astype(np.float64)
+    omega[np.arange(rows), g.integers(0, n, size=rows)] = 1.0
+    return g, det, den, sched, x_bad, omega
+
+
+INVARIANT_SEEDS = range(12)
+KINDS = ["gauss", "recon"]
+
+
+class TestSeededInvariants:
+    """Seeded loops over random sizes, both detectors and both infill modes."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decomposability(self, kind):
+        for seed in INVARIANT_SEEDS:
+            _, det, _, _, x_bad, omega = _random_world(seed, kind)
+            for x, z in zip(x_bad, omega):
+                s = det.score(x)
+                assert abs(s.total - (s.alpha.sum() + s.beta)) <= 1e-9 * (1.0 + abs(s.total))
+                split = det.region_score(x, z) + det.region_score(x, 1.0 - z)
+                assert split == pytest.approx(s.total + s.beta, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mask_preservation_and_arm_pairing(self, kind, mode):
+        for seed in INVARIANT_SEEDS:
+            g, det, den, sched, x_bad, omega = _random_world(seed, kind)
+            eta_end = float(g.uniform(0.01, 0.1))
+            rows = []
+            for i, (xb, z) in enumerate(zip(x_bad, omega)):
+                def cfg(end):
+                    return RepairConfig(eta_end=end, infill_mode=mode, seed=seed, stream_tag=f"inst{i}")
+                rows += [RepairRow(xb, z, cfg(eta_end), guided=False),
+                         RepairRow(xb, z, cfg(0.0)),
+                         RepairRow(xb, z, cfg(eta_end))]
+            results = repair_batch(det, den, sched, rows)
+            for base, zero, guided, xb, z in zip(results[0::3], results[1::3], results[2::3], x_bad, omega):
+                assert zero.trajectory_hash == base.trajectory_hash
+                assert np.array_equal(zero.x_fix, base.x_fix)
+                if mode == "level-matched":
+                    keep = z == 0.0
+                    for result in (base, zero, guided):
+                        assert np.array_equal(result.x_fix[keep], xb[keep])
+
+
 # Batch heights around BLAS blocking boundaries, up to the largest batch the
 # benchmark configs build (2 arms x 50 instances, or an ablation sweep).
 HEIGHTS = (2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 24, 31, 32, 33, 47, 48, 49, 64, 65,

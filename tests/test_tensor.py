@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,8 +172,92 @@ class TestMlpBackward:
         fds = _param_fd(net, lambda: float(np.mean((net.forward_np(x, t) - target) ** 2)))
         assert max(max_rel_err(grad, fd) for grad, fd in zip(grads, fds, strict=True)) <= 1e-6
 
+    @pytest.mark.parametrize("act,time_embed,height", BACKWARD_CASES)
+    def test_mse_grads_into_out_returns_it_and_matches(self, act, time_embed, height):
+        net, x, t, target = _probe(act, time_embed, height, 0)
+        out = [np.full_like(p, np.nan) for p in net.parameters()]
+        buffers = list(out)
+        got = net.mse_grads(x, target, t, out=out)
+        assert got is out and all(a is b for a, b in zip(got, buffers, strict=True))
+        for a, b in zip(got, net.mse_grads(x, target, t), strict=True):
+            assert np.array_equal(a, b)
+
+
+class _ReferenceAdamW:
+    """AdamW as whole-array expressions, each step allocating its
+    temporaries: the form `AdamW` must match bit for bit."""
+
+    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            if self.weight_decay != 0.0:
+                p *= 1.0 - self.lr * self.weight_decay
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
 
 class TestAdamW:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_reference_bit_for_bit(self, weight_decay):
+        g = stream(12, f"adamw-ref-{weight_decay}")
+        shapes = [(4, 3), (5,), (1,)]
+        start = [g.standard_normal(shape) for shape in shapes]
+        params = [p.copy() for p in start]
+        ref_params = [p.copy() for p in start]
+        opt = AdamW(params, lr=3e-2, weight_decay=weight_decay)
+        ref = _ReferenceAdamW(ref_params, lr=3e-2, weight_decay=weight_decay)
+        for _ in range(30):
+            grads = [g.standard_normal(shape) for shape in shapes]
+            opt.step(grads)
+            ref.step(grads)
+        for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+        assert not np.array_equal(params[0], start[0])
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        # The image denoiser's shape: 256 -> 256 -> 256 -> 256 with a 32-wide
+        # step embedding, whose first weight matrix alone is 576 KiB.
+        net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
+        g = stream(0, "adamw-alloc")
+        x = g.standard_normal((64, 256))
+        t = g.integers(1, 100, size=64)
+        grads = net.mse_grads(x, g.standard_normal((64, 256)), t)
+        opt = AdamW(net.parameters(), weight_decay=0.01)
+        opt.step(grads)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            opt.step(grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_gradient_shape_must_match_parameter(self):
+        w = np.array([1.0, 2.0, 3.0])
+        opt = AdamW([np.zeros((2, 2)), w])
+        with pytest.raises(ValueError, match=r"gradient 1 has shape \(1,\), its parameter \(3,\)"):
+            opt.step([np.zeros((2, 2)), np.array([1.0])])
+        assert np.array_equal(w, [1.0, 2.0, 3.0]) and opt.t == 0
+
+    def test_no_parameters(self):
+        opt = AdamW([])
+        opt.step([])
+        assert opt.t == 1
+
     def test_single_step_hand_derived(self):
         # One bias-corrected step at w=1, g=1: m_hat = v_hat = 1, so the
         # update is lr / (1 + eps).
