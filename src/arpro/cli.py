@@ -3,12 +3,14 @@
 Subcommands: gen-data, train-detector, train-diffusion, repair, evaluate,
 ablate. A JSON config file supplies defaults; flags override it, and both are
 recorded in evaluation reports. Exit codes: 0 success, 1 validation error,
-2 runtime failure. All randomness is fixed by --seed.
+2 runtime failure. All randomness is fixed by the seed: --seed, else the
+config file's "seed", else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,7 +37,8 @@ def build_parser() -> _Parser:
 
     def shared(p):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=0, help="seed fixing all randomness")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed fixing all randomness (default: the config file's, else 0)")
         p.add_argument("--out", type=str, required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
@@ -107,7 +110,7 @@ def _load_config_file(path: str | None) -> dict:
 
 def _collect_overrides(args) -> dict:
     """Flag values that override the config file, recorded for provenance."""
-    overrides: dict = {"seed": args.seed}
+    overrides: dict = {} if args.seed is None else {"seed": args.seed}
     repair: dict = {}
     for k in range(1, 5):
         value = getattr(args, f"lambda{k}", None)
@@ -135,7 +138,7 @@ def _experiment_config(args, file_cfg: dict) -> tuple[ExperimentConfig, dict]:
             merged[section] = values
     try:
         cfg = ExperimentConfig.from_dict(merged)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
     return cfg, overrides
 
@@ -177,9 +180,7 @@ def _load_denoiser(path: str, std_mode: str | None) -> Denoiser:
 def _cmd_gen_data(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg, _ = _experiment_config(args, file_cfg)
-    data_cfg = cfg.data
-    if args.kind is not None and args.kind != data_cfg.kind:
-        data_cfg = harness.DataConfig.from_dict({**data_cfg.to_dict(), "kind": args.kind})
+    data_cfg = cfg.data if args.kind is None else dataclasses.replace(cfg.data, kind=args.kind)
     dataset = data_cfg.generate(cfg.seed)
     save_dataset(dataset, args.out)
     print(f"wrote dataset ({dataset.modality}, n={dataset.n}, "
@@ -197,10 +198,7 @@ def _fit_scaled_train(cfg: ExperimentConfig, dataset):
 
 def _cmd_train_detector(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
-    if args.kind is not None and args.kind != cfg.detector.kind:
-        det_cfg = harness.DetectorConfig.from_dict({**cfg.detector.to_dict(), "kind": args.kind})
-    else:
-        det_cfg = cfg.detector
+    det_cfg = cfg.detector if args.kind is None else dataclasses.replace(cfg.detector, kind=args.kind)
     dataset = _load_dataset(args.input)
     train = _fit_scaled_train(cfg, dataset)
     detector = det_cfg.fit(train, seed=cfg.seed)

@@ -257,6 +257,7 @@ def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> Reco
     for _ in range(cfg.steps):
         xb = data[picker.integers(0, m, size=min(cfg.batch, m))]
         opt.step(net.mse_grads(xb, xb, out=grads))
+    net.require_finite(f"autoencoder training ({cfg.steps} steps, lr={cfg.lr})")
     return ReconDetector(net)
 
 

@@ -61,7 +61,7 @@ def make_schedule(
     "paper-literal" mode uses b_t itself.
     """
     if T < 1:
-        raise ValueError(f"step count must be >= 1, got {T}")
+        raise ValueError(f"step count T must be >= 1, got {T}")
     if b_start is None:
         b_start = min(1e-4 * (1000.0 / T), 0.999)
     if b_end is None:
@@ -186,6 +186,7 @@ def train_denoiser(
         eps = noiser.standard_normal(x0.shape)
         x_t = root_a[t - 1, None] * x0 + root_one_minus_a[t - 1, None] * eps
         opt.step(net.mse_grads(x_t, eps, t, out=grads))
+    net.require_finite(f"denoiser training ({cfg.steps} steps, lr={cfg.lr})")
     return Denoiser(net, schedule)
 
 

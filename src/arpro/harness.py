@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,14 +54,79 @@ DELTA_NOTE = (
 )
 
 
-def _reject_unknown(payload: dict, allowed, where: str) -> None:
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {unknown}")
+_TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string"}
+
+
+def _from_json(tp, value, where: str):
+    """`value`, decoded from JSON, as field type `tp`; any error is a
+    ValueError naming `where`, the value's dotted path."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object, got {value!r}")
+        fields = dataclasses.fields(tp)
+        unknown = sorted(set(value) - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"unknown keys in {where}: {unknown}")
+        hints = typing.get_type_hints(tp)
+        kwargs = {}
+        for f in fields:
+            if f.name in value:
+                kwargs[f.name] = _from_json(hints[f.name], value[f.name], f"{where}.{f.name}")
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"{where}.{f.name} is required")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if type(None) in args:  # X | None
+        return None if value is None else _from_json(args[0], value, where)
+    if tp is float:
+        # A JSON int is a float here; the bound turns away NaN, ±inf and ints too large for a float.
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+        return value
+    raise ValueError(f"{where} must be {_TYPE_NAMES[tp]}, got {value!r}")
+
+
+def _to_json(value):
+    """JSON-native form of a config value: dataclasses become objects in field
+    order and tuples become lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+class _Config:
+    """`from_dict`/`to_dict` for the config dataclasses, derived from their
+    fields and field types. Range rules live in each class's `__post_init__`."""
+
+    @classmethod
+    def from_dict(cls, payload: dict, where: str = "config"):
+        return _from_json(cls, payload, where)
+
+    def to_dict(self) -> dict:
+        return _to_json(self)
+
+
+def _check_training(cfg) -> None:
+    """Range rules shared by the detector's and the denoiser's training settings."""
+    for name, low in (("batch", 1), ("steps", 0), ("lr", 0.0), ("weight_decay", 0.0)):
+        if not getattr(cfg, name) >= low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+    if not all(h >= 1 for h in cfg.hidden):
+        raise ValueError(f"hidden widths must be >= 1, got {list(cfg.hidden)}")
 
 
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(_Config):
     kind: str = "ts"
     n_features: int = 4
     window_len: int = 32
@@ -78,33 +145,6 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("ts", "image"):
             raise ValueError(f"data kind must be 'ts' or 'image', got {self.kind!r}")
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "data") -> "DataConfig":
-        payload = dict(payload)
-        _reject_unknown(payload, [f.name for f in dataclasses.fields(cls)], where)
-        if "anomalies" in payload:
-            specs = []
-            for i, entry in enumerate(payload["anomalies"]):
-                _reject_unknown(entry, ("kind", "magnitude", "extent", "count"), f"{where}.anomalies[{i}]")
-                specs.append(AnomalySpec(**entry))
-            payload["anomalies"] = tuple(specs)
-        return cls(**payload)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_features": self.n_features,
-            "window_len": self.window_len,
-            "side": self.side,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "n_test_normal": self.n_test_normal,
-            "noise_std": self.noise_std,
-            "start_jitter": self.start_jitter,
-            "n_basis": self.n_basis,
-            "anomalies": [dataclasses.asdict(a) for a in self.anomalies],
-        }
 
     def generate(self, seed: int) -> Dataset:
         if self.kind == "ts":
@@ -132,7 +172,7 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(_Config):
     kind: str = "gauss"
     sigma_floor: float = 1e-3
     hidden: tuple[int, ...] = (64, 16, 64)
@@ -144,19 +184,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in ("gauss", "recon"):
             raise ValueError(f"detector kind must be 'gauss' or 'recon', got {self.kind!r}")
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "detector") -> "DetectorConfig":
-        payload = dict(payload)
-        _reject_unknown(payload, [f.name for f in dataclasses.fields(cls)], where)
-        if "hidden" in payload:
-            payload["hidden"] = tuple(payload["hidden"])
-        return cls(**payload)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["hidden"] = list(self.hidden)
-        return out
+        _check_training(self)
 
     def fit(self, train, seed: int):
         if self.kind == "gauss":
@@ -168,7 +196,7 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class DiffusionConfig:
+class DiffusionConfig(_Config):
     T: int = 100
     b_start: float | None = None
     b_end: float | None = None
@@ -180,18 +208,9 @@ class DiffusionConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
 
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "diffusion") -> "DiffusionConfig":
-        payload = dict(payload)
-        _reject_unknown(payload, [f.name for f in dataclasses.fields(cls)], where)
-        if "hidden" in payload:
-            payload["hidden"] = tuple(payload["hidden"])
-        return cls(**payload)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["hidden"] = list(self.hidden)
-        return out
+    def __post_init__(self):
+        _check_training(self)
+        self.schedule()  # make_schedule's rules on T, b_start, b_end and std_mode
 
     def schedule(self):
         return make_schedule(self.T, self.b_start, self.b_end, self.std_mode)
@@ -209,7 +228,7 @@ class DiffusionConfig:
 
 
 @dataclass(frozen=True)
-class RepairSettings:
+class RepairSettings(_Config):
     lambda1: float = 1.0
     lambda2: float = 1.0
     lambda3: float = 1.0
@@ -221,14 +240,9 @@ class RepairSettings:
     delta4: float = 0.0
     delta: float = 0.2
 
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "repair") -> "RepairSettings":
-        payload = dict(payload)
-        _reject_unknown(payload, [f.name for f in dataclasses.fields(cls)], where)
-        return cls(**payload)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def __post_init__(self):
+        # The weights', tolerances' and RepairConfig's rules: lambdas >= 0, the deltas, infill mode and eta.
+        self.repair_config(seed=0, stream_tag="check")
 
     def weights(self) -> PropertyWeights:
         return PropertyWeights(self.lambda1, self.lambda2, self.lambda3, self.lambda4)
@@ -252,7 +266,7 @@ class RepairSettings:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Config):
     data: DataConfig = field(default_factory=DataConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
@@ -271,34 +285,6 @@ class ExperimentConfig:
         for key in ("quantile", "confidence"):
             if not (0.0 < getattr(self, key) < 1.0):
                 raise ValueError(f"{key} must lie in (0, 1), got {getattr(self, key)}")
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "config") -> "ExperimentConfig":
-        payload = dict(payload)
-        _reject_unknown(payload, [f.name for f in dataclasses.fields(cls)], where)
-        if "data" in payload:
-            payload["data"] = DataConfig.from_dict(payload["data"], f"{where}.data")
-        if "detector" in payload:
-            payload["detector"] = DetectorConfig.from_dict(payload["detector"], f"{where}.detector")
-        if "diffusion" in payload:
-            payload["diffusion"] = DiffusionConfig.from_dict(payload["diffusion"], f"{where}.diffusion")
-        if "repair" in payload:
-            payload["repair"] = RepairSettings.from_dict(payload["repair"], f"{where}.repair")
-        return cls(**payload)
-
-    def to_dict(self) -> dict:
-        return {
-            "data": self.data.to_dict(),
-            "detector": self.detector.to_dict(),
-            "diffusion": self.diffusion.to_dict(),
-            "repair": self.repair.to_dict(),
-            "n_instances": self.n_instances,
-            "ablation_instances": self.ablation_instances,
-            "quantile": self.quantile,
-            "confidence": self.confidence,
-            "normalize": self.normalize,
-            "seed": self.seed,
-        }
 
 
 @dataclass

@@ -139,6 +139,12 @@ class Mlp:
             params.append(b)
         return params
 
+    def require_finite(self, what: str) -> None:
+        """Raise, naming `what`, when a parameter is NaN or infinite: a diverged
+        fit, whose checkpoint no load would accept."""
+        if not all(np.isfinite(p).all() for p in self.parameters()):
+            raise ValueError(f"{what} produced non-finite parameter values")
+
     def layer_dims(self) -> list[dict]:
         return [
             {"in": w.shape[0], "out": w.shape[1], "act": a}
@@ -264,14 +270,14 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        if lr < 0.0:
-            raise ValueError(f"learning rate must be nonnegative, got {lr}")
+        if not (0.0 <= lr < math.inf):
+            raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
         if not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
+        if not (0.0 <= weight_decay < math.inf):
+            raise ValueError(f"weight decay must be finite and nonnegative, got {weight_decay}")
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)

@@ -59,6 +59,14 @@ class TestGenData:
                      "--config", str(config)]) == 0
         assert dir_equal(data_dir, other)
 
+    def test_config_file_seed_used_without_flag(self, workspace, tmp_path):
+        _, _, data_dir, _ = workspace
+        config = tmp_path / "seeded.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "seed": 7}))
+        other = tmp_path / "file-seed"
+        assert main(["gen-data", "--kind", "ts", "--out", str(other), "--config", str(config)]) == 0
+        assert dir_equal(data_dir, other)  # written with --seed 7
+
     def test_different_seed_differs(self, workspace, tmp_path):
         _, config, data_dir, _ = workspace
         other = tmp_path / "seed8"
@@ -213,6 +221,37 @@ class TestValidationFailures:
         bound = "must lie in (0, 1), got 0" if key in ("quantile", "confidence") else "must be >= 1"
         assert f"{key} {bound}" in capsys.readouterr().err
         assert not (out / "ablation.csv").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"diffusion": {"steps": 2.5}}', "config.diffusion.steps must be an int, got 2.5"),
+        ('{"normalize": "no"}', "config.normalize must be a bool, got 'no'"),
+        ('{"seed": 1.5}', "config.seed must be an int, got 1.5"),
+        ('{"diffusion": {"T": 0}}', "config.diffusion: step count T must be >= 1, got 0"),
+        ('{"diffusion": {"lr": NaN}}', "config.diffusion.lr must be a finite number, got nan"),
+        ('{"repair": {"infill_mode": "bad"}}', "config.repair: infill mode must be one of"),
+        ('{"repair": {"lambda1": "1"}}', "config.repair.lambda1 must be a finite number, got '1'"),
+        ('{"detector": {"hidden": "abc"}}', "config.detector.hidden must be a list, got 'abc'"),
+        ('{"n_instances": "5"}', "config.n_instances must be an int, got '5'"),
+    ])
+    def test_mistyped_or_out_of_range_config_exits_1_at_load(self, tmp_path, capsys, text, message):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        out = tmp_path / "d"
+        assert main(["gen-data", "--kind", "ts", "--out", str(out), "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverged_training_exits_1_without_checkpoint(self, workspace, tmp_path, capsys):
+        _, _, data_dir, _ = workspace
+        config = tmp_path / "huge-lr.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "diffusion": {**TINY_CONFIG["diffusion"], "lr": 1e307}}))
+        out = tmp_path / "models"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train-diffusion", "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                         "--out", str(out)])
+        assert code == 1
+        assert "non-finite parameter values" in capsys.readouterr().err
+        assert not (out / "denoiser.json").exists()
 
     @pytest.mark.parametrize("kind,key", [
         ("gauss", "n"), ("gauss", "data"),

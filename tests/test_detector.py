@@ -246,6 +246,11 @@ class TestFitRecon:
         with pytest.raises(ValueError, match="empty"):
             fit_recon(np.zeros((0, 3)))
 
+    def test_diverged_fit_rejected(self):
+        train = stream(6, "diverge").standard_normal((40, 5))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite parameter"):
+            fit_recon(train, ReconTrainConfig(hidden=(4,), steps=20, lr=1e307), seed=0)
+
 
 class TestCheckpoints:
     def test_gauss_round_trip(self, tmp_path):

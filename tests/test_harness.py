@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from arpro.harness import (
     ExperimentConfig,
     RepairSettings,
     ablation_sweep,
+    image_benchmark_config,
     aggregate_delta,
     prepare_pipeline,
     run_experiment,
@@ -262,3 +266,117 @@ class TestConfigParsing:
         denoiser = other.diffusion.train(other.data.generate(0).train, seed=0)
         with pytest.raises(ValueError, match="dimension"):
             prepare_pipeline(cfg, denoiser=denoiser)
+
+
+# Values a fuzzed config key takes: each JSON type, non-finite and boundary numbers.
+FUZZ_POOL = ("text", True, None, math.nan, math.inf, -math.inf, 0, -1, 2.5, 1e308, [1, 2], {"k": 1})
+
+
+def _node(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _key_paths(node, path=()):
+    """The path of every key and list entry below `node`."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, path + (key,))
+
+
+def _dotted(path) -> str:
+    return "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _mutate(payload: dict, g):
+    """Replace, delete or add one key of `payload` in place; the touched path
+    and the path of the object holding it."""
+    paths = list(_key_paths(payload))
+    action = g.integers(3)
+    if action == 2:  # add an unknown key to some object
+        objects = [()] + [p for p in paths if isinstance(_node(payload, p), dict)]
+        path = objects[g.integers(len(objects))] + ("extra",)
+    else:
+        if action == 1:  # delete a key, never a list entry
+            paths = [p for p in paths if isinstance(p[-1], str)]
+        path = paths[g.integers(len(paths))]
+    parent = _node(payload, path[:-1])
+    if action == 1:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = json.loads(json.dumps(FUZZ_POOL[g.integers(len(FUZZ_POOL))]))
+    section = next(path[:cut] for cut in range(len(path) - 1, -1, -1)
+                   if isinstance(_node(payload, path[:cut]), dict))
+    return path, section
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("make", [timeseries_benchmark_config, image_benchmark_config])
+    def test_to_dict_is_json_native_in_field_order(self, make):
+        payload = make(seed=3).to_dict()
+        assert list(payload) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert list(payload["diffusion"]) == [f.name for f in dataclasses.fields(DiffusionConfig)]
+        assert json.loads(json.dumps(payload)) == payload  # no tuples left: a list never equals a tuple
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"diffusion": {"steps": 2.5}}, "config.diffusion.steps must be an int, got 2.5"),
+        ({"seed": True}, "config.seed must be an int, got True"),
+        ({"normalize": 1}, "config.normalize must be a bool, got 1"),
+        ({"quantile": math.nan}, "config.quantile must be a finite number, got nan"),
+        ({"repair": {"delta": -math.inf}}, "config.repair.delta must be a finite number, got -inf"),
+        ({"data": {"kind": 3}}, "config.data.kind must be a string, got 3"),
+        ({"detector": {"hidden": [8, 2.0]}}, r"config.detector.hidden\[1\] must be an int, got 2.0"),
+        ({"data": {"anomalies": {"kind": "spike"}}}, "config.data.anomalies must be a list"),
+        ({"data": {"anomalies": [{"magnitude": 1.0}]}}, r"config.data.anomalies\[0\].kind is required"),
+        ({"data": {"anomalies": ["spike"]}}, r"config.data.anomalies\[0\] must be an object"),
+        ({"data": {"anomalies": [{"kind": "spike", "extent": 2}]}},
+         r"config.data.anomalies\[0\]: anomaly extent must lie in \(0, 1\], got 2.0"),
+        ({"diffusion": {"T": 0}}, "config.diffusion: step count T must be >= 1, got 0"),
+        ({"diffusion": {"std_mode": "wide"}}, "config.diffusion: std mode"),
+        ({"diffusion": {"hidden": [16, 0]}}, r"config.diffusion: hidden widths must be >= 1, got \[16, 0\]"),
+        ({"diffusion": {"lr": -1e-3}}, "config.diffusion: lr must be >= 0.0, got -0.001"),
+        ({"detector": {"batch": 0}}, "config.detector: batch must be >= 1, got 0"),
+        ({"detector": {"steps": -1}}, "config.detector: steps must be >= 0, got -1"),
+        ({"detector": {"weight_decay": -0.5}}, "config.detector: weight_decay must be >= 0.0"),
+        ({"repair": {"lambda3": -1}}, "config.repair: lambda3 must be nonnegative"),
+        ({"repair": {"delta2": 0}}, "config.repair: delta2 must be positive"),
+        ({"repair": {"infill_mode": "bad"}}, "config.repair: infill mode"),
+        ({"repair": {"eta_start": 0.5, "eta_end": 0.1}}, "config.repair: need 0 <= eta_start <= eta_end"),
+    ])
+    def test_types_and_ranges_checked_at_load(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(payload)
+
+    def test_json_ints_become_floats_and_null_stays_none(self):
+        cfg = ExperimentConfig.from_dict({"repair": {"lambda1": 2, "delta2": None}, "quantile": 1e-300})
+        assert type(cfg.repair.lambda1) is float and cfg.repair.lambda1 == 2.0
+        assert cfg.repair.delta2 is None
+        assert cfg.quantile == 1e-300
+
+    @pytest.mark.parametrize("make", [timeseries_benchmark_config, image_benchmark_config])
+    def test_fuzzed_configs_load_or_name_the_key(self, make):
+        g = np.random.default_rng(20261018)
+        stock = make(seed=1).to_dict()
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(300):
+            payload = json.loads(json.dumps(stock))
+            path, section = _mutate(payload, g)
+            try:
+                cfg = ExperimentConfig.from_dict(payload)
+            except ValueError as exc:
+                where = (_dotted(path), _dotted(section))
+                assert any(w in str(exc) for w in where), (path, str(exc))
+                outcomes["rejected"] += 1
+            else:
+                assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict(), allow_nan=False))) == cfg
+                outcomes["loaded"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_readme_config_block_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        cfg = ExperimentConfig.from_dict(json.loads(block))
+        assert cfg.seed == 7

@@ -291,6 +291,11 @@ class TestAdamW:
             AdamW([w]).step([])
         with pytest.raises(ValueError):
             AdamW([w], lr=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                AdamW([w], lr=bad)
+            with pytest.raises(ValueError, match="finite"):
+                AdamW([w], weight_decay=bad)
         with pytest.raises(ValueError):
             AdamW([w], beta1=1.0)
         with pytest.raises(ValueError):
