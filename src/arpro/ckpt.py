@@ -84,7 +84,7 @@ def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
         "layers": net.layer_dims(),
         "in_dim": net.in_dim,
         "time_embed": net.time_embed,
-        "data": encode_arrays(net.parameters()),
+        "data": encode_arrays([net.flat]),
     }
     if extra:
         payload.update(extra)
@@ -114,10 +114,5 @@ def mlp_from_payload(payload: dict) -> Mlp:
         acts=[layer["act"] for layer in layers],
         time_embed=time_embed,
     )
-    count = sum(l["in"] * l["out"] + l["out"] for l in layers)
-    flat = decode_array(payload["data"], count)
-    offset = 0
-    for p in net.parameters():
-        p[...] = flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
+    net.flat[...] = decode_array(payload["data"], net.flat.size)
     return net

@@ -71,12 +71,30 @@ class Dataset:
         return self.train.shape[1]
 
 
-def _as_specs(spec) -> list[AnomalySpec]:
-    if isinstance(spec, AnomalySpec):
-        return [spec]
-    specs = list(spec)
+# The least value each generator argument with a lower bound may take.
+_MINIMA = {
+    "n_features": 1, "window_len": 1, "side": 1, "n_basis": 1, "n_train": 1, "n_test": 1,
+    "n_test_normal": 0, "noise_std": 0.0, "start_jitter": 0.0,
+}
+MAX_SIDE = 32
+
+
+def check_generator_args(kind: str, spec, **args) -> list[AnomalySpec]:
+    """The `kind` ("ts" or "image") generator's rules on its arguments `args`,
+    given by name, and on its anomaly specs; each error names its argument.
+    Returns the specs as a list."""
+    for key, value in args.items():
+        if not value >= _MINIMA[key]:
+            raise ValueError(f"{key} must be >= {_MINIMA[key]}, got {value}")
+    if args.get("side", 1) > MAX_SIDE:
+        raise ValueError(f"side must lie in [1, {MAX_SIDE}], got {args['side']}")
+    specs = [spec] if isinstance(spec, AnomalySpec) else list(spec)
     if not specs:
-        raise ValueError("at least one anomaly spec is required")
+        raise ValueError("anomalies must hold at least one anomaly spec")
+    kinds, what = (TS_KINDS, "a time-series") if kind == "ts" else (IMAGE_KINDS, "an image")
+    for i, s in enumerate(specs):
+        if s.kind not in kinds:
+            raise ValueError(f"anomalies[{i}]: anomaly kind {s.kind!r} is not {what} kind")
     return specs
 
 
@@ -177,14 +195,10 @@ def gen_synthetic_ts(
     Anomalous test instances carry the exact injected coordinates in their
     label mask; `n_test_normal` extra normal test rows get all-zero masks.
     """
-    if min(n_features, window_len, n_train, n_test) <= 0 or n_test_normal < 0:
-        raise ValueError("generator sizes must be positive")
-    if noise_std < 0.0 or start_jitter < 0.0:
-        raise ValueError("noise_std and start_jitter must be nonnegative")
-    specs = _as_specs(spec)
-    for s in specs:
-        if s.kind not in TS_KINDS:
-            raise ValueError(f"anomaly kind {s.kind!r} is not a time-series kind")
+    specs = check_generator_args(
+        "ts", spec, n_features=n_features, window_len=window_len, n_train=n_train, n_test=n_test,
+        n_test_normal=n_test_normal, noise_std=noise_std, start_jitter=start_jitter,
+    )
     g = stream(seed, "gen-ts")
     n = n_features * window_len
 
@@ -291,14 +305,10 @@ def gen_synthetic_image(
     n_test_normal: int = 0,
 ) -> Dataset:
     """Smooth grayscale textures with square/stripe defects, flattened row-major."""
-    if side <= 0 or side > 32:
-        raise ValueError(f"side must lie in [1, 32], got {side}")
-    if min(n_train, n_test) <= 0 or n_test_normal < 0:
-        raise ValueError("generator sizes must be positive")
-    specs = _as_specs(spec)
-    for s in specs:
-        if s.kind not in IMAGE_KINDS:
-            raise ValueError(f"anomaly kind {s.kind!r} is not an image kind")
+    specs = check_generator_args(
+        "image", spec, side=side, n_basis=n_basis, n_train=n_train, n_test=n_test,
+        n_test_normal=n_test_normal, noise_std=noise_std,
+    )
     g = stream(seed, "gen-image")
     basis = _smooth_basis(side, n_basis, g)
     n = side * side

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import AdamW, Array, Mlp, stream
+from .tensor import AdamW, Array, Mlp, Workspace, chunks, stream
 
 DECOMP_RTOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-3
@@ -250,13 +250,17 @@ def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> Reco
     data = _check_batch(train)
     n = data.shape[1]
     net = Mlp(n, list(cfg.hidden), n, seed=seed, stream_name="recon-init")
-    opt = AdamW(net.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
     picker = stream(seed, "recon-batch")
     m = data.shape[0]
-    grads = [np.empty_like(p) for p in net.parameters()]
+    ws = Workspace(net, min(cfg.batch, m))
+    grad_chunks = chunks(ws.grad)
     for _ in range(cfg.steps):
-        xb = data[picker.integers(0, m, size=min(cfg.batch, m))]
-        opt.step(net.mse_grads(xb, xb, out=grads))
+        # mode="clip" leaves these in-range indices alone and writes straight
+        # into `out`, which the default mode would buffer.
+        data.take(picker.integers(0, m, size=ws.rows), axis=0, out=ws.x, mode="clip")
+        net.mse_grads(None, ws.x, ws=ws)
+        opt.step(grad_chunks)
     net.require_finite(f"autoencoder training ({cfg.steps} steps, lr={cfg.lr})")
     return ReconDetector(net)
 

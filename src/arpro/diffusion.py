@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import AdamW, Array, Mlp, stream
+from .tensor import AdamW, Array, Mlp, Workspace, chunks, stream, time_embedding
 
 STD_MODES = ("standard", "paper-literal")
 
@@ -172,20 +172,30 @@ def train_denoiser(
         raise ValueError("training data contains non-finite values")
     m, n = data.shape
     net = Mlp(n, list(cfg.hidden), n, time_embed=cfg.time_embed, seed=seed, stream_name="denoiser-init")
-    opt = AdamW(net.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
     picker = stream(seed, "denoiser-batch")
     noiser = stream(seed, "denoiser-noise")
     steps_rng = stream(seed, "denoiser-steps")
     root_a = np.sqrt(schedule.a)
     root_one_minus_a = np.sqrt(1.0 - schedule.a)
-    grads = [np.empty_like(p) for p in net.parameters()]
+    table = time_embedding(np.arange(1, schedule.T + 1), cfg.time_embed)
+    rows = min(cfg.batch, m)
+    ws = Workspace(net, rows)
+    grad_chunks = chunks(ws.grad)
+    x0, eps = np.empty((rows, n)), np.empty((rows, n))
     for _ in range(cfg.steps):
-        idx = picker.integers(0, m, size=min(cfg.batch, m))
-        x0 = data[idx]
-        t = steps_rng.integers(1, schedule.T + 1, size=x0.shape[0])
-        eps = noiser.standard_normal(x0.shape)
-        x_t = root_a[t - 1, None] * x0 + root_one_minus_a[t - 1, None] * eps
-        opt.step(net.mse_grads(x_t, eps, t, out=grads))
+        # mode="clip" leaves these in-range indices alone and writes straight
+        # into `out`, which the default mode would buffer.
+        data.take(picker.integers(0, m, size=rows), axis=0, out=x0, mode="clip")
+        s = steps_rng.integers(1, schedule.T + 1, size=rows) - 1
+        table.take(s, axis=0, out=ws.emb, mode="clip")
+        noiser.standard_normal(out=eps)
+        # x_t = sqrt(a_t) x0 + sqrt(1 - a_t) eps, into the workspace input.
+        x0 *= root_a[s, None]
+        np.multiply(root_one_minus_a[s, None], eps, out=ws.x)
+        ws.x += x0
+        net.mse_grads(None, eps, ws=ws)
+        opt.step(grad_chunks)
     net.require_finite(f"denoiser training ({cfg.steps} steps, lr={cfg.lr})")
     return Denoiser(net, schedule)
 

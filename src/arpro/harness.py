@@ -24,7 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import ckpt
-from .data import AnomalySpec, Dataset, Scaler, fit_scaler, gen_synthetic_image, gen_synthetic_ts
+from .data import (
+    AnomalySpec,
+    Dataset,
+    Scaler,
+    check_generator_args,
+    fit_scaler,
+    gen_synthetic_image,
+    gen_synthetic_ts,
+)
 from .detector import (
     ReconTrainConfig,
     binarize,
@@ -145,30 +153,20 @@ class DataConfig(_Config):
     def __post_init__(self):
         if self.kind not in ("ts", "image"):
             raise ValueError(f"data kind must be 'ts' or 'image', got {self.kind!r}")
+        check_generator_args(self.kind, self.anomalies, **self._generator_args())
+
+    def _generator_args(self) -> dict:
+        """The keys this kind's generator reads, with their values."""
+        if self.kind == "ts":
+            keys = ("n_features", "window_len", "start_jitter")
+        else:
+            keys = ("side", "n_basis")
+        keys += ("n_train", "n_test", "n_test_normal", "noise_std")
+        return {key: getattr(self, key) for key in keys}
 
     def generate(self, seed: int) -> Dataset:
-        if self.kind == "ts":
-            return gen_synthetic_ts(
-                self.n_features,
-                self.window_len,
-                self.n_train,
-                self.n_test,
-                list(self.anomalies),
-                seed,
-                noise_std=self.noise_std,
-                start_jitter=self.start_jitter,
-                n_test_normal=self.n_test_normal,
-            )
-        return gen_synthetic_image(
-            self.side,
-            self.n_train,
-            self.n_test,
-            list(self.anomalies),
-            seed,
-            n_basis=self.n_basis,
-            noise_std=self.noise_std,
-            n_test_normal=self.n_test_normal,
-        )
+        generator = gen_synthetic_ts if self.kind == "ts" else gen_synthetic_image
+        return generator(spec=list(self.anomalies), seed=seed, **self._generator_args())
 
 
 @dataclass(frozen=True)
@@ -210,6 +208,8 @@ class DiffusionConfig(_Config):
 
     def __post_init__(self):
         _check_training(self)
+        if self.time_embed < 1 or self.time_embed % 2:
+            raise ValueError(f"time_embed must be positive and even, got {self.time_embed}")
         self.schedule()  # make_schedule's rules on T, b_start, b_end and std_mode
 
     def schedule(self):

@@ -1,12 +1,12 @@
 """A small float64 MLP with a hand-written backward pass, AdamW, and named
 random streams.
 
-Everything downstream runs on this module. Parameters are plain numpy float64
-arrays; `Mlp.backward` is the closed-form vector-Jacobian product of the
-forward pass, which is all the training losses and guidance gradients need.
-Randomness comes from counter-based streams addressed by an explicit
-(seed, name) pair, which keeps paired experiment arms and re-runs
-bit-reproducible.
+Everything downstream runs on this module. Parameters are float64 arrays,
+views of one flat vector per network; `Mlp.backward` is the closed-form
+vector-Jacobian product of the forward pass, which is all the training losses
+and guidance gradients need. Randomness comes from counter-based streams
+addressed by an explicit (seed, name) pair, which keeps paired experiment arms
+and re-runs bit-reproducible.
 
 `Mlp` gives each row of a batch the same bits whatever the batch height, by
 two rules about BLAS. A one-row product goes to gemv, which rounds
@@ -16,13 +16,17 @@ product with a transposed weight view changes its rounding with the batch
 height while one with a C-contiguous matrix does not, so the input-gradient
 chain multiplies by contiguous copies of the transposed weights.
 
-A third rule is about memory: a training step writes its parameter-sized
-arrays into buffers allocated once. glibc hands a freed array of that size
-back to the kernel, so a fresh temporary on every step faults its pages in
-again, and the faults cost as much as the update's arithmetic. `AdamW` keeps
-two scratch arrays, and `Mlp.backward` writes the parameter gradients into a
-caller's list (`out`) that the training loops allocate before their first
-step.
+A third rule is about memory: a training step writes every array it makes
+into buffers allocated once per run. glibc hands a freed array of a batch's
+or a parameter's size back to the kernel, so a fresh temporary on every step
+faults its pages in again, and the faults cost as much as the arithmetic.
+A `Workspace` holds, for one batch height, the input with its step
+embedding, each layer's activation and activation derivative, the gradient
+chain, and a flat parameter gradient that matches `Mlp.flat`, the one vector
+the weights and biases view. `AdamW` keeps two scratch arrays and updates
+the flat vectors in cache-sized `chunks`. Without a workspace the same code
+allocates its arrays as it goes; inference and the guidance gradient run
+that way.
 """
 
 from __future__ import annotations
@@ -37,11 +41,32 @@ Array = np.ndarray
 
 ACTIVATIONS = ("linear", "relu", "silu")
 
+# 32768 float64 values are 256 KiB, so the six arrays one chunk's AdamW
+# update passes over (parameter, gradient, two moments, two scratch) fit a
+# 2 MiB L2 cache.
+CHUNK = 32768
 
-def _sigmoid(x: Array) -> Array:
-    # exp of -|x| never overflows; both branches share the one denominator.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+def _sigmoid(x: Array, out: Array | None = None, scratch: Array | None = None) -> Array:
+    """Logistic function of `x`, written into `out` when it is given;
+    `scratch`, shaped like `x`, then holds a temporary."""
+    # exp of -|x| never overflows; max(e, x >= 0) is 1 where x >= 0 and e
+    # elsewhere, so both branches share the one denominator 1 + e. The mask
+    # goes into the float `out`, since a bool operand would make maximum
+    # buffer a cast.
+    num = np.greater_equal(x, 0.0, out=out)
+    e = np.abs(x, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, num, out=out)
+    e += 1.0
+    return np.divide(num, e, out=num)
+
+
+def chunks(flat: Array) -> list[Array]:
+    """Consecutive views of `CHUNK` elements of a 1-D array (the last may be
+    shorter), the parameter lists `AdamW` gets for the flat vectors."""
+    return [flat[i : i + CHUNK] for i in range(0, flat.size, CHUNK)]
 
 
 # -- random streams ----------------------------------------------------------
@@ -88,7 +113,8 @@ class Mlp:
 
     When `time_embed` is set, the embedding of the step index is concatenated
     to the input before the first layer, so the first weight matrix has
-    ``in_dim + time_embed`` rows.
+    ``in_dim + time_embed`` rows. The weights and biases are views of `flat`,
+    in `parameters()` order.
     """
 
     def __init__(
@@ -121,28 +147,36 @@ class Mlp:
         self.out_dim = int(out_dim)
         self.time_embed = int(time_embed) if time_embed else None
         self.acts = acts
+        self.dims = [int(d) for d in dims]
+        self.flat = np.zeros(sum(a * b + b for a, b in zip(dims, dims[1:])))
+        params = self.views(self.flat)
+        self.weights: list[Array] = params[0::2]
+        self.biases: list[Array] = params[1::2]
         g = stream(seed, stream_name)
-        self.weights: list[Array] = []
-        self.biases: list[Array] = []
-        for i in range(n_layers):
-            fan_in = dims[i]
-            gain = 2.0 if acts[i] in ("relu", "silu") else 1.0
-            self.weights.append(g.standard_normal((dims[i], dims[i + 1])) * math.sqrt(gain / fan_in))
-            self.biases.append(np.zeros(dims[i + 1]))
+        for w, act in zip(self.weights, acts):
+            gain = 2.0 if act in ("relu", "silu") else 1.0
+            np.multiply(g.standard_normal(w.shape), math.sqrt(gain / w.shape[0]), out=w)
+
+    def views(self, flat: Array) -> list[Array]:
+        """Arrays shaped like `parameters()`, in that order, viewing
+        consecutive slices of `flat`, a vector the size of `self.flat`."""
+        out, start = [], 0
+        for fan_in, fan_out in zip(self.dims, self.dims[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                stop = start + math.prod(shape)
+                out.append(flat[start:stop].reshape(shape))
+                start = stop
+        return out
 
     def parameters(self) -> list[Array]:
         """Weights and biases interleaved layer by layer; `backward` and
         `AdamW` use the same order."""
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        return self.views(self.flat)
 
     def require_finite(self, what: str) -> None:
         """Raise, naming `what`, when a parameter is NaN or infinite: a diverged
         fit, whose checkpoint no load would accept."""
-        if not all(np.isfinite(p).all() for p in self.parameters()):
+        if not np.isfinite(self.flat).all():
             raise ValueError(f"{what} produced non-finite parameter values")
 
     def layer_dims(self) -> list[dict]:
@@ -179,23 +213,46 @@ class Mlp:
             h = np.repeat(h, 2, axis=0)
         return h, rows
 
-    def _forward(self, x, t=None, cache: list | None = None) -> Array:
+    def _forward(self, x, t=None, cache: list | None = None, ws: Workspace | None = None) -> Array:
         """Forward pass; with `cache`, append each layer's input and activation
-        derivative (None for linear layers) for `backward`."""
-        h, rows = self._prepare(x, t)
-        for w, b, act in zip(self.weights, self.biases, self.acts):
+        derivative (None for linear layers) for `backward`.
+
+        With a workspace `ws` the batch is the one its caller wrote into
+        `ws.x` and `ws.emb` (`x` and `t` are not read), and every array goes
+        into its buffers.
+        """
+        if ws is None:
+            h, rows = self._prepare(x, t)
+        else:
+            h, rows = ws.input, ws.rows
+            if rows == 1:
+                h[1] = h[0]
+        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.acts)):
+            z, d, scratch = (None, None, None) if ws is None else ws.layers[i]
             h_in = h
-            h = h @ w + b
+            h = np.matmul(h, w, out=z)
+            if scratch is not None:
+                # Adding the bias tiled into rows, not broadcast, spares the
+                # ufunc a 64 KiB iterator buffer on every call.
+                np.copyto(scratch, b)
+                b = scratch
+            h += b
             deriv = None
             if act == "relu":
                 if cache is not None:
-                    deriv = (h > 0.0).astype(np.float64)
-                h = np.maximum(h, 0.0)
+                    # A bool derivative (without a workspace) multiplies to the same bits as 0.0/1.0.
+                    deriv = np.greater(h, 0.0, out=d)
+                np.maximum(h, 0.0, out=h)
             elif act == "silu":
-                sig = _sigmoid(h)
+                sig = _sigmoid(h, out=scratch, scratch=d)
                 if cache is not None:
-                    deriv = sig * (1.0 + h * (1.0 - sig))
-                h = h * sig
+                    # silu' = sig * (1 + h * (1 - sig)), one operation at a
+                    # time in the order that expression evaluates.
+                    deriv = np.subtract(1.0, sig, out=d)
+                    deriv *= h
+                    deriv += 1.0
+                    deriv *= sig
+                h *= sig
             if cache is not None:
                 cache.append((h_in, deriv))
         return h[0] if rows is None else h[:rows]
@@ -204,7 +261,14 @@ class Mlp:
         """Forward pass of a vector or a batch."""
         return self._forward(x, t)
 
-    def backward(self, cache: list, g_out: Array, want_input: bool = False, out: list | None = None):
+    def backward(
+        self,
+        cache: list,
+        g_out: Array,
+        want_input: bool = False,
+        out: list | None = None,
+        ws: Workspace | None = None,
+    ):
         """Vector-Jacobian product of a `_forward` pass that filled `cache`.
 
         Returns ``(param_grads, None)``: the gradients of
@@ -213,7 +277,8 @@ class Mlp:
         `parameters()`) when it is given and returned as that same list. With
         `want_input` it returns ``(None, input_grad)`` instead, the gradient
         with respect to the input (same shape as the input), and computes no
-        parameter gradient.
+        parameter gradient. With the workspace of the forward pass the
+        gradient chain runs in its buffers.
 
         A lone row's `g_out` gets a zero row to match its doubled forward
         pass; the zero row adds nothing to the parameter gradients.
@@ -234,19 +299,67 @@ class Mlp:
         for i in range(len(self.weights) - 1, -1, -1):
             h_in, deriv = cache[i]
             if deriv is not None:
-                g = g * deriv
+                g = np.multiply(g, deriv, out=None if ws is None else ws.layers[i][2])
             np.sum(g, axis=0, out=grads[2 * i + 1])
             np.matmul(h_in.T, g, out=grads[2 * i])
             if i > 0:
-                g = g @ self.weights[i].T
+                g = np.matmul(g, self.weights[i].T, out=None if ws is None else ws.layers[i - 1][2])
         return grads, None
 
-    def mse_grads(self, x: Array, target: Array, t=None, out: list | None = None) -> list[Array]:
+    def mse_grads(
+        self, x, target: Array, t=None, out: list | None = None, ws: Workspace | None = None
+    ) -> list[Array]:
         """Parameter gradients of mean((forward(x, t) - target)^2), written
-        into `out` when it is given (see `backward`)."""
+        into `out` when it is given (see `backward`).
+
+        With a workspace `ws`, `x`, `t` and `out` are None: the batch is the
+        one the caller wrote into `ws.x` and `ws.emb`, every array of the step
+        goes into the workspace, and the gradients into `ws.grads`.
+        """
+        if ws is not None and not (x is None and t is None and out is None):
+            raise ValueError("a workspace step reads its batch from the workspace and writes its gradients there")
         cache: list = []
-        diff = self._forward(x, t, cache) - target
-        return self.backward(cache, (2.0 / diff.size) * diff, out=out)[0]
+        y = self._forward(x, t, cache, ws)
+        if ws is None:
+            g = np.subtract(y, target)
+            g *= 2.0 / g.size
+        else:
+            g = ws.layers[-1][2]
+            diff = np.subtract(y, target, out=g[: ws.rows])
+            diff *= 2.0 / diff.size
+            g[ws.rows :] = 0.0  # a lone row's zero pad
+            out = ws.grads
+        return self.backward(cache, g, out=out, ws=ws)[0]
+
+
+class Workspace:
+    """Buffers for training an `Mlp` on batches of `rows` rows, allocated once.
+
+    A training loop writes each batch into `x` and, for a step-conditioned
+    net, the step embeddings into `emb`, the two column blocks of `input`;
+    then ``net.mse_grads(None, target, ws=ws)`` leaves the parameter
+    gradients in `grad`, flat like `Mlp.flat`, and in its views `grads`.
+    Each entry of `layers` holds one layer's activation, its activation
+    derivative (None for a linear layer) and the gradient with respect to its
+    output, which the forward pass borrows as scratch. A lone row runs as two,
+    like every `Mlp` batch.
+    """
+
+    def __init__(self, net: Mlp, rows: int):
+        if rows < 1:
+            raise ValueError(f"a workspace needs at least one row, got {rows}")
+        height = max(rows, 2)
+        self.rows = rows
+        self.input = np.empty((height, net.dims[0]))
+        self.x = self.input[:rows, : net.in_dim]
+        self.emb = self.input[:rows, net.in_dim :]
+        self.layers = [
+            (np.empty((height, width)), None if act == "linear" else np.empty((height, width)),
+             np.empty((height, width)))
+            for width, act in zip(net.dims[1:], net.acts)
+        ]
+        self.grad = np.empty_like(net.flat)
+        self.grads = net.views(self.grad)
 
 
 # -- optimizer -----------------------------------------------------------------

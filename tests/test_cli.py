@@ -232,6 +232,9 @@ class TestValidationFailures:
         ('{"repair": {"lambda1": "1"}}', "config.repair.lambda1 must be a finite number, got '1'"),
         ('{"detector": {"hidden": "abc"}}', "config.detector.hidden must be a list, got 'abc'"),
         ('{"n_instances": "5"}', "config.n_instances must be an int, got '5'"),
+        ('{"diffusion": {"time_embed": 3}}', "config.diffusion: time_embed must be positive and even, got 3"),
+        ('{"data": {"n_train": -1}}', "config.data: n_train must be >= 1, got -1"),
+        ('{"data": {"anomalies": []}}', "config.data: anomalies must hold at least one anomaly spec"),
     ])
     def test_mistyped_or_out_of_range_config_exits_1_at_load(self, tmp_path, capsys, text, message):
         config = tmp_path / "bad.json"

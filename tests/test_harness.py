@@ -344,10 +344,33 @@ class TestConfigSchema:
         ({"repair": {"delta2": 0}}, "config.repair: delta2 must be positive"),
         ({"repair": {"infill_mode": "bad"}}, "config.repair: infill mode"),
         ({"repair": {"eta_start": 0.5, "eta_end": 0.1}}, "config.repair: need 0 <= eta_start <= eta_end"),
+        ({"diffusion": {"time_embed": 3}}, "config.diffusion: time_embed must be positive and even, got 3"),
+        ({"diffusion": {"time_embed": 0}}, "config.diffusion: time_embed must be positive and even, got 0"),
+        ({"data": {"n_train": -1}}, "config.data: n_train must be >= 1, got -1"),
+        ({"data": {"n_test": 0}}, "config.data: n_test must be >= 1, got 0"),
+        ({"data": {"n_features": 0}}, "config.data: n_features must be >= 1, got 0"),
+        ({"data": {"window_len": 0}}, "config.data: window_len must be >= 1, got 0"),
+        ({"data": {"n_test_normal": -1}}, "config.data: n_test_normal must be >= 0, got -1"),
+        ({"data": {"noise_std": -0.1}}, "config.data: noise_std must be >= 0.0, got -0.1"),
+        ({"data": {"start_jitter": -1}}, "config.data: start_jitter must be >= 0.0, got -1.0"),
+        ({"data": {"anomalies": []}}, "config.data: anomalies must hold at least one anomaly spec"),
+        ({"data": {"kind": "image"}}, r"config.data: anomalies\[0\]: anomaly kind 'spike' is not an image kind"),
+        ({"data": {"kind": "image", "side": 33, "anomalies": [{"kind": "square_defect"}]}},
+         r"config.data: side must lie in \[1, 32\], got 33"),
+        ({"data": {"kind": "image", "n_basis": 0, "anomalies": [{"kind": "square_defect"}]}},
+         "config.data: n_basis must be >= 1, got 0"),
+        ({"data": {"anomalies": [{"kind": "stripe_defect"}]}},
+         r"config.data: anomalies\[0\]: anomaly kind 'stripe_defect' is not a time-series kind"),
     ])
     def test_types_and_ranges_checked_at_load(self, payload, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(payload)
+
+    def test_data_keys_of_the_other_kind_are_not_checked(self):
+        # A ts config never reads `side` or `n_basis`, nor an image config `window_len` or `start_jitter`.
+        assert ExperimentConfig.from_dict({"data": {"side": 0, "n_basis": -3}}).data.side == 0
+        image = {"kind": "image", "window_len": 0, "start_jitter": -1, "anomalies": [{"kind": "square_defect"}]}
+        assert ExperimentConfig.from_dict({"data": image}).data.window_len == 0
 
     def test_json_ints_become_floats_and_null_stays_none(self):
         cfg = ExperimentConfig.from_dict({"repair": {"lambda1": 2, "delta2": None}, "quantile": 1e-300})

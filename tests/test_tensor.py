@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arpro import ckpt
-from arpro.tensor import AdamW, Mlp, normal, stream, time_embedding
+from arpro.tensor import CHUNK, AdamW, Mlp, Workspace, chunks, normal, stream, time_embedding
 
 from conftest import central_diff, max_rel_err
 
@@ -302,6 +302,131 @@ class TestAdamW:
             AdamW([w], beta2=-0.1)
         with pytest.raises(ValueError):
             AdamW([w], eps=0.0)
+
+
+class _ReferenceMlp:
+    """A training step as allocating expressions (`h @ w + b`, the `np.where`
+    sigmoid, `g @ w.T`) on copies of a net's parameters, trained by
+    `_ReferenceAdamW`: the arithmetic the workspace step must match bit for
+    bit."""
+
+    def __init__(self, net, lr, weight_decay):
+        self.net = net
+        self.params = [p.copy() for p in net.parameters()]
+        self.opt = _ReferenceAdamW(self.params, lr=lr, weight_decay=weight_decay)
+
+    def step(self, x, target, t):
+        net = self.net
+        h = x if net.time_embed is None else np.concatenate([x, time_embedding(t, net.time_embed)], axis=1)
+        if h.shape[0] == 1:
+            h = np.repeat(h, 2, axis=0)
+        cache = []
+        for w, b, act in zip(self.params[0::2], self.params[1::2], net.acts):
+            h_in = h
+            h = h @ w + b
+            deriv = None
+            if act == "relu":
+                deriv = (h > 0.0).astype(np.float64)
+                h = np.maximum(h, 0.0)
+            elif act == "silu":
+                e = np.exp(-np.abs(h))
+                sig = np.where(h >= 0, 1.0, e) / (1.0 + e)
+                deriv = sig * (1.0 + h * (1.0 - sig))
+                h = h * sig
+            cache.append((h_in, deriv))
+        diff = h[: x.shape[0]] - target
+        g = (2.0 / diff.size) * diff
+        if g.shape[0] == 1:
+            g = np.concatenate([g, np.zeros_like(g)])
+        grads = [None] * len(self.params)
+        for i in range(len(cache) - 1, -1, -1):
+            h_in, deriv = cache[i]
+            if deriv is not None:
+                g = g * deriv
+            grads[2 * i + 1] = g.sum(axis=0)
+            grads[2 * i] = h_in.T @ g
+            if i > 0:
+                g = g @ self.params[2 * i].T
+        self.opt.step(grads)
+
+
+# Every activation kind, with and without the step embedding, at batch heights
+# 1 (run padded to two), 3 and 32; and one net wide enough that its flat
+# vector spans two AdamW chunks, the boundary falling inside a weight matrix.
+TRAINING_CASES = [
+    pytest.param(act, te, height, [6, 4], id=f"{act}-{'time' if te else 'plain'}-{height}")
+    for act in ("silu", "relu", "linear")
+    for te in (None, 4)
+    for height in (1, 3, 32)
+] + [pytest.param("silu", 4, 32, [200, 160], id="silu-time-32-two-chunks")]
+
+
+class TestWorkspaceTraining:
+    @pytest.mark.parametrize("act,time_embed,height,hidden", TRAINING_CASES)
+    def test_matches_allocating_reference_bit_for_bit(self, act, time_embed, height, hidden):
+        net = Mlp(5, hidden, 5, acts=[act] * (len(hidden) + 1), time_embed=time_embed, seed=1)
+        ref = _ReferenceMlp(net, lr=3e-2, weight_decay=0.01)
+        start = net.flat.copy()
+        ws = Workspace(net, height)
+        opt = AdamW(chunks(net.flat), lr=3e-2, weight_decay=0.01)
+        grad_chunks = chunks(ws.grad)
+        assert len(grad_chunks) == -(-net.flat.size // CHUNK)
+        g = stream(1, f"train-ref-{act}-{time_embed}-{height}")
+        table = time_embedding(np.arange(1, 21), time_embed) if time_embed else None
+        for _ in range(20):
+            x = g.standard_normal((height, 5))
+            target = g.standard_normal((height, 5))
+            t = g.integers(1, 21, size=height) if time_embed else None
+            ref.step(x, target, t)
+            ws.x[...] = x
+            if time_embed:
+                ws.emb[...] = table[t - 1]
+            net.mse_grads(None, target, ws=ws)
+            opt.step(grad_chunks)
+        for got, want in zip(net.parameters(), ref.params, strict=True):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(net.flat, start)
+
+    def test_workspace_step_reads_no_batch_argument(self):
+        net = Mlp(3, [4], 3, seed=0)
+        ws = Workspace(net, 2)
+        with pytest.raises(ValueError, match="workspace"):
+            net.mse_grads(np.zeros((2, 3)), np.zeros((2, 3)), ws=ws)
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    def test_embedding_table_rows_match_time_embedding(self, dim):
+        # The stock configs use T=100 with a 32-wide embedding; the small test
+        # configs an 8-wide one.
+        table = time_embedding(np.arange(1, 101), dim)
+        for t in range(1, 101):
+            assert np.array_equal(table[t - 1], time_embedding(t, dim)[0])
+        steps = stream(0, "table-steps").integers(1, 101, size=64)
+        assert np.array_equal(table[steps - 1], time_embedding(steps, dim))
+
+    def test_warm_step_allocates_no_batch_or_parameter_sized_array(self):
+        # The image denoiser's shape: 256 -> 256 -> 256 -> 256 with a 32-wide
+        # step embedding and batch 64; one batch-by-width array is 128 KiB.
+        net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
+        ws = Workspace(net, 64)
+        g = stream(0, "workspace-alloc")
+        ws.input[...] = g.standard_normal(ws.input.shape)
+        target = g.standard_normal((64, 256))
+        opt = AdamW(chunks(net.flat), weight_decay=0.01)
+        grad_chunks = chunks(ws.grad)
+
+        def step():
+            net.mse_grads(None, target, ws=ws)
+            opt.step(grad_chunks)
+
+        step()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestRandomStreams:
