@@ -19,7 +19,7 @@ from . import ckpt, harness
 from .data import load_csv_dataset, save_dataset
 from .detector import load_detector
 from .diffusion import Denoiser, make_schedule
-from .harness import ExperimentConfig
+from .harness import STOCK_ANOMALIES, ExperimentConfig
 
 
 class CliError(ValueError):
@@ -43,7 +43,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
     shared(p)
-    p.add_argument("--kind", choices=["ts", "image"], default=None, help="dataset modality")
+    p.add_argument("--kind", dest="data_kind", choices=["ts", "image"], default=None,
+                   help="dataset modality (data.kind); brings its stock anomalies if the config lists none")
 
     p = sub.add_parser("train-detector", help="fit a detector and write its checkpoint")
     shared(p)
@@ -125,6 +126,9 @@ def _collect_overrides(args) -> dict:
     std_mode = getattr(args, "std_mode", None)
     if std_mode is not None:
         overrides["diffusion"] = {"std_mode": std_mode}
+    data_kind = getattr(args, "data_kind", None)
+    if data_kind is not None:
+        overrides["data"] = {"kind": data_kind}
     return overrides
 
 
@@ -136,6 +140,9 @@ def _experiment_config(args, file_cfg: dict) -> tuple[ExperimentConfig, dict]:
             merged.setdefault(section, {}).update(values)
         else:
             merged[section] = values
+    data_kind = overrides.get("data", {}).get("kind")
+    if data_kind is not None and "anomalies" not in merged["data"]:
+        merged["data"]["anomalies"] = [dataclasses.asdict(spec) for spec in STOCK_ANOMALIES[data_kind]]
     try:
         cfg = ExperimentConfig.from_dict(merged)
     except ValueError as exc:
@@ -178,10 +185,8 @@ def _load_denoiser(path: str, std_mode: str | None) -> Denoiser:
 
 
 def _cmd_gen_data(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg, _ = _experiment_config(args, file_cfg)
-    data_cfg = cfg.data if args.kind is None else dataclasses.replace(cfg.data, kind=args.kind)
-    dataset = data_cfg.generate(cfg.seed)
+    cfg, _ = _experiment_config(args, _load_config_file(args.config))
+    dataset = cfg.data.generate(cfg.seed)
     save_dataset(dataset, args.out)
     print(f"wrote dataset ({dataset.modality}, n={dataset.n}, "
           f"{dataset.train.shape[0]} train / {dataset.test.shape[0]} test) to {args.out}")

@@ -369,9 +369,31 @@ def save_dataset(ds: Dataset, directory) -> None:
         fh.write("\n")
 
 
-def _read_csv(path: Path, n_cols: int | None = None):
-    if not path.is_file():
-        raise FileNotFoundError(f"missing dataset file: {path}")
+# The bytes of a data block that `np.loadtxt` and `float()` read alike; other
+# characters, such as the whitespace \x1c-\x1f that numpy strips and
+# `float()` rejects, send a file to the row-by-row parser.
+_PLAIN_NUMBERS = b"0123456789.eE+-,\r\n"
+
+
+def _read_plain_csv(path: Path, n_cols: int | None):
+    """The header and values of a CSV whose data rows hold only plain finite
+    numbers, parsed in one call. Raises ValueError on any other file."""
+    with path.open("r", newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+        body = fh.read()
+    lines = body.splitlines()
+    # A blank line is an empty row to csv.reader, and np.loadtxt would skip it.
+    if (not header or (n_cols is not None and len(header) != n_cols) or not lines or not all(lines)
+            or body.encode("utf-8").translate(None, _PLAIN_NUMBERS)):
+        raise ValueError(f"{path}: not a block of plain numbers")
+    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if values.shape != (len(lines), len(header)) or not np.isfinite(values).all():
+        raise ValueError(f"{path}: not a block of finite numbers")
+    return header, values
+
+
+def _read_csv_rows(path: Path, n_cols: int | None):
+    """Parse cell by cell; the one place that words a bad file's error."""
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -397,6 +419,21 @@ def _read_csv(path: Path, n_cols: int | None = None):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=np.float64)
+
+
+def _read_csv(path: Path, n_cols: int | None = None):
+    """The header and the (rows, columns) float64 values of a dataset CSV.
+
+    A file of plain numbers is parsed in one `np.loadtxt` call; any other file
+    goes to the row-by-row parser, which gives the same values or names the
+    row, column and cell at fault.
+    """
+    if not path.is_file():
+        raise FileNotFoundError(f"missing dataset file: {path}")
+    try:
+        return _read_plain_csv(path, n_cols)
+    except ValueError:
+        return _read_csv_rows(path, n_cols)
 
 
 def load_csv_dataset(directory) -> Dataset:

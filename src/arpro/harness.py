@@ -133,6 +133,19 @@ def _check_training(cfg) -> None:
         raise ValueError(f"hidden widths must be >= 1, got {list(cfg.hidden)}")
 
 
+# The anomalies each data kind injects unless its config lists others.
+STOCK_ANOMALIES = {
+    "ts": (
+        AnomalySpec(kind="spike", magnitude=1.2, extent=0.1),
+        AnomalySpec(kind="level_shift", magnitude=1.2, extent=0.1),
+    ),
+    "image": (
+        AnomalySpec(kind="square_defect", magnitude=2.0, extent=0.08),
+        AnomalySpec(kind="stripe_defect", magnitude=2.0, extent=0.064),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class DataConfig(_Config):
     kind: str = "ts"
@@ -145,10 +158,7 @@ class DataConfig(_Config):
     noise_std: float = 0.1
     start_jitter: float = 32.0
     n_basis: int = 32
-    anomalies: tuple[AnomalySpec, ...] = (
-        AnomalySpec(kind="spike", magnitude=1.2, extent=0.1),
-        AnomalySpec(kind="level_shift", magnitude=1.2, extent=0.1),
-    )
+    anomalies: tuple[AnomalySpec, ...] = STOCK_ANOMALIES["ts"]
 
     def __post_init__(self):
         if self.kind not in ("ts", "image"):
@@ -663,10 +673,7 @@ def timeseries_benchmark_config(seed: int = 0, n_instances: int = 50) -> Experim
             n_test=50,
             noise_std=0.1,
             start_jitter=32.0,
-            anomalies=(
-                AnomalySpec(kind="spike", magnitude=1.2, extent=0.1),
-                AnomalySpec(kind="level_shift", magnitude=1.2, extent=0.1),
-            ),
+            anomalies=STOCK_ANOMALIES["ts"],
         ),
         detector=DetectorConfig(kind="gauss"),
         diffusion=DiffusionConfig(T=100, hidden=(128, 128), steps=2000),
@@ -686,10 +693,7 @@ def image_benchmark_config(seed: int = 0, n_instances: int = 50) -> ExperimentCo
             n_test=50,
             noise_std=0.2,
             n_basis=32,
-            anomalies=(
-                AnomalySpec(kind="square_defect", magnitude=2.0, extent=0.08),
-                AnomalySpec(kind="stripe_defect", magnitude=2.0, extent=0.064),
-            ),
+            anomalies=STOCK_ANOMALIES["image"],
         ),
         detector=DetectorConfig(kind="recon", hidden=(96, 32, 96), steps=2500),
         diffusion=DiffusionConfig(

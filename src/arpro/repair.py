@@ -12,6 +12,13 @@ setting) takes the same reverse steps together, with one denoiser forward and
 one guidance gradient per step for the whole batch. A row's result does not
 depend on the batch it runs in, by the BLAS rules that `arpro.tensor.Mlp`
 follows; the tests check this at the benchmark model shapes.
+
+The per-step Python work is done in blocks of `BLOCK` reverse steps: each
+random stream draws a block's noise in one call, since a (k, n) draw yields
+the bits of k successive draws of n, and each row's trajectory hash takes a
+block of iterates in one update, since SHA-256 of concatenated bytes does not
+depend on how they are split. So the noise and the hashes are those of a
+step-by-step loop; the finiteness check and `record_trajectory` stay per step.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ from .properties import (
 from .tensor import Array, stream
 
 INFILL_MODES = ("level-matched", "paper-literal")
+# Reverse steps whose noise is drawn, and whose iterates are hashed, per call.
+BLOCK = 10
+# The largest |coordinate| a final iterate may have; the stock runs reach about 6.5.
+MAX_ABS_ITERATE = 1e10
 
 
 @dataclass(frozen=True)
@@ -129,9 +140,41 @@ class RepairRow:
     guided: bool = True
 
 
-def _draw(generators, n: int) -> Array:
-    """The next n standard normals of each generator, one row per generator."""
-    return np.stack([g.standard_normal(n) for g in generators])
+def _noise_steps(generators, n: int, steps: int, owner: Array):
+    """Yield `steps` successive (rows, n) noise draws, row r from generator
+    owner[r]; each generator draws `BLOCK` steps of noise per call."""
+    block = np.empty((len(generators), BLOCK, n))
+    for start in range(0, steps, BLOCK):
+        k = min(BLOCK, steps - start)
+        for g, out in zip(generators, block):
+            g.standard_normal(out=out[:k])
+        for j in range(k):
+            yield block[owner, j]
+
+
+class _TrajectoryHashes:
+    """One SHA-256 per row over its successive iterates, fed `BLOCK` iterates
+    per update."""
+
+    def __init__(self, rows: int, n: int):
+        self.hashers = [hashlib.sha256() for _ in range(rows)]
+        self.block = np.empty((rows, BLOCK, n), dtype="<f8")
+        self.filled = 0
+
+    def add(self, x: Array) -> None:
+        self.block[:, self.filled] = x
+        self.filled += 1
+        if self.filled == BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        for hasher, iterates in zip(self.hashers, self.block[:, : self.filled]):
+            hasher.update(iterates)
+        self.filled = 0
+
+    def hexdigests(self) -> list[str]:
+        self._flush()
+        return [hasher.hexdigest() for hasher in self.hashers]
 
 
 def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) -> list[RepairResult]:
@@ -183,33 +226,29 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
 
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
     owner = np.array([keys[(row.cfg.seed, row.cfg.stream_tag)] for row in rows])
-    init = [stream(seed, f"{tag}/init") for seed, tag in keys]
-    zs = [stream(seed, f"{tag}/z") for seed, tag in keys]
-    es = [stream(seed, f"{tag}/eps") for seed, tag in keys]
+    init = np.stack([stream(seed, f"{tag}/init").standard_normal(n) for seed, tag in keys])
+    zs = _noise_steps([stream(seed, f"{tag}/z") for seed, tag in keys], n, schedule.T - 1, owner)
+    es = _noise_steps([stream(seed, f"{tag}/eps") for seed, tag in keys], n, schedule.T, owner)
 
-    hashers = [hashlib.sha256() for _ in rows]
+    hashes = _TrajectoryHashes(len(rows), n)
     steps = [[] if row.cfg.record_trajectory else None for row in rows]
-
-    def update_hashes(x):
-        for hasher, row in zip(hashers, np.ascontiguousarray(x, dtype="<f8")):
-            hasher.update(row)
 
     root_a = np.sqrt(schedule.a)
     root_rem = np.sqrt(1.0 - schedule.a)
     # Divergence is reported by the explicit check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         started = time.perf_counter()
-        x = _draw(init, n)[owner]
-        update_hashes(x)
+        x = init[owner]
+        hashes.add(x)
         for t in range(schedule.T, 0, -1):
             xhat = predict_mu(denoiser, x, t)
             if t > 1:
-                xhat = xhat + schedule.sigma[t - 1] * _draw(zs, n)[owner]
+                xhat = xhat + schedule.sigma[t - 1] * next(zs)
             eta_t = eta[:, t - 1]
             sel = np.flatnonzero(eta_t)
             if sel.size:
                 xhat[sel] = xhat[sel] - eta_t[sel, None] * guide(x[sel], *(a[sel] for a in operands))
-            eps_t = _draw(es, n)[owner]
+            eps_t = next(es)
             level = t - 1 if level_matched else t
             if level == 0:
                 x_bad_level = x_bad
@@ -220,10 +259,11 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
             if not finite.all():
                 tag = rows[int(np.argmin(finite))].cfg.stream_tag
                 raise ValueError(f"repair {tag}: iterate became non-finite at step t={t}")
-            update_hashes(x)
+            hashes.add(x)
             for r, trajectory in enumerate(steps):
                 if trajectory is not None:
                     trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
+        digests = hashes.hexdigests()
         seconds = (time.perf_counter() - started) / len(rows)
 
         alpha_fix = detector.alpha_batch(x)
@@ -239,7 +279,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
                 x_fix=x[r].copy(),
                 loss=loss,
                 metrics=scores,
-                trajectory_hash=hashers[r].hexdigest(),
+                trajectory_hash=digests[r],
                 seconds=seconds,
                 seed=row.cfg.seed,
                 infill_mode=row.cfg.infill_mode,
@@ -247,6 +287,11 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
                 guided=bool(np.any(eta[r] != 0.0)),
                 trajectory=tuple(steps[r]) if steps[r] is not None else None,
             ))
+    # Checked after the non-finite scores, so a repair that overflows there keeps that message.
+    bounded = (np.abs(x) <= MAX_ABS_ITERATE).all(axis=1)
+    if not bounded.all():
+        tag = rows[int(np.argmin(bounded))].cfg.stream_tag
+        raise ValueError(f"repair {tag}: the final iterate has a coordinate beyond ±{MAX_ABS_ITERATE:g}")
     return results
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from arpro.cli import main
 from arpro.detector import ReconDetector
+from arpro.diffusion import Denoiser, make_schedule
 from arpro.tensor import Mlp
 
 TINY_CONFIG = {
@@ -73,6 +74,21 @@ class TestGenData:
         assert main(["gen-data", "--kind", "ts", "--out", str(other), "--seed", "8",
                      "--config", str(config)]) == 0
         assert not dir_equal(data_dir, other)
+
+    def test_kind_without_config_uses_its_stock_anomalies(self, tmp_path):
+        out = tmp_path / "image"
+        assert main(["gen-data", "--kind", "image", "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["modality"] == "image" and meta["n"] == 16 * 16
+
+    def test_kind_against_config_anomalies_exits_1_naming_key(self, tmp_path, capsys):
+        config = tmp_path / "ts-anomalies.json"
+        config.write_text(json.dumps({"data": {"anomalies": TINY_CONFIG["data"]["anomalies"]}}))
+        out = tmp_path / "image"
+        assert main(["gen-data", "--kind", "image", "--out", str(out), "--config", str(config)]) == 1
+        assert ("config.data: anomalies[0]: anomaly kind 'spike' is not an image kind"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestRepairCommand:
@@ -286,6 +302,22 @@ class TestValidationFailures:
         assert code == 1
         err = capsys.readouterr().err
         assert broken.name in err and repr(key) in err
+
+    def test_huge_final_iterate_exits_1_without_report(self, workspace, tmp_path, capsys):
+        _, config, data_dir, models = workspace
+        diffusion = TINY_CONFIG["diffusion"]
+        net = Mlp(24, diffusion["hidden"], 24, time_embed=diffusion["time_embed"], seed=0)
+        for w in net.weights:
+            w[...] = 0.0
+        net.biases[-1][...] = 1e150
+        huge = tmp_path / "huge-denoiser.json"
+        Denoiser(net, make_schedule(diffusion["T"])).save(huge)
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                     "--detector", str(models / "detector.json"), "--denoiser", str(huge), "--out", str(out)])
+        assert code == 1
+        assert "the final iterate has a coordinate beyond ±1e+10" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_inputs_never_modified(self, workspace, tmp_path):
         _, config, data_dir, models = workspace

@@ -1,6 +1,14 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from arpro import data
 from arpro.data import (
     AnomalySpec,
     Dataset,
@@ -10,6 +18,8 @@ from arpro.data import (
     load_csv_dataset,
     save_dataset,
     window_stream,
+    _read_csv,
+    _read_plain_csv,
 )
 from arpro.detector import fit_gauss
 
@@ -251,3 +261,128 @@ class TestDatasetInvariants:
                 feature_names=("a", "b"),
                 modality="timeseries",
             )
+
+
+def _row_by_row_read(path):
+    """The reference parse: `csv.reader` and `float()` cell by cell, worded
+    as a dataset CSV's errors are."""
+    with path.open("r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        rows = []
+        for r, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path} row {r}: expected {len(header)} cells, found {len(row)}")
+            parsed = []
+            for c, cell in enumerate(row, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path} row {r} column {c}: non-numeric cell {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path} row {r} column {c}: non-finite value {cell!r}")
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, np.asarray(rows, dtype=np.float64)
+
+
+def _outcome(read, path):
+    """The header, shape and bytes `read(path)` returns, or the message it raises."""
+    try:
+        header, values = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return header, values.shape, values.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+FORMATS = {"repr": repr, "17g": "{:.17g}".format, "3E": "{:.3E}".format}
+
+
+class TestCsvParse:
+    """A file of plain numbers is parsed in one call with the bits of the
+    cell-by-cell parse; every other file keeps the cell-by-cell outcome."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.integers(1, 4).flatmap(
+            lambda width: st.lists(st.lists(FINITE | st.sampled_from(EDGE_VALUES), min_size=width, max_size=width),
+                                   min_size=1, max_size=6)),
+        fmt=st.sampled_from(sorted(FORMATS)),
+    )
+    @example(values=[EDGE_VALUES], fmt="repr")
+    def test_plain_numbers_parse_to_the_bits_of_float(self, values, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            lines = [",".join(f"c{c}" for c in range(len(values[0])))]
+            lines += [",".join(FORMATS[fmt](v) for v in row) for row in values]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = _outcome(_row_by_row_read, path)
+            assert _outcome(_read_csv, path) == expected
+            if not isinstance(expected, str):  # {:.3E} may round the largest values up to inf
+                assert _outcome(lambda p: _read_plain_csv(p, None), path) == expected
+
+    def test_saved_dataset_takes_the_one_call_parse(self, tmp_path, monkeypatch):
+        ds = gen_synthetic_ts(2, 16, 5, 3, SPIKE, seed=4)
+        save_dataset(ds, tmp_path)
+
+        def fail(path, n_cols):
+            raise AssertionError(f"{path} went to the row-by-row parser")
+
+        monkeypatch.setattr(data, "_read_csv_rows", fail)
+        back = load_csv_dataset(tmp_path)
+        assert back.train.tobytes() == ds.train.tobytes() and back.labels.tobytes() == ds.labels.tobytes()
+
+    @pytest.mark.parametrize("text, error", [
+        ("", ": empty file"),
+        ("a,b\n", ": no data rows"),
+        ("a,b", ": no data rows"),
+        ("a,b\n1,2\n\n3,4\n", " row 3: expected 2 cells, found 0"),
+        ("a,b\n1,2\n\n", " row 3: expected 2 cells, found 0"),
+        ("a,b\n1,2\n3,4,5\n", " row 3: expected 2 cells, found 3"),
+        ("a,b\n1,2\n3\n", " row 3: expected 2 cells, found 1"),
+        ("a,b\n1,2\n3,4\r\n5,6\r\r\n", " row 5: expected 2 cells, found 0"),
+        ("a,b\noops,2\n", " row 2 column 1: non-numeric cell 'oops'"),
+        ("a,b\n1,nan\n", " row 2 column 2: non-finite value 'nan'"),
+        ("a,b\n1,inf\n", " row 2 column 2: non-finite value 'inf'"),
+        ("a,b\n1,1e400\n", " row 2 column 2: non-finite value '1e400'"),
+        ('a,b\n1,""\n', " row 2 column 2: non-numeric cell ''"),
+        ("a,b\n1,\n", " row 2 column 2: non-numeric cell ''"),
+        ("a,b\n0x1p3,1\n", " row 2 column 1: non-numeric cell '0x1p3'"),
+        ('a,b\n"1,5",2\n', " row 2 column 1: non-numeric cell '1,5'"),
+        ("a,b\n1\x1c,2\n", " row 2 column 1: non-numeric cell '1\\x1c'"),
+        ("a,b\n1e,2\n", " row 2 column 1: non-numeric cell '1e'"),
+    ])
+    def test_malformed_file_raises_the_row_parsers_message(self, tmp_path, text, error):
+        path = tmp_path / "x.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(_row_by_row_read, path) == f"{path}{error}"
+        assert _outcome(_read_csv, path) == _outcome(_row_by_row_read, path)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1_0,2\n",            # underscores: float() reads 10.0, numpy does not
+        'a,b\n"1.5",2\n',          # quoted cell
+        "a,b\n 1.5 ,\t2\n",        # padded cells
+        'a,b\n"1"5,2\n',           # csv joins a quoted part and its tail
+        "a,b\r\n1,2\r\n3,4",       # CRLF, no final line end
+        "a,b\r1,2\r3,4\r",         # CR line ends
+        '"a,x",b\n1,2\n',          # quoted header cell
+    ])
+    def test_other_files_keep_the_row_parsers_values(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = _outcome(_row_by_row_read, path)
+        assert not isinstance(expected, str)
+        assert _outcome(_read_csv, path) == expected
+
+    def test_width_checked_against_expected_columns(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"x.csv: expected 3 columns, found 2$"):
+            _read_csv(path, n_cols=3)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -439,3 +440,106 @@ class TestBatchHeightsAtBenchmarkShapes:
         for row in (0, 1, HEIGHTS[-1] - 1):
             assert np.array_equal(det.score(x[row]).alpha, full[row]), row
 
+
+
+def _step_by_step_repair(det, den, sched, rows):
+    """The reference loop: one noise draw per stream and one hash update per
+    row at every step. Returns (x_fix, trajectory hashes, trajectories)."""
+    n = det.n
+    x_bad = np.stack([row.x_bad for row in rows])
+    omega = np.stack([row.omega for row in rows])
+    omega_bar = 1.0 - omega
+    eta = np.stack([make_guidance_schedule(sched.T, row.cfg.eta_start, row.cfg.eta_end).eta if row.guided
+                    else np.zeros(sched.T) for row in rows])
+    alpha_bad, beta_bad = det.alpha_batch(x_bad), det.beta_value(x_bad)
+    s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
+    s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
+    delta4 = np.array([[row.cfg.tol.delta4] for row in rows])
+    lambdas = [np.array([[getattr(row.cfg.weights, f"lambda{k}")] for row in rows]) for k in range(1, 5)]
+    keys = list(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))
+    owner = np.array([keys.index((row.cfg.seed, row.cfg.stream_tag)) for row in rows])
+
+    def draws(name):
+        generators = [stream(seed, f"{tag}/{name}") for seed, tag in keys]
+        return lambda: np.stack([g.standard_normal(n) for g in generators])[owner]
+
+    init, z, eps = draws("init"), draws("z"), draws("eps")
+    hashers = [hashlib.sha256() for _ in rows]
+    steps = [[] if row.cfg.record_trajectory else None for row in rows]
+
+    def update_hashes(x):
+        for hasher, row in zip(hashers, np.ascontiguousarray(x, dtype="<f8")):
+            hasher.update(row)
+
+    level_matched = rows[0].cfg.infill_mode == "level-matched"
+    x = init()
+    update_hashes(x)
+    for t in range(sched.T, 0, -1):
+        xhat = predict_mu(den, x, t)
+        if t > 1:
+            xhat = xhat + sched.sigma[t - 1] * z()
+        sel = np.flatnonzero(eta[:, t - 1])
+        if sel.size:
+            grad = guidance_grad(det, x[sel], x_bad[sel], omega[sel],
+                                 (omega_bar[sel], s_om_bad[sel], s_ob_bad[sel]),
+                                 delta4[sel], [lam[sel] for lam in lambdas])
+            xhat[sel] = xhat[sel] - eta[sel, t - 1, None] * grad
+        eps_t = eps()
+        level = t - 1 if level_matched else t
+        if level == 0:
+            x_bad_level = x_bad
+        else:
+            x_bad_level = np.sqrt(sched.a)[level - 1] * x_bad + np.sqrt(1.0 - sched.a)[level - 1] * eps_t
+        x = omega_bar * x_bad_level + omega * xhat
+        update_hashes(x)
+        for r, trajectory in enumerate(steps):
+            if trajectory is not None:
+                trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
+    return x, [hasher.hexdigest() for hasher in hashers], steps
+
+
+class TestBlockedNoiseAndHashes:
+    """Noise drawn and iterates hashed in blocks give the step-by-step bits,
+    for step counts below, at and around the block length."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("T", [1, 9, 10, 11, 23])
+    def test_matches_step_by_step_loop(self, T, mode):
+        g = stream(T, "blocked-world")
+        n = 8
+        train = g.standard_normal((40, n))
+        det = fit_gauss(train)
+        sched = make_schedule(T)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=T), sched)
+        rows = []
+        for i in range(3):
+            x_bad = train[i] + g.normal(0.0, 2.0, size=n)
+            omega = (g.random(n) < 0.5).astype(np.float64)
+            omega[i] = 1.0
+            for guided in (False, True):
+                cfg = RepairConfig(eta_end=0.05, infill_mode=mode, seed=5, stream_tag=f"inst{i}",
+                                   record_trajectory=(i, guided) == (1, True))
+                rows.append(RepairRow(x_bad, omega, cfg, guided=guided))
+        results = repair_batch(det, den, sched, rows)
+        x_fix, hashes, steps = _step_by_step_repair(det, den, sched, rows)
+        for r, result in enumerate(results):
+            assert np.array_equal(result.x_fix, x_fix[r])
+            assert result.trajectory_hash == hashes[r]
+            if steps[r] is None:
+                assert result.trajectory is None
+            else:
+                assert len(result.trajectory) == T
+                for (t, level, x), (t_ref, level_ref, x_ref) in zip(result.trajectory, steps[r], strict=True):
+                    assert t == t_ref
+                    assert np.array_equal(level, level_ref) and np.array_equal(x, x_ref)
+
+
+class TestFinalIterateBound:
+    def test_huge_finite_iterate_raises_with_its_tag(self, small_world):
+        det, _, sched, x_bad, omega = small_world
+        net = Mlp(8, [8], 8, time_embed=8, seed=1)
+        for w in net.weights:
+            w[...] = 0.0
+        net.biases[-1][...] = 1e150  # every noise prediction is 1e150: huge, yet finite at every step
+        with pytest.raises(ValueError, match=r"repair huge: the final iterate has a coordinate beyond ±1e\+10"):
+            guided_repair(det, Denoiser(net, sched), sched, x_bad, omega, RepairConfig(stream_tag="huge"))
