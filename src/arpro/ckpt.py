@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -45,13 +48,89 @@ def decode_array(data: str, count: int) -> Array:
 
 
 def write(path, payload: dict) -> None:
-    """Write `payload` as JSON with indent=1 and a trailing newline, creating
-    parent directories. Checkpoints and the report files all go through here."""
+    """Write `payload` as the bytes of ``json.dumps(payload, indent=1) + "\n"``,
+    creating parent directories. Checkpoints, datasets' meta.json and the
+    report files all go through here.
+
+    The text comes from `_encode`, which spells every value as `json` does
+    and, like `json.dump`, raises TypeError for a value `json` cannot write.
+    Its pieces go to one `writelines` call as they are made, so the whole
+    text is never held at once: a report's pieces would add their size to
+    the peak memory, and joining them would also copy a checkpoint's base64
+    blob.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.writelines(_encode(payload, 0))
         fh.write("\n")
+
+
+def _scalar(value) -> str | None:
+    """The JSON text of a str, None, bool, int or float, spelled as `json`
+    spells it (NaN, Infinity, -Infinity included); None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _encode(value, level: int) -> Iterator[str]:
+    """The pieces of `value`'s ``json.dumps(indent=1)`` text, nested `level`
+    deep."""
+    text = _scalar(value)
+    if text is not None:
+        yield text
+        return
+    if not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    inner = "\n" + " " * (level + 1)
+    separator = "," + inner
+    if isinstance(value, dict):
+        yield "{" + inner
+        for i, (key, item) in enumerate(value.items()):
+            name = _scalar(key)
+            if name is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            if i:
+                yield separator
+            # json quotes the text of a key that is not a string.
+            yield (name if isinstance(key, str) else f'"{name}"') + ": "
+            yield from _encode(item, level + 1)
+        yield "\n" + " " * level + "}"
+        return
+    yield "[" + inner
+    text = None
+    if isinstance(value[0], float):
+        try:
+            text = separator.join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            pass
+    # repr spells nan and ±inf in lower case, json as NaN and ±Infinity.
+    if text is not None and "n" not in text:
+        yield text
+    else:
+        for i, item in enumerate(value):
+            if i:
+                yield separator
+            yield from _encode(item, level + 1)
+    yield "\n" + " " * level + "]"
 
 
 def read(path, expected_kind: str | None = None) -> dict:

@@ -10,6 +10,7 @@ config file's "seed", else 0.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import sys
@@ -133,7 +134,7 @@ def _collect_overrides(args) -> dict:
 
 
 def _experiment_config(args, file_cfg: dict) -> tuple[ExperimentConfig, dict]:
-    merged = json.loads(json.dumps(file_cfg))  # deep copy
+    merged = copy.deepcopy(file_cfg)
     overrides = _collect_overrides(args)
     for section, values in overrides.items():
         if isinstance(values, dict):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ckpt
 from .tensor import Array, stream
 
 DATASET_SCHEMA = "arpro-ds-v1"
@@ -364,9 +365,7 @@ def save_dataset(ds: Dataset, directory) -> None:
         "feature_names": list(ds.feature_names),
         "window": ds.window,
     }
-    with (directory / "meta.json").open("w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
+    ckpt.write(directory / "meta.json", meta)
 
 
 # The bytes of a data block that `np.loadtxt` and `float()` read alike; other

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import AdamW, Array, Mlp, Workspace, chunks, stream, time_embedding
+from .tensor import AdamW, Array, Mlp, Workspace, chunks, stream
 
 STD_MODES = ("standard", "paper-literal")
 
@@ -94,10 +94,14 @@ def forward_noise(schedule: NoiseSchedule, x0: Array, t: int, eps: Array) -> Arr
     return np.sqrt(a_t) * x0 + np.sqrt(1.0 - a_t) * eps
 
 
-def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float) -> Array:
+def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float, out: Array | None = None) -> Array:
     """Reverse-step mean from a noise prediction:
-    (x_t - b_t/sqrt(1-a_t) * eps_hat) / sqrt(1-b_t)."""
-    return (x_t - (b_t / np.sqrt(1.0 - a_t)) * eps_hat) / np.sqrt(1.0 - b_t)
+    (x_t - b_t/sqrt(1-a_t) * eps_hat) / sqrt(1-b_t), written into `out`
+    when it is given, one operation at a time in that order."""
+    mean = np.multiply(b_t / np.sqrt(1.0 - a_t), eps_hat, out=out)
+    mean = np.subtract(x_t, mean, out=mean)
+    mean /= np.sqrt(1.0 - b_t)
+    return mean
 
 
 class Denoiser:
@@ -117,8 +121,8 @@ class Denoiser:
     def n(self) -> int:
         return self.net.in_dim
 
-    def predict_eps(self, x_t: Array, t) -> Array:
-        return self.net.forward_np(x_t, t)
+    def predict_eps(self, x_t: Array, t, ws: Workspace | None = None) -> Array:
+        return self.net.forward_np(x_t, t, ws=ws)
 
     def save(self, path) -> None:
         sched = {
@@ -139,12 +143,16 @@ class Denoiser:
         return cls(ckpt.mlp_from_payload(payload), schedule)
 
 
-def predict_mu(denoiser: Denoiser, x_t: Array, t: int) -> Array:
-    """Posterior mean of the reverse step at t."""
+def predict_mu(
+    denoiser: Denoiser, x_t: Array, t: int, ws: Workspace | None = None, out: Array | None = None
+) -> Array:
+    """Posterior mean of the reverse step at t, written into `out` when it is
+    given. With a workspace `ws` of the batch's height, made with
+    ``steps=denoiser.schedule.T``, the denoiser's forward pass runs in it."""
     t = _check_step(denoiser.schedule, t)
     x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = denoiser.predict_eps(x_t, t)
-    return posterior_mean(x_t, eps_hat, denoiser.schedule.b[t - 1], denoiser.schedule.a[t - 1])
+    eps_hat = denoiser.predict_eps(x_t, t, ws=ws)
+    return posterior_mean(x_t, eps_hat, denoiser.schedule.b[t - 1], denoiser.schedule.a[t - 1], out=out)
 
 
 @dataclass(frozen=True)
@@ -165,6 +173,16 @@ def train_denoiser(
 ) -> Denoiser:
     """Fit the noise predictor by MSE over uniformly sampled steps."""
     cfg = cfg or DiffusionTrainConfig()
+    net, step = _denoiser_trainer(normal_data, schedule, cfg, seed)
+    for _ in range(cfg.steps):
+        step()
+    net.require_finite(f"denoiser training ({cfg.steps} steps, lr={cfg.lr})")
+    return Denoiser(net, schedule)
+
+
+def _denoiser_trainer(normal_data, schedule: NoiseSchedule, cfg: DiffusionTrainConfig, seed: int):
+    """The freshly initialised network `train_denoiser` fits, and a function
+    that runs one training step on it; a step allocates no batch-sized array."""
     data = np.asarray(normal_data, dtype=np.float64)
     if data.ndim != 2 or data.size == 0:
         raise ValueError("training data must be a non-empty 2-D batch")
@@ -178,26 +196,35 @@ def train_denoiser(
     steps_rng = stream(seed, "denoiser-steps")
     root_a = np.sqrt(schedule.a)
     root_one_minus_a = np.sqrt(1.0 - schedule.a)
-    table = time_embedding(np.arange(1, schedule.T + 1), cfg.time_embed)
     rows = min(cfg.batch, m)
-    ws = Workspace(net, rows)
+    ws = Workspace(net, rows, steps=schedule.T)
     grad_chunks = chunks(ws.grad)
-    x0, eps = np.empty((rows, n)), np.empty((rows, n))
-    for _ in range(cfg.steps):
+    x0, eps, blend = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
+    emb = np.empty((rows, cfg.time_embed))
+
+    def step() -> None:
         # mode="clip" leaves these in-range indices alone and writes straight
-        # into `out`, which the default mode would buffer.
+        # into `out`, which the default mode would buffer; `take` into the
+        # column block ws.emb would also go through a copy.
         data.take(picker.integers(0, m, size=rows), axis=0, out=x0, mode="clip")
         s = steps_rng.integers(1, schedule.T + 1, size=rows) - 1
-        table.take(s, axis=0, out=ws.emb, mode="clip")
+        ws.table.take(s, axis=0, out=emb, mode="clip")
+        ws.emb[...] = emb
         noiser.standard_normal(out=eps)
-        # x_t = sqrt(a_t) x0 + sqrt(1 - a_t) eps, into the workspace input.
-        x0 *= root_a[s, None]
-        np.multiply(root_one_minus_a[s, None], eps, out=ws.x)
-        ws.x += x0
+        # x_t = sqrt(a_t) x0 + sqrt(1 - a_t) eps, copied into the workspace
+        # input. A ufunc that broadcasts a column, or writes into the column
+        # block ws.x, costs a 64 KiB iterator buffer per operand, so each
+        # column of factors is tiled into `blend` and the sum formed there.
+        np.copyto(blend, root_a[s, None])
+        np.multiply(x0, blend, out=x0)
+        np.copyto(blend, root_one_minus_a[s, None])
+        np.multiply(blend, eps, out=blend)
+        np.add(blend, x0, out=blend)
+        ws.x[...] = blend
         net.mse_grads(None, eps, ws=ws)
         opt.step(grad_chunks)
-    net.require_finite(f"denoiser training ({cfg.steps} steps, lr={cfg.lr})")
-    return Denoiser(net, schedule)
+
+    return net, step
 
 
 def denoising_loss(denoiser: Denoiser, x0: Array, t, eps: Array) -> float:

@@ -19,6 +19,15 @@ the bits of k successive draws of n, and each row's trajectory hash takes a
 block of iterates in one update, since SHA-256 of concatenated bytes does not
 depend on how they are split. So the noise and the hashes are those of a
 step-by-step loop; the finiteness check and `record_trajectory` stay per step.
+
+The loop allocates its arrays once per repair: the denoiser forward runs in a
+`tensor.Workspace` of the batch height (without the parameter gradient that
+training needs), with the step embeddings from its table, and the iterate,
+the posterior mean and the noised target each have one buffer, as does each
+stream's noise. Every in-place update keeps the operation order of the
+expression it replaces, so the bits are those of the allocating loop. The
+per-row guidance operands are gathered again only when the set of guided rows
+changes, which happens at most once: when a ramp that starts at 0 reaches t=1.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .properties import (
     losses_from_metrics,
     scored_metrics,
 )
-from .tensor import Array, stream
+from .tensor import Array, Workspace, stream
 
 INFILL_MODES = ("level-matched", "paper-literal")
 # Reverse steps whose noise is drawn, and whose iterates are hashed, per call.
@@ -118,7 +127,7 @@ class RepairResult:
     def as_dict(self) -> dict:
         """The deterministic fields; the measured `seconds` is left out."""
         return {
-            "x_fix": [float(v) for v in self.x_fix],
+            "x_fix": self.x_fix.tolist(),
             "losses": self.loss.as_dict(),
             "metrics": self.metrics.as_dict(),
             "seed": self.seed,
@@ -142,14 +151,17 @@ class RepairRow:
 
 def _noise_steps(generators, n: int, steps: int, owner: Array):
     """Yield `steps` successive (rows, n) noise draws, row r from generator
-    owner[r]; each generator draws `BLOCK` steps of noise per call."""
+    owner[r]; each generator draws `BLOCK` steps of noise per call. Every
+    draw is yielded in the same buffer, which the caller may overwrite."""
     block = np.empty((len(generators), BLOCK, n))
+    step = np.empty((owner.size, n))
     for start in range(0, steps, BLOCK):
         k = min(BLOCK, steps - start)
         for g, out in zip(generators, block):
             g.standard_normal(out=out[:k])
         for j in range(k):
-            yield block[owner, j]
+            # mode="clip" writes straight into `step`; the owners are in range.
+            yield block[:, j].take(owner, axis=0, out=step, mode="clip")
 
 
 class _TrajectoryHashes:
@@ -214,7 +226,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     beta_bad = detector.beta_value(x_bad)
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
-    # Per-row guidance operands, gathered for the rows guided at each step.
+    # Per-row guidance operands, gathered again only when the guided rows change.
     operands = (
         x_bad, omega, omega_bar, s_om_bad, s_ob_bad,
         column([row.cfg.tol.delta4 for row in rows]),
@@ -232,37 +244,53 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
 
     hashes = _TrajectoryHashes(len(rows), n)
     steps = [[] if row.cfg.record_trajectory else None for row in rows]
+    recorded = [(r, trajectory) for r, trajectory in enumerate(steps) if trajectory is not None]
 
     root_a = np.sqrt(schedule.a)
     root_rem = np.sqrt(1.0 - schedule.a)
+    # Each in-place update below keeps the operation order of its expression,
+    # so the bits match it: xhat = mu + sigma_t z, x_bad_level = sqrt(a_l)
+    # x_bad + sqrt(1 - a_l) eps and x = omega_bar x_bad_level + omega xhat.
+    ws = Workspace(denoiser.net, len(rows), steps=schedule.T, grads=False)
+    xhat, level_buf = np.empty_like(x_bad), np.empty_like(x_bad)
+    guided, gathered = np.empty(0, dtype=np.intp), ()
     # Divergence is reported by the explicit check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         started = time.perf_counter()
         x = init[owner]
         hashes.add(x)
         for t in range(schedule.T, 0, -1):
-            xhat = predict_mu(denoiser, x, t)
+            predict_mu(denoiser, x, t, ws=ws, out=xhat)
             if t > 1:
-                xhat = xhat + schedule.sigma[t - 1] * next(zs)
+                z = next(zs)
+                z *= schedule.sigma[t - 1]
+                xhat += z
             eta_t = eta[:, t - 1]
             sel = np.flatnonzero(eta_t)
+            if not np.array_equal(sel, guided):
+                guided, gathered = sel, tuple(a[sel] for a in operands)
             if sel.size:
-                xhat[sel] = xhat[sel] - eta_t[sel, None] * guide(x[sel], *(a[sel] for a in operands))
+                grad = guide(x[sel], *gathered)
+                grad *= eta_t[sel, None]
+                xhat[sel] = np.subtract(xhat[sel], grad, out=grad)
             eps_t = next(es)
             level = t - 1 if level_matched else t
             if level == 0:
                 x_bad_level = x_bad
             else:
-                x_bad_level = root_a[level - 1] * x_bad + root_rem[level - 1] * eps_t
-            x = omega_bar * x_bad_level + omega * xhat
+                x_bad_level = np.multiply(root_a[level - 1], x_bad, out=level_buf)
+                eps_t *= root_rem[level - 1]
+                x_bad_level += eps_t
+            np.multiply(omega_bar, x_bad_level, out=x)
+            xhat *= omega
+            x += xhat
             finite = np.isfinite(x).all(axis=1)
             if not finite.all():
                 tag = rows[int(np.argmin(finite))].cfg.stream_tag
                 raise ValueError(f"repair {tag}: iterate became non-finite at step t={t}")
             hashes.add(x)
-            for r, trajectory in enumerate(steps):
-                if trajectory is not None:
-                    trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
+            for r, trajectory in recorded:
+                trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
         digests = hashes.hexdigests()
         seconds = (time.perf_counter() - started) / len(rows)
 

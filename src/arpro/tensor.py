@@ -16,17 +16,19 @@ product with a transposed weight view changes its rounding with the batch
 height while one with a C-contiguous matrix does not, so the input-gradient
 chain multiplies by contiguous copies of the transposed weights.
 
-A third rule is about memory: a training step writes every array it makes
-into buffers allocated once per run. glibc hands a freed array of a batch's
-or a parameter's size back to the kernel, so a fresh temporary on every step
+A third rule is about memory: a training step, and a forward pass run
+many times at one batch height, write every array they make into buffers
+allocated once per run. glibc hands a freed array of a batch's or a
+parameter's size back to the kernel, so a fresh temporary on every step
 faults its pages in again, and the faults cost as much as the arithmetic.
 A `Workspace` holds, for one batch height, the input with its step
 embedding, each layer's activation and activation derivative, the gradient
-chain, and a flat parameter gradient that matches `Mlp.flat`, the one vector
-the weights and biases view. `AdamW` keeps two scratch arrays and updates
-the flat vectors in cache-sized `chunks`. Without a workspace the same code
-allocates its arrays as it goes; inference and the guidance gradient run
-that way.
+chain, a table of the step embeddings, and (for training) a flat parameter
+gradient that matches `Mlp.flat`, the one vector the weights and biases
+view. `AdamW` keeps two scratch arrays and updates the flat vectors in
+cache-sized `chunks`. Training and the repair loop's denoiser forward run in
+a workspace; one-off forward passes, backward passes without one, and the
+guidance gradient allocate their arrays as they go.
 """
 
 from __future__ import annotations
@@ -257,9 +259,29 @@ class Mlp:
                 cache.append((h_in, deriv))
         return h[0] if rows is None else h[:rows]
 
-    def forward_np(self, x: Array, t=None) -> Array:
-        """Forward pass of a vector or a batch."""
-        return self._forward(x, t)
+    def forward_np(self, x: Array, t=None, ws: Workspace | None = None) -> Array:
+        """Forward pass of a vector or a batch.
+
+        With a workspace `ws` of the batch's height, `x` is copied into
+        `ws.x`, the embedding of step `t` comes from `ws.table`, and the pass
+        runs in the workspace's buffers. The result is then a view of them,
+        valid until the workspace is used again.
+        """
+        if ws is None:
+            return self._forward(x, t)
+        if np.shape(x) != ws.x.shape:
+            raise ValueError(f"input shape {np.shape(x)} does not match the workspace's {ws.x.shape}")
+        ws.x[...] = x
+        if self.time_embed is not None:
+            if ws.table is None:
+                raise ValueError("this workspace holds no step-embedding table; make it with `steps`")
+            if t is None:
+                raise ValueError("this network is step-conditioned; a step index is required")
+            index = np.asarray(t) - 1
+            if (index < 0).any() or (index >= len(ws.table)).any():
+                raise ValueError(f"step {t} out of range [1, {len(ws.table)}]")
+            ws.emb[...] = ws.table[index]
+        return self._forward(None, ws=ws)
 
     def backward(
         self,
@@ -318,6 +340,8 @@ class Mlp:
         """
         if ws is not None and not (x is None and t is None and out is None):
             raise ValueError("a workspace step reads its batch from the workspace and writes its gradients there")
+        if ws is not None and ws.grads is None:
+            raise ValueError("this workspace was made without parameter gradients (grads=False)")
         cache: list = []
         y = self._forward(x, t, cache, ws)
         if ws is None:
@@ -333,19 +357,24 @@ class Mlp:
 
 
 class Workspace:
-    """Buffers for training an `Mlp` on batches of `rows` rows, allocated once.
+    """Buffers for running an `Mlp` on batches of `rows` rows, allocated once.
 
     A training loop writes each batch into `x` and, for a step-conditioned
     net, the step embeddings into `emb`, the two column blocks of `input`;
     then ``net.mse_grads(None, target, ws=ws)`` leaves the parameter
     gradients in `grad`, flat like `Mlp.flat`, and in its views `grads`.
-    Each entry of `layers` holds one layer's activation, its activation
+    ``net.forward_np(x, t, ws=ws)`` fills both blocks itself. `table` holds
+    the embeddings of steps 1 to `steps` (None without `steps` or for a net
+    without step conditioning), rows bit-equal to `time_embedding` of each
+    step. Each entry of `layers` holds one layer's activation, its activation
     derivative (None for a linear layer) and the gradient with respect to its
     output, which the forward pass borrows as scratch. A lone row runs as two,
-    like every `Mlp` batch.
+    like every `Mlp` batch. With ``grads=False`` the parameter-sized `grad`
+    (and `grads`) is not allocated and the layers share their buffers: such
+    a workspace runs forward passes only.
     """
 
-    def __init__(self, net: Mlp, rows: int):
+    def __init__(self, net: Mlp, rows: int, *, steps: int | None = None, grads: bool = True):
         if rows < 1:
             raise ValueError(f"a workspace needs at least one row, got {rows}")
         height = max(rows, 2)
@@ -353,13 +382,32 @@ class Workspace:
         self.input = np.empty((height, net.dims[0]))
         self.x = self.input[:rows, : net.in_dim]
         self.emb = self.input[:rows, net.in_dim :]
-        self.layers = [
-            (np.empty((height, width)), None if act == "linear" else np.empty((height, width)),
-             np.empty((height, width)))
-            for width, act in zip(net.dims[1:], net.acts)
-        ]
-        self.grad = np.empty_like(net.flat)
-        self.grads = net.views(self.grad)
+        self.table = None
+        if steps is not None and net.time_embed is not None:
+            self.table = time_embedding(np.arange(1, steps + 1), net.time_embed)
+        if grads:
+            self.layers = [
+                (np.empty((height, width)), None if act == "linear" else np.empty((height, width)),
+                 np.empty((height, width)))
+                for width, act in zip(net.dims[1:], net.acts)
+            ]
+        else:
+            # Without a backward pass, a layer's scratch is read only while
+            # that layer runs and its activation only by the next layer, so
+            # two activation buffers and one scratch pair serve every layer.
+            size = height * max(net.dims[1:])
+            acts, deriv, scratch = (np.empty(size), np.empty(size)), np.empty(size), np.empty(size)
+
+            def shaped(flat: Array, width: int) -> Array:
+                return flat[: height * width].reshape(height, width)
+
+            self.layers = [
+                (shaped(acts[i % 2], width), None if act == "linear" else shaped(deriv, width),
+                 shaped(scratch, width))
+                for i, (width, act) in enumerate(zip(net.dims[1:], net.acts))
+            ]
+        self.grad = np.empty_like(net.flat) if grads else None
+        self.grads = net.views(self.grad) if grads else None
 
 
 # -- optimizer -----------------------------------------------------------------

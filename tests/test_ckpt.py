@@ -1,0 +1,78 @@
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arpro import ckpt
+
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1.0,
+]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+    st.text(alphabet="é€😀\x00\x1f\x7f\"\\/\n\t"),
+)
+float_lists = st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=12)
+values = st.recursive(
+    st.one_of(scalars, float_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def _written(tmp_path, payload) -> bytes:
+    path = tmp_path / "sub" / "payload.json"
+    ckpt.write(path, payload)
+    return path.read_bytes()
+
+
+class TestWrite:
+    """ckpt.write produces exactly json.dumps(payload, indent=1) + "\\n"."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    def test_matches_json_dumps(self, tmp_path_factory, payload):
+        tmp_path = tmp_path_factory.mktemp("write")
+        want = (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+        assert _written(tmp_path, payload) == want
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), "", {"a": {}, "b": [], "c": ()}, [[], [[]], {}],
+        {"x_fix": [0.5, -0.0, 1e16], "nan": [1.0, math.nan], "inf": [math.inf, 2.0], "mixed": [1.5, 2, True, None]},
+        {"n": 3, "big": 2**100, "flag": False, "none": None, "np": np.float64(0.1), "s": "é\x01"},
+        {1: "int key", 2.5: "float key", False: "bool key", None: "none key", math.nan: "nan key"},
+    ])
+    def test_edge_payloads(self, tmp_path, payload):
+        assert _written(tmp_path, payload) == (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("payload", [
+        {"a": {1, 2}},
+        [np.int64(3)],
+        {"a": [1.0, np.float32(2.0)]},
+        [np.bool_(True)],
+        {"a": np.zeros(2)},
+        {(1, 2): "tuple key"},
+        [b"bytes"],
+    ])
+    def test_rejects_what_json_rejects(self, tmp_path, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=1)
+        with pytest.raises(TypeError):
+            ckpt.write(tmp_path / "bad.json", payload)

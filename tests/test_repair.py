@@ -534,6 +534,42 @@ class TestBlockedNoiseAndHashes:
                     assert np.array_equal(level, level_ref) and np.array_equal(x, x_ref)
 
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_guided_set_change_refreshes_gathered_operands(self, mode):
+        # A ramp that starts at 0 is zero at t=1, so rows 0 and 2 leave the
+        # guided set at the last step while rows 1 and 3 stay; every row has
+        # its own target, mask, weights and delta4.
+        T, n = 12, 8
+        g = stream(T, "guided-set-world")
+        train = g.standard_normal((40, n))
+        det = fit_gauss(train)
+        sched = make_schedule(T)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), sched)
+        rows = []
+        for i, eta_start in enumerate((0.0, 0.02, 0.0, 0.01)):
+            x_bad = train[i] + g.normal(0.0, 2.0, size=n)
+            omega = (g.random(n) < 0.5).astype(np.float64)
+            omega[i] = 1.0
+            cfg = RepairConfig(weights=PropertyWeights(1.0 + i, 0.5 * i, 1.0, 2.0 - 0.5 * i),
+                               tol=Tolerances(delta4=0.1 * i), eta_start=eta_start, eta_end=0.05 + 0.01 * i,
+                               infill_mode=mode, seed=7, stream_tag=f"inst{i}", record_trajectory=i == 2)
+            for guided in (False, True):
+                rows.append(RepairRow(x_bad, omega, cfg, guided=guided))
+        guided_at = [{r for r, row in enumerate(rows) if row.guided
+                      and make_guidance_schedule(T, row.cfg.eta_start, row.cfg.eta_end).eta[t - 1] > 0.0}
+                     for t in (2, 1)]
+        assert guided_at == [{1, 3, 5, 7}, {3, 7}]
+        results = repair_batch(det, den, sched, rows)
+        x_fix, hashes, steps = _step_by_step_repair(det, den, sched, rows)
+        for r, result in enumerate(results):
+            assert np.array_equal(result.x_fix, x_fix[r])
+            assert result.trajectory_hash == hashes[r]
+            assert (result.trajectory is None) == (steps[r] is None)
+            for (t, level, x), (t_ref, level_ref, x_ref) in zip(result.trajectory or (), steps[r] or (), strict=True):
+                assert t == t_ref
+                assert np.array_equal(level, level_ref) and np.array_equal(x, x_ref)
+
+
 class TestFinalIterateBound:
     def test_huge_finite_iterate_raises_with_its_tag(self, small_world):
         det, _, sched, x_bad, omega = small_world

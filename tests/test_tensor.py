@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arpro import ckpt
+from arpro.diffusion import Denoiser, DiffusionTrainConfig, _denoiser_trainer, make_schedule, predict_mu
 from arpro.tensor import CHUNK, AdamW, Mlp, Workspace, chunks, normal, stream, time_embedding
 
 from conftest import central_diff, max_rel_err
@@ -427,6 +428,67 @@ class TestWorkspaceTraining:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_warm_denoiser_training_step_allocates_no_batch_sized_array(self):
+        # The image denoiser's training shape. The x_t blend's column
+        # broadcasts took a 64 KiB ufunc buffer each, and the table lookup
+        # into the column block of the input a 16 KiB copy.
+        data = stream(0, "train-alloc").standard_normal((200, 256))
+        cfg = DiffusionTrainConfig(hidden=(256, 256), time_embed=32, batch=64, steps=2)
+        _, step = _denoiser_trainer(data, make_schedule(100, 1e-3, 0.05), cfg, seed=0)
+        step()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+
+class TestWorkspaceInference:
+    @pytest.mark.parametrize("height", [1, 2, 5])
+    @pytest.mark.parametrize("time_embed", [None, 4])
+    def test_forward_matches_allocating_forward(self, height, time_embed):
+        net = Mlp(5, [7, 6], 5, acts=["silu", "relu", "linear"], time_embed=time_embed, seed=2)
+        ws = Workspace(net, height, steps=9, grads=False)
+        assert ws.grad is None and ws.grads is None
+        g = stream(2, f"inference-{height}-{time_embed}")
+        for t in (9, 4, 1):
+            x = g.standard_normal((height, 5))
+            t_arg = t if time_embed else None
+            got = net.forward_np(x, t_arg, ws=ws)
+            assert np.array_equal(got, net.forward_np(x, t_arg))
+        steps = g.integers(1, 10, size=height)
+        if time_embed:
+            assert np.array_equal(net.forward_np(x, steps, ws=ws), net.forward_np(x, steps))
+
+    def test_predict_mu_in_workspace_matches(self):
+        sched = make_schedule(6)
+        den = Denoiser(Mlp(4, [8], 4, time_embed=4, seed=3), sched)
+        ws = Workspace(den.net, 3, steps=sched.T, grads=False)
+        out = np.empty((3, 4))
+        x = stream(3, "mu-ws").standard_normal((3, 4))
+        for t in range(sched.T, 0, -1):
+            got = predict_mu(den, x, t, ws=ws, out=out)
+            assert got is out
+            assert np.array_equal(got, predict_mu(den, x, t))
+
+    def test_rejects_bad_inputs(self):
+        net = Mlp(3, [4], 3, time_embed=4, seed=0)
+        ws = Workspace(net, 2, steps=5, grads=False)
+        with pytest.raises(ValueError, match="shape"):
+            net.forward_np(np.zeros((3, 3)), 1, ws=ws)
+        for t in (0, 6, None):
+            with pytest.raises(ValueError, match="step"):
+                net.forward_np(np.zeros((2, 3)), t, ws=ws)
+        with pytest.raises(ValueError, match="table"):
+            net.forward_np(np.zeros((2, 3)), 1, ws=Workspace(net, 2, grads=False))
+        ws.x[...] = 0.0
+        ws.emb[...] = 0.0
+        with pytest.raises(ValueError, match="grads=False"):
+            net.mse_grads(None, np.zeros((2, 3)), ws=ws)
 
 
 class TestRandomStreams:
