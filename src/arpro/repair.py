@@ -24,8 +24,8 @@ The loop allocates its arrays once per repair: the denoiser forward runs in a
 `tensor.Workspace` of the batch height (without the parameter gradient that
 training needs), with the step embeddings from its table, and the iterate,
 the posterior mean and the noised target each have one buffer, as does each
-stream's noise. Every in-place update keeps the operation order of the
-expression it replaces, so the bits are those of the allocating loop. The
+stream's noise. Every update runs in place one operation at a time, in the
+order its expression evaluates, so the bits are those of the expression. The
 per-row guidance operands are gathered again only when the set of guided rows
 changes, which happens at most once: when a ramp that starts at 0 reaches t=1.
 """
