@@ -187,6 +187,18 @@ class Mlp:
             for w, a in zip(self.weights, self.acts)
         ]
 
+    def _embedding(self, t, table: Array | None = None) -> Array:
+        """Step embeddings of `t`, computed, or read from `table` (the rows of
+        steps 1 to ``len(table)``) when it is given."""
+        if t is None:
+            raise ValueError("this network is step-conditioned; a step index is required")
+        if table is None:
+            return time_embedding(t, self.time_embed)
+        index = np.asarray(t) - 1
+        if (index < 0).any() or (index >= len(table)).any():
+            raise ValueError(f"step {t} out of range [1, {len(table)}]")
+        return table[index]
+
     def _prepare(self, x, t):
         """Input as a 2-D batch with the step embedding appended, a lone row
         passed in twice; and the caller's row count (None for a vector)."""
@@ -201,9 +213,7 @@ class Mlp:
                 f"input dimension mismatch: expected {self.in_dim}, got {h.shape[1]}"
             )
         if self.time_embed is not None:
-            if t is None:
-                raise ValueError("this network is step-conditioned; a step index is required")
-            emb = time_embedding(t, self.time_embed)
+            emb = self._embedding(t)
             if emb.shape[0] == 1 and h.shape[0] > 1:
                 emb = np.broadcast_to(emb, (h.shape[0], self.time_embed)).copy()
             if emb.shape[0] != h.shape[0]:
@@ -275,12 +285,7 @@ class Mlp:
         if self.time_embed is not None:
             if ws.table is None:
                 raise ValueError("this workspace holds no step-embedding table; make it with `steps`")
-            if t is None:
-                raise ValueError("this network is step-conditioned; a step index is required")
-            index = np.asarray(t) - 1
-            if (index < 0).any() or (index >= len(ws.table)).any():
-                raise ValueError(f"step {t} out of range [1, {len(ws.table)}]")
-            ws.emb[...] = ws.table[index]
+            ws.emb[...] = self._embedding(t, ws.table)
         return self._forward(None, ws=ws)
 
     def backward(
@@ -370,8 +375,8 @@ class Workspace:
     derivative (None for a linear layer) and the gradient with respect to its
     output, which the forward pass borrows as scratch. A lone row runs as two,
     like every `Mlp` batch. With ``grads=False`` the parameter-sized `grad`
-    (and `grads`) is not allocated and the layers share their buffers: such
-    a workspace runs forward passes only.
+    (and `grads`) is not allocated: such a workspace runs forward passes
+    only.
     """
 
     def __init__(self, net: Mlp, rows: int, *, steps: int | None = None, grads: bool = True):
@@ -385,27 +390,11 @@ class Workspace:
         self.table = None
         if steps is not None and net.time_embed is not None:
             self.table = time_embedding(np.arange(1, steps + 1), net.time_embed)
-        if grads:
-            self.layers = [
-                (np.empty((height, width)), None if act == "linear" else np.empty((height, width)),
-                 np.empty((height, width)))
-                for width, act in zip(net.dims[1:], net.acts)
-            ]
-        else:
-            # Without a backward pass, a layer's scratch is read only while
-            # that layer runs and its activation only by the next layer, so
-            # two activation buffers and one scratch pair serve every layer.
-            size = height * max(net.dims[1:])
-            acts, deriv, scratch = (np.empty(size), np.empty(size)), np.empty(size), np.empty(size)
-
-            def shaped(flat: Array, width: int) -> Array:
-                return flat[: height * width].reshape(height, width)
-
-            self.layers = [
-                (shaped(acts[i % 2], width), None if act == "linear" else shaped(deriv, width),
-                 shaped(scratch, width))
-                for i, (width, act) in enumerate(zip(net.dims[1:], net.acts))
-            ]
+        self.layers = [
+            (np.empty((height, width)), None if act == "linear" else np.empty((height, width)),
+             np.empty((height, width)))
+            for width, act in zip(net.dims[1:], net.acts)
+        ]
         self.grad = np.empty_like(net.flat) if grads else None
         self.grads = net.views(self.grad) if grads else None
 
