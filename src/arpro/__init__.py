@@ -11,7 +11,7 @@ from .detector import (
     fit_recon,
 )
 from .diffusion import Denoiser, NoiseSchedule, ancestral_sample, forward_noise, make_schedule, predict_mu, train_denoiser
-from .harness import AggregateReport, ExperimentConfig, aggregate_delta, ablation_sweep, run_experiment, tnr_report, write_report
+from .harness import AggregateReport, ExperimentConfig, aggregate_delta, ablation_sweep, run_experiment, write_report
 from .properties import (
     LossBreakdown,
     MetricsRecord,

@@ -133,14 +133,24 @@ def _encode(value, level: int) -> Iterator[str]:
     yield "\n" + " " * level + "]"
 
 
+def read_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`. Malformed JSON, or JSON that is
+    not an object, raises ValueError naming the file as `what` and `path`."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return payload
+
+
 def read(path, expected_kind: str | None = None) -> dict:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: checkpoint must hold a JSON object")
+    payload = read_object(path, "checkpoint")
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {payload.get('schema')!r}")
     if expected_kind is not None and payload.get("kind") != expected_kind:

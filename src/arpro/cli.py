@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -97,17 +96,9 @@ def _repair_flags(p) -> None:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    file = Path(path)
-    if not file.is_file():
-        raise CliError(f"config file not found: {file}")
-    try:
-        with file.open("r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed config {file}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CliError(f"config {file} must hold a JSON object")
-    return payload
+    if not Path(path).is_file():
+        raise CliError(f"config file not found: {path}")
+    return ckpt.read_object(path, "config")
 
 
 def _collect_overrides(args) -> dict:
@@ -176,6 +167,17 @@ def _require_file(path: str | None, what: str) -> str | None:
     return path
 
 
+def _load_models(args):
+    """The detector and denoiser checkpoints that --detector and --denoiser
+    name, None for a flag not given."""
+    detector = denoiser = None
+    if args.detector is not None:
+        detector = load_detector(_require_file(args.detector, "detector"))
+    if args.denoiser is not None:
+        denoiser = _load_denoiser(args.denoiser, args.std_mode)
+    return detector, denoiser
+
+
 def _load_denoiser(path: str, std_mode: str | None) -> Denoiser:
     """Load a denoiser; --std-mode overrides the checkpoint's sampling std."""
     denoiser = Denoiser.load(_require_file(path, "denoiser"))
@@ -194,19 +196,10 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _fit_scaled_train(cfg: ExperimentConfig, dataset):
-    from .data import fit_scaler
-
-    if cfg.normalize:
-        return fit_scaler(dataset.train).apply(dataset.train)
-    return dataset.train
-
-
 def _cmd_train_detector(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     det_cfg = cfg.detector if args.kind is None else dataclasses.replace(cfg.detector, kind=args.kind)
-    dataset = _load_dataset(args.input)
-    train = _fit_scaled_train(cfg, dataset)
+    _, train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
     detector = det_cfg.fit(train, seed=cfg.seed)
     out = Path(args.out) / "detector.json"
     detector.save(out)
@@ -216,8 +209,7 @@ def _cmd_train_detector(args) -> int:
 
 def _cmd_train_diffusion(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
-    dataset = _load_dataset(args.input)
-    train = _fit_scaled_train(cfg, dataset)
+    _, train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
     denoiser = cfg.diffusion.train(train, seed=cfg.seed)
     out = Path(args.out) / "denoiser.json"
     denoiser.save(out)
@@ -228,8 +220,7 @@ def _cmd_train_diffusion(args) -> int:
 def _cmd_repair(args) -> int:
     cfg, overrides = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector = load_detector(_require_file(args.detector, "detector"))
-    denoiser = _load_denoiser(args.denoiser, args.std_mode)
+    detector, denoiser = _load_models(args)
     arm = "guided" if args.guided else "baseline"
     pipe, results = harness.run_single_arm(cfg, arm, dataset=dataset, detector=detector, denoiser=denoiser)
 
@@ -246,13 +237,7 @@ def _cmd_repair(args) -> int:
         ],
     }
     ckpt.write(out_dir / "repairs.json", payload)
-    ckpt.write(
-        out_dir / "timings.json",
-        {
-            "note": "measured wall-clock timing; not byte-reproducible across runs",
-            "wall_clock": harness.repair_timing(result for _, result in results),
-        },
-    )
+    harness.write_timings(out_dir, harness.repair_timing(result for _, result in results))
     print(f"repaired {len(results)} instances ({arm}) -> {out_dir / 'repairs.json'}")
     return 0
 
@@ -261,11 +246,7 @@ def _cmd_evaluate(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg, overrides = _experiment_config(args, file_cfg)
     dataset = _load_dataset(args.input)
-    detector = denoiser = None
-    if args.detector is not None:
-        detector = load_detector(_require_file(args.detector, "detector"))
-    if args.denoiser is not None:
-        denoiser = _load_denoiser(args.denoiser, args.std_mode)
+    detector, denoiser = _load_models(args)
     report = harness.run_experiment(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
     report.provenance = {"config_file": file_cfg or None, "overrides": overrides}
     paths = harness.write_report(report, args.out)
@@ -287,11 +268,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector = denoiser = None
-    if args.detector is not None:
-        detector = load_detector(_require_file(args.detector, "detector"))
-    if args.denoiser is not None:
-        denoiser = _load_denoiser(args.denoiser, args.std_mode)
+    detector, denoiser = _load_models(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:

@@ -10,7 +10,6 @@ mask. Datasets round-trip through a CSV directory layout with a meta file.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -441,8 +440,7 @@ def load_csv_dataset(directory) -> Dataset:
     meta_path = directory / "meta.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"missing dataset file: {meta_path}")
-    with meta_path.open("r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = ckpt.read_object(meta_path, "dataset metadata")
     if meta.get("schema") != DATASET_SCHEMA:
         raise ValueError(f"{meta_path}: expected schema {DATASET_SCHEMA!r}, got {meta.get('schema')!r}")
 

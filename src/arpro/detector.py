@@ -86,12 +86,17 @@ class _DetectorBase:
     n: int
 
     def alpha(self, x: Array) -> Array:
-        return self.alpha_with_vjp(_check_input(x, self.n))[0]
+        return self._alpha(_check_input(x, self.n))
 
     def alpha_batch(self, data: Array) -> Array:
         """alpha of each row of a batch; a row gets the same bits as `alpha`
         of that row alone."""
-        return self.alpha_with_vjp(_check_batch(data, self.n, "batch"))[0]
+        return self._alpha(_check_batch(data, self.n, "batch"))
+
+    def _alpha(self, x: Array) -> Array:
+        """alpha of a validated vector or batch of rows, bit-equal to
+        `alpha_with_vjp`'s; a subclass may skip what only the vjp needs."""
+        return self.alpha_with_vjp(x)[0]
 
     def alpha_with_vjp(self, x: Array):
         """alpha of a validated vector or batch of rows, and its
@@ -191,9 +196,14 @@ class ReconDetector(_DetectorBase):
         self.net = net
         self.n = net.in_dim
 
+    def _alpha(self, x: Array) -> Array:
+        r = self.net._one_off_forward(x) - x
+        return r * r
+
     def alpha_with_vjp(self, x: Array):
-        cache: list = []
-        r = self.net._forward(x, None, cache) - x
+        ws = Workspace(self.net, len(x) if x.ndim == 2 else 1)
+        ws.x[...] = x
+        r = self.net._forward(ws, derivs=True).reshape(x.shape) - x
 
         def vjp(g_alpha, acc=None):
             # alpha = r*r with r = f(x) - x. The residual's own -g_r term is
@@ -201,7 +211,7 @@ class ReconDetector(_DetectorBase):
             # rounding of the sum.
             g_r = g_alpha * 2.0 * r
             g = -g_r if acc is None else acc - g_r
-            return g + self.net.backward(cache, g_r, want_input=True)[1]
+            return g + self.net.input_grad(ws, g_r).reshape(x.shape)
 
         return r * r, vjp
 
@@ -254,12 +264,13 @@ def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> Reco
     picker = stream(seed, "recon-batch")
     m = data.shape[0]
     ws = Workspace(net, min(cfg.batch, m))
-    grad_chunks = chunks(ws.grad)
+    grad = np.empty_like(net.flat)
+    grads, grad_chunks = net.views(grad), chunks(grad)
     for _ in range(cfg.steps):
         # mode="clip" leaves these in-range indices alone and writes straight
         # into `out`, which the default mode would buffer.
         data.take(picker.integers(0, m, size=ws.rows), axis=0, out=ws.x, mode="clip")
-        net.mse_grads(None, ws.x, ws=ws)
+        net.mse_grads(ws, ws.x, grads)
         opt.step(grad_chunks)
     net.require_finite(f"autoencoder training ({cfg.steps} steps, lr={cfg.lr})")
     return ReconDetector(net)

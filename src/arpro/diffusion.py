@@ -198,7 +198,8 @@ def _denoiser_trainer(normal_data, schedule: NoiseSchedule, cfg: DiffusionTrainC
     root_one_minus_a = np.sqrt(1.0 - schedule.a)
     rows = min(cfg.batch, m)
     ws = Workspace(net, rows, steps=schedule.T)
-    grad_chunks = chunks(ws.grad)
+    grad = np.empty_like(net.flat)
+    grads, grad_chunks = net.views(grad), chunks(grad)
     x0, eps, blend = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
     emb = np.empty((rows, cfg.time_embed))
 
@@ -221,7 +222,7 @@ def _denoiser_trainer(normal_data, schedule: NoiseSchedule, cfg: DiffusionTrainC
         np.multiply(blend, eps, out=blend)
         np.add(blend, x0, out=blend)
         ws.x[...] = blend
-        net.mse_grads(None, eps, ws=ws)
+        net.mse_grads(ws, eps, grads)
         opt.step(grad_chunks)
 
     return net, step

@@ -323,9 +323,7 @@ def prepare_pipeline(
     """Fit models, calibrate thresholds, and select anomalous test instances."""
     if dataset is None:
         dataset = cfg.data.generate(cfg.seed)
-    scaler = fit_scaler(dataset.train) if cfg.normalize else None
-    train = scaler.apply(dataset.train) if scaler else dataset.train
-    test = scaler.apply(dataset.test) if scaler else dataset.test
+    scaler, train, test = scaled_splits(cfg, dataset)
 
     if detector is None:
         detector = cfg.detector.fit(train, seed=cfg.seed)
@@ -359,6 +357,15 @@ def prepare_pipeline(
     )
 
 
+def scaled_splits(cfg: ExperimentConfig, dataset: Dataset) -> tuple[Scaler | None, np.ndarray, np.ndarray]:
+    """The scaler fitted on the training split (None unless `cfg.normalize`)
+    and the training and test splits it scales."""
+    if not cfg.normalize:
+        return None, dataset.train, dataset.test
+    scaler = fit_scaler(dataset.train)
+    return scaler, scaler.apply(dataset.train), scaler.apply(dataset.test)
+
+
 def _totals(detector, data: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Total score of each row of `data` from its alpha rows; a per-row beta
     column adds row by row."""
@@ -380,7 +387,6 @@ class AggregateReport:
     records: list[InstanceRecord]
     medians: dict
     delta_percent: dict
-    tnr_threshold: float
     tnr_baseline: float
     tnr_guided: float
     satisfaction_delta2: float
@@ -409,7 +415,7 @@ class AggregateReport:
             "medians": self.medians,
             "delta_percent": self.delta_percent,
             "tnr": {
-                "threshold": self.tnr_threshold,
+                "threshold": self.conformal_score_threshold,
                 "baseline": self.tnr_baseline,
                 "guided": self.tnr_guided,
             },
@@ -432,22 +438,6 @@ def aggregate_delta(baseline, guided) -> float:
         100.0 * (b - g) / max(abs(b), DELTA_DENOM_FLOOR) for b, g in zip(baseline, guided)
     ]
     return float(np.median(pairs))
-
-
-def tnr_report(train_totals, repair_totals: dict, confidence: float) -> dict:
-    """Conformal threshold from the training totals and per-arm TNR of the
-    repairs' total scores (their `m_s`)."""
-    train_totals = np.asarray(train_totals, dtype=np.float64)
-    if train_totals.size == 0 or not repair_totals:
-        raise ValueError("tnr_report needs training totals and at least one repair arm")
-    threshold = conformal_threshold(train_totals, confidence)
-    out = {"threshold": threshold}
-    for arm, totals in repair_totals.items():
-        totals = list(totals)
-        if not totals:
-            raise ValueError(f"no repairs in arm {arm!r}")
-        out[f"tnr_{arm}"] = tnr(totals, threshold)
-    return out
 
 
 def repair_timing(results) -> dict:
@@ -502,10 +492,6 @@ def run_experiment(
         for name in METRIC_NAMES
     }
 
-    tnr_info = tnr_report(
-        pipe.train_totals, {arm: metric_lists[arm]["m_s"] for arm in ("baseline", "guided")}, cfg.confidence
-    )
-
     delta2 = cfg.repair.delta2
     if delta2 is None:
         delta2 = max(float(np.percentile([r.baseline.loss.l2 for r in records], 95)), DELTA_DENOM_FLOOR)
@@ -520,9 +506,8 @@ def run_experiment(
         records=records,
         medians=medians,
         delta_percent=delta,
-        tnr_threshold=tnr_info["threshold"],
-        tnr_baseline=tnr_info["tnr_baseline"],
-        tnr_guided=tnr_info["tnr_guided"],
+        tnr_baseline=tnr(metric_lists["baseline"]["m_s"], pipe.score_threshold),
+        tnr_guided=tnr(metric_lists["guided"]["m_s"], pipe.score_threshold),
         satisfaction_delta2=delta2,
         satisfaction_baseline=sat_baseline,
         satisfaction_guided=sat_guided,
@@ -640,26 +625,27 @@ def write_report(report: AggregateReport, directory) -> dict:
                 ]
             )
         writer.writerow(["tnr", repr(report.tnr_baseline), repr(report.tnr_guided), ""])
-        writer.writerow(["tnr_threshold", repr(report.tnr_threshold), "", ""])
+        writer.writerow(["tnr_threshold", repr(report.conformal_score_threshold), "", ""])
         writer.writerow(
             ["satisfaction_rate", repr(report.satisfaction_baseline), repr(report.satisfaction_guided), ""]
         )
         writer.writerow(["satisfaction_delta2", repr(report.satisfaction_delta2), "", ""])
 
-    timings_path = directory / "timings.json"
-    ckpt.write(
-        timings_path,
-        {
-            "note": "measured wall-clock timing; not byte-reproducible across runs",
-            "wall_clock": report.wall_clock,
-        },
-    )
     return {
         "report": report_path,
         "summary": summary_path,
         "aggregates": aggregates_path,
-        "timings": timings_path,
+        "timings": write_timings(directory, report.wall_clock),
     }
+
+
+def write_timings(directory, wall_clock: dict) -> Path:
+    """Write timings.json, the one output that holds measured wall-clock
+    time (see `repair_timing`)."""
+    path = Path(directory) / "timings.json"
+    ckpt.write(path, {"note": "measured wall-clock timing; not byte-reproducible across runs",
+                      "wall_clock": wall_clock})
+    return path
 
 
 def timeseries_benchmark_config(seed: int = 0, n_instances: int = 50) -> ExperimentConfig:

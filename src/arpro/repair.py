@@ -21,10 +21,9 @@ depend on how they are split. So the noise and the hashes are those of a
 step-by-step loop; the finiteness check and `record_trajectory` stay per step.
 
 The loop allocates its arrays once per repair: the denoiser forward runs in a
-`tensor.Workspace` of the batch height (without the parameter gradient that
-training needs), with the step embeddings from its table, and the iterate,
-the posterior mean and the noised target each have one buffer, as does each
-stream's noise. Every update runs in place one operation at a time, in the
+`tensor.Workspace` of the batch height, with the step embeddings from its
+table, and the iterate, the posterior mean and the noised target each have
+one buffer, as does each stream's noise. Every update runs in place one operation at a time, in the
 order its expression evaluates, so the bits are those of the expression. The
 per-row guidance operands are gathered again only when the set of guided rows
 changes, which happens at most once: when a ramp that starts at 0 reaches t=1.
@@ -251,7 +250,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     # Each in-place update below keeps the operation order of its expression,
     # so the bits match it: xhat = mu + sigma_t z, x_bad_level = sqrt(a_l)
     # x_bad + sqrt(1 - a_l) eps and x = omega_bar x_bad_level + omega xhat.
-    ws = Workspace(denoiser.net, len(rows), steps=schedule.T, grads=False)
+    ws = Workspace(denoiser.net, len(rows), steps=schedule.T)
     xhat, level_buf = np.empty_like(x_bad), np.empty_like(x_bad)
     guided, gathered = np.empty(0, dtype=np.intp), ()
     # Divergence is reported by the explicit check below, not by numpy warnings.

@@ -2,11 +2,11 @@
 random streams.
 
 Everything downstream runs on this module. Parameters are float64 arrays,
-views of one flat vector per network; `Mlp.backward` is the closed-form
-vector-Jacobian product of the forward pass, which is all the training losses
-and guidance gradients need. Randomness comes from counter-based streams
-addressed by an explicit (seed, name) pair, which keeps paired experiment arms
-and re-runs bit-reproducible.
+views of one flat vector per network; `Mlp.backward` and `Mlp.input_grad` are
+the closed-form vector-Jacobian products of the forward pass, which is all
+the training losses and guidance gradients need. Randomness comes from
+counter-based streams addressed by an explicit (seed, name) pair, which keeps
+paired experiment arms and re-runs bit-reproducible.
 
 `Mlp` gives each row of a batch the same bits whatever the batch height, by
 two rules about BLAS. A one-row product goes to gemv, which rounds
@@ -16,19 +16,16 @@ product with a transposed weight view changes its rounding with the batch
 height while one with a C-contiguous matrix does not, so the input-gradient
 chain multiplies by contiguous copies of the transposed weights.
 
-A third rule is about memory: a training step, and a forward pass run
-many times at one batch height, write every array they make into buffers
-allocated once per run. glibc hands a freed array of a batch's or a
+A third rule is about memory: every pass runs in a `Workspace`, the buffers
+of one batch height, which a training or repair loop allocates once and
+reuses at every step. glibc hands a freed array of a batch's or a
 parameter's size back to the kernel, so a fresh temporary on every step
 faults its pages in again, and the faults cost as much as the arithmetic.
-A `Workspace` holds, for one batch height, the input with its step
-embedding, each layer's activation and activation derivative, the gradient
-chain, a table of the step embeddings, and (for training) a flat parameter
-gradient that matches `Mlp.flat`, the one vector the weights and biases
-view. `AdamW` keeps two scratch arrays and updates the flat vectors in
-cache-sized `chunks`. Training and the repair loop's denoiser forward run in
-a workspace; one-off forward passes, backward passes without one, and the
-guidance gradient allocate their arrays as they go.
+The training loop owns the flat parameter gradient that matches `Mlp.flat`,
+the one vector the weights and biases view; `AdamW` keeps two scratch arrays
+and updates the flat vectors in cache-sized `chunks`. A one-off forward pass
+runs `ONE_OFF_ROWS` rows at a time through a workspace of its own, and the
+guidance gradient allocates its other arrays as it goes.
 """
 
 from __future__ import annotations
@@ -47,6 +44,11 @@ ACTIVATIONS = ("linear", "relu", "silu")
 # update passes over (parameter, gradient, two moments, two scratch) fit a
 # 2 MiB L2 cache.
 CHUNK = 32768
+
+# A forward pass without a workspace runs this many rows at a time, so it
+# holds one workspace of this height rather than every layer's buffers for
+# the whole batch; a row's bits do not depend on its batch height.
+ONE_OFF_ROWS = 64
 
 
 def _sigmoid(x: Array, out: Array | None = None, scratch: Array | None = None) -> Array:
@@ -199,86 +201,17 @@ class Mlp:
             raise ValueError(f"step {t} out of range [1, {len(table)}]")
         return table[index]
 
-    def _prepare(self, x, t):
-        """Input as a 2-D batch with the step embedding appended, a lone row
-        passed in twice; and the caller's row count (None for a vector)."""
-        h = np.asarray(x, dtype=np.float64)
-        rows = h.shape[0] if h.ndim == 2 else None
-        if h.ndim == 1:
-            h = h.reshape(1, h.shape[0])
-        elif h.ndim != 2:
-            raise ValueError(f"expected a vector or a batch, got shape {h.shape}")
-        if h.shape[1] != self.in_dim:
-            raise ValueError(
-                f"input dimension mismatch: expected {self.in_dim}, got {h.shape[1]}"
-            )
-        if self.time_embed is not None:
-            emb = self._embedding(t)
-            if emb.shape[0] == 1 and h.shape[0] > 1:
-                emb = np.broadcast_to(emb, (h.shape[0], self.time_embed)).copy()
-            if emb.shape[0] != h.shape[0]:
-                raise ValueError(
-                    f"step batch {emb.shape[0]} does not match input batch {h.shape[0]}"
-                )
-            h = np.concatenate([h, emb], axis=1)
-        if h.shape[0] == 1:
-            h = np.repeat(h, 2, axis=0)
-        return h, rows
-
-    def _forward(self, x, t=None, cache: list | None = None, ws: Workspace | None = None) -> Array:
-        """Forward pass; with `cache`, append each layer's input and activation
-        derivative (None for linear layers) for `backward`.
-
-        With a workspace `ws` the batch is the one its caller wrote into
-        `ws.x` and `ws.emb` (`x` and `t` are not read), and every array goes
-        into its buffers.
-        """
-        if ws is None:
-            h, rows = self._prepare(x, t)
-        else:
-            h, rows = ws.input, ws.rows
-            if rows == 1:
-                h[1] = h[0]
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.acts)):
-            z, d, scratch = (None, None, None) if ws is None else ws.layers[i]
-            h_in = h
-            h = np.matmul(h, w, out=z)
-            if scratch is not None:
-                # Adding the bias tiled into rows, not broadcast, spares the
-                # ufunc a 64 KiB iterator buffer on every call.
-                np.copyto(scratch, b)
-                b = scratch
-            h += b
-            deriv = None
-            if act == "relu":
-                if cache is not None:
-                    # A bool derivative (without a workspace) multiplies to the same bits as 0.0/1.0.
-                    deriv = np.greater(h, 0.0, out=d)
-                np.maximum(h, 0.0, out=h)
-            elif act == "silu":
-                sig = _sigmoid(h, out=scratch, scratch=d)
-                if cache is not None:
-                    # silu' = sig * (1 + h * (1 - sig)), one operation at a
-                    # time in the order that expression evaluates.
-                    deriv = np.subtract(1.0, sig, out=d)
-                    deriv *= h
-                    deriv += 1.0
-                    deriv *= sig
-                h *= sig
-            if cache is not None:
-                cache.append((h_in, deriv))
-        return h[0] if rows is None else h[:rows]
-
     def forward_np(self, x: Array, t=None, ws: Workspace | None = None) -> Array:
         """Forward pass of a vector or a batch.
 
         With a workspace `ws` of the batch's height, `x` is copied into
         `ws.x`, the embedding of step `t` comes from `ws.table`, and the pass
         runs in the workspace's buffers. The result is then a view of them,
-        valid until the workspace is used again.
+        valid until the workspace is used again. Without one the result is a
+        new array (see `_one_off_forward`).
         """
         if ws is None:
-            return self._forward(x, t)
+            return self._one_off_forward(x, t)
         if np.shape(x) != ws.x.shape:
             raise ValueError(f"input shape {np.shape(x)} does not match the workspace's {ws.x.shape}")
         ws.x[...] = x
@@ -286,100 +219,135 @@ class Mlp:
             if ws.table is None:
                 raise ValueError("this workspace holds no step-embedding table; make it with `steps`")
             ws.emb[...] = self._embedding(t, ws.table)
-        return self._forward(None, ws=ws)
+        return self._forward(ws)
 
-    def backward(
-        self,
-        cache: list,
-        g_out: Array,
-        want_input: bool = False,
-        out: list | None = None,
-        ws: Workspace | None = None,
-    ):
-        """Vector-Jacobian product of a `_forward` pass that filled `cache`.
+    def _one_off_forward(self, x, t=None) -> Array:
+        """Forward pass of a vector or a batch at steps `t` (one step for
+        every row, or one per row), run `ONE_OFF_ROWS` rows at a time in a
+        workspace of its own; returns a new array."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2):
+            raise ValueError(f"expected a vector or a batch, got shape {x.shape}")
+        batch = x.reshape(-1, x.shape[-1])
+        if batch.shape[1] != self.in_dim:
+            raise ValueError(f"input dimension mismatch: expected {self.in_dim}, got {batch.shape[1]}")
+        emb = None
+        if self.time_embed is not None:
+            emb = self._embedding(t)
+            if emb.shape[0] == 1 and len(batch) > 1:
+                emb = np.broadcast_to(emb, (len(batch), self.time_embed))
+            if emb.shape[0] != len(batch):
+                raise ValueError(f"step batch {emb.shape[0]} does not match input batch {len(batch)}")
+        out = np.empty((len(batch), self.out_dim))
+        ws = None
+        for start in range(0, len(batch), ONE_OFF_ROWS):
+            stop = min(start + ONE_OFF_ROWS, len(batch))
+            if ws is None or ws.rows != stop - start:
+                ws = Workspace(self, stop - start)
+            ws.x[...] = batch[start:stop]
+            if emb is not None:
+                ws.emb[...] = emb[start:stop]
+            out[start:stop] = self._forward(ws)
+        return out[0] if x.ndim == 1 else out
 
-        Returns ``(param_grads, None)``: the gradients of
-        ``sum(g_out * output)`` with respect to the parameters, in
-        `parameters()` order, written into `out` (arrays shaped like
-        `parameters()`) when it is given and returned as that same list. With
-        `want_input` it returns ``(None, input_grad)`` instead, the gradient
-        with respect to the input (same shape as the input), and computes no
-        parameter gradient. With the workspace of the forward pass the
-        gradient chain runs in its buffers.
+    def _forward(self, ws: Workspace, derivs: bool = False) -> Array:
+        """Forward pass of the batch its caller wrote into `ws.x` and
+        `ws.emb`, every array in the workspace's buffers; returns a view of
+        the output rows. With `derivs` each layer's activation derivative is
+        kept there too, for `backward` and `input_grad`."""
+        h = ws.input
+        if ws.rows == 1:
+            h[1] = h[0]
+        for (z, d, scratch), w, b, act in zip(ws.layers, self.weights, self.biases, self.acts):
+            h = np.matmul(h, w, out=z)
+            # Adding the bias tiled into rows, not broadcast, spares the ufunc
+            # a 64 KiB iterator buffer on every call.
+            np.copyto(scratch, b)
+            h += scratch
+            if act == "relu":
+                if derivs:
+                    np.greater(h, 0.0, out=d)
+                np.maximum(h, 0.0, out=h)
+            elif act == "silu":
+                sig = _sigmoid(h, out=scratch, scratch=d)
+                if derivs:
+                    # silu' = sig * (1 + h * (1 - sig)), one operation at a
+                    # time in the order that expression evaluates.
+                    np.subtract(1.0, sig, out=d)
+                    d *= h
+                    d += 1.0
+                    d *= sig
+                h *= sig
+        return h[: ws.rows]
 
-        A lone row's `g_out` gets a zero row to match its doubled forward
-        pass; the zero row adds nothing to the parameter gradients.
-        """
-        g = np.asarray(g_out, dtype=np.float64)
-        rows = g.shape[0] if g.ndim == 2 else None
-        g = g.reshape(-1, g.shape[-1])
-        if g.shape[0] == 1:
-            g = np.concatenate([g, np.zeros_like(g)])
-        if want_input:
-            for (_, deriv), w in zip(reversed(cache), reversed(self.weights)):
-                if deriv is not None:
-                    g = g * deriv
-                g = g @ np.ascontiguousarray(w.T)
-            g_in = g[:, : self.in_dim]
-            return None, g_in[0] if rows is None else g_in[:rows]
-        grads = out if out is not None else [np.empty_like(p) for p in self.parameters()]
+    def _output_grad(self, ws: Workspace, g_out) -> Array:
+        """The last layer's gradient buffer of `ws`, holding `g_out` in its
+        rows and zeros in a lone row's pad, which adds nothing to any
+        gradient."""
+        g = ws.layers[-1][2]
+        np.copyto(g[: ws.rows], g_out)
+        g[ws.rows :] = 0.0
+        return g
+
+    def backward(self, ws: Workspace, g_out: Array, grads: list[Array]) -> list[Array]:
+        """Parameter gradients of ``sum(g_out * output)`` for the pass last
+        run in `ws` with derivatives, written into `grads` (arrays shaped like
+        `parameters()`, such as ``net.views(flat)``) and returned. The
+        gradient chain runs in the workspace's buffers."""
+        g = self._output_grad(ws, g_out)
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in, deriv = cache[i]
-            if deriv is not None:
-                g = np.multiply(g, deriv, out=None if ws is None else ws.layers[i][2])
+            _, d, scratch = ws.layers[i]
+            if d is not None:
+                g = np.multiply(g, d, out=scratch)
             np.sum(g, axis=0, out=grads[2 * i + 1])
+            h_in = ws.input if i == 0 else ws.layers[i - 1][0]
             np.matmul(h_in.T, g, out=grads[2 * i])
             if i > 0:
-                g = np.matmul(g, self.weights[i].T, out=None if ws is None else ws.layers[i - 1][2])
-        return grads, None
+                g = np.matmul(g, self.weights[i].T, out=ws.layers[i - 1][2])
+        return grads
 
-    def mse_grads(
-        self, x, target: Array, t=None, out: list | None = None, ws: Workspace | None = None
-    ) -> list[Array]:
-        """Parameter gradients of mean((forward(x, t) - target)^2), written
-        into `out` when it is given (see `backward`).
+    def input_grad(self, ws: Workspace, g_out: Array) -> Array:
+        """Gradient of ``sum(g_out * output)`` with respect to the input rows
+        `ws.x` of the pass last run in `ws` with derivatives, as a new array;
+        no parameter gradient is formed."""
+        g = self._output_grad(ws, g_out)
+        for i in range(len(self.weights) - 1, -1, -1):
+            _, d, scratch = ws.layers[i]
+            if d is not None:
+                g = np.multiply(g, d, out=scratch)
+            g = np.matmul(g, np.ascontiguousarray(self.weights[i].T), out=ws.layers[i - 1][2] if i else None)
+        return g[: ws.rows, : self.in_dim]
 
-        With a workspace `ws`, `x`, `t` and `out` are None: the batch is the
-        one the caller wrote into `ws.x` and `ws.emb`, every array of the step
-        goes into the workspace, and the gradients into `ws.grads`.
-        """
-        if ws is not None and not (x is None and t is None and out is None):
-            raise ValueError("a workspace step reads its batch from the workspace and writes its gradients there")
-        if ws is not None and ws.grads is None:
-            raise ValueError("this workspace was made without parameter gradients (grads=False)")
-        cache: list = []
-        y = self._forward(x, t, cache, ws)
-        if ws is None:
-            g = np.subtract(y, target)
-            g *= 2.0 / g.size
-        else:
-            g = ws.layers[-1][2]
-            diff = np.subtract(y, target, out=g[: ws.rows])
-            diff *= 2.0 / diff.size
-            g[ws.rows :] = 0.0  # a lone row's zero pad
-            out = ws.grads
-        return self.backward(cache, g, out=out, ws=ws)[0]
+    def mse_grads(self, ws: Workspace, target: Array, grads: list[Array]) -> list[Array]:
+        """Parameter gradients of ``mean((output - target)^2)`` for the batch
+        its caller wrote into `ws.x` and `ws.emb`, written into `grads` and
+        returned (see `backward`); every array of the step goes into the
+        workspace."""
+        y = self._forward(ws, derivs=True)
+        g = ws.layers[-1][2][: ws.rows]
+        np.subtract(y, target, out=g)
+        g *= 2.0 / g.size
+        return self.backward(ws, g, grads)
 
 
 class Workspace:
     """Buffers for running an `Mlp` on batches of `rows` rows, allocated once.
 
-    A training loop writes each batch into `x` and, for a step-conditioned
-    net, the step embeddings into `emb`, the two column blocks of `input`;
-    then ``net.mse_grads(None, target, ws=ws)`` leaves the parameter
-    gradients in `grad`, flat like `Mlp.flat`, and in its views `grads`.
-    ``net.forward_np(x, t, ws=ws)`` fills both blocks itself. `table` holds
-    the embeddings of steps 1 to `steps` (None without `steps` or for a net
-    without step conditioning), rows bit-equal to `time_embedding` of each
-    step. Each entry of `layers` holds one layer's activation, its activation
-    derivative (None for a linear layer) and the gradient with respect to its
-    output, which the forward pass borrows as scratch. A lone row runs as two,
-    like every `Mlp` batch. With ``grads=False`` the parameter-sized `grad`
-    (and `grads`) is not allocated: such a workspace runs forward passes
-    only.
+    Every pass of an `Mlp` runs in one. A training loop writes each batch
+    into `x` and, for a step-conditioned net, the step embeddings into `emb`,
+    the two column blocks of `input`; then ``net.mse_grads(ws, target,
+    grads)`` writes the parameter gradients into `grads`, which the loop
+    owns. ``net.forward_np(x, t, ws=ws)`` fills both blocks itself. `table`
+    holds the embeddings of steps 1 to `steps` (None without `steps` or for a
+    net without step conditioning), rows bit-equal to `time_embedding` of
+    each step. Each entry of `layers` holds one layer's activation, its
+    activation derivative (None for a linear layer) and the gradient with
+    respect to its output, which the forward pass borrows as scratch: the
+    buffers a backward pass reads. A lone row runs as two, like every `Mlp`
+    batch.
     """
 
-    def __init__(self, net: Mlp, rows: int, *, steps: int | None = None, grads: bool = True):
+    def __init__(self, net: Mlp, rows: int, *, steps: int | None = None):
         if rows < 1:
             raise ValueError(f"a workspace needs at least one row, got {rows}")
         height = max(rows, 2)
@@ -395,8 +363,6 @@ class Workspace:
              np.empty((height, width)))
             for width, act in zip(net.dims[1:], net.acts)
         ]
-        self.grad = np.empty_like(net.flat) if grads else None
-        self.grads = net.views(self.grad) if grads else None
 
 
 # -- optimizer -----------------------------------------------------------------

@@ -179,6 +179,38 @@ class TestValidationFailures:
         assert code == 1
         assert "train.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1]", "dataset metadata {} must hold a JSON object"),
+        ('{"schema": 1,', "malformed dataset metadata {}: "),
+    ])
+    def test_bad_meta_json_exits_1_naming_file(self, workspace, tmp_path, capsys, text, message):
+        _, config, data_dir, _ = workspace
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in ("train.csv", "test.csv", "test_labels.csv"):
+            (broken / name).write_bytes((data_dir / name).read_bytes())
+        (broken / "meta.json").write_text(text)
+        code = main(["train-detector", "--input", str(broken), "--seed", "7",
+                     "--config", str(config), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert message.format(broken / "meta.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["detector", "denoiser"])
+    @pytest.mark.parametrize("text,message", [
+        ("[1]", "checkpoint {} must hold a JSON object"),
+        ('{"schema": 1,', "malformed checkpoint {}: "),
+    ])
+    def test_bad_checkpoint_json_exits_1_naming_file(self, workspace, tmp_path, capsys, which, text, message):
+        _, config, data_dir, models = workspace
+        paths = {"detector": models / "detector.json", "denoiser": models / "denoiser.json"}
+        paths[which] = tmp_path / f"broken-{which}.json"
+        paths[which].write_text(text)
+        code = main(["repair", "--input", str(data_dir), "--detector", str(paths["detector"]),
+                     "--denoiser", str(paths["denoiser"]), "--guided", "--seed", "7",
+                     "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert message.format(paths[which]) in capsys.readouterr().err
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gen-data", "--out", "x", "--bogus-flag", "1"]) == 1
         assert "error" in capsys.readouterr().err

@@ -21,12 +21,10 @@ from arpro.harness import (
     run_experiment,
     run_single_arm,
     timeseries_benchmark_config,
-    tnr_report,
     write_ablation,
     write_report,
 )
-from arpro.detector import binarize, fit_gauss
-from arpro.tensor import stream
+from arpro.detector import binarize
 
 
 def tiny_config(seed: int = 0, **repair_kwargs) -> ExperimentConfig:
@@ -71,34 +69,6 @@ class TestAggregateDelta:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="paired"):
             aggregate_delta([1.0], [1.0, 2.0])
-
-
-def totals(det, rows):
-    return np.array([det.score(row).total for row in rows])
-
-
-class TestTnrReport:
-    def test_all_below_threshold(self):
-        g = stream(60, "tnr")
-        train = g.standard_normal((50, 3))
-        det = fit_gauss(train)
-        repairs = {"baseline": totals(det, train[:5]), "guided": totals(det, train[5:10])}
-        out = tnr_report(totals(det, train), repairs, 0.95)
-        assert 0.0 <= out["tnr_baseline"] <= 1.0
-        assert out["threshold"] > 0.0
-
-    def test_infinite_threshold_when_single_score(self):
-        det = fit_gauss(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        out = tnr_report(totals(det, [[0.5, 0.5]]), {"baseline": totals(det, [[9.0, 9.0]])}, 0.95)
-        assert out["threshold"] == float("inf")
-        assert out["tnr_baseline"] == 1.0
-
-    def test_empty_inputs_rejected(self):
-        det = fit_gauss(np.zeros((3, 2)) + 0.5)
-        with pytest.raises(ValueError):
-            tnr_report(totals(det, np.zeros((0, 2))), {"baseline": totals(det, np.zeros((1, 2)))}, 0.95)
-        with pytest.raises(ValueError):
-            tnr_report(totals(det, np.zeros((3, 2))), {"baseline": []}, 0.95)
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,24 @@ import pytest
 
 from arpro import ckpt
 from arpro.diffusion import Denoiser, DiffusionTrainConfig, _denoiser_trainer, make_schedule, predict_mu
-from arpro.tensor import CHUNK, AdamW, Mlp, Workspace, chunks, normal, stream, time_embedding
+from arpro.tensor import CHUNK, ONE_OFF_ROWS, AdamW, Mlp, Workspace, chunks, normal, stream, time_embedding
 
 from conftest import central_diff, max_rel_err
+
+
+def _forward_in(net, x, t=None):
+    """A workspace of the batch `x`'s height after a forward pass of `x` at
+    steps `t` that keeps the derivatives, and the pass's output rows."""
+    ws = Workspace(net, len(x))
+    ws.x[...] = x
+    if net.time_embed:
+        ws.emb[...] = time_embedding(t, net.time_embed)
+    return ws, net._forward(ws, derivs=True)
+
+
+def _grads(net):
+    """Arrays shaped like the net's parameters, viewing one flat vector."""
+    return net.views(np.full_like(net.flat, np.nan))
 
 
 class TestMlp:
@@ -59,11 +74,10 @@ class TestMlp:
         def f(v):
             return float(((net.forward_np(v) - target) ** 2).sum())
 
-        cache = []
-        out = net._forward(x0, None, cache)
-        _, g_in = net.backward(cache, 2.0 * (out - target), want_input=True)
-        assert g_in.shape == x0.shape
-        assert max_rel_err(g_in, central_diff(f, x0)) <= 1e-6
+        ws, out = _forward_in(net, x0[None])
+        g_in = net.input_grad(ws, 2.0 * (out - target))
+        assert g_in.shape == (1, 8)
+        assert max_rel_err(g_in[0], central_diff(f, x0)) <= 1e-6
 
 
 # Every activation kind, with and without the step embedding, for a batch of
@@ -112,10 +126,9 @@ class TestMlpBackward:
         worst = 0.0
         for seed in range(10):
             net, x, t, c = _probe(act, time_embed, height, seed)
-            cache = []
-            net._forward(x, t, cache)
-            grads, g_in = net.backward(cache, c, want_input=True)
-            assert grads is None and g_in.shape == x.shape
+            ws, _ = _forward_in(net, x, t)
+            g_in = net.input_grad(ws, c)
+            assert g_in.shape == x.shape
 
             def f(v):
                 return float((c * net.forward_np(v.reshape(x.shape), t)).sum())
@@ -128,10 +141,10 @@ class TestMlpBackward:
         worst = 0.0
         for seed in range(10):
             net, x, t, c = _probe(act, time_embed, height, seed)
-            cache = []
-            net._forward(x, t, cache)
-            grads, g_in = net.backward(cache, c)
-            assert g_in is None
+            ws, _ = _forward_in(net, x, t)
+            buffers = _grads(net)
+            grads = net.backward(ws, c, buffers)
+            assert grads is buffers
             fds = _param_fd(net, lambda: float((c * net.forward_np(x, t)).sum()))
             for grad, fd in zip(grads, fds, strict=True):
                 assert grad.shape == fd.shape
@@ -145,23 +158,22 @@ class TestMlpBackward:
         c = g.standard_normal((60, 32))
         rows = []
         for height in (2, 5, 13, 38, 60):
-            cache = []
-            net._forward(x[:height], None, cache)
-            rows.append(net.backward(cache, c[:height], want_input=True)[1][:2])
+            ws, _ = _forward_in(net, x[:height])
+            rows.append(net.input_grad(ws, c[:height])[:2])
         for other in rows[1:]:
             assert np.array_equal(other, rows[0])
 
-    def test_vector_input_gives_vector_gradient(self):
+    def test_lone_row_gradient_matches_its_row_in_a_batch(self):
+        # A lone row runs padded to two; its input gradient is that of the
+        # same row in a taller batch.
         net = Mlp(4, [3], 4, seed=2)
-        x = normal(2, "vec", 4)
-        cache = []
-        net._forward(x, None, cache)
-        _, g_in = net.backward(cache, np.ones(4), want_input=True)
-        cache = []
-        net._forward(x.reshape(1, 4), None, cache)
-        _, g_batch = net.backward(cache, np.ones((1, 4)), want_input=True)
-        assert g_in.shape == (4,)
-        assert np.array_equal(g_in, g_batch[0])
+        g = stream(2, "lone")
+        x, c = g.standard_normal((5, 4)), g.standard_normal((5, 4))
+        ws, _ = _forward_in(net, x[:1])
+        g_lone = net.input_grad(ws, c[:1])
+        ws, _ = _forward_in(net, x)
+        assert g_lone.shape == (1, 4)
+        assert np.array_equal(g_lone, net.input_grad(ws, c)[:1])
 
     def test_mse_grads_match_finite_differences(self):
         net = Mlp(4, [5], 4, time_embed=4, seed=8)
@@ -169,18 +181,22 @@ class TestMlpBackward:
         x = g.standard_normal((6, 4))
         target = g.standard_normal((6, 4))
         t = g.integers(1, 10, size=6)
-        grads = net.mse_grads(x, target, t)
+        ws, _ = _forward_in(net, x, t)
+        grads = net.mse_grads(ws, target, _grads(net))
         fds = _param_fd(net, lambda: float(np.mean((net.forward_np(x, t) - target) ** 2)))
         assert max(max_rel_err(grad, fd) for grad, fd in zip(grads, fds, strict=True)) <= 1e-6
 
     @pytest.mark.parametrize("act,time_embed,height", BACKWARD_CASES)
-    def test_mse_grads_into_out_returns_it_and_matches(self, act, time_embed, height):
+    def test_mse_grads_are_backward_of_the_scaled_residual(self, act, time_embed, height):
         net, x, t, target = _probe(act, time_embed, height, 0)
-        out = [np.full_like(p, np.nan) for p in net.parameters()]
-        buffers = list(out)
-        got = net.mse_grads(x, target, t, out=out)
-        assert got is out and all(a is b for a, b in zip(got, buffers, strict=True))
-        for a, b in zip(got, net.mse_grads(x, target, t), strict=True):
+        ws, y = _forward_in(net, x, t)
+        g = y - target
+        g *= 2.0 / g.size
+        want = net.backward(ws, g, _grads(net))
+        buffers = _grads(net)
+        got = net.mse_grads(ws, target, buffers)
+        assert got is buffers
+        for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
 
 
@@ -233,9 +249,8 @@ class TestAdamW:
         # step embedding, whose first weight matrix alone is 576 KiB.
         net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
         g = stream(0, "adamw-alloc")
-        x = g.standard_normal((64, 256))
-        t = g.integers(1, 100, size=64)
-        grads = net.mse_grads(x, g.standard_normal((64, 256)), t)
+        ws, _ = _forward_in(net, g.standard_normal((64, 256)), g.integers(1, 100, size=64))
+        grads = net.mse_grads(ws, g.standard_normal((64, 256)), _grads(net))
         opt = AdamW(net.parameters(), weight_decay=0.01)
         opt.step(grads)
         tracemalloc.start()
@@ -305,11 +320,34 @@ class TestAdamW:
             AdamW([w], eps=0.0)
 
 
+def _reference_forward(net, params, x, t):
+    """The forward pass of a batch as allocating expressions (`h @ w + b`,
+    the `np.where` sigmoid) with `params`; returns the output rows and each
+    layer's input and activation derivative (None for a linear layer)."""
+    h = x if net.time_embed is None else np.concatenate([x, time_embedding(t, net.time_embed)], axis=1)
+    if h.shape[0] == 1:
+        h = np.repeat(h, 2, axis=0)
+    cache = []
+    for w, b, act in zip(params[0::2], params[1::2], net.acts):
+        h_in = h
+        h = h @ w + b
+        deriv = None
+        if act == "relu":
+            deriv = (h > 0.0).astype(np.float64)
+            h = np.maximum(h, 0.0)
+        elif act == "silu":
+            e = np.exp(-np.abs(h))
+            sig = np.where(h >= 0, 1.0, e) / (1.0 + e)
+            deriv = sig * (1.0 + h * (1.0 - sig))
+            h = h * sig
+        cache.append((h_in, deriv))
+    return h[: x.shape[0]], cache
+
+
 class _ReferenceMlp:
-    """A training step as allocating expressions (`h @ w + b`, the `np.where`
-    sigmoid, `g @ w.T`) on copies of a net's parameters, trained by
-    `_ReferenceAdamW`: the arithmetic the workspace step must match bit for
-    bit."""
+    """A training step as allocating expressions (`_reference_forward`,
+    `g @ w.T`) on copies of a net's parameters, trained by `_ReferenceAdamW`:
+    the arithmetic the workspace step must match bit for bit."""
 
     def __init__(self, net, lr, weight_decay):
         self.net = net
@@ -317,25 +355,8 @@ class _ReferenceMlp:
         self.opt = _ReferenceAdamW(self.params, lr=lr, weight_decay=weight_decay)
 
     def step(self, x, target, t):
-        net = self.net
-        h = x if net.time_embed is None else np.concatenate([x, time_embedding(t, net.time_embed)], axis=1)
-        if h.shape[0] == 1:
-            h = np.repeat(h, 2, axis=0)
-        cache = []
-        for w, b, act in zip(self.params[0::2], self.params[1::2], net.acts):
-            h_in = h
-            h = h @ w + b
-            deriv = None
-            if act == "relu":
-                deriv = (h > 0.0).astype(np.float64)
-                h = np.maximum(h, 0.0)
-            elif act == "silu":
-                e = np.exp(-np.abs(h))
-                sig = np.where(h >= 0, 1.0, e) / (1.0 + e)
-                deriv = sig * (1.0 + h * (1.0 - sig))
-                h = h * sig
-            cache.append((h_in, deriv))
-        diff = h[: x.shape[0]] - target
+        y, cache = _reference_forward(self.net, self.params, x, t)
+        diff = y - target
         g = (2.0 / diff.size) * diff
         if g.shape[0] == 1:
             g = np.concatenate([g, np.zeros_like(g)])
@@ -370,7 +391,8 @@ class TestWorkspaceTraining:
         start = net.flat.copy()
         ws = Workspace(net, height)
         opt = AdamW(chunks(net.flat), lr=3e-2, weight_decay=0.01)
-        grad_chunks = chunks(ws.grad)
+        grad = np.empty_like(net.flat)
+        grads, grad_chunks = net.views(grad), chunks(grad)
         assert len(grad_chunks) == -(-net.flat.size // CHUNK)
         g = stream(1, f"train-ref-{act}-{time_embed}-{height}")
         table = time_embedding(np.arange(1, 21), time_embed) if time_embed else None
@@ -382,17 +404,11 @@ class TestWorkspaceTraining:
             ws.x[...] = x
             if time_embed:
                 ws.emb[...] = table[t - 1]
-            net.mse_grads(None, target, ws=ws)
+            net.mse_grads(ws, target, grads)
             opt.step(grad_chunks)
         for got, want in zip(net.parameters(), ref.params, strict=True):
             assert np.array_equal(got, want)
         assert not np.array_equal(net.flat, start)
-
-    def test_workspace_step_reads_no_batch_argument(self):
-        net = Mlp(3, [4], 3, seed=0)
-        ws = Workspace(net, 2)
-        with pytest.raises(ValueError, match="workspace"):
-            net.mse_grads(np.zeros((2, 3)), np.zeros((2, 3)), ws=ws)
 
     @pytest.mark.parametrize("dim", [8, 32])
     def test_embedding_table_rows_match_time_embedding(self, dim):
@@ -413,10 +429,11 @@ class TestWorkspaceTraining:
         ws.input[...] = g.standard_normal(ws.input.shape)
         target = g.standard_normal((64, 256))
         opt = AdamW(chunks(net.flat), weight_decay=0.01)
-        grad_chunks = chunks(ws.grad)
+        grad = np.empty_like(net.flat)
+        grads, grad_chunks = net.views(grad), chunks(grad)
 
         def step():
-            net.mse_grads(None, target, ws=ws)
+            net.mse_grads(ws, target, grads)
             opt.step(grad_chunks)
 
         step()
@@ -447,27 +464,58 @@ class TestWorkspaceTraining:
         assert peak < 16 * 1024
 
 
+def _reference(net, x, t):
+    return _reference_forward(net, net.parameters(), x, t)[0]
+
+
 class TestWorkspaceInference:
     @pytest.mark.parametrize("height", [1, 2, 5])
     @pytest.mark.parametrize("time_embed", [None, 4])
     def test_forward_matches_allocating_forward(self, height, time_embed):
         net = Mlp(5, [7, 6], 5, acts=["silu", "relu", "linear"], time_embed=time_embed, seed=2)
-        ws = Workspace(net, height, steps=9, grads=False)
-        assert ws.grad is None and ws.grads is None
+        ws = Workspace(net, height, steps=9)
         g = stream(2, f"inference-{height}-{time_embed}")
         for t in (9, 4, 1):
             x = g.standard_normal((height, 5))
             t_arg = t if time_embed else None
-            got = net.forward_np(x, t_arg, ws=ws)
-            assert np.array_equal(got, net.forward_np(x, t_arg))
+            want = _reference(net, x, np.full(height, t))
+            assert np.array_equal(net.forward_np(x, t_arg, ws=ws), want)
+            assert np.array_equal(net.forward_np(x, t_arg), want)
         steps = g.integers(1, 10, size=height)
         if time_embed:
-            assert np.array_equal(net.forward_np(x, steps, ws=ws), net.forward_np(x, steps))
+            want = _reference(net, x, steps)
+            assert np.array_equal(net.forward_np(x, steps, ws=ws), want)
+            assert np.array_equal(net.forward_np(x, steps), want)
+
+    @pytest.mark.parametrize("height", [ONE_OFF_ROWS + 1, 2 * ONE_OFF_ROWS + 5])
+    def test_one_off_forward_over_several_chunks_matches_allocating_forward(self, height):
+        # The last chunk holds 1 row at 65 and 5 at 133.
+        net = Mlp(5, [7, 6], 5, acts=["silu", "relu", "linear"], time_embed=4, seed=2)
+        g = stream(2, f"one-off-{height}")
+        x = g.standard_normal((height, 5))
+        steps = g.integers(1, 10, size=height)
+        assert np.array_equal(net.forward_np(x, steps), _reference(net, x, steps))
+
+    def test_one_off_forward_holds_one_chunk_of_layer_buffers(self):
+        # The image denoiser's shape with 512 rows: the output and the step
+        # embeddings take 1.1 MiB; each layer's buffers at the full height
+        # would take 1 MiB more apiece.
+        net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
+        g = stream(0, "one-off-alloc")
+        x = g.standard_normal((512, 256))
+        steps = g.integers(1, 101, size=512)
+        tracemalloc.start()
+        try:
+            net.forward_np(x, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_predict_mu_in_workspace_matches(self):
         sched = make_schedule(6)
         den = Denoiser(Mlp(4, [8], 4, time_embed=4, seed=3), sched)
-        ws = Workspace(den.net, 3, steps=sched.T, grads=False)
+        ws = Workspace(den.net, 3, steps=sched.T)
         out = np.empty((3, 4))
         x = stream(3, "mu-ws").standard_normal((3, 4))
         for t in range(sched.T, 0, -1):
@@ -477,18 +525,14 @@ class TestWorkspaceInference:
 
     def test_rejects_bad_inputs(self):
         net = Mlp(3, [4], 3, time_embed=4, seed=0)
-        ws = Workspace(net, 2, steps=5, grads=False)
+        ws = Workspace(net, 2, steps=5)
         with pytest.raises(ValueError, match="shape"):
             net.forward_np(np.zeros((3, 3)), 1, ws=ws)
         for t in (0, 6, None):
             with pytest.raises(ValueError, match="step"):
                 net.forward_np(np.zeros((2, 3)), t, ws=ws)
         with pytest.raises(ValueError, match="table"):
-            net.forward_np(np.zeros((2, 3)), 1, ws=Workspace(net, 2, grads=False))
-        ws.x[...] = 0.0
-        ws.emb[...] = 0.0
-        with pytest.raises(ValueError, match="grads=False"):
-            net.mse_grads(None, np.zeros((2, 3)), ws=ws)
+            net.forward_np(np.zeros((2, 3)), 1, ws=Workspace(net, 2))
 
 
 class TestRandomStreams:
