@@ -134,12 +134,13 @@ def _encode(value, level: int) -> Iterator[str]:
 
 
 def read_object(path, what: str) -> dict:
-    """The JSON object in the file at `path`. Malformed JSON, or JSON that is
-    not an object, raises ValueError naming the file as `what` and `path`."""
+    """The JSON object in the file at `path`. Malformed JSON (or text that is
+    not UTF-8), or JSON that is not an object, raises ValueError naming the
+    file as `what` and `path`."""
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"malformed {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")

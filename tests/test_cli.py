@@ -180,8 +180,9 @@ class TestValidationFailures:
         assert "train.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
-        ("[1]", "dataset metadata {} must hold a JSON object"),
-        ('{"schema": 1,', "malformed dataset metadata {}: "),
+        (b"[1]", "dataset metadata {} must hold a JSON object"),
+        (b'{"schema": 1,', "malformed dataset metadata {}: "),
+        (b"\xff{}", "malformed dataset metadata {}: "),
     ])
     def test_bad_meta_json_exits_1_naming_file(self, workspace, tmp_path, capsys, text, message):
         _, config, data_dir, _ = workspace
@@ -189,7 +190,7 @@ class TestValidationFailures:
         broken.mkdir()
         for name in ("train.csv", "test.csv", "test_labels.csv"):
             (broken / name).write_bytes((data_dir / name).read_bytes())
-        (broken / "meta.json").write_text(text)
+        (broken / "meta.json").write_bytes(text)
         code = main(["train-detector", "--input", str(broken), "--seed", "7",
                      "--config", str(config), "--out", str(tmp_path / "m")])
         assert code == 1
