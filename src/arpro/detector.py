@@ -86,17 +86,12 @@ class _DetectorBase:
     n: int
 
     def alpha(self, x: Array) -> Array:
-        return self._alpha(_check_input(x, self.n))
+        return self.alpha_with_vjp(_check_input(x, self.n))[0]
 
     def alpha_batch(self, data: Array) -> Array:
         """alpha of each row of a batch; a row gets the same bits as `alpha`
         of that row alone."""
-        return self._alpha(_check_batch(data, self.n, "batch"))
-
-    def _alpha(self, x: Array) -> Array:
-        """alpha of a validated vector or batch of rows, bit-equal to
-        `alpha_with_vjp`'s; a subclass may skip what only the vjp needs."""
-        return self.alpha_with_vjp(x)[0]
+        return self.alpha_with_vjp(_check_batch(data, self.n, "batch"))[0]
 
     def alpha_with_vjp(self, x: Array):
         """alpha of a validated vector or batch of rows, and its
@@ -195,10 +190,6 @@ class ReconDetector(_DetectorBase):
             raise ValueError("autoencoder must not be step-conditioned")
         self.net = net
         self.n = net.in_dim
-
-    def _alpha(self, x: Array) -> Array:
-        r = self.net._one_off_forward(x) - x
-        return r * r
 
     def alpha_with_vjp(self, x: Array):
         ws = Workspace(self.net, len(x) if x.ndim == 2 else 1)

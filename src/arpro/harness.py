@@ -309,7 +309,6 @@ class Pipeline:
     denoiser: Denoiser
     thresholds: np.ndarray
     score_threshold: float
-    train_totals: np.ndarray
     instance_ids: list[int]
     masks: np.ndarray  # one anomaly mask per selected instance, in order
 
@@ -330,8 +329,7 @@ def prepare_pipeline(
     train_alpha = detector.alpha_batch(train)
     test_alpha = detector.alpha_batch(test)
     thresholds = calibrate_thresholds(train_alpha, q=cfg.quantile)
-    train_totals = _totals(detector, train, train_alpha)
-    score_threshold = conformal_threshold(train_totals, cfg.confidence)
+    score_threshold = conformal_threshold(_totals(detector, train, train_alpha), cfg.confidence)
 
     instance_ids = np.flatnonzero(_totals(detector, test, test_alpha) > score_threshold)[: cfg.n_instances]
     if not instance_ids.size:
@@ -351,7 +349,6 @@ def prepare_pipeline(
         denoiser=denoiser,
         thresholds=thresholds,
         score_threshold=score_threshold,
-        train_totals=train_totals,
         instance_ids=instance_ids.tolist(),
         masks=np.stack([binarize(test_alpha[i], thresholds) for i in instance_ids]),
     )

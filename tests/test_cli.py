@@ -1,4 +1,3 @@
-import filecmp
 import json
 from pathlib import Path
 

@@ -25,6 +25,7 @@ from arpro.harness import (
     write_report,
 )
 from arpro.detector import binarize
+from arpro.properties import conformal_threshold
 
 
 def tiny_config(seed: int = 0, **repair_kwargs) -> ExperimentConfig:
@@ -224,7 +225,8 @@ class TestConfigParsing:
             diffusion=DiffusionConfig(T=5, hidden=(8,), time_embed=4, steps=5),
         )
         pipe = prepare_pipeline(cfg)
-        assert np.array_equal(pipe.train_totals, pipe.detector.alpha_batch(pipe.train).sum(axis=1))
+        totals = pipe.detector.alpha_batch(pipe.train).sum(axis=1)
+        assert pipe.score_threshold == conformal_threshold(totals, cfg.confidence)
         for instance_id, omega in zip(pipe.instance_ids, pipe.masks, strict=True):
             assert np.array_equal(omega, binarize(pipe.detector.score(pipe.test[instance_id]), pipe.thresholds))
 
