@@ -10,7 +10,7 @@ from .detector import (
     fit_gauss,
     fit_recon,
 )
-from .diffusion import Denoiser, NoiseSchedule, ancestral_sample, forward_noise, make_schedule, predict_mu, train_denoiser
+from .diffusion import Denoiser, NoiseSchedule, make_schedule, predict_mu, train_denoiser
 from .harness import AggregateReport, ExperimentConfig, aggregate_delta, ablation_sweep, run_experiment, write_report
 from .properties import (
     LossBreakdown,
@@ -25,7 +25,6 @@ from .properties import (
     tnr,
 )
 from .repair import (
-    GuidanceSchedule,
     RepairConfig,
     RepairResult,
     RepairRow,

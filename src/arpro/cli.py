@@ -167,14 +167,17 @@ def _require_file(path: str | None, what: str) -> str | None:
     return path
 
 
-def _load_models(args):
+def _load_models(args, n: int):
     """The detector and denoiser checkpoints that --detector and --denoiser
-    name, None for a flag not given."""
+    name, None for a flag not given; each must have the dataset's dimension n."""
     detector = denoiser = None
     if args.detector is not None:
         detector = load_detector(_require_file(args.detector, "detector"))
     if args.denoiser is not None:
         denoiser = _load_denoiser(args.denoiser, args.std_mode)
+    for path, model in ((args.detector, detector), (args.denoiser, denoiser)):
+        if model is not None and model.n != n:
+            raise CliError(f"{path}: {model.kind} checkpoint has dimension {model.n}, but the dataset has {n}")
     return detector, denoiser
 
 
@@ -220,7 +223,7 @@ def _cmd_train_diffusion(args) -> int:
 def _cmd_repair(args) -> int:
     cfg, overrides = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args)
+    detector, denoiser = _load_models(args, dataset.n)
     arm = "guided" if args.guided else "baseline"
     pipe, results = harness.run_single_arm(cfg, arm, dataset=dataset, detector=detector, denoiser=denoiser)
 
@@ -246,7 +249,7 @@ def _cmd_evaluate(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg, overrides = _experiment_config(args, file_cfg)
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args)
+    detector, denoiser = _load_models(args, dataset.n)
     report = harness.run_experiment(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
     report.provenance = {"config_file": file_cfg or None, "overrides": overrides}
     paths = harness.write_report(report, args.out)
@@ -268,7 +271,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args)
+    detector, denoiser = _load_models(args, dataset.n)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:

@@ -116,13 +116,24 @@ def _contiguous_runs(total: int, count: int, run_max: int):
     return lengths
 
 
-def _inject_ts(x: Array, spec: AnomalySpec, n_features: int, window_len: int, g: np.random.Generator):
-    """Modify a flattened window in place; return the binary label mask."""
-    n = x.size
-    total = max(1, round(spec.extent * n))
-    mask = np.zeros(n)
-    lengths = _contiguous_runs(total, spec.count, window_len)
-    for run in lengths:
+def _fix_untouched(x: Array, clean: Array, mask: Array, magnitude: float) -> None:
+    # Guarantee every masked coordinate actually differs from the clean value.
+    stuck = (mask == 1.0) & (x == clean)
+    x[stuck] += 1e-3 * magnitude
+
+
+def inject_timeseries_anomaly(
+    clean: Array, spec: AnomalySpec, n_features: int, window_len: int, g: np.random.Generator
+) -> tuple[Array, Array]:
+    """Inject one anomaly into a copy of a flattened window.
+
+    Returns the modified instance and its label mask; the instance differs
+    from `clean` exactly on the masked coordinates.
+    """
+    x = np.asarray(clean, dtype=np.float64).copy()
+    total = max(1, round(spec.extent * x.size))
+    mask = np.zeros(x.size)
+    for run in _contiguous_runs(total, spec.count, window_len):
         f = int(g.integers(0, n_features))
         start = int(g.integers(0, window_len - run + 1))
         sl = slice(f * window_len + start, f * window_len + start + run)
@@ -143,25 +154,6 @@ def _inject_ts(x: Array, spec: AnomalySpec, n_features: int, window_len: int, g:
         else:
             raise ValueError(f"anomaly kind {spec.kind!r} is not a time-series kind")
         mask[sl] = 1.0
-    return mask
-
-
-def _fix_untouched(x: Array, clean: Array, mask: Array, magnitude: float) -> None:
-    # Guarantee every masked coordinate actually differs from the clean value.
-    stuck = (mask == 1.0) & (x == clean)
-    x[stuck] += 1e-3 * magnitude
-
-
-def inject_timeseries_anomaly(
-    clean: Array, spec: AnomalySpec, n_features: int, window_len: int, g: np.random.Generator
-) -> tuple[Array, Array]:
-    """Inject one anomaly into a copy of a flattened window.
-
-    Returns the modified instance and its label mask; the instance differs
-    from `clean` exactly on the masked coordinates.
-    """
-    x = np.asarray(clean, dtype=np.float64).copy()
-    mask = _inject_ts(x, spec, n_features, window_len, g)
     _fix_untouched(x, clean, mask, spec.magnitude)
     return x, mask
 
@@ -169,11 +161,47 @@ def inject_timeseries_anomaly(
 def inject_image_defect(clean: Array, spec: AnomalySpec, side: int, g: np.random.Generator) -> tuple[Array, Array]:
     """Inject one defect into a copy of a flattened image; see above."""
     img = np.asarray(clean, dtype=np.float64).reshape(side, side).copy()
-    mask = _inject_image(img, spec, side, g)
-    x = img.reshape(side * side)
-    mask = mask.reshape(side * side)
+    mask = np.zeros((side, side))
+    if spec.kind == "square_defect":
+        edge = min(side, max(1, round(side * math.sqrt(spec.extent))))
+        for _ in range(spec.count):
+            r = int(g.integers(0, side - edge + 1))
+            c = int(g.integers(0, side - edge + 1))
+            sign = 1.0 if g.random() < 0.5 else -1.0
+            img[r : r + edge, c : c + edge] += sign * spec.magnitude
+            mask[r : r + edge, c : c + edge] = 1.0
+    elif spec.kind == "stripe_defect":
+        rows = min(side, max(1, round(side * spec.extent)))
+        for _ in range(spec.count):
+            r = int(g.integers(0, side - rows + 1))
+            sign = 1.0 if g.random() < 0.5 else -1.0
+            if g.random() < 0.5:
+                img[r : r + rows, :] += sign * spec.magnitude
+                mask[r : r + rows, :] = 1.0
+            else:
+                img[:, r : r + rows] += sign * spec.magnitude
+                mask[:, r : r + rows] = 1.0
+    else:
+        raise ValueError(f"anomaly kind {spec.kind!r} is not an image kind")
+    x, mask = img.reshape(side * side), mask.reshape(side * side)
     _fix_untouched(x, np.asarray(clean, dtype=np.float64), mask, spec.magnitude)
     return x, mask
+
+
+def _draw_dataset(draw_normal, inject, specs, n_train: int, n_test: int, n_test_normal: int, **fields) -> Dataset:
+    """The training rows, then the anomalous test rows (each from a fresh
+    normal row, the specs taken in turn), then the normal test rows with
+    all-zero masks, drawn in that order; `fields` complete the Dataset."""
+    train = np.stack([draw_normal() for _ in range(n_train)])
+    test_rows, label_rows = [], []
+    for i in range(n_test):
+        x, mask = inject(draw_normal(), specs[i % len(specs)])
+        test_rows.append(x)
+        label_rows.append(mask)
+    for _ in range(n_test_normal):
+        test_rows.append(draw_normal())
+        label_rows.append(np.zeros(train.shape[1]))
+    return Dataset(train=train, test=np.stack(test_rows), labels=np.stack(label_rows), **fields)
 
 
 def gen_synthetic_ts(
@@ -200,7 +228,6 @@ def gen_synthetic_ts(
         n_test_normal=n_test_normal, noise_std=noise_std, start_jitter=start_jitter,
     )
     g = stream(seed, "gen-ts")
-    n = n_features * window_len
 
     # Two sinusoids per feature with fixed dataset-level parameters.
     taus = np.arange(window_len, dtype=np.float64)
@@ -225,24 +252,12 @@ def gen_synthetic_ts(
         offset = g.uniform(0.0, start_jitter) if start_jitter > 0.0 else 0.0
         gain = 1.0 + 0.05 * g.standard_normal(n_features)
         x = gain[:, None] * pattern(offset) + noise_std * g.standard_normal((n_features, window_len))
-        return x.reshape(n)
+        return x.reshape(-1)
 
-    train = np.stack([draw_normal() for _ in range(n_train)])
-    test_rows, label_rows = [], []
-    for i in range(n_test):
-        x, mask = inject_timeseries_anomaly(draw_normal(), specs[i % len(specs)], n_features, window_len, g)
-        test_rows.append(x)
-        label_rows.append(mask)
-    for _ in range(n_test_normal):
-        test_rows.append(draw_normal())
-        label_rows.append(np.zeros(n))
-
-    names = tuple(f"f{f}_t{t}" for f in range(n_features) for t in range(window_len))
-    return Dataset(
-        train=train,
-        test=np.stack(test_rows),
-        labels=np.stack(label_rows),
-        feature_names=names,
+    return _draw_dataset(
+        draw_normal, lambda x, s: inject_timeseries_anomaly(x, s, n_features, window_len, g),
+        specs, n_train, n_test, n_test_normal,
+        feature_names=tuple(f"f{f}_t{t}" for f in range(n_features) for t in range(window_len)),
         modality="timeseries",
         window={"len": window_len, "stride": window_len},
     )
@@ -268,32 +283,6 @@ def _smooth_basis(side: int, k: int, g: np.random.Generator) -> Array:
     return basis
 
 
-def _inject_image(img: Array, spec: AnomalySpec, side: int, g: np.random.Generator) -> Array:
-    mask = np.zeros((side, side))
-    if spec.kind == "square_defect":
-        edge = min(side, max(1, round(side * math.sqrt(spec.extent))))
-        for _ in range(spec.count):
-            r = int(g.integers(0, side - edge + 1))
-            c = int(g.integers(0, side - edge + 1))
-            sign = 1.0 if g.random() < 0.5 else -1.0
-            img[r : r + edge, c : c + edge] += sign * spec.magnitude
-            mask[r : r + edge, c : c + edge] = 1.0
-    elif spec.kind == "stripe_defect":
-        rows = min(side, max(1, round(side * spec.extent)))
-        for _ in range(spec.count):
-            r = int(g.integers(0, side - rows + 1))
-            sign = 1.0 if g.random() < 0.5 else -1.0
-            if g.random() < 0.5:
-                img[r : r + rows, :] += sign * spec.magnitude
-                mask[r : r + rows, :] = 1.0
-            else:
-                img[:, r : r + rows] += sign * spec.magnitude
-                mask[:, r : r + rows] = 1.0
-    else:
-        raise ValueError(f"anomaly kind {spec.kind!r} is not an image kind")
-    return mask
-
-
 def gen_synthetic_image(
     side: int,
     n_train: int,
@@ -311,31 +300,16 @@ def gen_synthetic_image(
     )
     g = stream(seed, "gen-image")
     basis = _smooth_basis(side, n_basis, g)
-    n = side * side
 
     def draw_normal() -> Array:
         coeff = g.standard_normal(n_basis) / math.sqrt(n_basis)
         img = np.tensordot(coeff, basis, axes=1) + noise_std * g.standard_normal((side, side))
-        return img.reshape(n)
+        return img.reshape(-1)
 
-    train = np.stack([draw_normal() for _ in range(n_train)])
-    test_rows, label_rows = [], []
-    for i in range(n_test):
-        x, mask = inject_image_defect(draw_normal(), specs[i % len(specs)], side, g)
-        test_rows.append(x)
-        label_rows.append(mask)
-    for _ in range(n_test_normal):
-        test_rows.append(draw_normal())
-        label_rows.append(np.zeros(n))
-
-    names = tuple(f"px{r}_{c}" for r in range(side) for c in range(side))
-    return Dataset(
-        train=train,
-        test=np.stack(test_rows),
-        labels=np.stack(label_rows),
-        feature_names=names,
+    return _draw_dataset(
+        draw_normal, lambda x, s: inject_image_defect(x, s, side, g), specs, n_train, n_test, n_test_normal,
+        feature_names=tuple(f"px{r}_{c}" for r in range(side) for c in range(side)),
         modality="image",
-        window=None,
     )
 
 
@@ -467,7 +441,7 @@ def load_csv_dataset(directory) -> Dataset:
     )
 
 
-# -- scaling and windowing ---------------------------------------------------------
+# -- scaling ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -491,18 +465,3 @@ def fit_scaler(train, scale_floor: float = DEFAULT_SCALE_FLOOR) -> Scaler:
     if data.ndim != 2 or data.size == 0:
         raise ValueError("scaler needs a non-empty 2-D training batch")
     return Scaler(shift=data.mean(axis=0), scale=np.maximum(data.std(axis=0), scale_floor))
-
-
-def window_stream(values, window_len: int, stride: int | None = None) -> Array:
-    """Cut a (timesteps, features) stream into flattened feature-major windows."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"stream must be 2-D (timesteps, features), got {arr.shape}")
-    if window_len <= 0 or window_len > arr.shape[0]:
-        raise ValueError(f"window length {window_len} incompatible with {arr.shape[0]} timesteps")
-    stride = window_len if stride is None else stride
-    if stride <= 0:
-        raise ValueError(f"stride must be positive, got {stride}")
-    starts = range(0, arr.shape[0] - window_len + 1, stride)
-    # Flatten feature-major to match the synthetic layout: x[f*L + t].
-    return np.stack([arr[s : s + window_len].T.reshape(-1) for s in starts])

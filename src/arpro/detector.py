@@ -102,10 +102,6 @@ class _DetectorBase:
         """
         raise NotImplementedError
 
-    def alpha_vjp(self, x, g_alpha) -> Array:
-        """Gradient of ``sum(g_alpha * alpha(x))`` with respect to x."""
-        return self.alpha_with_vjp(_check_input(x, self.n))[1](g_alpha)
-
     def beta_value(self, x: Array) -> float:
         """beta of a vector; for a batch of rows, a scalar shared by every row
         or a column with one value per row."""
@@ -122,7 +118,8 @@ class _DetectorBase:
 
     def grad_region_score(self, x, z) -> Array:
         """Gradient of the region score with respect to the input."""
-        return self.alpha_vjp(x, as_mask(z, self.n))
+        z = as_mask(z, self.n)
+        return self.alpha_with_vjp(_check_input(x, self.n))[1](z)
 
 
 class GaussDetector(_DetectorBase):

@@ -1,9 +1,11 @@
-"""Noise schedule, noise-prediction denoiser, and ancestral sampling.
+"""Noise schedule and noise-prediction denoiser.
 
 The forward process blends a clean vector with Gaussian noise at a cumulative
 level per step; the denoiser is a step-conditioned MLP trained to predict the
-injected noise on non-anomalous data. Sampling runs the reverse iteration from
-pure noise using the posterior mean derived from the noise prediction.
+injected noise on non-anomalous data, and `predict_mu` turns its prediction
+into the posterior mean of a reverse step. The reverse process itself, a
+masked in-fill that is ancestral sampling when the mask covers every
+coordinate, is `arpro.repair`.
 """
 
 from __future__ import annotations
@@ -76,24 +78,6 @@ def make_schedule(
     return NoiseSchedule(b=b, a=a, sigma=sigma, std_mode=std_mode, b_start=float(b_start), b_end=float(b_end))
 
 
-def _check_step(schedule: NoiseSchedule, t: int) -> int:
-    t = int(t)
-    if not (1 <= t <= schedule.T):
-        raise ValueError(f"step {t} out of range [1, {schedule.T}]")
-    return t
-
-
-def forward_noise(schedule: NoiseSchedule, x0: Array, t: int, eps: Array) -> Array:
-    """Noise x0 to level t: sqrt(a_t) x0 + sqrt(1 - a_t) eps."""
-    t = _check_step(schedule, t)
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x0.shape != eps.shape:
-        raise ValueError(f"x0/eps shape mismatch: {x0.shape} vs {eps.shape}")
-    a_t = schedule.a[t - 1]
-    return np.sqrt(a_t) * x0 + np.sqrt(1.0 - a_t) * eps
-
-
 def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float, out: Array | None = None) -> Array:
     """Reverse-step mean from a noise prediction:
     (x_t - b_t/sqrt(1-a_t) * eps_hat) / sqrt(1-b_t), written into `out`
@@ -121,9 +105,6 @@ class Denoiser:
     def n(self) -> int:
         return self.net.in_dim
 
-    def predict_eps(self, x_t: Array, t, ws: Workspace | None = None) -> Array:
-        return self.net.forward_np(x_t, t, ws=ws)
-
     def save(self, path) -> None:
         sched = {
             "T": self.schedule.T,
@@ -149,9 +130,11 @@ def predict_mu(
     """Posterior mean of the reverse step at t, written into `out` when it is
     given. With a workspace `ws` of the batch's height, made with
     ``steps=denoiser.schedule.T``, the denoiser's forward pass runs in it."""
-    t = _check_step(denoiser.schedule, t)
+    t = int(t)
+    if not (1 <= t <= denoiser.schedule.T):
+        raise ValueError(f"step {t} out of range [1, {denoiser.schedule.T}]")
     x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = denoiser.predict_eps(x_t, t, ws=ws)
+    eps_hat = denoiser.net.forward_np(x_t, t, ws=ws)
     return posterior_mean(x_t, eps_hat, denoiser.schedule.b[t - 1], denoiser.schedule.a[t - 1], out=out)
 
 
@@ -237,21 +220,3 @@ def denoising_loss(denoiser: Denoiser, x0: Array, t, eps: Array) -> float:
     x_t = np.sqrt(a)[:, None] * x0 + np.sqrt(1.0 - a)[:, None] * eps
     pred = denoiser.net.forward_np(x_t, t)
     return float(np.mean((pred - eps) ** 2))
-
-
-def ancestral_sample(denoiser: Denoiser, seed: int, stream_tag: str = "sample") -> Array:
-    """Reverse-process draw from pure noise; deterministic given (seed, tag).
-
-    No noise is added on the final step.
-    """
-    sched = denoiser.schedule
-    init = stream(seed, f"{stream_tag}/init")
-    zs = stream(seed, f"{stream_tag}/z")
-    x = init.standard_normal(denoiser.n)
-    for t in range(sched.T, 0, -1):
-        mu = predict_mu(denoiser, x, t)
-        if t > 1:
-            x = mu + sched.sigma[t - 1] * zs.standard_normal(denoiser.n)
-        else:
-            x = mu
-    return x

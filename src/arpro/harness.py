@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -326,6 +327,8 @@ def prepare_pipeline(
 
     if detector is None:
         detector = cfg.detector.fit(train, seed=cfg.seed)
+    elif detector.n != train.shape[1]:
+        raise ValueError(f"detector dimension {detector.n} does not match data {train.shape[1]}")
     train_alpha = detector.alpha_batch(train)
     test_alpha = detector.alpha_batch(test)
     thresholds = calibrate_thresholds(train_alpha, q=cfg.quantile)
@@ -545,6 +548,8 @@ def ablation_sweep(
     values = [float(v) for v in values]
     if not values:
         raise ValueError("ablation needs at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"ablation values must be finite numbers, got {values}")
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
     count = min(cfg.ablation_instances, len(pipe.instance_ids))
 

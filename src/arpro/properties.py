@@ -34,8 +34,9 @@ class PropertyWeights:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,10 @@ class Tolerances:
     delta: float = 0.2
 
     def __post_init__(self):
-        if self.delta2 <= 0.0:
-            raise ValueError("delta2 must be positive")
-        if self.delta4 < 0.0:
-            raise ValueError("delta4 must be nonnegative")
+        if not (self.delta2 > 0.0):
+            raise ValueError(f"delta2 must be positive, got {self.delta2}")
+        if not (self.delta4 >= 0.0):
+            raise ValueError(f"delta4 must be nonnegative, got {self.delta4}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
 

@@ -57,39 +57,16 @@ BLOCK = 10
 MAX_ABS_ITERATE = 1e10
 
 
-@dataclass(frozen=True)
-class GuidanceSchedule:
-    """Nondecreasing, nonnegative per-step guidance weights (index 0 is t=1)."""
-
-    eta: Array
-
-    def __post_init__(self):
-        eta = self.eta
-        if eta.ndim != 1 or eta.size < 1:
-            raise ValueError("guidance schedule must be a non-empty vector")
-        if np.any(eta < 0.0):
-            raise ValueError("guidance weights must be nonnegative")
-        if np.any(np.diff(eta) < 0.0):
-            raise ValueError("guidance weights must be nondecreasing")
-
-    @property
-    def T(self) -> int:
-        return self.eta.size
-
-
-def make_guidance_schedule(T: int, eta_start: float, eta_end: float) -> GuidanceSchedule:
-    """Linear ramp from eta_start at t=1 to eta_end at t=T."""
+def make_guidance_schedule(T: int, eta_start: float, eta_end: float) -> Array:
+    """Per-step guidance weights, index 0 at t=1: a linear ramp from eta_start
+    at t=1 to eta_end at t=T (eta_end alone when T is 1)."""
     if T < 1:
         raise ValueError(f"step count must be >= 1, got {T}")
-    if eta_start < 0.0 or eta_end < 0.0:
-        raise ValueError("guidance weights must be nonnegative")
-    if eta_start > eta_end:
-        raise ValueError(f"need eta_start <= eta_end, got ({eta_start}, {eta_end})")
+    if not (0.0 <= eta_start <= eta_end):
+        raise ValueError(f"need 0 <= eta_start <= eta_end, got ({eta_start}, {eta_end})")
     if T == 1:
-        eta = np.array([float(eta_end)])
-    else:
-        eta = np.linspace(eta_start, eta_end, T)
-    return GuidanceSchedule(eta=eta)
+        return np.array([float(eta_end)])
+    return np.linspace(eta_start, eta_end, T)
 
 
 @dataclass(frozen=True)
@@ -214,7 +191,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     omega_bar = 1.0 - omega
     zeros = np.zeros(schedule.T)
     eta = np.stack([
-        make_guidance_schedule(schedule.T, row.cfg.eta_start, row.cfg.eta_end).eta if row.guided else zeros
+        make_guidance_schedule(schedule.T, row.cfg.eta_start, row.cfg.eta_end) if row.guided else zeros
         for row in rows
     ])
 

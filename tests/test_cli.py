@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arpro.cli import main
-from arpro.detector import ReconDetector
+from arpro.detector import GaussDetector, ReconDetector
 from arpro.diffusion import Denoiser, make_schedule
 from arpro.tensor import Mlp
 
@@ -165,6 +165,21 @@ class TestAblateCommand:
         assert code == 1
         assert "unknown ablation parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param,values,shown", [
+        ("lambda1", "nan,1", "[nan, 1.0]"),
+        ("lambda3", "1,inf", "[1.0, inf]"),
+        ("eta_scale", "0.5,inf", "[0.5, inf]"),
+    ])
+    def test_non_finite_values_exit_1_naming_them(self, workspace, tmp_path, capsys, param, values, shown):
+        _, config, data_dir, models = workspace
+        code = main(["ablate", "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                     "--detector", str(models / "detector.json"),
+                     "--denoiser", str(models / "denoiser.json"),
+                     "--param", param, "--values", values, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"ablation values must be finite numbers, got {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestValidationFailures:
     def test_missing_train_csv_names_path(self, workspace, tmp_path, capsys):
@@ -210,6 +225,23 @@ class TestValidationFailures:
                      "--config", str(config), "--out", str(tmp_path / "r")])
         assert code == 1
         assert message.format(paths[which]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["repair", "--guided"], ["evaluate"]])
+    @pytest.mark.parametrize("which", ["detector", "denoiser"])
+    def test_checkpoint_of_wrong_dimension_exits_1_naming_file(self, workspace, tmp_path, capsys, command, which):
+        _, config, data_dir, models = workspace
+        paths = {"detector": models / "detector.json", "denoiser": models / "denoiser.json"}
+        paths[which] = tmp_path / f"{which}-8.json"
+        if which == "detector":
+            GaussDetector(np.zeros(8), np.ones(8)).save(paths[which])
+        else:
+            Denoiser(Mlp(8, [4], 8, time_embed=4, seed=0), make_schedule(12)).save(paths[which])
+        code = main([*command, "--input", str(data_dir), "--detector", str(paths["detector"]),
+                     "--denoiser", str(paths["denoiser"]), "--seed", "7",
+                     "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{paths[which]}: " in err and "checkpoint has dimension 8, but the dataset has 24" in err
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gen-data", "--out", "x", "--bogus-flag", "1"]) == 1

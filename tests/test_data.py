@@ -17,7 +17,6 @@ from arpro.data import (
     gen_synthetic_ts,
     load_csv_dataset,
     save_dataset,
-    window_stream,
     _read_csv,
     _read_plain_csv,
 )
@@ -218,27 +217,6 @@ class TestScaler:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_scaler(np.zeros((0, 2)))
-
-
-class TestWindowing:
-    def test_non_overlapping_default(self):
-        frame = np.arange(12, dtype=float).reshape(6, 2)
-        out = window_stream(frame, 3)
-        assert out.shape == (2, 6)
-        # Feature-major flattening: feature 0's three steps first.
-        assert np.array_equal(out[0], [0.0, 2.0, 4.0, 1.0, 3.0, 5.0])
-
-    def test_stride_overlap(self):
-        frame = np.arange(10, dtype=float).reshape(10, 1)
-        out = window_stream(frame, 4, stride=2)
-        assert out.shape == (4, 4)
-        assert np.array_equal(out[1], [2.0, 3.0, 4.0, 5.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            window_stream(np.zeros((4, 2)), 5)
-        with pytest.raises(ValueError):
-            window_stream(np.zeros((4, 2)), 2, stride=0)
 
 
 class TestDatasetInvariants:

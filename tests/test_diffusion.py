@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from arpro.detector import GaussDetector
 from arpro.diffusion import (
     Denoiser,
     DiffusionTrainConfig,
     NoiseSchedule,
-    ancestral_sample,
     denoising_loss,
-    forward_noise,
     make_schedule,
     posterior_mean,
     predict_mu,
     train_denoiser,
 )
+from arpro.repair import RepairConfig, RepairRow, repair_batch
 from arpro.tensor import Mlp, normal, stream
 
 
@@ -24,6 +24,15 @@ def constant_eps_denoiser(n: int, value: float, schedule) -> Denoiser:
         b[...] = 0.0
     net.biases[-1][...] = value
     return Denoiser(net, schedule)
+
+
+def sample(den: Denoiser, seeds, tag: str = "sample"):
+    """Ancestral samples, one per seed, drawn in one batch as baseline repairs
+    whose mask covers every coordinate, so the target never enters."""
+    n = den.n
+    det = GaussDetector(np.zeros(n), np.ones(n))
+    rows = [RepairRow(np.zeros(n), np.ones(n), RepairConfig(seed=s, stream_tag=tag), guided=False) for s in seeds]
+    return np.stack([result.x_fix for result in repair_batch(det, den, den.schedule, rows)])
 
 
 class TestSchedule:
@@ -78,37 +87,6 @@ class TestSchedule:
                           std_mode="standard", b_start=0.1, b_end=0.3)
 
 
-class TestForwardNoise:
-    def setup_method(self):
-        self.sched = make_schedule(5, 0.1, 0.3)
-
-    def test_zero_noise(self):
-        x0 = np.array([1.0, -2.0])
-        out = forward_noise(self.sched, x0, 3, np.zeros(2))
-        assert np.allclose(out, np.sqrt(self.sched.a[2]) * x0)
-
-    def test_inversion(self):
-        g = stream(32, "fn")
-        x0, eps = g.standard_normal(4), g.standard_normal(4)
-        x_t = forward_noise(self.sched, x0, 4, eps)
-        a = self.sched.a[3]
-        back = (x_t - np.sqrt(1.0 - a) * eps) / np.sqrt(a)
-        assert np.allclose(back, x0, atol=1e-12)
-
-    def test_step_bounds(self):
-        with pytest.raises(ValueError, match="out of range"):
-            forward_noise(self.sched, np.zeros(2), 0, np.zeros(2))
-        with pytest.raises(ValueError, match="out of range"):
-            forward_noise(self.sched, np.zeros(2), 6, np.zeros(2))
-
-    def test_expectation_preserved(self):
-        g = stream(33, "fe")
-        x0 = np.array([0.7, -1.3, 0.2])
-        draws = np.stack([forward_noise(self.sched, x0, 2, g.standard_normal(3)) for _ in range(10_000)])
-        se = np.sqrt(1.0 - self.sched.a[1]) / np.sqrt(10_000)
-        assert np.all(np.abs(draws.mean(axis=0) - np.sqrt(self.sched.a[1]) * x0) < 3.0 * se + 1e-9)
-
-
 class TestPosteriorMean:
     def test_zero_prediction_collapse(self):
         sched = make_schedule(4, 0.05, 0.2)
@@ -137,6 +115,13 @@ class TestPosteriorMean:
         t = 3
         want = posterior_mean(x_t, np.full(2, 0.5), sched.b[t - 1], sched.a[t - 1])
         assert np.allclose(predict_mu(den, x_t, t), want)
+
+    def test_step_bounds(self):
+        den = constant_eps_denoiser(2, 0.0, make_schedule(5, 0.1, 0.3))
+        with pytest.raises(ValueError, match="out of range"):
+            predict_mu(den, np.zeros(2), 0)
+        with pytest.raises(ValueError, match="out of range"):
+            predict_mu(den, np.zeros(2), 6)
 
 
 class TestTraining:
@@ -183,13 +168,13 @@ class TestSampling:
         data = 0.5 * stream(38, "sd").standard_normal((30, 4))
         sched = make_schedule(10)
         den = train_denoiser(data, sched, DiffusionTrainConfig(hidden=(8,), time_embed=4, steps=100), seed=3)
-        assert np.array_equal(ancestral_sample(den, seed=9), ancestral_sample(den, seed=9))
-        assert not np.array_equal(ancestral_sample(den, seed=9), ancestral_sample(den, seed=10))
+        assert np.array_equal(sample(den, [9]), sample(den, [9]))
+        assert not np.array_equal(sample(den, [9]), sample(den, [10]))
 
     def test_single_step_collapse(self):
         sched = make_schedule(1, 0.3, 0.3)
         den = constant_eps_denoiser(2, 0.0, sched)
-        out = ancestral_sample(den, seed=5, stream_tag="one")
+        out = sample(den, [5], tag="one")[0]
         x1 = stream(5, "one/init").standard_normal(2)
         assert np.allclose(out, x1 / np.sqrt(1.0 - 0.3))
 
@@ -198,7 +183,7 @@ class TestSampling:
         sched = make_schedule(25)
         cfg = DiffusionTrainConfig(hidden=(32, 32), time_embed=8, steps=1200, lr=3e-3)
         den = train_denoiser(data, sched, cfg, seed=4)
-        draws = np.stack([ancestral_sample(den, seed=s, stream_tag="cmean") for s in range(100)])
+        draws = sample(den, range(100), tag="cmean")
         assert abs(float(draws.mean()) - 2.0) < 0.1
 
 
@@ -213,8 +198,8 @@ class TestDenoiserCheckpoint:
         assert loaded.schedule.std_mode == "paper-literal"
         assert np.array_equal(loaded.schedule.b, den.schedule.b)
         x = normal(0, "ckx", 4)
-        assert np.array_equal(den.predict_eps(x, 3), loaded.predict_eps(x, 3))
-        assert np.array_equal(ancestral_sample(den, seed=1), ancestral_sample(loaded, seed=1))
+        assert np.array_equal(den.net.forward_np(x, 3), loaded.net.forward_np(x, 3))
+        assert np.array_equal(sample(den, [1]), sample(loaded, [1]))
 
     def test_requires_time_conditioning(self):
         with pytest.raises(ValueError, match="step-conditioned"):

@@ -24,7 +24,7 @@ from arpro.harness import (
     write_ablation,
     write_report,
 )
-from arpro.detector import binarize
+from arpro.detector import GaussDetector, binarize
 from arpro.properties import conformal_threshold
 
 
@@ -238,6 +238,10 @@ class TestConfigParsing:
         denoiser = other.diffusion.train(other.data.generate(0).train, seed=0)
         with pytest.raises(ValueError, match="dimension"):
             prepare_pipeline(cfg, denoiser=denoiser)
+
+    def test_prepare_pipeline_rejects_mismatched_detector(self):
+        with pytest.raises(ValueError, match="detector dimension 3 does not match data 24"):
+            prepare_pipeline(tiny_config(seed=15), detector=GaussDetector(np.zeros(3), np.ones(3)))
 
 
 # Values a fuzzed config key takes: each JSON type, non-finite and boundary numbers.

@@ -239,6 +239,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Tolerances(delta=1.0)
 
+    def test_non_finite_rejected(self):
+        for value in (math.nan, math.inf, -math.inf):
+            for k in range(1, 5):
+                with pytest.raises(ValueError, match=f"lambda{k} must be nonnegative and finite, got {value}"):
+                    PropertyWeights(**{f"lambda{k}": value})
+        for key in ("delta2", "delta4", "delta"):
+            for value in (math.nan, -math.inf):
+                with pytest.raises(ValueError, match=key):
+                    Tolerances(**{key: value})
+
     def test_records_round_trip_dicts(self):
         b = LossBreakdown(1.0, 2.0, 0.0, 0.0, 3.0)
         assert b.as_dict() == {"l1": 1.0, "l2": 2.0, "l3": 0.0, "l4": 0.0, "total": 3.0}

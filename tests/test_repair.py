@@ -13,11 +13,10 @@ from arpro.detector import (
     fit_gauss,
     fit_recon,
 )
-from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, predict_mu, train_denoiser
+from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
 from arpro.harness import image_benchmark_config, timeseries_benchmark_config
 from arpro.properties import PropertyWeights, Tolerances, guidance_grad
 from arpro.repair import (
-    GuidanceSchedule,
     RepairConfig,
     RepairRow,
     baseline_repair,
@@ -26,6 +25,8 @@ from arpro.repair import (
     repair_batch,
 )
 from arpro.tensor import Mlp, Workspace, stream
+
+MODES = ["level-matched", "paper-literal"]
 
 
 @pytest.fixture(scope="module")
@@ -48,25 +49,19 @@ def small_world():
 
 class TestGuidanceSchedule:
     def test_linear_ramp(self):
-        assert np.allclose(make_guidance_schedule(3, 0.0, 1.0).eta, [0.0, 0.5, 1.0])
+        assert np.allclose(make_guidance_schedule(3, 0.0, 1.0), [0.0, 0.5, 1.0])
 
     def test_all_zero(self):
-        assert np.array_equal(make_guidance_schedule(4, 0.0, 0.0).eta, np.zeros(4))
+        assert np.array_equal(make_guidance_schedule(4, 0.0, 0.0), np.zeros(4))
 
     def test_single_step_takes_endpoint(self):
-        assert np.array_equal(make_guidance_schedule(1, 0.2, 0.7).eta, [0.7])
+        eta = make_guidance_schedule(1, 0.2, 0.7)
+        assert len(eta) == 1 and np.array_equal(eta, [0.7])
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            make_guidance_schedule(3, -0.1, 0.5)
-        with pytest.raises(ValueError):
-            make_guidance_schedule(3, 0.5, 0.1)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            GuidanceSchedule(eta=np.array([0.5, 0.1]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            GuidanceSchedule(eta=np.array([-0.5, 0.1]))
+        for start, end in ((-0.1, 0.5), (0.5, 0.1), (float("nan"), 0.5), (0.0, float("nan"))):
+            with pytest.raises(ValueError, match="need 0 <= eta_start <= eta_end"):
+                make_guidance_schedule(3, start, end)
 
 
 class TestMaskedInfill:
@@ -141,6 +136,47 @@ class TestDeterminism:
         a = guided_repair(det, den, sched, x_bad, omega, RepairConfig(seed=11, stream_tag="a"))
         b = guided_repair(det, den, sched, x_bad, omega, RepairConfig(seed=11, stream_tag="b"))
         assert a.trajectory_hash != b.trajectory_hash
+
+
+def _ancestral_sample(den, seed: int, tag: str):
+    """The ancestral sampler written out: x_T from `{tag}/init`, then at each
+    step the posterior mean plus sigma_t z from `{tag}/z`, with no noise at t=1."""
+    sched = den.schedule
+    init, zs = stream(seed, f"{tag}/init"), stream(seed, f"{tag}/z")
+    x = init.standard_normal(den.n)
+    for t in range(sched.T, 0, -1):
+        mu = posterior_mean(x, den.net.forward_np(x, t), sched.b[t - 1], sched.a[t - 1])
+        x = mu + sched.sigma[t - 1] * zs.standard_normal(den.n) if t > 1 else mu
+    return x
+
+
+class TestFullMaskIsAncestralSampling:
+    """With a mask over every coordinate the baseline repair is the ancestral
+    sampler: the target is never blended back in, so the iterate is the
+    posterior mean plus noise at every step."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_single_rows(self, small_world, mode):
+        det, den, sched, x_bad, _ = small_world
+        for seed in range(5):
+            cfg = RepairConfig(seed=seed, stream_tag="anc", infill_mode=mode)
+            out = baseline_repair(det, den, sched, x_bad, np.ones(8), cfg)
+            assert np.array_equal(out.x_fix, _ancestral_sample(den, seed, "anc")), seed
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mixed_batch(self, small_world, mode):
+        det, den, sched, x_bad, omega = small_world
+        g = stream(53, "ancestral-batch")
+        rows = [RepairRow(x_bad + g.standard_normal(8), np.ones(8),
+                          RepairConfig(seed=seed, stream_tag=f"anc{seed % 3}", infill_mode=mode), guided=False)
+                for seed in range(6)]
+        # A guided partial-mask row in the same batch leaves the others alone.
+        rows.insert(2, RepairRow(x_bad, omega, RepairConfig(seed=1, stream_tag="anc1", eta_end=0.1,
+                                                            infill_mode=mode)))
+        results = repair_batch(det, den, sched, rows)
+        for row, result in zip(rows, results):
+            if not row.guided:
+                assert np.array_equal(result.x_fix, _ancestral_sample(den, row.cfg.seed, row.cfg.stream_tag))
 
 
 class TestGuidanceDirection:
@@ -235,9 +271,6 @@ def batch_world(request):
         assert omega.sum() >= 1
         targets.append((x_bad, omega))
     return det, den, sched, targets
-
-
-MODES = ["level-matched", "paper-literal"]
 
 
 class TestBatchContract:
@@ -454,7 +487,7 @@ def _step_by_step_repair(det, den, sched, rows):
     x_bad = np.stack([row.x_bad for row in rows])
     omega = np.stack([row.omega for row in rows])
     omega_bar = 1.0 - omega
-    eta = np.stack([make_guidance_schedule(sched.T, row.cfg.eta_start, row.cfg.eta_end).eta if row.guided
+    eta = np.stack([make_guidance_schedule(sched.T, row.cfg.eta_start, row.cfg.eta_end) if row.guided
                     else np.zeros(sched.T) for row in rows])
     alpha_bad, beta_bad = det.alpha_batch(x_bad), det.beta_value(x_bad)
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
@@ -561,7 +594,7 @@ class TestBlockedNoiseAndHashes:
             for guided in (False, True):
                 rows.append(RepairRow(x_bad, omega, cfg, guided=guided))
         guided_at = [{r for r, row in enumerate(rows) if row.guided
-                      and make_guidance_schedule(T, row.cfg.eta_start, row.cfg.eta_end).eta[t - 1] > 0.0}
+                      and make_guidance_schedule(T, row.cfg.eta_start, row.cfg.eta_end)[t - 1] > 0.0}
                      for t in (2, 1)]
         assert guided_at == [{1, 3, 5, 7}, {3, 7}]
         results = repair_batch(det, den, sched, rows)
