@@ -203,6 +203,7 @@ def mlp_from_payload(payload: dict) -> Mlp:
         layers[-1]["out"],
         acts=[layer["act"] for layer in layers],
         time_embed=time_embed,
+        seed=None,
     )
     net.flat[...] = decode_array(payload["data"], net.flat.size)
     return net

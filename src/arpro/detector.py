@@ -166,8 +166,7 @@ class GaussDetector(_DetectorBase):
         )
 
     @classmethod
-    def load(cls, path) -> "GaussDetector":
-        payload = ckpt.read(path, expected_kind=cls.kind)
+    def from_payload(cls, payload: dict) -> "GaussDetector":
         n = int(payload["n"])
         flat = ckpt.decode_array(payload["data"], 2 * n)
         return cls(flat[:n], flat[n:], sigma_floor=float(payload.get("sigma_floor", DEFAULT_SIGMA_FLOOR)))
@@ -207,19 +206,18 @@ class ReconDetector(_DetectorBase):
         ckpt.write(path, ckpt.mlp_payload(self.net, kind=self.kind))
 
     @classmethod
-    def load(cls, path) -> "ReconDetector":
-        payload = ckpt.read(path, expected_kind=cls.kind)
+    def from_payload(cls, payload: dict) -> "ReconDetector":
         return cls(ckpt.mlp_from_payload(payload))
 
 
 def load_detector(path):
+    """The detector, of either kind, in the checkpoint at `path`; the file is
+    read and checked once."""
     payload = ckpt.read(path)
-    kind = payload.get("kind")
-    if kind == GaussDetector.kind:
-        return GaussDetector.load(path)
-    if kind == ReconDetector.kind:
-        return ReconDetector.load(path)
-    raise ValueError(f"unknown detector kind {kind!r}")
+    for cls in (GaussDetector, ReconDetector):
+        if payload.get("kind") == cls.kind:
+            return cls.from_payload(payload)
+    raise ValueError(f"unknown detector kind {payload.get('kind')!r}")
 
 
 # -- fitting -------------------------------------------------------------------

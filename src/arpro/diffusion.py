@@ -216,6 +216,9 @@ def denoising_loss(denoiser: Denoiser, x0: Array, t, eps: Array) -> float:
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     t = np.atleast_1d(np.asarray(t))
+    outside = t[(t < 1) | (t > denoiser.schedule.T)]
+    if outside.size:
+        raise ValueError(f"step {outside[0]} out of range [1, {denoiser.schedule.T}]")
     a = denoiser.schedule.a[t - 1]
     x_t = np.sqrt(a)[:, None] * x0 + np.sqrt(1.0 - a)[:, None] * eps
     pred = denoiser.net.forward_np(x_t, t)

@@ -118,7 +118,9 @@ class Mlp:
     When `time_embed` is set, the embedding of the step index is concatenated
     to the input before the first layer, so the first weight matrix has
     ``in_dim + time_embed`` rows. The weights and biases are views of `flat`,
-    in `parameters()` order.
+    in `parameters()` order. The weights are drawn from the (seed,
+    stream_name) stream; with `seed` None every parameter starts at zero, for
+    a caller that writes them all, such as a checkpoint load.
     """
 
     def __init__(
@@ -129,7 +131,7 @@ class Mlp:
         *,
         acts: Sequence[str] | None = None,
         time_embed: int | None = None,
-        seed: int = 0,
+        seed: int | None = 0,
         stream_name: str = "mlp-init",
     ):
         if in_dim <= 0 or out_dim <= 0 or any(h <= 0 for h in hidden):
@@ -156,6 +158,8 @@ class Mlp:
         params = self.views(self.flat)
         self.weights: list[Array] = params[0::2]
         self.biases: list[Array] = params[1::2]
+        if seed is None:
+            return
         g = stream(seed, stream_name)
         for w, act in zip(self.weights, acts):
             gain = 2.0 if act in ("relu", "silu") else 1.0
@@ -373,8 +377,10 @@ class AdamW:
 
     The decay multiplies parameters by ``1 - lr*weight_decay`` independently of
     the moment-based update, so a zero gradient with nonzero decay still
-    shrinks the weights. A step allocates no array: it works in two scratch
-    arrays the size of the largest parameter.
+    shrinks the weights. The bias corrections ``c_i = 1 - beta_i**t`` are
+    folded into the step size and eps as in Kingma & Ba 2015, §2: ``p -=
+    lr*sqrt(c2)/c1 * m / (sqrt(v) + eps*sqrt(c2))``. A step allocates no
+    array: it works in two scratch arrays the size of the largest parameter.
     """
 
     def __init__(
@@ -417,8 +423,8 @@ class AdamW:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        # p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time in
-        # the order that expression evaluates, so the bits match it.
+        step = self.lr * math.sqrt(c2) / c1
+        eps_hat = self.eps * math.sqrt(c2)
         for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
             m *= self.beta1
             np.multiply(1.0 - self.beta1, g, out=a)
@@ -429,10 +435,8 @@ class AdamW:
             v += a
             if self.weight_decay != 0.0:
                 p *= 1.0 - self.lr * self.weight_decay
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
+            np.sqrt(v, out=b)
+            b += eps_hat
+            np.divide(m, b, out=a)
+            a *= step
             p -= a

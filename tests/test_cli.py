@@ -226,6 +226,22 @@ class TestValidationFailures:
         assert code == 1
         assert message.format(paths[which]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source,edit,message", [
+        ("denoiser", dict, "unknown detector kind 'denoiser'"),
+        ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: checkpoint lacks required key 'layers'"),
+        ("detector", lambda p: {k: v for k, v in p.items() if k != "n"}, "{}: checkpoint lacks required key 'n'"),
+        ("detector", lambda p: {**p, "n": 25}, "checkpoint data holds 48 values, expected 50"),
+    ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data"])
+    def test_wrong_kind_or_malformed_detector_exits_1(self, workspace, tmp_path, capsys, source, edit, message):
+        _, config, data_dir, models = workspace
+        broken = tmp_path / "broken-detector.json"
+        broken.write_text(json.dumps(edit(json.loads((models / f"{source}.json").read_text()))))
+        code = main(["evaluate", "--input", str(data_dir), "--detector", str(broken),
+                     "--denoiser", str(models / "denoiser.json"), "--seed", "7",
+                     "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(broken)}\n"
+
     @pytest.mark.parametrize("command", [["repair", "--guided"], ["evaluate"]])
     @pytest.mark.parametrize("which", ["detector", "denoiser"])
     def test_checkpoint_of_wrong_dimension_exits_1_naming_file(self, workspace, tmp_path, capsys, command, which):

@@ -123,6 +123,16 @@ class TestPosteriorMean:
         with pytest.raises(ValueError, match="out of range"):
             predict_mu(den, np.zeros(2), 6)
 
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_denoising_loss_step_bounds(self, bad):
+        # Step 0 would blend at the step-T level (a[-1]) while the network
+        # embeds step 0; step T+1 would index past the schedule.
+        den = constant_eps_denoiser(2, 0.0, make_schedule(5, 0.1, 0.3))
+        with pytest.raises(ValueError, match=rf"^step {bad} out of range \[1, 5\]$"):
+            denoising_loss(den, np.zeros((3, 2)), [1, bad, 5], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=rf"^step {bad} out of range \[1, 5\]$"):
+            predict_mu(den, np.zeros(2), bad)
+
 
 class TestTraining:
     def test_loss_improves_on_sinusoid_windows(self):

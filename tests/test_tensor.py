@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -202,11 +203,14 @@ class TestMlpBackward:
 
 class _ReferenceAdamW:
     """AdamW as whole-array expressions, each step allocating its
-    temporaries: the form `AdamW` must match bit for bit."""
+    temporaries. By default each step is the folded form (Kingma & Ba 2015,
+    §2) in the operation order of `AdamW.step`, which `AdamW` must match bit
+    for bit; with `textbook` it is ``lr * (m/c1) / (sqrt(v/c2) + eps)``,
+    which `AdamW` matches up to rounding."""
 
-    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8, textbook=False):
         self.params, self.lr, self.weight_decay = params, lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2, self.eps, self.textbook = beta1, beta2, eps, textbook
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -222,7 +226,10 @@ class _ReferenceAdamW:
             v += (1.0 - self.beta2) * g * g
             if self.weight_decay != 0.0:
                 p *= 1.0 - self.lr * self.weight_decay
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if self.textbook:
+                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            else:
+                p -= m / (np.sqrt(v) + self.eps * math.sqrt(c2)) * (self.lr * math.sqrt(c2) / c1)
 
 
 class TestAdamW:
@@ -242,6 +249,23 @@ class TestAdamW:
         for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
+        assert not np.array_equal(params[0], start[0])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_folded_form_matches_textbook_up_to_rounding(self, weight_decay):
+        g = stream(13, f"adamw-textbook-{weight_decay}")
+        shapes = [(40, 30), (30,)]
+        start = [g.standard_normal(shape) for shape in shapes]
+        params = [p.copy() for p in start]
+        ref_params = [p.copy() for p in start]
+        opt = AdamW(params, lr=3e-2, weight_decay=weight_decay)
+        ref = _ReferenceAdamW(ref_params, lr=3e-2, weight_decay=weight_decay, textbook=True)
+        for _ in range(200):
+            grads = [g.standard_normal(shape) for shape in shapes]
+            opt.step(grads)
+            ref.step(grads)
+        for a, b in zip(params, ref_params, strict=True):
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
         assert not np.array_equal(params[0], start[0])
 
     def test_step_allocates_no_parameter_sized_array(self):

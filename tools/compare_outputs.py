@@ -11,7 +11,10 @@ tree defines them) run through `gen-data`, `train-detector`,
 that tree on PYTHONPATH. Every file the runs write is then compared between
 the two trees, except the measured timing: `timings.json` is skipped and the
 `seconds` column of `summary.csv` is dropped. Each differing file is printed
-with the JSON paths or CSV cells that differ.
+with the JSON paths or CSV cells that differ and the largest absolute and
+relative difference among the numbers that sit at the same place in both
+versions (a checkpoint's base64 `data` blob counts as its float64 values), so
+a re-baseline shows whether its differences are rounding-sized.
 
 Exit codes: 0 when every compared file is byte-identical, 1 on any
 difference, 2 when a command fails.
@@ -20,14 +23,18 @@ difference, 2 when a command fails.
 from __future__ import annotations
 
 import argparse
+import base64
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 CONFIGS = {"ts": "timeseries_benchmark_config", "image": "image_benchmark_config"}
 SKIPPED = {"timings.json"}
@@ -98,6 +105,62 @@ def describe(name: str, a: bytes, b: bytes) -> list[str]:
     return ["bytes differ"]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_numbers(a, b, key=None):
+    """Pairs of numbers at the same place in two decoded JSON documents; a
+    string under the key "data" is a checkpoint's base64 float64 blob."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in a.keys() & b.keys():
+            yield from _json_numbers(a[k], b[k], k)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            yield from _json_numbers(x, y)
+    elif _is_number(a) and _is_number(b):
+        yield float(a), float(b)
+    elif key == "data" and isinstance(a, str) and isinstance(b, str):
+        x, y = (np.frombuffer(base64.b64decode(s), dtype="<f8") for s in (a, b))
+        if x.size == y.size:
+            yield from zip(x.tolist(), y.tolist())
+
+
+def _csv_numbers(a, b):
+    """Pairs of numbers in the same cell of two CSV files' rows."""
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            try:
+                yield float(x), float(y)
+            except ValueError:
+                pass
+
+
+def sizes(name: str, a: bytes, b: bytes) -> str | None:
+    """The largest absolute and relative difference among the finite numbers
+    at the same places in two versions of a JSON or CSV file, and how many
+    differ; None for another kind of file. The relative difference of x and
+    y is |x - y| / max(|x|, |y|)."""
+    if name.endswith(".json"):
+        pairs = _json_numbers(json.loads(a), json.loads(b))
+    elif name.endswith(".csv"):
+        pairs = _csv_numbers(*(csv.reader(io.StringIO(x.decode("utf-8"))) for x in (a, b)))
+    else:
+        return None
+    largest_abs = largest_rel = 0.0
+    count = differ = 0
+    for x, y in pairs:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
+        count += 1
+        if x != y:
+            differ += 1
+            largest_abs = max(largest_abs, abs(x - y))
+            largest_rel = max(largest_rel, abs(x - y) / max(abs(x), abs(y)))
+    return (f"largest numeric difference {largest_abs:.3g} absolute, {largest_rel:.3g} relative; "
+            f"{differ} of {count} finite values differ")
+
+
 def compare(a: Path, b: Path) -> int:
     """Print the files that differ between two output trees; their count."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file() and p.name not in SKIPPED}
@@ -117,6 +180,9 @@ def compare(a: Path, b: Path) -> int:
             print(f"    {line}")
         if len(where) > MAX_LISTED:
             print(f"    ... {len(where) - MAX_LISTED} more")
+        size = sizes(rel.name, x, y)
+        if size is not None:
+            print(f"    {size}")
     print(f"compared {len(files_a & files_b)} files: {differ} differ")
     return differ
 
