@@ -167,6 +167,17 @@ def read(path, expected_kind: str | None = None) -> dict:
     return payload
 
 
+def load(path, build, expected_kind: str | None):
+    """``build(payload)`` of the checkpoint at `path`, which `read` reads and
+    checks. A ValueError from `build`, such as a layer or data mismatch, is
+    raised again with the file's path in front, as `read` words its own."""
+    payload = read(path, expected_kind)
+    try:
+        return build(payload)
+    except ValueError as exc:
+        raise ValueError(f"{Path(path)}: {exc}") from exc
+
+
 def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
     payload = {
         "schema": SCHEMA,
@@ -197,13 +208,9 @@ def mlp_from_payload(payload: dict) -> Mlp:
         if prev["out"] != cur["in"]:
             raise ValueError(f"layer dimensions do not compose: {prev} -> {cur}")
     hidden = [layer["out"] for layer in layers[:-1]]
-    net = Mlp(
-        in_dim,
-        hidden,
-        layers[-1]["out"],
-        acts=[layer["act"] for layer in layers],
-        time_embed=time_embed,
-        seed=None,
-    )
+    net = Mlp(in_dim, hidden, layers[-1]["out"], time_embed=time_embed, seed=None)
+    acts, layout = [layer["act"] for layer in layers], [layer["act"] for layer in net.layer_dims()]
+    if acts != layout:
+        raise ValueError(f"layer activations must be {layout}, got {acts}")
     net.flat[...] = decode_array(payload["data"], net.flat.size)
     return net

@@ -150,13 +150,7 @@ def _require_dir(path: str) -> Path:
 
 
 def _load_dataset(path: str):
-    directory = _require_dir(path)
-    try:
-        return load_csv_dataset(directory)
-    except FileNotFoundError as exc:
-        raise CliError(str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return load_csv_dataset(_require_dir(path))
 
 
 def _require_file(path: str | None, what: str) -> str | None:
@@ -202,7 +196,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train_detector(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     det_cfg = cfg.detector if args.kind is None else dataclasses.replace(cfg.detector, kind=args.kind)
-    _, train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
+    train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
     detector = det_cfg.fit(train, seed=cfg.seed)
     out = Path(args.out) / "detector.json"
     detector.save(out)
@@ -212,7 +206,7 @@ def _cmd_train_detector(args) -> int:
 
 def _cmd_train_diffusion(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
-    _, train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
+    train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
     denoiser = cfg.diffusion.train(train, seed=cfg.seed)
     out = Path(args.out) / "denoiser.json"
     denoiser.save(out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import AdamW, Array, Mlp, Workspace, chunks, stream
+from .tensor import Array, Mlp, Workspace, check_batch, check_training, fit, stream
 
 DECOMP_RTOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-3
@@ -64,21 +64,6 @@ def _check_input(x, n: int) -> Array:
     return x
 
 
-def _check_batch(data, n: int | None = None, subject: str = "training data") -> Array:
-    """`data` as a finite, non-empty 2-D float64 batch (of `n` columns when
-    given); errors name it as `subject`."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 0 or arr.size == 0:
-        raise ValueError(f"{subject} is empty")
-    if arr.ndim != 2:
-        raise ValueError(f"{subject} must be a 2-D batch, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{subject} contains non-finite values")
-    if n is not None and arr.shape[1] != n:
-        raise ValueError(f"{subject} has dimension {arr.shape[1]}, expected {n}")
-    return arr
-
-
 class _DetectorBase:
     """Shared decomposable-score operations; subclasses provide
     `alpha_with_vjp`, the one formula for alpha."""
@@ -91,7 +76,7 @@ class _DetectorBase:
     def alpha_batch(self, data: Array) -> Array:
         """alpha of each row of a batch; a row gets the same bits as `alpha`
         of that row alone."""
-        return self.alpha_with_vjp(_check_batch(data, self.n, "batch"))[0]
+        return self.alpha_with_vjp(check_batch(data, self.n, "batch"))[0]
 
     def alpha_with_vjp(self, x: Array):
         """alpha of a validated vector or batch of rows, and its
@@ -212,8 +197,11 @@ class ReconDetector(_DetectorBase):
 
 def load_detector(path):
     """The detector, of either kind, in the checkpoint at `path`; the file is
-    read and checked once."""
-    payload = ckpt.read(path)
+    read and checked once, and every error names it."""
+    return ckpt.load(path, _from_payload, None)
+
+
+def _from_payload(payload: dict):
     for cls in (GaussDetector, ReconDetector):
         if payload.get("kind") == cls.kind:
             return cls.from_payload(payload)
@@ -225,7 +213,7 @@ def load_detector(path):
 
 def fit_gauss(train, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> GaussDetector:
     """Per-feature sample mean and population std, std clamped to the floor."""
-    data = _check_batch(train)
+    data = check_batch(train)
     mu = data.mean(axis=0)
     sigma = data.std(axis=0)
     return GaussDetector(mu, sigma, sigma_floor=sigma_floor)
@@ -239,26 +227,26 @@ class ReconTrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        check_training(self)
+
 
 def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> ReconDetector:
     """Train an autoencoder on normal data by squared reconstruction error."""
     cfg = cfg or ReconTrainConfig()
-    data = _check_batch(train)
-    n = data.shape[1]
+    data = check_batch(train)
+    m, n = data.shape
     net = Mlp(n, list(cfg.hidden), n, seed=seed, stream_name="recon-init")
-    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
     picker = stream(seed, "recon-batch")
-    m = data.shape[0]
     ws = Workspace(net, min(cfg.batch, m))
-    grad = np.empty_like(net.flat)
-    grads, grad_chunks = net.views(grad), chunks(grad)
-    for _ in range(cfg.steps):
+
+    def batch() -> Array:
         # mode="clip" leaves these in-range indices alone and writes straight
         # into `out`, which the default mode would buffer.
         data.take(picker.integers(0, m, size=ws.rows), axis=0, out=ws.x, mode="clip")
-        net.mse_grads(ws, ws.x, grads)
-        opt.step(grad_chunks)
-    net.require_finite(f"autoencoder training ({cfg.steps} steps, lr={cfg.lr})")
+        return ws.x
+
+    fit(net, ws, batch, cfg, "autoencoder")
     return ReconDetector(net)
 
 
@@ -273,7 +261,7 @@ def calibrate_thresholds(alphas, q: float = 0.9) -> Array:
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile must lie in (0, 1), got {q}")
-    return np.quantile(_check_batch(alphas, subject="alphas"), q, axis=0)
+    return np.quantile(check_batch(alphas, subject="alphas"), q, axis=0)
 
 
 def binarize(score: DecomposableScore | Array, tau) -> Array:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import AdamW, Array, Mlp, Workspace, chunks, stream
+from .tensor import Array, Mlp, Workspace, check_batch, check_training, fit, stream
 
 STD_MODES = ("standard", "paper-literal")
 
@@ -116,7 +116,11 @@ class Denoiser:
 
     @classmethod
     def load(cls, path) -> "Denoiser":
-        payload = ckpt.read(path, expected_kind=cls.kind)
+        """The denoiser in the checkpoint at `path`; every error names the file."""
+        return ckpt.load(path, cls.from_payload, cls.kind)
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Denoiser":
         sched = payload["schedule"]
         schedule = make_schedule(
             int(sched["T"]), float(sched["b_start"]), float(sched["b_end"]), sched["std_mode"]
@@ -147,6 +151,11 @@ class DiffusionTrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        check_training(self)
+        if self.time_embed < 1 or self.time_embed % 2:
+            raise ValueError(f"time_embed must be positive and even, got {self.time_embed}")
+
 
 def train_denoiser(
     normal_data,
@@ -154,26 +163,12 @@ def train_denoiser(
     cfg: DiffusionTrainConfig | None = None,
     seed: int = 0,
 ) -> Denoiser:
-    """Fit the noise predictor by MSE over uniformly sampled steps."""
+    """Fit the noise predictor by MSE over uniformly sampled steps; a step
+    allocates no batch-sized array."""
     cfg = cfg or DiffusionTrainConfig()
-    net, step = _denoiser_trainer(normal_data, schedule, cfg, seed)
-    for _ in range(cfg.steps):
-        step()
-    net.require_finite(f"denoiser training ({cfg.steps} steps, lr={cfg.lr})")
-    return Denoiser(net, schedule)
-
-
-def _denoiser_trainer(normal_data, schedule: NoiseSchedule, cfg: DiffusionTrainConfig, seed: int):
-    """The freshly initialised network `train_denoiser` fits, and a function
-    that runs one training step on it; a step allocates no batch-sized array."""
-    data = np.asarray(normal_data, dtype=np.float64)
-    if data.ndim != 2 or data.size == 0:
-        raise ValueError("training data must be a non-empty 2-D batch")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("training data contains non-finite values")
+    data = check_batch(normal_data)
     m, n = data.shape
     net = Mlp(n, list(cfg.hidden), n, time_embed=cfg.time_embed, seed=seed, stream_name="denoiser-init")
-    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
     picker = stream(seed, "denoiser-batch")
     noiser = stream(seed, "denoiser-noise")
     steps_rng = stream(seed, "denoiser-steps")
@@ -181,12 +176,10 @@ def _denoiser_trainer(normal_data, schedule: NoiseSchedule, cfg: DiffusionTrainC
     root_one_minus_a = np.sqrt(1.0 - schedule.a)
     rows = min(cfg.batch, m)
     ws = Workspace(net, rows, steps=schedule.T)
-    grad = np.empty_like(net.flat)
-    grads, grad_chunks = net.views(grad), chunks(grad)
     x0, eps, blend = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
     emb = np.empty((rows, cfg.time_embed))
 
-    def step() -> None:
+    def batch() -> Array:
         # mode="clip" leaves these in-range indices alone and writes straight
         # into `out`, which the default mode would buffer; `take` into the
         # column block ws.emb would also go through a copy.
@@ -205,10 +198,10 @@ def _denoiser_trainer(normal_data, schedule: NoiseSchedule, cfg: DiffusionTrainC
         np.multiply(blend, eps, out=blend)
         np.add(blend, x0, out=blend)
         ws.x[...] = blend
-        net.mse_grads(ws, eps, grads)
-        opt.step(grad_chunks)
+        return eps
 
-    return net, step
+    fit(net, ws, batch, cfg, "denoiser")
+    return Denoiser(net, schedule)
 
 
 def denoising_loss(denoiser: Denoiser, x0: Array, t, eps: Array) -> float:

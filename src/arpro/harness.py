@@ -28,7 +28,6 @@ from . import ckpt
 from .data import (
     AnomalySpec,
     Dataset,
-    Scaler,
     check_generator_args,
     fit_scaler,
     gen_synthetic_image,
@@ -125,13 +124,10 @@ class _Config:
         return _to_json(self)
 
 
-def _check_training(cfg) -> None:
-    """Range rules shared by the detector's and the denoiser's training settings."""
-    for name, low in (("batch", 1), ("steps", 0), ("lr", 0.0), ("weight_decay", 0.0)):
-        if not getattr(cfg, name) >= low:
-            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
-    if not all(h >= 1 for h in cfg.hidden):
-        raise ValueError(f"hidden widths must be >= 1, got {list(cfg.hidden)}")
+def _library(cls, cfg):
+    """The library settings `cls` built from the fields of the same names in
+    the config `cfg`; building them runs their range rules."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
 
 
 # The anomalies each data kind injects unless its config lists others.
@@ -193,15 +189,12 @@ class DetectorConfig(_Config):
     def __post_init__(self):
         if self.kind not in ("gauss", "recon"):
             raise ValueError(f"detector kind must be 'gauss' or 'recon', got {self.kind!r}")
-        _check_training(self)
+        _library(ReconTrainConfig, self)  # the training keys' rules
 
     def fit(self, train, seed: int):
         if self.kind == "gauss":
             return fit_gauss(train, sigma_floor=self.sigma_floor)
-        cfg = ReconTrainConfig(
-            hidden=self.hidden, steps=self.steps, batch=self.batch, lr=self.lr, weight_decay=self.weight_decay
-        )
-        return fit_recon(train, cfg, seed=seed)
+        return fit_recon(train, _library(ReconTrainConfig, self), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -218,24 +211,14 @@ class DiffusionConfig(_Config):
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        _check_training(self)
-        if self.time_embed < 1 or self.time_embed % 2:
-            raise ValueError(f"time_embed must be positive and even, got {self.time_embed}")
+        _library(DiffusionTrainConfig, self)  # the training keys' and time_embed's rules
         self.schedule()  # make_schedule's rules on T, b_start, b_end and std_mode
 
     def schedule(self):
         return make_schedule(self.T, self.b_start, self.b_end, self.std_mode)
 
     def train(self, train, seed: int) -> Denoiser:
-        cfg = DiffusionTrainConfig(
-            hidden=self.hidden,
-            time_embed=self.time_embed,
-            steps=self.steps,
-            batch=self.batch,
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-        )
-        return train_denoiser(train, self.schedule(), cfg, seed=seed)
+        return train_denoiser(train, self.schedule(), _library(DiffusionTrainConfig, self), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -303,7 +286,6 @@ class Pipeline:
     """Fitted models and selected instances shared by every experiment entry point."""
 
     dataset: Dataset
-    scaler: Scaler | None
     train: np.ndarray
     test: np.ndarray
     detector: object
@@ -323,7 +305,7 @@ def prepare_pipeline(
     """Fit models, calibrate thresholds, and select anomalous test instances."""
     if dataset is None:
         dataset = cfg.data.generate(cfg.seed)
-    scaler, train, test = scaled_splits(cfg, dataset)
+    train, test = scaled_splits(cfg, dataset)
 
     if detector is None:
         detector = cfg.detector.fit(train, seed=cfg.seed)
@@ -345,7 +327,6 @@ def prepare_pipeline(
 
     return Pipeline(
         dataset=dataset,
-        scaler=scaler,
         train=train,
         test=test,
         detector=detector,
@@ -357,13 +338,13 @@ def prepare_pipeline(
     )
 
 
-def scaled_splits(cfg: ExperimentConfig, dataset: Dataset) -> tuple[Scaler | None, np.ndarray, np.ndarray]:
-    """The scaler fitted on the training split (None unless `cfg.normalize`)
-    and the training and test splits it scales."""
+def scaled_splits(cfg: ExperimentConfig, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The training and test splits, scaled by a scaler fitted on the
+    training split when `cfg.normalize` is set."""
     if not cfg.normalize:
-        return None, dataset.train, dataset.test
+        return dataset.train, dataset.test
     scaler = fit_scaler(dataset.train)
-    return scaler, scaler.apply(dataset.train), scaler.apply(dataset.test)
+    return scaler.apply(dataset.train), scaler.apply(dataset.test)
 
 
 def _totals(detector, data: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -1,12 +1,16 @@
-"""A small float64 MLP with a hand-written backward pass, AdamW, and named
-random streams.
+"""A small float64 MLP with a hand-written backward pass, AdamW, the one
+training loop, and named random streams.
 
-Everything downstream runs on this module. Parameters are float64 arrays,
-views of one flat vector per network; `Mlp.backward` and `Mlp.input_grad` are
-the closed-form vector-Jacobian products of the forward pass, which is all
-the training losses and guidance gradients need. Randomness comes from
-counter-based streams addressed by an explicit (seed, name) pair, which keeps
-paired experiment arms and re-runs bit-reproducible.
+Everything downstream runs on this module. An `Mlp` (silu hidden layers, a
+linear output) is the reconstruction detector's autoencoder and the
+diffusion denoiser alike, and `fit` trains both: AdamW on a mean squared
+error, the caller supplying only the network and a function that writes
+each batch. Parameters are float64 arrays, views of one flat vector per
+network; `Mlp.backward` and `Mlp.input_grad` are the closed-form
+vector-Jacobian products of the forward pass, which is all the training
+losses and guidance gradients need. Randomness comes from counter-based
+streams addressed by an explicit (seed, name) pair, which keeps paired
+experiment arms and re-runs bit-reproducible.
 
 `Mlp` gives each row of a batch the same bits whatever the batch height, by
 two rules about BLAS. A one-row product goes to gemv, which rounds
@@ -21,9 +25,9 @@ of one batch height, which a training or repair loop allocates once and
 reuses at every step. glibc hands a freed array of a batch's or a
 parameter's size back to the kernel, so a fresh temporary on every step
 faults its pages in again, and the faults cost as much as the arithmetic.
-The training loop owns the flat parameter gradient that matches `Mlp.flat`,
-the one vector the weights and biases view; `AdamW` keeps two scratch arrays
-and updates the flat vectors in cache-sized `chunks`. A one-off forward pass
+`fit` owns the flat parameter gradient that matches `Mlp.flat`, the one
+vector the weights and biases view; `AdamW` keeps two scratch arrays and
+updates the flat vectors in cache-sized `chunks`. A one-off forward pass
 runs `ONE_OFF_ROWS` rows at a time through a workspace of its own, and the
 guidance gradient allocates its other arrays as it goes.
 """
@@ -32,13 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
-
-ACTIVATIONS = ("linear", "relu", "silu")
 
 # 32768 float64 values are 256 KiB, so the six arrays one chunk's AdamW
 # update passes over (parameter, gradient, two moments, two scratch) fit a
@@ -113,7 +115,8 @@ def time_embedding(t, dim: int) -> Array:
 
 
 class Mlp:
-    """Fully connected network with optional sinusoidal step conditioning.
+    """Fully connected network with optional sinusoidal step conditioning:
+    silu hidden layers and a linear output layer.
 
     When `time_embed` is set, the embedding of the step index is concatenated
     to the input before the first layer, so the first weight matrix has
@@ -129,7 +132,6 @@ class Mlp:
         hidden: Sequence[int],
         out_dim: int,
         *,
-        acts: Sequence[str] | None = None,
         time_embed: int | None = None,
         seed: int | None = 0,
         stream_name: str = "mlp-init",
@@ -139,20 +141,9 @@ class Mlp:
         if time_embed is not None and (time_embed % 2 != 0 or time_embed <= 0):
             raise ValueError(f"time embedding dimension must be even, got {time_embed}")
         dims = [in_dim + (time_embed or 0), *hidden, out_dim]
-        n_layers = len(dims) - 1
-        if acts is None:
-            acts = ["silu"] * (n_layers - 1) + ["linear"]
-        acts = list(acts)
-        if len(acts) != n_layers:
-            raise ValueError(f"expected {n_layers} activations, got {len(acts)}")
-        for a in acts:
-            if a not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {a!r}")
-
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.time_embed = int(time_embed) if time_embed else None
-        self.acts = acts
         self.dims = [int(d) for d in dims]
         self.flat = np.zeros(sum(a * b + b for a, b in zip(dims, dims[1:])))
         params = self.views(self.flat)
@@ -161,8 +152,8 @@ class Mlp:
         if seed is None:
             return
         g = stream(seed, stream_name)
-        for w, act in zip(self.weights, acts):
-            gain = 2.0 if act in ("relu", "silu") else 1.0
+        for i, w in enumerate(self.weights):
+            gain = 1.0 if i == len(self.weights) - 1 else 2.0  # linear output, silu elsewhere
             np.multiply(g.standard_normal(w.shape), math.sqrt(gain / w.shape[0]), out=w)
 
     def views(self, flat: Array) -> list[Array]:
@@ -181,16 +172,11 @@ class Mlp:
         `AdamW` use the same order."""
         return self.views(self.flat)
 
-    def require_finite(self, what: str) -> None:
-        """Raise, naming `what`, when a parameter is NaN or infinite: a diverged
-        fit, whose checkpoint no load would accept."""
-        if not np.isfinite(self.flat).all():
-            raise ValueError(f"{what} produced non-finite parameter values")
-
     def layer_dims(self) -> list[dict]:
+        last = len(self.weights) - 1
         return [
-            {"in": w.shape[0], "out": w.shape[1], "act": a}
-            for w, a in zip(self.weights, self.acts)
+            {"in": w.shape[0], "out": w.shape[1], "act": "linear" if i == last else "silu"}
+            for i, w in enumerate(self.weights)
         ]
 
     def _embedding(self, t, table: Array | None = None) -> Array:
@@ -262,26 +248,23 @@ class Mlp:
         h = ws.input
         if ws.rows == 1:
             h[1] = h[0]
-        for (z, d, scratch), w, b, act in zip(ws.layers, self.weights, self.biases, self.acts):
+        for (z, d, scratch), w, b in zip(ws.layers, self.weights, self.biases):
             h = np.matmul(h, w, out=z)
             # Adding the bias tiled into rows, not broadcast, spares the ufunc
             # a 64 KiB iterator buffer on every call.
             np.copyto(scratch, b)
             h += scratch
-            if act == "relu":
-                if derivs:
-                    np.greater(h, 0.0, out=d)
-                np.maximum(h, 0.0, out=h)
-            elif act == "silu":
-                sig = _sigmoid(h, out=scratch, scratch=d)
-                if derivs:
-                    # silu' = sig * (1 + h * (1 - sig)), one operation at a
-                    # time in the order that expression evaluates.
-                    np.subtract(1.0, sig, out=d)
-                    d *= h
-                    d += 1.0
-                    d *= sig
-                h *= sig
+            if d is None:  # the linear output layer
+                continue
+            sig = _sigmoid(h, out=scratch, scratch=d)
+            if derivs:
+                # silu' = sig * (1 + h * (1 - sig)), one operation at a
+                # time in the order that expression evaluates.
+                np.subtract(1.0, sig, out=d)
+                d *= h
+                d += 1.0
+                d *= sig
+            h *= sig
         return h[: ws.rows]
 
     def _output_grad(self, ws: Workspace, g_out) -> Array:
@@ -337,18 +320,17 @@ class Mlp:
 class Workspace:
     """Buffers for running an `Mlp` on batches of `rows` rows, allocated once.
 
-    Every pass of an `Mlp` runs in one. A training loop writes each batch
-    into `x` and, for a step-conditioned net, the step embeddings into `emb`,
-    the two column blocks of `input`; then ``net.mse_grads(ws, target,
-    grads)`` writes the parameter gradients into `grads`, which the loop
-    owns. ``net.forward_np(x, t, ws=ws)`` fills both blocks itself. `table`
-    holds the embeddings of steps 1 to `steps` (None without `steps` or for a
-    net without step conditioning), rows bit-equal to `time_embedding` of
-    each step. Each entry of `layers` holds one layer's activation, its
-    activation derivative (None for a linear layer) and the gradient with
-    respect to its output, which the forward pass borrows as scratch: the
-    buffers a backward pass reads. A lone row runs as two, like every `Mlp`
-    batch.
+    Every pass of an `Mlp` runs in one. The batch function of `fit` writes
+    each batch into `x` and, for a step-conditioned net, the step embeddings
+    into `emb`, the two column blocks of `input`, before `fit` runs
+    ``net.mse_grads(ws, target, grads)``. ``net.forward_np(x, t, ws=ws)``
+    fills both blocks itself. `table` holds the embeddings of steps 1 to
+    `steps` (None without `steps` or for a net without step conditioning),
+    rows bit-equal to `time_embedding` of each step. Each entry of `layers`
+    holds one layer's activation, its activation derivative (None for the
+    linear output layer) and the gradient with respect to its output, which
+    the forward pass borrows as scratch: the buffers a backward pass reads. A
+    lone row runs as two, like every `Mlp` batch.
     """
 
     def __init__(self, net: Mlp, rows: int, *, steps: int | None = None):
@@ -362,11 +344,11 @@ class Workspace:
         self.table = None
         if steps is not None and net.time_embed is not None:
             self.table = time_embedding(np.arange(1, steps + 1), net.time_embed)
+        *hidden, out = net.dims[1:]
         self.layers = [
-            (np.empty((height, width)), None if act == "linear" else np.empty((height, width)),
-             np.empty((height, width)))
-            for width, act in zip(net.dims[1:], net.acts)
-        ]
+            (np.empty((height, width)), np.empty((height, width)), np.empty((height, width)))
+            for width in hidden
+        ] + [(np.empty((height, out)), None, np.empty((height, out)))]
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -440,3 +422,55 @@ class AdamW:
             np.divide(m, b, out=a)
             a *= step
             p -= a
+
+
+# -- training --------------------------------------------------------------------
+
+
+def check_batch(data, n: int | None = None, subject: str = "training data") -> Array:
+    """`data` as a finite, non-empty 2-D float64 batch (of `n` columns when
+    given); errors name it as `subject`."""
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim == 0 or arr.size == 0:
+        raise ValueError(f"{subject} is empty")
+    if arr.ndim != 2:
+        raise ValueError(f"{subject} must be a 2-D batch, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{subject} contains non-finite values")
+    if n is not None and arr.shape[1] != n:
+        raise ValueError(f"{subject} has dimension {arr.shape[1]}, expected {n}")
+    return arr
+
+
+def check_training(cfg) -> None:
+    """Range rules of a training config's `batch`, `steps`, `lr`,
+    `weight_decay` and `hidden` widths, each error naming its key."""
+    for name, low in (("batch", 1), ("steps", 0), ("lr", 0.0), ("weight_decay", 0.0)):
+        if not getattr(cfg, name) >= low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+    if not all(h >= 1 for h in cfg.hidden):
+        raise ValueError(f"hidden widths must be >= 1, got {list(cfg.hidden)}")
+
+
+def fit(net: Mlp, ws: Workspace, batch: Callable[[], Array], cfg, what: str) -> None:
+    """Fit `net` to the mean squared error by `cfg.steps` AdamW steps at
+    `cfg.lr` and `cfg.weight_decay`, for a training config such as
+    `ReconTrainConfig` or `DiffusionTrainConfig`.
+
+    Each step calls ``batch()``, which writes one batch into the workspace
+    `ws` (`ws.x`, and `ws.emb` for a step-conditioned net) and returns its
+    target rows. The parameter gradients go into one flat vector, which AdamW
+    updates in `chunks` along with `net.flat`. Non-finite parameters after the
+    last step, a diverged fit that no checkpoint load would accept, raise an
+    error naming `what`.
+    """
+    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    grad = np.empty_like(net.flat)
+    grads, grad_chunks = net.views(grad), chunks(grad)
+    for _ in range(cfg.steps):
+        net.mse_grads(ws, batch(), grads)
+        opt.step(grad_chunks)
+    if not np.isfinite(net.flat).all():
+        raise ValueError(
+            f"{what} training ({cfg.steps} steps, lr={cfg.lr}) produced non-finite parameter values"
+        )

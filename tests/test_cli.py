@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -227,10 +228,10 @@ class TestValidationFailures:
         assert message.format(paths[which]) in capsys.readouterr().err
 
     @pytest.mark.parametrize("source,edit,message", [
-        ("denoiser", dict, "unknown detector kind 'denoiser'"),
+        ("denoiser", dict, "{}: unknown detector kind 'denoiser'"),
         ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: checkpoint lacks required key 'layers'"),
         ("detector", lambda p: {k: v for k, v in p.items() if k != "n"}, "{}: checkpoint lacks required key 'n'"),
-        ("detector", lambda p: {**p, "n": 25}, "checkpoint data holds 48 values, expected 50"),
+        ("detector", lambda p: {**p, "n": 25}, "{}: checkpoint data holds 48 values, expected 50"),
     ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data"])
     def test_wrong_kind_or_malformed_detector_exits_1(self, workspace, tmp_path, capsys, source, edit, message):
         _, config, data_dir, models = workspace
@@ -238,6 +239,26 @@ class TestValidationFailures:
         broken.write_text(json.dumps(edit(json.loads((models / f"{source}.json").read_text()))))
         code = main(["evaluate", "--input", str(data_dir), "--detector", str(broken),
                      "--denoiser", str(models / "denoiser.json"), "--seed", "7",
+                     "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(broken)}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: {**p, "schedule": {**p["schedule"], "b_start": 0.5, "b_end": 0.1}},
+         "{}: need 0 < b_start <= b_end < 1, got (0.5, 0.1)"),
+        (lambda p: {**p, "data": base64.b64encode(base64.b64decode(p["data"])[:-8]).decode()},
+         "{}: checkpoint data holds 1207 values, expected 1208"),
+        (lambda p: {**p, "layers": [{**p["layers"][0], "act": "relu"}, *p["layers"][1:]]},
+         "{}: layer activations must be ['silu', 'silu', 'linear'], got ['relu', 'silu', 'linear']"),
+        (lambda p: {**p, "time_embed": None, "in_dim": 32},
+         "{}: denoiser input and output dimensions must match"),
+    ], ids=["schedule", "short-data", "activation", "no-step-embedding"])
+    def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
+        _, config, data_dir, models = workspace
+        broken = tmp_path / "broken-denoiser.json"
+        broken.write_text(json.dumps(edit(json.loads((models / "denoiser.json").read_text()))))
+        code = main(["evaluate", "--input", str(data_dir), "--detector", str(models / "detector.json"),
+                     "--denoiser", str(broken), "--seed", "7",
                      "--config", str(config), "--out", str(tmp_path / "r")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message.format(broken)}\n"

@@ -20,7 +20,7 @@ from conftest import central_diff, max_rel_err, type7_quantile
 
 
 def identity_recon(n: int) -> ReconDetector:
-    net = Mlp(n, [], n, acts=["linear"], seed=0)
+    net = Mlp(n, [], n, seed=0)
     net.weights[0][...] = np.eye(n)
     net.biases[0][...] = 0.0
     return ReconDetector(net)

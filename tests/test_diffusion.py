@@ -169,7 +169,7 @@ class TestTraining:
         assert float(np.mean((eps - eps) ** 2)) == 0.0
 
     def test_empty_data_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(ValueError, match="training data is empty"):
             train_denoiser(np.zeros((0, 4)), make_schedule(5))
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from arpro import ckpt
-from arpro.diffusion import Denoiser, DiffusionTrainConfig, _denoiser_trainer, make_schedule, predict_mu
+from arpro.detector import ReconTrainConfig, fit_recon
+from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, predict_mu, train_denoiser
 from arpro.tensor import CHUNK, ONE_OFF_ROWS, AdamW, Mlp, Workspace, chunks, normal, stream, time_embedding
 
 from conftest import central_diff, max_rel_err
@@ -28,13 +29,13 @@ def _grads(net):
 
 class TestMlp:
     def test_identity_layer(self):
-        net = Mlp(2, [], 2, acts=["linear"], seed=0)
+        net = Mlp(2, [], 2, seed=0)
         net.weights[0][...] = np.eye(2)
         net.biases[0][...] = 0.0
         assert np.array_equal(net.forward_np(np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_zero_weights_constant_output(self):
-        net = Mlp(3, [4], 1, acts=["relu", "linear"], seed=0)
+        net = Mlp(3, [4], 1, seed=0)
         for w in net.weights:
             w[...] = 0.0
         net.biases[-1][...] = 5.0
@@ -81,20 +82,22 @@ class TestMlp:
         assert max_rel_err(g_in[0], central_diff(f, x0)) <= 1e-6
 
 
-# Every activation kind, with and without the step embedding, for a batch of
-# three rows and for a lone row (which `Mlp` runs padded to two).
+# Two silu hidden layers, one, and none (a lone linear layer), with and
+# without the step embedding, for a batch of three rows and for a lone row
+# (which `Mlp` runs padded to two).
+LAYOUTS = {"silu2": [4, 3], "silu1": [4], "linear": []}
 BACKWARD_CASES = [
-    pytest.param(act, te, height, id=f"{act}-{'time' if te else 'plain'}{'-lone' if height == 1 else ''}")
-    for act in ("silu", "relu", "linear")
+    pytest.param(hidden, te, height, id=f"{name}-{'time' if te else 'plain'}{'-lone' if height == 1 else ''}")
+    for name, hidden in LAYOUTS.items()
     for te in (None, 4)
     for height in (3, 1)
 ]
 
 
-def _probe(act, time_embed, height, seed):
+def _probe(hidden, time_embed, height, seed):
     """A small net, a batch with its steps, and a random output weighting."""
-    net = Mlp(5, [4, 3], 5, acts=[act] * 3, time_embed=time_embed, seed=seed)
-    g = stream(seed, f"backward-{act}-{time_embed}")
+    net = Mlp(5, hidden, 5, time_embed=time_embed, seed=seed)
+    g = stream(seed, f"backward-{len(hidden)}-{time_embed}")
     for b in net.biases:
         b[...] = 0.1 * g.standard_normal(b.shape)
     x = g.standard_normal((height, 5))
@@ -122,11 +125,11 @@ class TestMlpBackward:
     # 10 random points per case, max relative error <= 1e-6 against the
     # central-difference oracle with step 1e-5, as for the other gradients.
 
-    @pytest.mark.parametrize("act,time_embed,height", BACKWARD_CASES)
-    def test_input_gradient_matches_finite_differences(self, act, time_embed, height):
+    @pytest.mark.parametrize("hidden,time_embed,height", BACKWARD_CASES)
+    def test_input_gradient_matches_finite_differences(self, hidden, time_embed, height):
         worst = 0.0
         for seed in range(10):
-            net, x, t, c = _probe(act, time_embed, height, seed)
+            net, x, t, c = _probe(hidden, time_embed, height, seed)
             ws, _ = _forward_in(net, x, t)
             g_in = net.input_grad(ws, c)
             assert g_in.shape == x.shape
@@ -137,11 +140,11 @@ class TestMlpBackward:
             worst = max(worst, max_rel_err(g_in, central_diff(f, x.ravel()).reshape(x.shape)))
         assert worst <= 1e-6
 
-    @pytest.mark.parametrize("act,time_embed,height", BACKWARD_CASES)
-    def test_parameter_gradients_match_finite_differences(self, act, time_embed, height):
+    @pytest.mark.parametrize("hidden,time_embed,height", BACKWARD_CASES)
+    def test_parameter_gradients_match_finite_differences(self, hidden, time_embed, height):
         worst = 0.0
         for seed in range(10):
-            net, x, t, c = _probe(act, time_embed, height, seed)
+            net, x, t, c = _probe(hidden, time_embed, height, seed)
             ws, _ = _forward_in(net, x, t)
             buffers = _grads(net)
             grads = net.backward(ws, c, buffers)
@@ -187,9 +190,9 @@ class TestMlpBackward:
         fds = _param_fd(net, lambda: float(np.mean((net.forward_np(x, t) - target) ** 2)))
         assert max(max_rel_err(grad, fd) for grad, fd in zip(grads, fds, strict=True)) <= 1e-6
 
-    @pytest.mark.parametrize("act,time_embed,height", BACKWARD_CASES)
-    def test_mse_grads_are_backward_of_the_scaled_residual(self, act, time_embed, height):
-        net, x, t, target = _probe(act, time_embed, height, 0)
+    @pytest.mark.parametrize("hidden,time_embed,height", BACKWARD_CASES)
+    def test_mse_grads_are_backward_of_the_scaled_residual(self, hidden, time_embed, height):
+        net, x, t, target = _probe(hidden, time_embed, height, 0)
         ws, y = _forward_in(net, x, t)
         g = y - target
         g *= 2.0 / g.size
@@ -352,14 +355,11 @@ def _reference_forward(net, params, x, t):
     if h.shape[0] == 1:
         h = np.repeat(h, 2, axis=0)
     cache = []
-    for w, b, act in zip(params[0::2], params[1::2], net.acts):
+    for i, (w, b) in enumerate(zip(params[0::2], params[1::2])):
         h_in = h
         h = h @ w + b
         deriv = None
-        if act == "relu":
-            deriv = (h > 0.0).astype(np.float64)
-            h = np.maximum(h, 0.0)
-        elif act == "silu":
+        if i < len(net.weights) - 1:  # silu; the output layer is linear
             e = np.exp(-np.abs(h))
             sig = np.where(h >= 0, 1.0, e) / (1.0 + e)
             deriv = sig * (1.0 + h * (1.0 - sig))
@@ -396,21 +396,22 @@ class _ReferenceMlp:
         self.opt.step(grads)
 
 
-# Every activation kind, with and without the step embedding, at batch heights
-# 1 (run padded to two), 3 and 32; and one net wide enough that its flat
-# vector spans two AdamW chunks, the boundary falling inside a weight matrix.
+# Two silu hidden layers, one, and none, with and without the step embedding,
+# at batch heights 1 (run padded to two), 3 and 32; and one net wide enough
+# that its flat vector spans two AdamW chunks, the boundary falling inside a
+# weight matrix.
 TRAINING_CASES = [
-    pytest.param(act, te, height, [6, 4], id=f"{act}-{'time' if te else 'plain'}-{height}")
-    for act in ("silu", "relu", "linear")
+    pytest.param(te, height, hidden, id=f"{name}-{'time' if te else 'plain'}-{height}")
+    for name, hidden in {"silu2": [6, 4], "silu1": [6], "linear": []}.items()
     for te in (None, 4)
     for height in (1, 3, 32)
-] + [pytest.param("silu", 4, 32, [200, 160], id="silu-time-32-two-chunks")]
+] + [pytest.param(4, 32, [200, 160], id="silu2-time-32-two-chunks")]
 
 
 class TestWorkspaceTraining:
-    @pytest.mark.parametrize("act,time_embed,height,hidden", TRAINING_CASES)
-    def test_matches_allocating_reference_bit_for_bit(self, act, time_embed, height, hidden):
-        net = Mlp(5, hidden, 5, acts=[act] * (len(hidden) + 1), time_embed=time_embed, seed=1)
+    @pytest.mark.parametrize("time_embed,height,hidden", TRAINING_CASES)
+    def test_matches_allocating_reference_bit_for_bit(self, time_embed, height, hidden):
+        net = Mlp(5, hidden, 5, time_embed=time_embed, seed=1)
         ref = _ReferenceMlp(net, lr=3e-2, weight_decay=0.01)
         start = net.flat.copy()
         ws = Workspace(net, height)
@@ -418,7 +419,7 @@ class TestWorkspaceTraining:
         grad = np.empty_like(net.flat)
         grads, grad_chunks = net.views(grad), chunks(grad)
         assert len(grad_chunks) == -(-net.flat.size // CHUNK)
-        g = stream(1, f"train-ref-{act}-{time_embed}-{height}")
+        g = stream(1, f"train-ref-{len(hidden)}-{time_embed}-{height}")
         table = time_embedding(np.arange(1, 21), time_embed) if time_embed else None
         for _ in range(20):
             x = g.standard_normal((height, 5))
@@ -470,22 +471,46 @@ class TestWorkspaceTraining:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    def test_warm_denoiser_training_step_allocates_no_batch_sized_array(self):
+    @staticmethod
+    def _warm_step_peak(monkeypatch, train) -> int:
+        """Peak bytes traced over the second step of ``train()``, a two-step
+        fit: the trace opens when the first `AdamW.step` returns and is read
+        when the second does, so it covers the batch, the gradients and the
+        update of one warm step."""
+        step, peaks = AdamW.step, []
+
+        def traced(opt, grads):
+            step(opt, grads)
+            if opt.t == 1:
+                tracemalloc.start()
+            elif opt.t == 2:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(AdamW, "step", traced)
+        try:
+            train()
+        finally:
+            if tracemalloc.is_tracing():
+                tracemalloc.stop()
+        assert len(peaks) == 1
+        return peaks[0]
+
+    def test_warm_denoiser_training_step_allocates_no_batch_sized_array(self, monkeypatch):
         # The image denoiser's training shape. The x_t blend's column
         # broadcasts took a 64 KiB ufunc buffer each, and the table lookup
         # into the column block of the input a 16 KiB copy.
         data = stream(0, "train-alloc").standard_normal((200, 256))
         cfg = DiffusionTrainConfig(hidden=(256, 256), time_embed=32, batch=64, steps=2)
-        _, step = _denoiser_trainer(data, make_schedule(100, 1e-3, 0.05), cfg, seed=0)
-        step()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._warm_step_peak(monkeypatch, lambda: train_denoiser(data, make_schedule(100, 1e-3, 0.05), cfg))
         assert peak < 16 * 1024
+
+    def test_warm_autoencoder_training_step_allocates_no_batch_sized_array(self, monkeypatch):
+        # The image autoencoder's training shape; one batch-by-width array of
+        # its input and output layers is 64 KiB.
+        data = stream(0, "recon-alloc").standard_normal((200, 256))
+        cfg = ReconTrainConfig(hidden=(96, 32, 96), batch=32, steps=2)
+        assert self._warm_step_peak(monkeypatch, lambda: fit_recon(data, cfg)) < 16 * 1024
 
 
 def _reference(net, x, t):
@@ -496,7 +521,7 @@ class TestWorkspaceInference:
     @pytest.mark.parametrize("height", [1, 2, 5])
     @pytest.mark.parametrize("time_embed", [None, 4])
     def test_forward_matches_allocating_forward(self, height, time_embed):
-        net = Mlp(5, [7, 6], 5, acts=["silu", "relu", "linear"], time_embed=time_embed, seed=2)
+        net = Mlp(5, [7, 6], 5, time_embed=time_embed, seed=2)
         ws = Workspace(net, height, steps=9)
         g = stream(2, f"inference-{height}-{time_embed}")
         for t in (9, 4, 1):
@@ -514,7 +539,7 @@ class TestWorkspaceInference:
     @pytest.mark.parametrize("height", [ONE_OFF_ROWS + 1, 2 * ONE_OFF_ROWS + 5])
     def test_one_off_forward_over_several_chunks_matches_allocating_forward(self, height):
         # The last chunk holds 1 row at 65 and 5 at 133.
-        net = Mlp(5, [7, 6], 5, acts=["silu", "relu", "linear"], time_embed=4, seed=2)
+        net = Mlp(5, [7, 6], 5, time_embed=4, seed=2)
         g = stream(2, f"one-off-{height}")
         x = g.standard_normal((height, 5))
         steps = g.integers(1, 10, size=height)
@@ -589,7 +614,7 @@ class TestCheckpoint:
         assert np.array_equal(net.forward_np(x, t=2), loaded.forward_np(x, t=2))
 
     def test_schema_and_kind_checked(self, tmp_path):
-        net = Mlp(3, [], 3, acts=["linear"], seed=0)
+        net = Mlp(3, [], 3, seed=0)
         path = tmp_path / "model.json"
         payload = ckpt.mlp_payload(net)
         payload["schema"] = "bogus"
@@ -601,9 +626,50 @@ class TestCheckpoint:
             ckpt.read(path, expected_kind="denoiser")
 
     def test_non_finite_rejected(self, tmp_path):
-        net = Mlp(3, [], 3, acts=["linear"], seed=0)
+        net = Mlp(3, [], 3, seed=0)
         net.weights[0][0, 0] = np.nan
         path = tmp_path / "model.json"
         ckpt.write(path, ckpt.mlp_payload(net))
         with pytest.raises(ValueError, match="non-finite"):
             ckpt.mlp_from_payload(ckpt.read(path))
+
+    def test_layers_record_silu_then_a_linear_output(self):
+        assert [layer["act"] for layer in Mlp(4, [8, 6], 4, seed=0).layer_dims()] == ["silu", "silu", "linear"]
+        assert [layer["act"] for layer in Mlp(4, [], 4, seed=0).layer_dims()] == ["linear"]
+
+    @pytest.mark.parametrize("acts", [["relu", "linear"], ["silu", "silu"], ["linear", "linear"]])
+    def test_other_activations_rejected_naming_the_file(self, tmp_path, acts):
+        payload = ckpt.mlp_payload(Mlp(3, [4], 3, seed=0))
+        for layer, act in zip(payload["layers"], acts, strict=True):
+            layer["act"] = act
+        path = tmp_path / "model.json"
+        ckpt.write(path, payload)
+        message = f"{path}: layer activations must be ['silu', 'linear'], got {acts}"
+        with pytest.raises(ValueError) as info:
+            ckpt.load(path, ckpt.mlp_from_payload, "mlp")
+        assert str(info.value) == message
+
+
+class TestFit:
+    def test_settings_rejected_naming_the_key(self):
+        for cfg, message in (
+            (lambda: ReconTrainConfig(steps=-3), "steps must be >= 0, got -3"),
+            (lambda: ReconTrainConfig(hidden=(4, 0)), r"hidden widths must be >= 1, got \[4, 0\]"),
+            (lambda: ReconTrainConfig(lr=float("nan")), "lr must be >= 0.0, got nan"),
+            (lambda: DiffusionTrainConfig(batch=0), "batch must be >= 1, got 0"),
+            (lambda: DiffusionTrainConfig(weight_decay=-1.0), "weight_decay must be >= 0.0, got -1.0"),
+            (lambda: DiffusionTrainConfig(time_embed=5), "time_embed must be positive and even, got 5"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                cfg()
+
+    @pytest.mark.parametrize("data,message", [
+        (np.zeros((0, 3)), "training data is empty"),
+        (np.zeros(3), r"training data must be a 2-D batch, got shape \(3,\)"),
+        (np.array([[1.0, np.inf]]), "training data contains non-finite values"),
+    ])
+    def test_both_fits_check_the_data_alike(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            fit_recon(data, ReconTrainConfig(hidden=(4,), steps=1))
+        with pytest.raises(ValueError, match=message):
+            train_denoiser(data, make_schedule(5), DiffusionTrainConfig(hidden=(4,), time_embed=4, steps=1))
