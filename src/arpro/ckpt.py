@@ -38,6 +38,8 @@ def encode_arrays(arrays) -> str:
 
 
 def decode_array(data: str, count: int) -> Array:
+    if not isinstance(data, str):
+        raise ValueError(f"checkpoint data must be a base64 string, got {type(data).__name__}")
     raw = base64.b64decode(data.encode("ascii"), validate=True)
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if values.size != count:
@@ -170,12 +172,16 @@ def read(path, expected_kind: str | None = None) -> dict:
 def load(path, build, expected_kind: str | None):
     """``build(payload)`` of the checkpoint at `path`, which `read` reads and
     checks. A ValueError from `build`, such as a layer or data mismatch, is
-    raised again with the file's path in front, as `read` words its own."""
+    raised again with the file's path in front, as `read` words its own; so
+    is a TypeError, which a value of the wrong JSON type raises, such as
+    ``int(None)`` for a ``null`` step count."""
     payload = read(path, expected_kind)
     try:
         return build(payload)
     except ValueError as exc:
         raise ValueError(f"{Path(path)}: {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{Path(path)}: a checkpoint value has the wrong type: {exc}") from exc
 
 
 def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import Array, Mlp, Workspace, check_batch, check_training, fit, stream
+from .tensor import ONE_OFF_ROWS, Array, Mlp, Workspace, check_batch, check_training, fit, stream
 
 DECOMP_RTOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-3
@@ -74,17 +74,34 @@ class _DetectorBase:
         return self.alpha_with_vjp(_check_input(x, self.n))[0]
 
     def alpha_batch(self, data: Array) -> Array:
-        """alpha of each row of a batch; a row gets the same bits as `alpha`
-        of that row alone."""
-        return self.alpha_with_vjp(check_batch(data, self.n, "batch"))[0]
+        """alpha of each row of a batch, `ONE_OFF_ROWS` rows at a time through
+        one workspace; a row gets the same bits as `alpha` of that row alone."""
+        data = check_batch(data, self.n, "batch")
+        out, ws = np.empty_like(data), None
+        for start in range(0, len(data), ONE_OFF_ROWS):
+            rows = data[start : start + ONE_OFF_ROWS]
+            if ws is None or len(ws.x) != len(rows):
+                ws = self.workspace(len(rows), ws)
+            out[start : start + len(rows)] = self.alpha_with_vjp(rows, ws)[0]
+        return out
 
-    def alpha_with_vjp(self, x: Array):
+    def alpha_with_vjp(self, x: Array, ws=None):
         """alpha of a validated vector or batch of rows, and its
         vector-Jacobian product ``vjp(g_alpha, acc=None)``.
 
         `vjp` returns the gradient of ``sum(g_alpha * alpha(x))`` with respect
-        to x, added onto `acc` when one is given.
+        to x, added onto `acc` when one is given. Both run in `ws`, a
+        `workspace` of x's height (made here when not given), and return views
+        of its buffers, valid until it is used again; `x` may be `ws.x`. No
+        ufunc broadcasts a row or a column over the batch, which would cost an
+        iterator buffer the batch's size.
         """
+        raise NotImplementedError
+
+    def workspace(self, rows: int, previous=None):
+        """The buffers of `alpha_with_vjp` at `rows` rows, input `x` among
+        them. `previous`, a workspace made while the detector stayed as it
+        is, lends what does not depend on the height."""
         raise NotImplementedError
 
     def beta_value(self, x: Array) -> float:
@@ -128,15 +145,27 @@ class GaussDetector(_DetectorBase):
         self._inv_two_var = 1.0 / (2.0 * self.sigma**2)
         self._log_term = 0.5 * np.log(2.0 * math.pi * self.sigma**2)
 
-    def alpha_with_vjp(self, x: Array):
-        diff = x - self.mu
-        alpha = diff * diff * self._inv_two_var + self._log_term
+    def workspace(self, rows: int, previous=None) -> "_GaussWorkspace":
+        return _GaussWorkspace(self, rows)
 
-        def vjp(g_alpha, acc=None):
-            g = g_alpha * self._inv_two_var * 2.0 * diff
-            return g if acc is None else acc + g
+    def alpha_with_vjp(self, x: Array, ws: "_GaussWorkspace | None" = None):
+        if ws is None:
+            ws = self.workspace(len(x) if x.ndim == 2 else 1)
+        # alpha = diff * diff * inv_two_var + log_term with diff = x - mu.
+        diff = np.subtract(x, ws.mu, out=ws.diff)
+        alpha = np.multiply(diff, diff, out=ws.alpha)
+        alpha *= ws.inv_two_var
+        alpha += ws.log_term
 
-        return alpha, vjp
+        def vjp(g_alpha, acc=None):  # g_alpha * inv_two_var * 2.0 * diff + acc
+            g = np.multiply(g_alpha, ws.inv_two_var, out=ws.grad)
+            g *= 2.0
+            g *= diff
+            if acc is not None:
+                g += acc
+            return g.reshape(x.shape)
+
+        return alpha.reshape(x.shape), vjp
 
     def save(self, path) -> None:
         ckpt.write(
@@ -172,20 +201,29 @@ class ReconDetector(_DetectorBase):
         self.net = net
         self.n = net.in_dim
 
-    def alpha_with_vjp(self, x: Array):
-        ws = Workspace(self.net, len(x) if x.ndim == 2 else 1)
-        ws.x[...] = x
-        r = self.net._forward(ws, derivs=True).reshape(x.shape) - x
+    def workspace(self, rows: int, previous: "_ReconWorkspace | None" = None) -> "_ReconWorkspace":
+        return _ReconWorkspace(self.net, rows, previous.transposed if previous is not None else None)
+
+    def alpha_with_vjp(self, x: Array, ws: "_ReconWorkspace | None" = None):
+        if ws is None:
+            ws = self.workspace(len(x) if x.ndim == 2 else 1)
+        if x is not ws.x:
+            ws.x[...] = x
+        r = np.subtract(self.net._forward(ws.net, derivs=True), ws.x, out=ws.r)
 
         def vjp(g_alpha, acc=None):
-            # alpha = r*r with r = f(x) - x. The residual's own -g_r term is
-            # added before the network's input gradient; the order fixes the
-            # rounding of the sum.
-            g_r = g_alpha * 2.0 * r
-            g = -g_r if acc is None else acc - g_r
-            return g + self.net.input_grad(ws, g_r).reshape(x.shape)
+            # alpha = r*r with r = f(x) - x. g_r = g_alpha * 2.0 * r, and the
+            # residual's own -g_r term is added before the network's input
+            # gradient; the order fixes the rounding of the sum.
+            if ws.transposed is None:
+                ws.transposed = self.net.transposed_weights()
+            g_r = np.multiply(g_alpha, 2.0, out=ws.g_r)
+            g_r *= r
+            g = np.negative(g_r, out=ws.grad) if acc is None else np.subtract(acc, g_r, out=ws.grad)
+            g += self.net.input_grad(ws.net, g_r, ws.transposed)
+            return g.reshape(x.shape)
 
-        return r * r, vjp
+        return np.multiply(r, r, out=ws.alpha).reshape(x.shape), vjp
 
     def save(self, path) -> None:
         ckpt.write(path, ckpt.mlp_payload(self.net, kind=self.kind))
@@ -193,6 +231,27 @@ class ReconDetector(_DetectorBase):
     @classmethod
     def from_payload(cls, payload: dict) -> "ReconDetector":
         return cls(ckpt.mlp_from_payload(payload))
+
+
+class _GaussWorkspace:
+    """`GaussDetector.alpha_with_vjp`'s buffers, mu and the two per-feature
+    constants tiled to the batch's height."""
+
+    def __init__(self, det: GaussDetector, rows: int):
+        self.x, self.diff, self.alpha, self.grad = (np.empty((rows, det.n)) for _ in range(4))
+        constants = (det.mu, det._inv_two_var, det._log_term)
+        self.mu, self.inv_two_var, self.log_term = (np.tile(v, (rows, 1)) for v in constants)
+
+
+class _ReconWorkspace:
+    """`ReconDetector.alpha_with_vjp`'s buffers: the autoencoder's
+    `Workspace`, whose input is `x`, four batch-shaped arrays, and the
+    transposed weights, which the first VJP makes."""
+
+    def __init__(self, net: Mlp, rows: int, transposed: list[Array] | None):
+        self.net, self.transposed = Workspace(net, rows), transposed
+        self.x = self.net.x
+        self.r, self.alpha, self.g_r, self.grad = (np.empty((rows, net.in_dim)) for _ in range(4))
 
 
 def load_detector(path):

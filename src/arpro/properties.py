@@ -115,7 +115,21 @@ def guidance_grad(detector, x: Array, x_bad: Array, omega: Array, regions, delta
     `x` is one vector or a batch of rows. Each row brings its own target
     `x_bad`, mask `omega`, ``regions`` as ``(omega_bar, s_om_bad, s_ob_bad)``
     from the target, `delta4` and the four weights `lambdas`; a scalar serves
-    every row and a column gives one value per row.
+    every row and a column gives one value per row. This builds a
+    `GuidanceState` for the rows of `x` and calls it once.
+    """
+    state = GuidanceState(detector, len(x) if np.ndim(x) == 2 else 1, x_bad, omega, regions, delta4, lambdas)
+    np.copyto(state.x, x)
+    return state.grad().reshape(np.shape(x))
+
+
+class GuidanceState:
+    """The guidance gradient of a fixed set of `rows` rows: their operands,
+    as for `guidance_grad`, copied into arrays of its own, and every buffer
+    the gradient uses. A repair builds one when it gathers its guided rows;
+    at each step it writes their iterates into `x` and calls `grad`.
+    `previous`, a state made earlier in the same repair, lends its detector
+    workspace's row-independent parts, such as transposed weights.
 
     The masked distance uses a smoothed norm sqrt(sum(..)^2 + eps) so its
     gradient exists at zero distance; the hinge terms have subgradient zero at
@@ -123,17 +137,69 @@ def guidance_grad(detector, x: Array, x_bad: Array, omega: Array, regions, delta
     one vector-Jacobian product of alpha with weight
     ``lambda1 + lambda3*[l3>0]*omega + lambda4*[l4>0]*omega_bar``.
     """
-    lambda1, lambda2, lambda3, lambda4 = lambdas
-    omega_bar, s_om_bad, s_ob_bad = regions
-    beta = detector.beta_value(x)
-    alpha, vjp = detector.alpha_with_vjp(x)
-    on3 = ((alpha * omega).sum(axis=-1, keepdims=True) + beta - s_om_bad > 0.0).astype(np.float64)
-    on4 = ((alpha * omega_bar).sum(axis=-1, keepdims=True) + beta - s_ob_bad - delta4 > 0.0).astype(np.float64)
-    g_alpha = (lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar
-    masked = (x - x_bad) * omega_bar
-    root = np.sqrt((masked * masked).sum(axis=-1, keepdims=True) + L2_SMOOTH_EPS)
-    g_l2 = lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
-    return vjp(g_alpha, g_l2)
+
+    def __init__(self, detector, rows: int, x_bad, omega, regions, delta4, lambdas, previous=None):
+        n = detector.n
+
+        def own(value, width: int) -> Array:
+            out = np.empty((rows, width))
+            np.copyto(out, value)
+            return out
+
+        omega_bar, s_om_bad, s_ob_bad = regions
+        self.detector = detector
+        self.ws = detector.workspace(rows, previous.ws if previous is not None else None)
+        self.x = self.ws.x
+        self.x_bad, self.omega, self.omega_bar = (own(v, n) for v in (x_bad, omega, omega_bar))
+        self.s_om_bad, self.s_ob_bad, self.delta4 = (own(v, 1) for v in (s_om_bad, s_ob_bad, delta4))
+        lambda1, self.lambda2, lambda3, lambda4 = (own(v, 1) for v in lambdas)
+        # g_alpha = (lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar
+        # takes one of four values in a row, since on3 and on4 are 0 or 1.
+        # All four are evaluated here, case 2 * on3 + on4 in rows
+        # [case * rows, (case + 1) * rows), and each step takes each row's.
+        self.g_alpha_cases = np.concatenate([
+            (lambda1 + lambda3 * on3 * self.omega) + lambda4 * on4 * self.omega_bar
+            for on3 in (0.0, 1.0) for on4 in (0.0, 1.0)
+        ])
+        self.row = np.arange(rows)
+        self.g_alpha, self.masked, self.term = (np.empty((rows, n)) for _ in range(3))
+        self.col = np.empty((rows, 1))
+
+    def grad(self) -> Array:
+        """The gradient at the rows of `x`, in a buffer of the state's. Each
+        expression runs one operation at a time in the order it evaluates, a
+        column tiled into a buffer before it meets a batch, so the bits are
+        those of the expression."""
+        x, t, col = self.x, self.term, self.col
+        beta = self.detector.beta_value(x)
+        alpha, vjp = self.detector.alpha_with_vjp(x, self.ws)
+        # on3 = sum(alpha * omega) + beta - s_om_bad > 0
+        np.add.reduce(np.multiply(alpha, self.omega, out=t), axis=-1, keepdims=True, out=col)
+        col += beta
+        col -= self.s_om_bad
+        on3 = col[:, 0] > 0.0
+        # on4 = sum(alpha * omega_bar) + beta - s_ob_bad - delta4 > 0
+        np.add.reduce(np.multiply(alpha, self.omega_bar, out=t), axis=-1, keepdims=True, out=col)
+        col += beta
+        col -= self.s_ob_bad
+        col -= self.delta4
+        case = 2 * on3 + (col[:, 0] > 0.0)
+        g_alpha = self.g_alpha_cases.take(case * len(col) + self.row, axis=0, out=self.g_alpha, mode="clip")
+        # masked = (x - x_bad) * omega_bar
+        masked = np.subtract(x, self.x_bad, out=self.masked)
+        masked *= self.omega_bar
+        # root = sqrt(sum(masked * masked) + eps)
+        np.add.reduce(np.multiply(masked, masked, out=t), axis=-1, keepdims=True, out=col)
+        col += L2_SMOOTH_EPS
+        np.sqrt(col, out=col)
+        # g_l2 = lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
+        col *= 2.0
+        np.divide(self.lambda2, col, out=col)
+        col *= 2.0
+        np.copyto(t, col)
+        t *= masked
+        t *= self.omega_bar
+        return vjp(g_alpha, t)
 
 
 def grad_guidance(detector, x_bad, x_fix, omega, tol: Tolerances, weights: PropertyWeights) -> Array:

@@ -23,10 +23,15 @@ step-by-step loop; the finiteness check and `record_trajectory` stay per step.
 The loop allocates its arrays once per repair: the denoiser forward runs in a
 `tensor.Workspace` of the batch height, with the step embeddings from its
 table, and the iterate, the posterior mean and the noised target each have
-one buffer, as does each stream's noise. Every update runs in place one operation at a time, in the
-order its expression evaluates, so the bits are those of the expression. The
-per-row guidance operands are gathered again only when the set of guided rows
-changes, which happens at most once: when a ramp that starts at 0 reaches t=1.
+one buffer, as does each stream's noise. The guidance gradient runs in a
+`properties.GuidanceState`, built when the guided rows are gathered: their
+operands and guidance weights, the detector's workspace (for the autoencoder
+with its transposed weights) and every buffer of the gradient. Each step
+gathers the guided iterates straight into that workspace's input. The state
+is built again only when the set of guided rows changes, which happens at
+most once: when a ramp that starts at 0 reaches t=1; the new state keeps the
+transposed weights. Every update runs in place one operation at a time, in
+the order its expression evaluates, so the bits are those of the expression.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ from .diffusion import Denoiser, NoiseSchedule, predict_mu
 from .properties import (
     LossBreakdown,
     MetricsRecord,
+    GuidanceState,
     PropertyWeights,
     Tolerances,
-    guidance_grad,
     losses_from_metrics,
     scored_metrics,
 )
@@ -130,14 +135,17 @@ def _noise_steps(generators, n: int, steps: int, owner: Array):
     owner[r]; each generator draws `BLOCK` steps of noise per call. Every
     draw is yielded in the same buffer, which the caller may overwrite."""
     block = np.empty((len(generators), BLOCK, n))
+    # Row g * BLOCK + j of `draws` is generator g's draw j. `take` reads this
+    # contiguous view without a copy of its own, which `block[:, j]` would cost.
+    draws, first = block.reshape(-1, n), owner * BLOCK
     step = np.empty((owner.size, n))
     for start in range(0, steps, BLOCK):
         k = min(BLOCK, steps - start)
         for g, out in zip(generators, block):
             g.standard_normal(out=out[:k])
         for j in range(k):
-            # mode="clip" writes straight into `step`; the owners are in range.
-            yield block[:, j].take(owner, axis=0, out=step, mode="clip")
+            # mode="clip" writes straight into `step`; the indices are in range.
+            yield draws.take(first + j, axis=0, out=step, mode="clip")
 
 
 class _TrajectoryHashes:
@@ -202,15 +210,16 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     beta_bad = detector.beta_value(x_bad)
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
-    # Per-row guidance operands, gathered again only when the guided rows change.
-    operands = (
-        x_bad, omega, omega_bar, s_om_bad, s_ob_bad,
-        column([row.cfg.tol.delta4 for row in rows]),
-        *(column([getattr(row.cfg.weights, f"lambda{k}") for row in rows]) for k in range(1, 5)),
-    )
+    delta4 = column([row.cfg.tol.delta4 for row in rows])
+    lambdas = [column([getattr(row.cfg.weights, f"lambda{k}") for row in rows]) for k in range(1, 5)]
 
-    def guide(x, x_bad, omega, omega_bar, s_om_bad, s_ob_bad, delta4, *lambdas):
-        return guidance_grad(detector, x, x_bad, omega, (omega_bar, s_om_bad, s_ob_bad), delta4, lambdas)
+    def guidance_state(sel, previous):
+        """The guidance state of rows `sel`, their weights at each step and a
+        buffer for their update."""
+        regions = (omega_bar[sel], s_om_bad[sel], s_ob_bad[sel])
+        state = GuidanceState(detector, sel.size, x_bad[sel], omega[sel], regions, delta4[sel],
+                              [lam[sel] for lam in lambdas], previous=previous)
+        return state, eta[sel], np.empty((sel.size, n))
 
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
     owner = np.array([keys[(row.cfg.seed, row.cfg.stream_tag)] for row in rows])
@@ -229,7 +238,8 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     # x_bad + sqrt(1 - a_l) eps and x = omega_bar x_bad_level + omega xhat.
     ws = Workspace(denoiser.net, len(rows), steps=schedule.T)
     xhat, level_buf = np.empty_like(x_bad), np.empty_like(x_bad)
-    guided, gathered = np.empty(0, dtype=np.intp), ()
+    finite = np.empty(x_bad.shape, dtype=bool)
+    guided, state = np.empty(0, dtype=np.intp), None
     # Divergence is reported by the explicit check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         started = time.perf_counter()
@@ -241,14 +251,20 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
                 z = next(zs)
                 z *= schedule.sigma[t - 1]
                 xhat += z
-            eta_t = eta[:, t - 1]
-            sel = np.flatnonzero(eta_t)
+            sel = np.flatnonzero(eta[:, t - 1])
             if not np.array_equal(sel, guided):
-                guided, gathered = sel, tuple(a[sel] for a in operands)
+                guided = sel
+                if sel.size:
+                    state, eta_guided, update = guidance_state(sel, state)
             if sel.size:
-                grad = guide(x[sel], *gathered)
-                grad *= eta_t[sel, None]
-                xhat[sel] = np.subtract(xhat[sel], grad, out=grad)
+                # xhat[sel] = xhat[sel] - eta_t[sel] * grad, the weights
+                # tiled into `update` first.
+                x.take(sel, axis=0, out=state.x, mode="clip")
+                grad = state.grad()
+                np.copyto(update, eta_guided[:, t - 1, None])
+                grad *= update
+                xhat.take(sel, axis=0, out=update, mode="clip")
+                xhat[sel] = np.subtract(update, grad, out=update)
             eps_t = next(es)
             level = t - 1 if level_matched else t
             if level == 0:
@@ -260,15 +276,16 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
             np.multiply(omega_bar, x_bad_level, out=x)
             xhat *= omega
             x += xhat
-            finite = np.isfinite(x).all(axis=1)
-            if not finite.all():
-                tag = rows[int(np.argmin(finite))].cfg.stream_tag
+            finite_rows = np.isfinite(x, out=finite).all(axis=1)
+            if not finite_rows.all():
+                tag = rows[int(np.argmin(finite_rows))].cfg.stream_tag
                 raise ValueError(f"repair {tag}: iterate became non-finite at step t={t}")
             hashes.add(x)
             for r, trajectory in recorded:
                 trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
         digests = hashes.hexdigests()
         seconds = (time.perf_counter() - started) / len(rows)
+        state = None  # its buffers would add to the peak memory of the scoring below
 
         alpha_fix = detector.alpha_batch(x)
         beta_fix = np.broadcast_to(detector.beta_value(x), (len(rows), 1))

@@ -28,8 +28,7 @@ faults its pages in again, and the faults cost as much as the arithmetic.
 `fit` owns the flat parameter gradient that matches `Mlp.flat`, the one
 vector the weights and biases view; `AdamW` keeps two scratch arrays and
 updates the flat vectors in cache-sized `chunks`. A one-off forward pass
-runs `ONE_OFF_ROWS` rows at a time through a workspace of its own, and the
-guidance gradient allocates its other arrays as it goes.
+runs `ONE_OFF_ROWS` rows at a time through a workspace of its own.
 """
 
 from __future__ import annotations
@@ -293,16 +292,28 @@ class Mlp:
                 g = np.matmul(g, self.weights[i].T, out=ws.layers[i - 1][2])
         return grads
 
-    def input_grad(self, ws: Workspace, g_out: Array) -> Array:
+    def transposed_weights(self) -> list[Array]:
+        """C-contiguous copies of the transposed weights, which `input_grad`
+        multiplies by. They go stale when the weights change, so a caller
+        keeps them only while the weights stay fixed, as for one repair."""
+        return [np.ascontiguousarray(w.T) for w in self.weights]
+
+    def input_grad(self, ws: Workspace, g_out: Array, transposed: list[Array] | None = None) -> Array:
         """Gradient of ``sum(g_out * output)`` with respect to the input rows
-        `ws.x` of the pass last run in `ws` with derivatives, as a new array;
-        no parameter gradient is formed."""
+        `ws.x` of the pass last run in `ws` with derivatives; no parameter
+        gradient is formed. `transposed` is `transposed_weights()`, made here
+        when it is not given. The result is a view of the workspace's
+        buffers, valid until the workspace is used again."""
+        if transposed is None:
+            transposed = self.transposed_weights()
+        if ws.g_input is None:
+            ws.g_input = np.empty_like(ws.input)
         g = self._output_grad(ws, g_out)
         for i in range(len(self.weights) - 1, -1, -1):
             _, d, scratch = ws.layers[i]
             if d is not None:
                 g = np.multiply(g, d, out=scratch)
-            g = np.matmul(g, np.ascontiguousarray(self.weights[i].T), out=ws.layers[i - 1][2] if i else None)
+            g = np.matmul(g, transposed[i], out=ws.layers[i - 1][2] if i else ws.g_input)
         return g[: ws.rows, : self.in_dim]
 
     def mse_grads(self, ws: Workspace, target: Array, grads: list[Array]) -> list[Array]:
@@ -329,7 +340,8 @@ class Workspace:
     rows bit-equal to `time_embedding` of each step. Each entry of `layers`
     holds one layer's activation, its activation derivative (None for the
     linear output layer) and the gradient with respect to its output, which
-    the forward pass borrows as scratch: the buffers a backward pass reads. A
+    the forward pass borrows as scratch: the buffers a backward pass reads.
+    `g_input` holds the input gradient; the first `input_grad` makes it. A
     lone row runs as two, like every `Mlp` batch.
     """
 
@@ -349,6 +361,7 @@ class Workspace:
             (np.empty((height, width)), np.empty((height, width)), np.empty((height, width)))
             for width in hidden
         ] + [(np.empty((height, out)), None, np.empty((height, out)))]
+        self.g_input = None
 
 
 # -- optimizer -----------------------------------------------------------------

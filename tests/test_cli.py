@@ -232,7 +232,10 @@ class TestValidationFailures:
         ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: checkpoint lacks required key 'layers'"),
         ("detector", lambda p: {k: v for k, v in p.items() if k != "n"}, "{}: checkpoint lacks required key 'n'"),
         ("detector", lambda p: {**p, "n": 25}, "{}: checkpoint data holds 48 values, expected 50"),
-    ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data"])
+        ("detector", lambda p: {**p, "n": None}, "{}: a checkpoint value has the wrong type: int() argument must "
+         "be a string, a bytes-like object or a real number, not 'NoneType'"),
+        ("detector", lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
+    ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data", "null-n", "int-data"])
     def test_wrong_kind_or_malformed_detector_exits_1(self, workspace, tmp_path, capsys, source, edit, message):
         _, config, data_dir, models = workspace
         broken = tmp_path / "broken-detector.json"
@@ -252,7 +255,11 @@ class TestValidationFailures:
          "{}: layer activations must be ['silu', 'silu', 'linear'], got ['relu', 'silu', 'linear']"),
         (lambda p: {**p, "time_embed": None, "in_dim": 32},
          "{}: denoiser input and output dimensions must match"),
-    ], ids=["schedule", "short-data", "activation", "no-step-embedding"])
+        (lambda p: {**p, "schedule": {**p["schedule"], "T": None}},
+         "{}: a checkpoint value has the wrong type: int() argument must be a string, a bytes-like object "
+         "or a real number, not 'NoneType'"),
+        (lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
+    ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data"])
     def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
         _, config, data_dir, models = workspace
         broken = tmp_path / "broken-denoiser.json"

@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import arpro.repair
 from arpro.detector import (
     GaussDetector,
     ReconDetector,
@@ -15,7 +17,7 @@ from arpro.detector import (
 )
 from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
 from arpro.harness import image_benchmark_config, timeseries_benchmark_config
-from arpro.properties import PropertyWeights, Tolerances, guidance_grad
+from arpro.properties import L2_SMOOTH_EPS, GuidanceState, PropertyWeights, Tolerances, guidance_grad
 from arpro.repair import (
     RepairConfig,
     RepairRow,
@@ -617,3 +619,156 @@ class TestFinalIterateBound:
         net.biases[-1][...] = 1e150  # every noise prediction is 1e150: huge, yet finite at every step
         with pytest.raises(ValueError, match=r"repair huge: the final iterate has a coordinate beyond ±1e\+10"):
             guided_repair(det, Denoiser(net, sched), sched, x_bad, omega, RepairConfig(stream_tag="huge"))
+
+
+def _expression_guidance(det, x, x_bad, omega, regions, delta4, lambdas):
+    """The guidance gradient as plain expressions, each allocating its
+    result; `GuidanceState.grad` must give the same bits."""
+    lambda1, lambda2, lambda3, lambda4 = lambdas
+    omega_bar, s_om_bad, s_ob_bad = regions
+    beta = det.beta_value(x)
+    alpha, vjp = det.alpha_with_vjp(x)
+    on3 = ((alpha * omega).sum(axis=-1, keepdims=True) + beta - s_om_bad > 0.0).astype(np.float64)
+    on4 = ((alpha * omega_bar).sum(axis=-1, keepdims=True) + beta - s_ob_bad - delta4 > 0.0).astype(np.float64)
+    g_alpha = (lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar
+    masked = (x - x_bad) * omega_bar
+    root = np.sqrt((masked * masked).sum(axis=-1, keepdims=True) + L2_SMOOTH_EPS)
+    g_l2 = lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
+    return vjp(g_alpha, g_l2)
+
+
+def _benchmark_detectors():
+    """A Gaussian detector of the time-series benchmark's dimension and the
+    image benchmark's autoencoder."""
+    g = stream(13, "benchmark-gauss")
+    n_ts = BENCHMARK_NETS["ts-denoiser"].in_dim
+    return {
+        "gauss": fit_gauss(g.uniform(-1.0, 1.0, size=n_ts) + 0.5 * g.standard_normal((200, n_ts))),
+        "recon": ReconDetector(BENCHMARK_NETS["image-autoencoder"]),
+    }
+
+
+BENCHMARK_DETECTORS = _benchmark_detectors()
+
+
+def _guidance_operands(det, rows: int, seed: int):
+    """Random iterates and per-row guidance operands for `rows` rows, in
+    `guidance_grad`'s order after `x`; the target's region scores are scaled
+    by 0.8 to 1.6, so each hinge is on for some rows and off for others."""
+    n = det.n
+    g = stream(seed, f"guidance-operands-{rows}")
+    x_bad = g.standard_normal((rows, n))
+    omega = (g.uniform(size=(rows, n)) < 0.2).astype(np.float64)
+    alpha_bad = det.alpha_batch(x_bad)
+    regions = (1.0 - omega,
+               (alpha_bad * omega).sum(axis=1, keepdims=True) * g.uniform(0.8, 1.6, size=(rows, 1)),
+               (alpha_bad * (1.0 - omega)).sum(axis=1, keepdims=True) * g.uniform(0.8, 1.6, size=(rows, 1)))
+    lambdas = [g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(4)]
+    iterates = [x_bad + g.normal(0.0, 0.5, size=(rows, n)) for _ in range(3)]
+    return iterates, (x_bad, omega, regions, g.uniform(0.0, 1.0, size=(rows, 1)), lambdas)
+
+
+def _select(operands, keep):
+    x_bad, omega, regions, delta4, lambdas = operands
+    return (x_bad[keep], omega[keep], tuple(a[keep] for a in regions), delta4[keep], [lam[keep] for lam in lambdas])
+
+
+class TestGuidanceState:
+    """A repair builds one `GuidanceState` for its guided rows and calls it at
+    every reverse step; the reused buffers must give the bits of one-off
+    `guidance_grad` calls and of the plain expressions."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 20])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reused_state_matches_one_off_calls(self, kind, rows):
+        det = BENCHMARK_DETECTORS[kind]
+        iterates, operands = _guidance_operands(det, rows, seed=rows)
+        state = GuidanceState(det, rows, *operands)
+        # The guided set shrinks, as at t=1 when a ramp starts at 0: the
+        # state is made again for the rows kept, from the first one.
+        keep = np.arange(0, rows, 2)
+        shrunk = GuidanceState(det, keep.size, *_select(operands, keep), previous=state)
+        for x in iterates:
+            for st, x_rows, ops in ((state, x, operands), (shrunk, x[keep], _select(operands, keep))):
+                np.copyto(st.x, x_rows)
+                grad = st.grad().copy()
+                assert np.array_equal(grad, guidance_grad(det, x_rows, *ops))
+                assert np.array_equal(grad, _expression_guidance(det, x_rows, *ops))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_vector_call_matches_its_row(self, kind):
+        det = BENCHMARK_DETECTORS[kind]
+        iterates, operands = _guidance_operands(det, 3, seed=4)
+        x_bad, omega, regions, delta4, lambdas = operands
+        grad = guidance_grad(det, iterates[0], *operands)
+        vector = guidance_grad(det, iterates[0][1], x_bad[1], omega[1],
+                               (regions[0][1], float(regions[1][1, 0]), float(regions[2][1, 0])),
+                               float(delta4[1, 0]), [float(lam[1, 0]) for lam in lambdas])
+        assert vector.shape == (det.n,)
+        assert np.array_equal(vector, grad[1])
+
+    @pytest.mark.parametrize("height", [1, 2, 5, 20])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repair_matches_step_by_step_loop(self, kind, height):
+        # Odd rows ramp up from 0, so they leave the guided set at t=1.
+        T, n = 12, 8
+        g = stream(height, f"guided-heights-{kind}")
+        train = g.standard_normal((40, n))
+        det = fit_gauss(train) if kind == "gauss" else ReconDetector(Mlp(n, [6], n, seed=height))
+        sched = make_schedule(T)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=height), sched)
+        rows = []
+        for i in range(height):
+            x_bad = train[i] + g.normal(0.0, 2.0, size=n)
+            omega = (g.random(n) < 0.5).astype(np.float64)
+            omega[i % n] = 1.0
+            cfg = RepairConfig(weights=PropertyWeights(1.0, 0.5 + 0.1 * i, 1.0, 2.0), eta_start=0.01 * (i % 2 == 0),
+                               eta_end=0.05, seed=3, stream_tag=f"inst{i}")
+            rows += [RepairRow(x_bad, omega, cfg, guided=False), RepairRow(x_bad, omega, cfg)]
+        results = repair_batch(det, den, sched, rows)
+        x_fix, hashes, _ = _step_by_step_repair(det, den, sched, rows)
+        for r, result in enumerate(results):
+            assert np.array_equal(result.x_fix, x_fix[r])
+            assert result.trajectory_hash == hashes[r]
+
+
+class TestGuidedStepAllocation:
+    """After the first step has built the guidance state, a guided reverse
+    step allocates no array of the guided rows' size, at the benchmark
+    shapes."""
+
+    @pytest.mark.parametrize("kind,denoiser,instances", [("gauss", "ts-denoiser", 24),
+                                                         ("recon", "image-denoiser", 20)])
+    def test_warm_guided_step(self, monkeypatch, kind, denoiser, instances):
+        det = BENCHMARK_DETECTORS[kind]
+        T, n = 6, det.n
+        sched = make_schedule(T)
+        den = Denoiser(BENCHMARK_NETS[denoiser], sched)
+        g = stream(14, f"alloc-world-{kind}")
+        rows = []
+        for i in range(instances):
+            x_bad = g.standard_normal(n)
+            omega = (g.random(n) < 0.2).astype(np.float64)
+            cfg = RepairConfig(seed=4, stream_tag=f"inst{i}")
+            rows += [RepairRow(x_bad, omega, cfg, guided=False), RepairRow(x_bad, omega, cfg)]
+        assert instances * n * 8 > 16 * 1024
+        # The trace opens as step T-1 calls the denoiser and is read as step
+        # T-2 does, so it covers one whole reverse step.
+        predict_mu_, peaks = arpro.repair.predict_mu, []
+
+        def traced(den, x, t, ws=None, out=None):
+            if t == T - 2:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            if t == T - 1:
+                tracemalloc.start()
+            return predict_mu_(den, x, t, ws=ws, out=out)
+
+        monkeypatch.setattr(arpro.repair, "predict_mu", traced)
+        try:
+            repair_batch(det, den, sched, rows)
+        finally:
+            if tracemalloc.is_tracing():
+                tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] < 16 * 1024

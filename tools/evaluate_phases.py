@@ -17,10 +17,14 @@ up:
     prepare       arpro.harness.prepare_pipeline
     repair        arpro.harness.repair_batch, of which
       predict_mu      arpro.repair.predict_mu
-      guidance        arpro.repair.guidance_grad
+      guidance        arpro.properties.GuidanceState.grad
       repair_other    the rest of the reverse loop and the final scoring
     write_report  arpro.harness.write_report
     total         arpro.cli.main
+
+A wrapped function that the measured evaluates never call, such as one the
+code no longer reaches there, makes the tool exit 1 naming it, rather than
+report its phase as 0 ms.
 
 The host's speed drifts by tens of percent between runs, so each evaluate's
 times are scaled as perfbench scales its steps: by the reference unit's
@@ -59,13 +63,18 @@ def _perfbench():
 
 
 class Phases:
-    """Seconds spent in each wrapped function during one measured call."""
+    """Seconds spent in each wrapped function during one measured call, and
+    the number of calls of each over all measured calls."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(PHASES, 0.0)
+        self.calls = {}
 
     def wrap(self, owner, attr: str, phase: str):
         inner = getattr(owner, attr)
+        module = f"{owner.__module__}." if isinstance(owner, type) else ""
+        name = f"{module}{owner.__name__}.{attr}"
+        self.calls[name] = 0
 
         def timed(*args, **kwargs):
             start = time.perf_counter()
@@ -73,8 +82,13 @@ class Phases:
                 return inner(*args, **kwargs)
             finally:
                 self.seconds[phase] += time.perf_counter() - start
+                self.calls[name] += 1
 
         setattr(owner, attr, timed)
+
+    def uncalled(self) -> list[str]:
+        """The wrapped functions not called since `calls` was last reset."""
+        return [name for name, count in self.calls.items() if count == 0]
 
 
 def _run(cli, argv) -> None:
@@ -86,7 +100,7 @@ def _run(cli, argv) -> None:
 
 def measure(bench, kind: str, seed: int, repeats: int, work: Path) -> list[dict]:
     """Per-phase scaled milliseconds of `repeats` evaluates after one warm-up."""
-    from arpro import cli, harness, repair
+    from arpro import cli, harness, properties, repair
 
     config = bench.ts_evaluate_config(seed) if kind == "ts" else bench.image_evaluate_config(seed)
     cfg_path = work / "config.json"
@@ -103,10 +117,11 @@ def measure(bench, kind: str, seed: int, repeats: int, work: Path) -> list[dict]
         (cli, "load_csv_dataset", "csv_load"), (cli, "load_detector", "ckpt_load"),
         (cli, "_load_denoiser", "ckpt_load"), (harness, "prepare_pipeline", "prepare"),
         (harness, "repair_batch", "repair"), (repair, "predict_mu", "predict_mu"),
-        (repair, "guidance_grad", "guidance"), (harness, "write_report", "write_report"),
+        (properties.GuidanceState, "grad", "guidance"), (harness, "write_report", "write_report"),
     ):
         phases.wrap(owner, attr, phase)
     _run(cli, evaluate)  # warm-up
+    phases.calls = dict.fromkeys(phases.calls, 0)
     samples = []
     ref_before = bench.reference_unit_s()
     for _ in range(repeats):
@@ -120,6 +135,8 @@ def measure(bench, kind: str, seed: int, repeats: int, work: Path) -> list[dict]
         scale = 1e3 * bench.REF_UNIT_S / ((ref_before + ref_after) / 2.0)
         samples.append({name: scale * value for name, value in s.items()})
         ref_before = ref_after
+    if phases.uncalled():
+        raise SystemExit(f"never called during the measured evaluates: {', '.join(phases.uncalled())}")
     return samples
 
 
