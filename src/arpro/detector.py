@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import ONE_OFF_ROWS, Array, Mlp, Workspace, check_batch, check_training, fit, stream
+from .tensor import Array, Mlp, Workspace, check_batch, check_training, fit, stream
 
 DECOMP_RTOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-3
@@ -74,16 +74,9 @@ class _DetectorBase:
         return self.alpha_with_vjp(_check_input(x, self.n))[0]
 
     def alpha_batch(self, data: Array) -> Array:
-        """alpha of each row of a batch, `ONE_OFF_ROWS` rows at a time through
-        one workspace; a row gets the same bits as `alpha` of that row alone."""
-        data = check_batch(data, self.n, "batch")
-        out, ws = np.empty_like(data), None
-        for start in range(0, len(data), ONE_OFF_ROWS):
-            rows = data[start : start + ONE_OFF_ROWS]
-            if ws is None or len(ws.x) != len(rows):
-                ws = self.workspace(len(rows), ws)
-            out[start : start + len(rows)] = self.alpha_with_vjp(rows, ws)[0]
-        return out
+        """alpha of each row of a batch; a row gets the same bits as `alpha`
+        of that row alone."""
+        return self.alpha_with_vjp(check_batch(data, self.n, "batch"))[0]
 
     def alpha_with_vjp(self, x: Array, ws=None):
         """alpha of a validated vector or batch of rows, and its
@@ -98,10 +91,9 @@ class _DetectorBase:
         """
         raise NotImplementedError
 
-    def workspace(self, rows: int, previous=None):
+    def workspace(self, rows: int):
         """The buffers of `alpha_with_vjp` at `rows` rows, input `x` among
-        them. `previous`, a workspace made while the detector stayed as it
-        is, lends what does not depend on the height."""
+        them."""
         raise NotImplementedError
 
     def beta_value(self, x: Array) -> float:
@@ -145,7 +137,7 @@ class GaussDetector(_DetectorBase):
         self._inv_two_var = 1.0 / (2.0 * self.sigma**2)
         self._log_term = 0.5 * np.log(2.0 * math.pi * self.sigma**2)
 
-    def workspace(self, rows: int, previous=None) -> "_GaussWorkspace":
+    def workspace(self, rows: int) -> "_GaussWorkspace":
         return _GaussWorkspace(self, rows)
 
     def alpha_with_vjp(self, x: Array, ws: "_GaussWorkspace | None" = None):
@@ -201,8 +193,8 @@ class ReconDetector(_DetectorBase):
         self.net = net
         self.n = net.in_dim
 
-    def workspace(self, rows: int, previous: "_ReconWorkspace | None" = None) -> "_ReconWorkspace":
-        return _ReconWorkspace(self.net, rows, previous.transposed if previous is not None else None)
+    def workspace(self, rows: int) -> "_ReconWorkspace":
+        return _ReconWorkspace(self.net, rows)
 
     def alpha_with_vjp(self, x: Array, ws: "_ReconWorkspace | None" = None):
         if ws is None:
@@ -248,8 +240,8 @@ class _ReconWorkspace:
     `Workspace`, whose input is `x`, four batch-shaped arrays, and the
     transposed weights, which the first VJP makes."""
 
-    def __init__(self, net: Mlp, rows: int, transposed: list[Array] | None):
-        self.net, self.transposed = Workspace(net, rows), transposed
+    def __init__(self, net: Mlp, rows: int):
+        self.net, self.transposed = Workspace(net, rows), None
         self.x = self.net.x
         self.r, self.alpha, self.g_r, self.grad = (np.empty((rows, net.in_dim)) for _ in range(4))
 

@@ -128,8 +128,6 @@ class GuidanceState:
     as for `guidance_grad`, copied into arrays of its own, and every buffer
     the gradient uses. A repair builds one when it gathers its guided rows;
     at each step it writes their iterates into `x` and calls `grad`.
-    `previous`, a state made earlier in the same repair, lends its detector
-    workspace's row-independent parts, such as transposed weights.
 
     The masked distance uses a smoothed norm sqrt(sum(..)^2 + eps) so its
     gradient exists at zero distance; the hinge terms have subgradient zero at
@@ -138,7 +136,7 @@ class GuidanceState:
     ``lambda1 + lambda3*[l3>0]*omega + lambda4*[l4>0]*omega_bar``.
     """
 
-    def __init__(self, detector, rows: int, x_bad, omega, regions, delta4, lambdas, previous=None):
+    def __init__(self, detector, rows: int, x_bad, omega, regions, delta4, lambdas):
         n = detector.n
 
         def own(value, width: int) -> Array:
@@ -147,23 +145,15 @@ class GuidanceState:
             return out
 
         omega_bar, s_om_bad, s_ob_bad = regions
+        lambda1, lambda2, lambda3, lambda4 = lambdas
         self.detector = detector
-        self.ws = detector.workspace(rows, previous.ws if previous is not None else None)
+        self.ws = detector.workspace(rows)
         self.x = self.ws.x
-        self.x_bad, self.omega, self.omega_bar = (own(v, n) for v in (x_bad, omega, omega_bar))
+        self.x_bad, self.omega, self.omega_bar, self.lambda1 = (own(v, n) for v in (x_bad, omega, omega_bar, lambda1))
         self.s_om_bad, self.s_ob_bad, self.delta4 = (own(v, 1) for v in (s_om_bad, s_ob_bad, delta4))
-        lambda1, self.lambda2, lambda3, lambda4 = (own(v, 1) for v in lambdas)
-        # g_alpha = (lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar
-        # takes one of four values in a row, since on3 and on4 are 0 or 1.
-        # All four are evaluated here, case 2 * on3 + on4 in rows
-        # [case * rows, (case + 1) * rows), and each step takes each row's.
-        self.g_alpha_cases = np.concatenate([
-            (lambda1 + lambda3 * on3 * self.omega) + lambda4 * on4 * self.omega_bar
-            for on3 in (0.0, 1.0) for on4 in (0.0, 1.0)
-        ])
-        self.row = np.arange(rows)
+        self.lambda2, self.lambda3, self.lambda4 = (own(v, 1) for v in (lambda2, lambda3, lambda4))
         self.g_alpha, self.masked, self.term = (np.empty((rows, n)) for _ in range(3))
-        self.col = np.empty((rows, 1))
+        self.col, self.on3, self.on4 = (np.empty((rows, 1)) for _ in range(3))
 
     def grad(self) -> Array:
         """The gradient at the rows of `x`, in a buffer of the state's. Each
@@ -177,14 +167,21 @@ class GuidanceState:
         np.add.reduce(np.multiply(alpha, self.omega, out=t), axis=-1, keepdims=True, out=col)
         col += beta
         col -= self.s_om_bad
-        on3 = col[:, 0] > 0.0
+        np.greater(col, 0.0, out=self.on3)
         # on4 = sum(alpha * omega_bar) + beta - s_ob_bad - delta4 > 0
         np.add.reduce(np.multiply(alpha, self.omega_bar, out=t), axis=-1, keepdims=True, out=col)
         col += beta
         col -= self.s_ob_bad
         col -= self.delta4
-        case = 2 * on3 + (col[:, 0] > 0.0)
-        g_alpha = self.g_alpha_cases.take(case * len(col) + self.row, axis=0, out=self.g_alpha, mode="clip")
+        np.greater(col, 0.0, out=self.on4)
+        # g_alpha = (lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar
+        g_alpha = self.g_alpha
+        np.copyto(g_alpha, np.multiply(self.lambda3, self.on3, out=col))
+        g_alpha *= self.omega
+        np.add(self.lambda1, g_alpha, out=g_alpha)
+        np.copyto(t, np.multiply(self.lambda4, self.on4, out=col))
+        t *= self.omega_bar
+        g_alpha += t
         # masked = (x - x_bad) * omega_bar
         masked = np.subtract(x, self.x_bad, out=self.masked)
         masked *= self.omega_bar

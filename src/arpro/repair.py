@@ -29,9 +29,9 @@ operands and guidance weights, the detector's workspace (for the autoencoder
 with its transposed weights) and every buffer of the gradient. Each step
 gathers the guided iterates straight into that workspace's input. The state
 is built again only when the set of guided rows changes, which happens at
-most once: when a ramp that starts at 0 reaches t=1; the new state keeps the
-transposed weights. Every update runs in place one operation at a time, in
-the order its expression evaluates, so the bits are those of the expression.
+most once: when a ramp that starts at 0 reaches t=1. Every update runs in
+place one operation at a time, in the order its expression evaluates, so the
+bits are those of the expression.
 """
 
 from __future__ import annotations
@@ -213,12 +213,12 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     delta4 = column([row.cfg.tol.delta4 for row in rows])
     lambdas = [column([getattr(row.cfg.weights, f"lambda{k}") for row in rows]) for k in range(1, 5)]
 
-    def guidance_state(sel, previous):
+    def guidance_state(sel):
         """The guidance state of rows `sel`, their weights at each step and a
         buffer for their update."""
         regions = (omega_bar[sel], s_om_bad[sel], s_ob_bad[sel])
         state = GuidanceState(detector, sel.size, x_bad[sel], omega[sel], regions, delta4[sel],
-                              [lam[sel] for lam in lambdas], previous=previous)
+                              [lam[sel] for lam in lambdas])
         return state, eta[sel], np.empty((sel.size, n))
 
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
@@ -255,7 +255,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
             if not np.array_equal(sel, guided):
                 guided = sel
                 if sel.size:
-                    state, eta_guided, update = guidance_state(sel, state)
+                    state, eta_guided, update = guidance_state(sel)
             if sel.size:
                 # xhat[sel] = xhat[sel] - eta_t[sel] * grad, the weights
                 # tiled into `update` first.

@@ -685,9 +685,9 @@ class TestGuidanceState:
         iterates, operands = _guidance_operands(det, rows, seed=rows)
         state = GuidanceState(det, rows, *operands)
         # The guided set shrinks, as at t=1 when a ramp starts at 0: the
-        # state is made again for the rows kept, from the first one.
+        # state is made again for the rows kept.
         keep = np.arange(0, rows, 2)
-        shrunk = GuidanceState(det, keep.size, *_select(operands, keep), previous=state)
+        shrunk = GuidanceState(det, keep.size, *_select(operands, keep))
         for x in iterates:
             for st, x_rows, ops in ((state, x, operands), (shrunk, x[keep], _select(operands, keep))):
                 np.copyto(st.x, x_rows)

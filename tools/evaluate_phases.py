@@ -17,7 +17,7 @@ up:
     prepare       arpro.harness.prepare_pipeline
     repair        arpro.harness.repair_batch, of which
       predict_mu      arpro.repair.predict_mu
-      guidance        arpro.properties.GuidanceState.grad
+      guidance        arpro.properties.GuidanceState.__init__ and .grad
       repair_other    the rest of the reverse loop and the final scoring
     write_report  arpro.harness.write_report
     total         arpro.cli.main
@@ -117,7 +117,8 @@ def measure(bench, kind: str, seed: int, repeats: int, work: Path) -> list[dict]
         (cli, "load_csv_dataset", "csv_load"), (cli, "load_detector", "ckpt_load"),
         (cli, "_load_denoiser", "ckpt_load"), (harness, "prepare_pipeline", "prepare"),
         (harness, "repair_batch", "repair"), (repair, "predict_mu", "predict_mu"),
-        (properties.GuidanceState, "grad", "guidance"), (harness, "write_report", "write_report"),
+        (properties.GuidanceState, "__init__", "guidance"), (properties.GuidanceState, "grad", "guidance"),
+        (harness, "write_report", "write_report"),
     ):
         phases.wrap(owner, attr, phase)
     _run(cli, evaluate)  # warm-up
