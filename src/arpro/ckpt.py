@@ -3,12 +3,14 @@
 A checkpoint is a single JSON document carrying the layer layout and all
 float64 parameters as one base64 blob of little-endian bytes. Loading
 validates the schema tag, the expected kind, the keys that kind requires, and
-finiteness of every value.
+finiteness of every value. The JSON writer `write` and the CSV writer
+`write_csv` write every file the program outputs.
 """
 
 from __future__ import annotations
 
 import base64
+import csv
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -55,7 +57,8 @@ def write(path, payload: dict) -> None:
     report files all go through here.
 
     The text comes from `_encode`, which spells every value as `json` does
-    and, like `json.dump`, raises TypeError for a value `json` cannot write.
+    and, like ``json.dump(..., allow_nan=False)``, raises TypeError for a
+    value `json` cannot write and ValueError for a NaN or infinite float.
     Its pieces go to one `writelines` call as they are made, so the whole
     text is never held at once: a report's pieces would add their size to
     the peak memory, and joining them would also copy a checkpoint's base64
@@ -68,9 +71,21 @@ def write(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file of the row `header` and then `rows`, whose cells are
+    strings or ints, creating parent directories. The datasets' CSV files
+    and the report tables all go through here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _scalar(value) -> str | None:
-    """The JSON text of a str, None, bool, int or float, spelled as `json`
-    spells it (NaN, Infinity, -Infinity included); None for any other value."""
+    """The JSON text of a str, None, bool, int or finite float, spelled as
+    `json` spells it; None for any other value."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -82,10 +97,8 @@ def _scalar(value) -> str | None:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
     return None
 
@@ -124,7 +137,7 @@ def _encode(value, level: int) -> Iterator[str]:
             text = separator.join(map(float.__repr__, value))
         except TypeError:  # an item that is not a float
             pass
-    # repr spells nan and ±inf in lower case, json as NaN and ±Infinity.
+    # repr spells nan and ±inf with an n; the item-by-item path rejects them.
     if text is not None and "n" not in text:
         yield text
     else:

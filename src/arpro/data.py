@@ -316,21 +316,12 @@ def gen_synthetic_image(
 # -- CSV directory layout --------------------------------------------------------
 
 
-def _write_csv(path: Path, header, rows, fmt=repr) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-
-
 def save_dataset(ds: Dataset, directory) -> None:
     """Write train.csv, test.csv, test_labels.csv, and meta.json."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_csv(directory / "train.csv", ds.feature_names, ds.train, fmt=lambda v: repr(float(v)))
-    _write_csv(directory / "test.csv", ds.feature_names, ds.test, fmt=lambda v: repr(float(v)))
-    _write_csv(directory / "test_labels.csv", ds.feature_names, ds.labels, fmt=lambda v: str(int(v)))
+    for name, data, cell in (("train.csv", ds.train, repr), ("test.csv", ds.test, repr),
+                             ("test_labels.csv", ds.labels, int)):
+        ckpt.write_csv(directory / name, ds.feature_names, (list(map(cell, row.tolist())) for row in data))
     meta = {
         "schema": DATASET_SCHEMA,
         "n": ds.n,

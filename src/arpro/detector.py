@@ -207,12 +207,10 @@ class ReconDetector(_DetectorBase):
             # alpha = r*r with r = f(x) - x. g_r = g_alpha * 2.0 * r, and the
             # residual's own -g_r term is added before the network's input
             # gradient; the order fixes the rounding of the sum.
-            if ws.transposed is None:
-                ws.transposed = self.net.transposed_weights()
             g_r = np.multiply(g_alpha, 2.0, out=ws.g_r)
             g_r *= r
             g = np.negative(g_r, out=ws.grad) if acc is None else np.subtract(acc, g_r, out=ws.grad)
-            g += self.net.input_grad(ws.net, g_r, ws.transposed)
+            g += self.net.input_grad(ws.net, g_r)
             return g.reshape(x.shape)
 
         return np.multiply(r, r, out=ws.alpha).reshape(x.shape), vjp
@@ -237,11 +235,10 @@ class _GaussWorkspace:
 
 class _ReconWorkspace:
     """`ReconDetector.alpha_with_vjp`'s buffers: the autoencoder's
-    `Workspace`, whose input is `x`, four batch-shaped arrays, and the
-    transposed weights, which the first VJP makes."""
+    `Workspace`, whose input is `x`, and four batch-shaped arrays."""
 
     def __init__(self, net: Mlp, rows: int):
-        self.net, self.transposed = Workspace(net, rows), None
+        self.net = Workspace(net, rows)
         self.x = self.net.x
         self.r, self.alpha, self.g_r, self.grad = (np.empty((rows, net.in_dim)) for _ in range(4))
 

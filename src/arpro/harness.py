@@ -14,7 +14,6 @@ they are the only outputs that cannot be byte-reproducible across runs.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import sys
@@ -315,6 +314,11 @@ def prepare_pipeline(
     test_alpha = detector.alpha_batch(test)
     thresholds = calibrate_thresholds(train_alpha, q=cfg.quantile)
     score_threshold = conformal_threshold(_totals(detector, train, train_alpha), cfg.confidence)
+    if score_threshold == math.inf:
+        # The conformal rank ceil((n+1)*confidence) is at most n once n >= confidence/(1-confidence).
+        needed = math.ceil(round(cfg.confidence / (1.0 - cfg.confidence), 9))
+        raise ValueError(f"confidence {cfg.confidence} needs at least {needed} training rows for a finite "
+                         f"conformal threshold, got {len(train)}")
 
     instance_ids = np.flatnonzero(_totals(detector, test, test_alpha) > score_threshold)[: cfg.n_instances]
     if not instance_ids.size:
@@ -563,56 +567,32 @@ def write_report(report: AggregateReport, directory) -> dict:
     of summary.csv.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
     report_path = directory / "report.json"
     ckpt.write(report_path, report.to_dict())
 
+    def summary_row(record: InstanceRecord, arm: str) -> list:
+        result = getattr(record, arm)
+        m, l = result.metrics, result.loss
+        values = (m.m_s, m.m_d, m.m_omega, m.m_omega_bar, l.l1, l.l2, l.l3, l.l4, result.seconds)
+        return [record.instance_id, arm, *map(repr, values)]
+
     summary_path = directory / "summary.csv"
-    with summary_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["instance_id", "arm", "m_s", "m_d", "m_omega", "m_omega_bar", "l1", "l2", "l3", "l4", "seconds"]
-        )
-        for record in report.records:
-            for arm in ("baseline", "guided"):
-                result = getattr(record, arm)
-                m, l = result.metrics, result.loss
-                writer.writerow(
-                    [
-                        record.instance_id,
-                        arm,
-                        repr(m.m_s),
-                        repr(m.m_d),
-                        repr(m.m_omega),
-                        repr(m.m_omega_bar),
-                        repr(l.l1),
-                        repr(l.l2),
-                        repr(l.l3),
-                        repr(l.l4),
-                        repr(result.seconds),
-                    ]
-                )
+    ckpt.write_csv(
+        summary_path,
+        ["instance_id", "arm", "m_s", "m_d", "m_omega", "m_omega_bar", "l1", "l2", "l3", "l4", "seconds"],
+        (summary_row(record, arm) for record in report.records for arm in ("baseline", "guided")),
+    )
 
     aggregates_path = directory / "aggregates.csv"
-    with aggregates_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "baseline", "guided", "delta_percent"])
-        for name in METRIC_NAMES:
-            writer.writerow(
-                [
-                    f"median_{name}",
-                    repr(report.medians["baseline"][name]),
-                    repr(report.medians["guided"][name]),
-                    repr(report.delta_percent[name]),
-                ]
-            )
-        writer.writerow(["tnr", repr(report.tnr_baseline), repr(report.tnr_guided), ""])
-        writer.writerow(["tnr_threshold", repr(report.conformal_score_threshold), "", ""])
-        writer.writerow(
-            ["satisfaction_rate", repr(report.satisfaction_baseline), repr(report.satisfaction_guided), ""]
-        )
-        writer.writerow(["satisfaction_delta2", repr(report.satisfaction_delta2), "", ""])
+    medians = report.medians
+    ckpt.write_csv(aggregates_path, ["key", "baseline", "guided", "delta_percent"], [
+        *([f"median_{name}", repr(medians["baseline"][name]), repr(medians["guided"][name]),
+           repr(report.delta_percent[name])] for name in METRIC_NAMES),
+        ["tnr", repr(report.tnr_baseline), repr(report.tnr_guided), ""],
+        ["tnr_threshold", repr(report.conformal_score_threshold), "", ""],
+        ["satisfaction_rate", repr(report.satisfaction_baseline), repr(report.satisfaction_guided), ""],
+        ["satisfaction_delta2", repr(report.satisfaction_delta2), "", ""],
+    ])
 
     return {
         "report": report_path,
@@ -675,15 +655,9 @@ def image_benchmark_config(seed: int = 0, n_instances: int = 50) -> ExperimentCo
 
 
 def write_ablation(rows: list[dict], directory) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "ablation.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "n_instances"] + [f"mean_{n}" for n in METRIC_NAMES])
-        for row in rows:
-            writer.writerow(
-                [row["param"], repr(row["value"]), row["n_instances"]]
-                + [repr(row[f"mean_{n}"]) for n in METRIC_NAMES]
-            )
+    path = Path(directory) / "ablation.csv"
+    ckpt.write_csv(path, ["param", "value", "n_instances", *(f"mean_{n}" for n in METRIC_NAMES)], (
+        [row["param"], repr(row["value"]), row["n_instances"], *(repr(row[f"mean_{n}"]) for n in METRIC_NAMES)]
+        for row in rows
+    ))
     return path

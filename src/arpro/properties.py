@@ -109,25 +109,12 @@ def losses_from_metrics(record: MetricsRecord, tol: Tolerances, weights: Propert
     return LossBreakdown(l1=l1, l2=l2, l3=l3, l4=l4, total=float(total))
 
 
-def guidance_grad(detector, x: Array, x_bad: Array, omega: Array, regions, delta4, lambdas) -> Array:
-    """Gradient of the weighted loss at validated repair iterates.
-
-    `x` is one vector or a batch of rows. Each row brings its own target
-    `x_bad`, mask `omega`, ``regions`` as ``(omega_bar, s_om_bad, s_ob_bad)``
-    from the target, `delta4` and the four weights `lambdas`; a scalar serves
-    every row and a column gives one value per row. This builds a
-    `GuidanceState` for the rows of `x` and calls it once.
-    """
-    state = GuidanceState(detector, len(x) if np.ndim(x) == 2 else 1, x_bad, omega, regions, delta4, lambdas)
-    np.copyto(state.x, x)
-    return state.grad().reshape(np.shape(x))
-
-
 class GuidanceState:
-    """The guidance gradient of a fixed set of `rows` rows: their operands,
-    as for `guidance_grad`, copied into arrays of its own, and every buffer
-    the gradient uses. A repair builds one when it gathers its guided rows;
-    at each step it writes their iterates into `x` and calls `grad`.
+    """The guidance gradient of `rows` rows: every buffer it uses, and copies
+    of each row's target `x_bad`, mask `omega`, ``regions`` ``(omega_bar,
+    s_om_bad, s_ob_bad)``, `delta4` and weights `lambdas`, where a scalar
+    serves every row and a column gives one value each. A repair builds one
+    before its loop, then writes the guided iterates into `x` and calls `grad`.
 
     The masked distance uses a smoothed norm sqrt(sum(..)^2 + eps) so its
     gradient exists at zero distance; the hinge terms have subgradient zero at
@@ -205,7 +192,9 @@ def grad_guidance(detector, x_bad, x_fix, omega, tol: Tolerances, weights: Prope
     x_fix = _check_input(x_fix, detector.n)
     omega = as_mask(omega, detector.n)
     lambdas = (weights.lambda1, weights.lambda2, weights.lambda3, weights.lambda4)
-    return guidance_grad(detector, x_fix, x_bad, omega, _regions(detector, x_bad, omega), tol.delta4, lambdas)
+    state = GuidanceState(detector, 1, x_bad, omega, _regions(detector, x_bad, omega), tol.delta4, lambdas)
+    np.copyto(state.x, x_fix)
+    return state.grad()[0]
 
 
 def metrics(detector, x_bad, x_fix, omega) -> MetricsRecord:

@@ -24,14 +24,13 @@ The loop allocates its arrays once per repair: the denoiser forward runs in a
 `tensor.Workspace` of the batch height, with the step embeddings from its
 table, and the iterate, the posterior mean and the noised target each have
 one buffer, as does each stream's noise. The guidance gradient runs in a
-`properties.GuidanceState`, built when the guided rows are gathered: their
-operands and guidance weights, the detector's workspace (for the autoencoder
-with its transposed weights) and every buffer of the gradient. Each step
-gathers the guided iterates straight into that workspace's input. The state
-is built again only when the set of guided rows changes, which happens at
-most once: when a ramp that starts at 0 reaches t=1. Every update runs in
-place one operation at a time, in the order its expression evaluates, so the
-bits are those of the expression.
+`properties.GuidanceState`, built before the loop for the rows whose ramp is
+nonzero at some step: their operands, the detector's workspace and every
+buffer of the gradient. A step at which any of them has a nonzero weight
+gathers their iterates straight into that workspace's input; a row at weight
+0 then takes ``xhat - 0 * grad``, the bits of xhat for a finite gradient.
+Every update runs in place one operation at a time, in the order its
+expression evaluates, so the bits are those of the expression.
 """
 
 from __future__ import annotations
@@ -212,14 +211,11 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
     delta4 = column([row.cfg.tol.delta4 for row in rows])
     lambdas = [column([getattr(row.cfg.weights, f"lambda{k}") for row in rows]) for k in range(1, 5)]
-
-    def guidance_state(sel):
-        """The guidance state of rows `sel`, their weights at each step and a
-        buffer for their update."""
-        regions = (omega_bar[sel], s_om_bad[sel], s_ob_bad[sel])
-        state = GuidanceState(detector, sel.size, x_bad[sel], omega[sel], regions, delta4[sel],
-                              [lam[sel] for lam in lambdas])
-        return state, eta[sel], np.empty((sel.size, n))
+    guided = np.flatnonzero(eta.any(axis=1))
+    eta_guided, update = eta[guided], np.empty((guided.size, n))
+    regions = (omega_bar[guided], s_om_bad[guided], s_ob_bad[guided])
+    state = GuidanceState(detector, guided.size, x_bad[guided], omega[guided], regions, delta4[guided],
+                          [lam[guided] for lam in lambdas]) if guided.size else None
 
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
     owner = np.array([keys[(row.cfg.seed, row.cfg.stream_tag)] for row in rows])
@@ -239,7 +235,6 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     ws = Workspace(denoiser.net, len(rows), steps=schedule.T)
     xhat, level_buf = np.empty_like(x_bad), np.empty_like(x_bad)
     finite = np.empty(x_bad.shape, dtype=bool)
-    guided, state = np.empty(0, dtype=np.intp), None
     # Divergence is reported by the explicit check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         started = time.perf_counter()
@@ -251,20 +246,14 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
                 z = next(zs)
                 z *= schedule.sigma[t - 1]
                 xhat += z
-            sel = np.flatnonzero(eta[:, t - 1])
-            if not np.array_equal(sel, guided):
-                guided = sel
-                if sel.size:
-                    state, eta_guided, update = guidance_state(sel)
-            if sel.size:
-                # xhat[sel] = xhat[sel] - eta_t[sel] * grad, the weights
-                # tiled into `update` first.
-                x.take(sel, axis=0, out=state.x, mode="clip")
+            if eta_guided[:, t - 1].any():
+                # xhat[guided] = xhat[guided] - eta_t * grad, eta_t tiled into `update` first.
+                x.take(guided, axis=0, out=state.x, mode="clip")
                 grad = state.grad()
                 np.copyto(update, eta_guided[:, t - 1, None])
                 grad *= update
-                xhat.take(sel, axis=0, out=update, mode="clip")
-                xhat[sel] = np.subtract(update, grad, out=update)
+                xhat.take(guided, axis=0, out=update, mode="clip")
+                xhat[guided] = np.subtract(update, grad, out=update)
             eps_t = next(es)
             level = t - 1 if level_matched else t
             if level == 0:
@@ -305,7 +294,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
                 seed=row.cfg.seed,
                 infill_mode=row.cfg.infill_mode,
                 std_mode=schedule.std_mode,
-                guided=bool(np.any(eta[r] != 0.0)),
+                guided=bool(eta[r].any()),
                 trajectory=tuple(steps[r]) if steps[r] is not None else None,
             ))
     # Checked after the non-finite scores, so a repair that overflows there keeps that message.

@@ -292,28 +292,22 @@ class Mlp:
                 g = np.matmul(g, self.weights[i].T, out=ws.layers[i - 1][2])
         return grads
 
-    def transposed_weights(self) -> list[Array]:
-        """C-contiguous copies of the transposed weights, which `input_grad`
-        multiplies by. They go stale when the weights change, so a caller
-        keeps them only while the weights stay fixed, as for one repair."""
-        return [np.ascontiguousarray(w.T) for w in self.weights]
-
-    def input_grad(self, ws: Workspace, g_out: Array, transposed: list[Array] | None = None) -> Array:
+    def input_grad(self, ws: Workspace, g_out: Array) -> Array:
         """Gradient of ``sum(g_out * output)`` with respect to the input rows
         `ws.x` of the pass last run in `ws` with derivatives; no parameter
-        gradient is formed. `transposed` is `transposed_weights()`, made here
-        when it is not given. The result is a view of the workspace's
-        buffers, valid until the workspace is used again."""
-        if transposed is None:
-            transposed = self.transposed_weights()
+        gradient is formed. It multiplies by ``ws.transposed``, which the
+        first call makes and which goes stale if the weights change. The
+        result is a view of the workspace's buffers, valid until the
+        workspace is used again."""
         if ws.g_input is None:
             ws.g_input = np.empty_like(ws.input)
+            ws.transposed = [np.ascontiguousarray(w.T) for w in self.weights]
         g = self._output_grad(ws, g_out)
         for i in range(len(self.weights) - 1, -1, -1):
             _, d, scratch = ws.layers[i]
             if d is not None:
                 g = np.multiply(g, d, out=scratch)
-            g = np.matmul(g, transposed[i], out=ws.layers[i - 1][2] if i else ws.g_input)
+            g = np.matmul(g, ws.transposed[i], out=ws.layers[i - 1][2] if i else ws.g_input)
         return g[: ws.rows, : self.in_dim]
 
     def mse_grads(self, ws: Workspace, target: Array, grads: list[Array]) -> list[Array]:
@@ -341,8 +335,9 @@ class Workspace:
     holds one layer's activation, its activation derivative (None for the
     linear output layer) and the gradient with respect to its output, which
     the forward pass borrows as scratch: the buffers a backward pass reads.
-    `g_input` holds the input gradient; the first `input_grad` makes it. A
-    lone row runs as two, like every `Mlp` batch.
+    `g_input` holds the input gradient and `transposed` contiguous copies of
+    the transposed weights, stale once the weights change; the first
+    `input_grad` makes both. A lone row runs as two, like every `Mlp` batch.
     """
 
     def __init__(self, net: Mlp, rows: int, *, steps: int | None = None):
@@ -361,7 +356,7 @@ class Workspace:
             (np.empty((height, width)), np.empty((height, width)), np.empty((height, width)))
             for width in hidden
         ] + [(np.empty((height, out)), None, np.empty((height, out)))]
-        self.g_input = None
+        self.g_input, self.transposed = None, None
 
 
 # -- optimizer -----------------------------------------------------------------

@@ -43,24 +43,48 @@ def _written(tmp_path, payload) -> bytes:
     return path.read_bytes()
 
 
+def _dumped(payload) -> bytes:
+    return (json.dumps(payload, indent=1, allow_nan=False) + "\n").encode("utf-8")
+
+
 class TestWrite:
-    """ckpt.write produces exactly json.dumps(payload, indent=1) + "\\n"."""
+    """ckpt.write produces exactly json.dumps(payload, indent=1, allow_nan=False)
+    + "\\n", and raises ValueError where that does, for a NaN or infinite float."""
 
     @settings(max_examples=300, deadline=None)
     @given(values)
     def test_matches_json_dumps(self, tmp_path_factory, payload):
         tmp_path = tmp_path_factory.mktemp("write")
-        want = (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+        try:
+            want = _dumped(payload)
+        except ValueError:
+            with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+                _written(tmp_path, payload)
+            return
         assert _written(tmp_path, payload) == want
 
     @pytest.mark.parametrize("payload", [
         {}, [], (), "", {"a": {}, "b": [], "c": ()}, [[], [[]], {}],
-        {"x_fix": [0.5, -0.0, 1e16], "nan": [1.0, math.nan], "inf": [math.inf, 2.0], "mixed": [1.5, 2, True, None]},
+        {"x_fix": [0.5, -0.0, 1e16], "mixed": [1.5, 2, True, None]},
         {"n": 3, "big": 2**100, "flag": False, "none": None, "np": np.float64(0.1), "s": "é\x01"},
-        {1: "int key", 2.5: "float key", False: "bool key", None: "none key", math.nan: "nan key"},
+        {1: "int key", 2.5: "float key", False: "bool key", None: "none key"},
     ])
     def test_edge_payloads(self, tmp_path, payload):
-        assert _written(tmp_path, payload) == (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+        assert _written(tmp_path, payload) == _dumped(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"nan": [1.0, math.nan]},
+        {"inf": [math.inf, 2.0]},
+        [-math.inf],
+        {"a": np.float64(math.nan)},
+        {math.nan: "nan key"},
+        {math.inf: "inf key"},
+    ])
+    def test_rejects_non_finite_floats(self, tmp_path, payload):
+        with pytest.raises(ValueError):
+            json.dumps(payload, indent=1, allow_nan=False)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            ckpt.write(tmp_path / "bad.json", payload)
 
     @pytest.mark.parametrize("payload", [
         {"a": {1, 2}},

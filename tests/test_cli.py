@@ -287,6 +287,19 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert f"{paths[which]}: " in err and "checkpoint has dimension 8, but the dataset has 24" in err
 
+    def test_too_few_training_rows_for_the_confidence_exits_1(self, tmp_path, capsys):
+        # ceil((10+1)*0.95) = 11 > 10 training rows, so the conformal threshold would be +inf.
+        config = tmp_path / "ten-rows.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "data": {**TINY_CONFIG["data"], "n_train": 10}}))
+        data_dir = tmp_path / "data"
+        common = ["--seed", "7", "--config", str(config)]
+        assert main(["gen-data", "--out", str(data_dir), *common]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(data_dir), "--out", str(tmp_path / "eval"), *common]) == 1
+        assert capsys.readouterr().err == ("error: confidence 0.95 needs at least 19 training rows for a "
+                                           "finite conformal threshold, got 10\n")
+        assert not (tmp_path / "eval").exists()
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gen-data", "--out", "x", "--bogus-flag", "1"]) == 1
         assert "error" in capsys.readouterr().err

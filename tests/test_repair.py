@@ -17,7 +17,7 @@ from arpro.detector import (
 )
 from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
 from arpro.harness import image_benchmark_config, timeseries_benchmark_config
-from arpro.properties import L2_SMOOTH_EPS, GuidanceState, PropertyWeights, Tolerances, guidance_grad
+from arpro.properties import L2_SMOOTH_EPS, GuidanceState, PropertyWeights, Tolerances
 from arpro.repair import (
     RepairConfig,
     RepairRow,
@@ -576,9 +576,9 @@ class TestBlockedNoiseAndHashes:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_guided_set_change_refreshes_gathered_operands(self, mode):
-        # A ramp that starts at 0 is zero at t=1, so rows 0 and 2 leave the
-        # guided set at the last step while rows 1 and 3 stay; every row has
-        # its own target, mask, weights and delta4.
+        # A ramp that starts at 0 is zero at t=1, so rows 0 and 2 have weight
+        # 0 at the last step while rows 1 and 3 do not; every row has its own
+        # target, mask, weights and delta4.
         T, n = 12, 8
         g = stream(T, "guided-set-world")
         train = g.standard_normal((40, n))
@@ -619,6 +619,14 @@ class TestFinalIterateBound:
         net.biases[-1][...] = 1e150  # every noise prediction is 1e150: huge, yet finite at every step
         with pytest.raises(ValueError, match=r"repair huge: the final iterate has a coordinate beyond ±1e\+10"):
             guided_repair(det, Denoiser(net, sched), sched, x_bad, omega, RepairConfig(stream_tag="huge"))
+
+
+def guidance_grad(det, x, x_bad, omega, regions, delta4, lambdas):
+    """The guidance gradient at `x`, one vector or a batch of rows, from a
+    `GuidanceState` built for its rows and called once."""
+    state = GuidanceState(det, len(x) if np.ndim(x) == 2 else 1, x_bad, omega, regions, delta4, lambdas)
+    np.copyto(state.x, x)
+    return state.grad().reshape(np.shape(x))
 
 
 def _expression_guidance(det, x, x_bad, omega, regions, delta4, lambdas):
@@ -675,8 +683,9 @@ def _select(operands, keep):
 
 class TestGuidanceState:
     """A repair builds one `GuidanceState` for its guided rows and calls it at
-    every reverse step; the reused buffers must give the bits of one-off
-    `guidance_grad` calls and of the plain expressions."""
+    every guided reverse step; the reused buffers must give the bits of
+    states built for one call (`guidance_grad` above) and of the plain
+    expressions."""
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 20])
     @pytest.mark.parametrize("kind", KINDS)
@@ -684,8 +693,7 @@ class TestGuidanceState:
         det = BENCHMARK_DETECTORS[kind]
         iterates, operands = _guidance_operands(det, rows, seed=rows)
         state = GuidanceState(det, rows, *operands)
-        # The guided set shrinks, as at t=1 when a ramp starts at 0: the
-        # state is made again for the rows kept.
+        # A state of every other row gives those rows the same bits.
         keep = np.arange(0, rows, 2)
         shrunk = GuidanceState(det, keep.size, *_select(operands, keep))
         for x in iterates:
@@ -710,7 +718,7 @@ class TestGuidanceState:
     @pytest.mark.parametrize("height", [1, 2, 5, 20])
     @pytest.mark.parametrize("kind", KINDS)
     def test_repair_matches_step_by_step_loop(self, kind, height):
-        # Odd rows ramp up from 0, so they leave the guided set at t=1.
+        # Odd rows ramp up from 0, so their weight is 0 at t=1.
         T, n = 12, 8
         g = stream(height, f"guided-heights-{kind}")
         train = g.standard_normal((40, n))
@@ -730,6 +738,43 @@ class TestGuidanceState:
         for r, result in enumerate(results):
             assert np.array_equal(result.x_fix, x_fix[r])
             assert result.trajectory_hash == hashes[r]
+
+
+class TestOneGuidanceStatePerRepair:
+    """`repair_batch` builds one `GuidanceState`, for every row whose ramp is
+    nonzero at some step, however those ramps start; a batch without a
+    guided row builds none."""
+
+    @pytest.mark.parametrize("eta_starts,guided_arm,built", [
+        ((0.0, 0.02, 0.0), True, [3]),  # two ramps reach 0 at t=1
+        ((0.1, 0.1, 0.1), True, [3]),  # the harness's shape: one shared eta_start
+        ((0.1, 0.1, 0.1), False, []),
+    ])
+    def test_constructions(self, monkeypatch, eta_starts, guided_arm, built):
+        T, n = 12, 8
+        g = stream(T, "one-state-world")
+        train = g.standard_normal((40, n))
+        det = fit_gauss(train)
+        sched = make_schedule(T)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), sched)
+        rows = []
+        for i, eta_start in enumerate(eta_starts):
+            omega = (g.random(n) < 0.5).astype(np.float64)
+            omega[i] = 1.0
+            cfg = RepairConfig(eta_start=eta_start, eta_end=0.3, seed=7, stream_tag=f"inst{i}")
+            rows += [RepairRow(train[i] + 2.0, omega, cfg, guided=False),
+                     RepairRow(train[i] + 2.0, omega, cfg, guided=guided_arm)]
+        heights = []
+
+        class Counted(GuidanceState):
+            def __init__(self, detector, rows, *operands):
+                heights.append(rows)
+                super().__init__(detector, rows, *operands)
+
+        monkeypatch.setattr(arpro.repair, "GuidanceState", Counted)
+        results = repair_batch(det, den, sched, rows)
+        assert heights == built
+        assert [result.guided for result in results] == [False, guided_arm] * len(eta_starts)
 
 
 class TestGuidedStepAllocation:

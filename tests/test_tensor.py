@@ -167,6 +167,22 @@ class TestMlpBackward:
         for other in rows[1:]:
             assert np.array_equal(other, rows[0])
 
+    def test_second_input_grad_reuses_the_workspace_transposes(self):
+        # The first call on a workspace makes its transposed weights; a later
+        # pass in the same workspace multiplies by those same arrays and
+        # gives the bits of a fresh workspace.
+        net, x, t, c = _probe([4, 3], 4, 3, seed=3)
+        ws, _ = _forward_in(net, x, t)
+        net.input_grad(ws, c)
+        transposed = list(ws.transposed)
+        x2, c2 = x + 0.5, c[::-1].copy()
+        ws.x[...] = x2
+        net._forward(ws, derivs=True)
+        second = net.input_grad(ws, c2).copy()
+        assert all(a is b for a, b in zip(ws.transposed, transposed, strict=True))
+        fresh, _ = _forward_in(net, x2, t)
+        assert np.array_equal(second, net.input_grad(fresh, c2))
+
     def test_lone_row_gradient_matches_its_row_in_a_batch(self):
         # A lone row runs padded to two; its input gradient is that of the
         # same row in a taller batch.

@@ -9,8 +9,8 @@ package. The inputs are made first with that tree's `gen-data`,
 `train-detector` and `train-diffusion`, from the config that
 `perfbench/run.py` uses for its ts-evaluate or image-evaluate workload. Then
 `evaluate` runs through `arpro.cli.main` once to warm up and `--repeats`
-times measured, with these functions wrapped where their callers look them
-up:
+times measured, under a `perfbench/spans.py` `Tracer` that wraps these
+functions where their callers look them up:
 
     csv_load      arpro.cli.load_csv_dataset
     ckpt_load     arpro.cli.load_detector and arpro.cli._load_denoiser
@@ -23,8 +23,8 @@ up:
     total         arpro.cli.main
 
 A wrapped function that the measured evaluates never call, such as one the
-code no longer reaches there, makes the tool exit 1 naming it, rather than
-report its phase as 0 ms.
+code no longer reaches there or no longer has, makes the tool exit 1 naming
+it, rather than report its phase as 0 ms.
 
 The host's speed drifts by tens of percent between runs, so each evaluate's
 times are scaled as perfbench scales its steps: by the reference unit's
@@ -45,50 +45,50 @@ import json
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PHASES = ("csv_load", "ckpt_load", "prepare", "repair", "predict_mu", "guidance", "repair_other",
           "write_report", "total")
+# (phase, module, attribute path) of each timed function; `repair_other` is
+# what is left of `repair`.
+TARGETS = (
+    ("csv_load", "arpro.cli", "load_csv_dataset"),
+    ("ckpt_load", "arpro.cli", "load_detector"),
+    ("ckpt_load", "arpro.cli", "_load_denoiser"),
+    ("prepare", "arpro.harness", "prepare_pipeline"),
+    ("repair", "arpro.harness", "repair_batch"),
+    ("predict_mu", "arpro.repair", "predict_mu"),
+    ("guidance", "arpro.properties", "GuidanceState.__init__"),
+    ("guidance", "arpro.properties", "GuidanceState.grad"),
+    ("write_report", "arpro.harness", "write_report"),
+    ("total", "arpro.cli", "main"),
+)
+PHASE_OF = {f"{module}.{path}": phase for phase, module, path in TARGETS}
 
 
 def _perfbench():
-    """perfbench/run.py, for its workload configs, reference unit and environment record."""
+    """perfbench/run.py, for its workload configs, reference unit and
+    environment record, and perfbench/spans.py, for its `Tracer`."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    return module, importlib.import_module("spans")
 
 
-class Phases:
-    """Seconds spent in each wrapped function during one measured call, and
-    the number of calls of each over all measured calls."""
+def make_tracer(spans, targets=TARGETS):
+    """A `spans.Tracer` of `targets`, each span named by the function it wraps."""
+    return spans.Tracer((f"{module}.{path}", module, path, None) for _, module, path in targets)
 
-    def __init__(self):
-        self.seconds = dict.fromkeys(PHASES, 0.0)
-        self.calls = {}
 
-    def wrap(self, owner, attr: str, phase: str):
-        inner = getattr(owner, attr)
-        module = f"{owner.__module__}." if isinstance(owner, type) else ""
-        name = f"{module}{owner.__name__}.{attr}"
-        self.calls[name] = 0
-
-        def timed(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                self.seconds[phase] += time.perf_counter() - start
-                self.calls[name] += 1
-
-        setattr(owner, attr, timed)
-
-    def uncalled(self) -> list[str]:
-        """The wrapped functions not called since `calls` was last reset."""
-        return [name for name, count in self.calls.items() if count == 0]
+def require_called(tracer, run_id: str) -> None:
+    """Exit 1 naming each target of `tracer` that recorded no span in run
+    `run_id`: one never called there, or one the tracer could not find."""
+    called = {span.name for span in tracer.spans if span.run_id == run_id}
+    missing = [name for name, *_ in tracer.targets if name not in called]
+    if missing:
+        raise SystemExit(f"never called during the measured evaluates: {', '.join(missing)}")
 
 
 def _run(cli, argv) -> None:
@@ -98,9 +98,9 @@ def _run(cli, argv) -> None:
         raise SystemExit(f"arpro {argv[0]} exited {code}")
 
 
-def measure(bench, kind: str, seed: int, repeats: int, work: Path) -> list[dict]:
+def measure(bench, spans, kind: str, seed: int, repeats: int, work: Path) -> list[dict]:
     """Per-phase scaled milliseconds of `repeats` evaluates after one warm-up."""
-    from arpro import cli, harness, properties, repair
+    from arpro import cli
 
     config = bench.ts_evaluate_config(seed) if kind == "ts" else bench.image_evaluate_config(seed)
     cfg_path = work / "config.json"
@@ -112,32 +112,24 @@ def measure(bench, kind: str, seed: int, repeats: int, work: Path) -> list[dict]
     evaluate = ["evaluate", *common, "--input", work / "data", "--detector", work / "models" / "detector.json",
                 "--denoiser", work / "models" / "denoiser.json", "--out", work / "eval"]
 
-    phases = Phases()
-    for owner, attr, phase in (
-        (cli, "load_csv_dataset", "csv_load"), (cli, "load_detector", "ckpt_load"),
-        (cli, "_load_denoiser", "ckpt_load"), (harness, "prepare_pipeline", "prepare"),
-        (harness, "repair_batch", "repair"), (repair, "predict_mu", "predict_mu"),
-        (properties.GuidanceState, "__init__", "guidance"), (properties.GuidanceState, "grad", "guidance"),
-        (harness, "write_report", "write_report"),
-    ):
-        phases.wrap(owner, attr, phase)
-    _run(cli, evaluate)  # warm-up
-    phases.calls = dict.fromkeys(phases.calls, 0)
+    tracer = make_tracer(spans)
+    with tracer.active("warm-up"):
+        _run(cli, evaluate)
     samples = []
     ref_before = bench.reference_unit_s()
     for _ in range(repeats):
-        phases.seconds = dict.fromkeys(PHASES, 0.0)
-        start = time.perf_counter()
-        _run(cli, evaluate)
-        phases.seconds["total"] = time.perf_counter() - start
+        first = len(tracer.spans)
+        with tracer.active("measured"):
+            _run(cli, evaluate)
         ref_after = bench.reference_unit_s()
-        s = phases.seconds
+        s = dict.fromkeys(PHASES, 0.0)
+        for span in tracer.spans[first:]:
+            s[PHASE_OF[span.name]] += span.end - span.start
         s["repair_other"] = s["repair"] - s["predict_mu"] - s["guidance"]
         scale = 1e3 * bench.REF_UNIT_S / ((ref_before + ref_after) / 2.0)
         samples.append({name: scale * value for name, value in s.items()})
         ref_before = ref_after
-    if phases.uncalled():
-        raise SystemExit(f"never called during the measured evaluates: {', '.join(phases.uncalled())}")
+    require_called(tracer, "measured")
     return samples
 
 
@@ -166,9 +158,9 @@ def main(argv=None) -> int:
 
     if Path(arpro.__file__).resolve().parent.parent != args.src.resolve():
         raise SystemExit(f"arpro was imported from {arpro.__file__}, not from {args.src}")
-    bench = _perfbench()
+    bench, spans = _perfbench()
     with tempfile.TemporaryDirectory(prefix="evaluate_phases_") as tmp:
-        samples = measure(bench, args.kind, args.seed, args.repeats, Path(tmp))
+        samples = measure(bench, spans, args.kind, args.seed, args.repeats, Path(tmp))
     result = {
         "tool": "tools/evaluate_phases.py",
         "kind": args.kind,
