@@ -33,6 +33,6 @@ from .repair import (
     make_guidance_schedule,
     repair_batch,
 )
-from .tensor import AdamW, Mlp, normal, stream
+from .tensor import AdamW, Mlp, stream
 
 __version__ = "0.1.0"

@@ -10,12 +10,14 @@ finiteness of every value. The JSON writer `write` and the CSV writer
 from __future__ import annotations
 
 import base64
+import contextlib
 import csv
 import json
 import math
+import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -62,11 +64,10 @@ def write(path, payload: dict) -> None:
     Its pieces go to one `writelines` call as they are made, so the whole
     text is never held at once: a report's pieces would add their size to
     the peak memory, and joining them would also copy a checkpoint's base64
-    blob.
+    blob. They go to a temporary file that replaces `path` only once the
+    text is complete, so a rejected payload leaves `path` as it was.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with _replacing(path, newline=None) as fh:
         fh.writelines(_encode(payload, 0))
         fh.write("\n")
 
@@ -74,13 +75,31 @@ def write(path, payload: dict) -> None:
 def write_csv(path, header, rows) -> None:
     """Write a CSV file of the row `header` and then `rows`, whose cells are
     strings or ints, creating parent directories. The datasets' CSV files
-    and the report tables all go through here."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    and the report tables all go through here. Like `write`, it replaces
+    `path` only once every row is written."""
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def _replacing(path, newline: str | None) -> Iterator[TextIO]:
+    """A text file for the `with` block to write, which replaces the file at
+    `path` only when the block completes. It is written under a temporary
+    name in the same directory (parents created), renamed onto `path` on
+    success and removed on any error, so a half-written file never replaces
+    a good one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _scalar(value) -> str | None:

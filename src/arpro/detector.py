@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import Array, Mlp, Workspace, check_batch, check_training, fit, stream
+from .tensor import TRAIN_DTYPE, Array, Mlp, Workspace, check_batch, check_training, fit, stream
 
 DECOMP_RTOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-3
@@ -140,14 +140,26 @@ class GaussDetector(_DetectorBase):
     def workspace(self, rows: int) -> "_GaussWorkspace":
         return _GaussWorkspace(self, rows)
 
+    @staticmethod
+    def _alpha(diff: Array, inv_two_var: Array, log_term: Array, out: Array) -> Array:
+        """alpha = diff * diff * inv_two_var + log_term with diff = x - mu,
+        written into `out`, which may be `diff`."""
+        alpha = np.multiply(diff, diff, out=out)
+        alpha *= inv_two_var
+        alpha += log_term
+        return alpha
+
+    def alpha_batch(self, data: Array) -> Array:
+        # One new array, the constants broadcast: a one-off call needs none
+        # of the workspace's buffers.
+        diff = check_batch(data, self.n, "batch") - self.mu
+        return self._alpha(diff, self._inv_two_var, self._log_term, out=diff)
+
     def alpha_with_vjp(self, x: Array, ws: "_GaussWorkspace | None" = None):
         if ws is None:
             ws = self.workspace(len(x) if x.ndim == 2 else 1)
-        # alpha = diff * diff * inv_two_var + log_term with diff = x - mu.
         diff = np.subtract(x, ws.mu, out=ws.diff)
-        alpha = np.multiply(diff, diff, out=ws.alpha)
-        alpha *= ws.inv_two_var
-        alpha += ws.log_term
+        alpha = self._alpha(diff, ws.inv_two_var, ws.log_term, out=ws.alpha)
 
         def vjp(g_alpha, acc=None):  # g_alpha * inv_two_var * 2.0 * diff + acc
             g = np.multiply(g_alpha, ws.inv_two_var, out=ws.grad)
@@ -286,15 +298,15 @@ def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> Reco
     m, n = data.shape
     net = Mlp(n, list(cfg.hidden), n, seed=seed, stream_name="recon-init")
     picker = stream(seed, "recon-batch")
-    ws = Workspace(net, min(cfg.batch, m))
+    data = data.astype(TRAIN_DTYPE)  # the batches' precision, cast once
 
-    def batch() -> Array:
+    def batch(ws: Workspace) -> Array:
         # mode="clip" leaves these in-range indices alone and writes straight
         # into `out`, which the default mode would buffer.
         data.take(picker.integers(0, m, size=ws.rows), axis=0, out=ws.x, mode="clip")
         return ws.x
 
-    fit(net, ws, batch, cfg, "autoencoder")
+    fit(net, min(cfg.batch, m), batch, cfg, "autoencoder")
     return ReconDetector(net)
 
 

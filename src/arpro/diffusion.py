@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckpt
-from .tensor import Array, Mlp, Workspace, check_batch, check_training, fit, stream
+from .tensor import TRAIN_DTYPE, Array, Mlp, Workspace, check_batch, check_training, fit, stream
 
 STD_MODES = ("standard", "paper-literal")
 
@@ -172,14 +172,17 @@ def train_denoiser(
     picker = stream(seed, "denoiser-batch")
     noiser = stream(seed, "denoiser-noise")
     steps_rng = stream(seed, "denoiser-steps")
-    root_a = np.sqrt(schedule.a)
-    root_one_minus_a = np.sqrt(1.0 - schedule.a)
+    # The batch is built in the training precision from operands cast once;
+    # the noise is drawn in float64, as the stream defines it, and cast.
+    data = data.astype(TRAIN_DTYPE)
+    root_a = np.sqrt(schedule.a).astype(TRAIN_DTYPE)
+    root_one_minus_a = np.sqrt(1.0 - schedule.a).astype(TRAIN_DTYPE)
     rows = min(cfg.batch, m)
-    ws = Workspace(net, rows, steps=schedule.T)
-    x0, eps, blend = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
-    emb = np.empty((rows, cfg.time_embed))
+    drawn = np.empty((rows, n))
+    x0, eps, blend = (np.empty((rows, n), TRAIN_DTYPE) for _ in range(3))
+    emb = np.empty((rows, cfg.time_embed), TRAIN_DTYPE)
 
-    def batch() -> Array:
+    def batch(ws: Workspace) -> Array:
         # mode="clip" leaves these in-range indices alone and writes straight
         # into `out`, which the default mode would buffer; `take` into the
         # column block ws.emb would also go through a copy.
@@ -187,7 +190,8 @@ def train_denoiser(
         s = steps_rng.integers(1, schedule.T + 1, size=rows) - 1
         ws.table.take(s, axis=0, out=emb, mode="clip")
         ws.emb[...] = emb
-        noiser.standard_normal(out=eps)
+        noiser.standard_normal(out=drawn)
+        np.copyto(eps, drawn)
         # x_t = sqrt(a_t) x0 + sqrt(1 - a_t) eps, copied into the workspace
         # input. A ufunc that broadcasts a column, or writes into the column
         # block ws.x, costs a 64 KiB iterator buffer per operand, so each
@@ -200,7 +204,7 @@ def train_denoiser(
         ws.x[...] = blend
         return eps
 
-    fit(net, ws, batch, cfg, "denoiser")
+    fit(net, rows, batch, cfg, "denoiser", steps=schedule.T)
     return Denoiser(net, schedule)
 
 

@@ -1,12 +1,16 @@
-"""A small float64 MLP with a hand-written backward pass, AdamW, the one
-training loop, and named random streams.
+"""A small MLP with a hand-written backward pass, AdamW, the one training
+loop, and named random streams.
 
 Everything downstream runs on this module. An `Mlp` (silu hidden layers, a
 linear output) is the reconstruction detector's autoencoder and the
 diffusion denoiser alike, and `fit` trains both: AdamW on a mean squared
 error, the caller supplying only the network and a function that writes
-each batch. Parameters are float64 arrays, views of one flat vector per
-network; `Mlp.backward` and `Mlp.input_grad` are the closed-form
+each batch. Parameters are arrays viewing one flat vector per network.
+Training runs in `TRAIN_DTYPE` (float32) against float64 master weights:
+`fit` runs its passes, gradients and AdamW moments on a float32 working
+copy and adds each update to the float64 master, so every net it returns,
+and every checkpoint, inference pass and guidance gradient after training,
+is float64. `Mlp.backward` and `Mlp.input_grad` are the closed-form
 vector-Jacobian products of the forward pass, which is all the training
 losses and guidance gradients need. Randomness comes from counter-based
 streams addressed by an explicit (seed, name) pair, which keeps paired
@@ -25,9 +29,10 @@ of one batch height, which a training or repair loop allocates once and
 reuses at every step. glibc hands a freed array of a batch's or a
 parameter's size back to the kernel, so a fresh temporary on every step
 faults its pages in again, and the faults cost as much as the arithmetic.
-`fit` owns the flat parameter gradient that matches `Mlp.flat`, the one
-vector the weights and biases view; `AdamW` keeps two scratch arrays and
-updates the flat vectors in cache-sized `chunks`. A one-off forward pass
+`fit` owns the working copy, its workspace and the flat parameter gradient
+that matches `Mlp.flat`, the one vector the weights and biases view;
+`AdamW` keeps its scratch arrays and updates the flat vectors in
+cache-sized `chunks`. A one-off forward pass
 runs `ONE_OFF_ROWS` rows at a time through a workspace of its own.
 """
 
@@ -41,10 +46,15 @@ import numpy as np
 
 Array = np.ndarray
 
-# 32768 float64 values are 256 KiB, so the six arrays one chunk's AdamW
-# update passes over (parameter, gradient, two moments, two scratch) fit a
-# 2 MiB L2 cache.
+# 32768 values are 256 KiB in float64, so the arrays one chunk's AdamW
+# update passes over (parameter, gradient, two moments, two scratch, and in
+# training the float64 widened update) fit a 2 MiB L2 cache.
 CHUNK = 32768
+
+# `fit`'s passes, gradients and AdamW moments run in this precision; the
+# master weights it updates stay float64 (Micikevicius et al. 2018, Mixed
+# Precision Training).
+TRAIN_DTYPE = np.float32
 
 # A forward pass without a workspace runs this many rows at a time, so it
 # holds one workspace of this height rather than every layer's buffers for
@@ -88,11 +98,6 @@ def stream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal(seed: int, name: str, shape=()) -> Array:
-    """One-shot standard-normal draw from the (seed, name) stream."""
-    return stream(seed, name).standard_normal(shape)
-
-
 # -- sinusoidal step embedding ------------------------------------------------
 
 
@@ -120,9 +125,9 @@ class Mlp:
     When `time_embed` is set, the embedding of the step index is concatenated
     to the input before the first layer, so the first weight matrix has
     ``in_dim + time_embed`` rows. The weights and biases are views of `flat`,
-    in `parameters()` order. The weights are drawn from the (seed,
-    stream_name) stream; with `seed` None every parameter starts at zero, for
-    a caller that writes them all, such as a checkpoint load.
+    a vector of `dtype`, in `parameters()` order. The weights are drawn from
+    the (seed, stream_name) stream; with `seed` None every parameter starts
+    at zero, for a caller that writes them all, such as a checkpoint load.
     """
 
     def __init__(
@@ -134,6 +139,7 @@ class Mlp:
         time_embed: int | None = None,
         seed: int | None = 0,
         stream_name: str = "mlp-init",
+        dtype=np.float64,
     ):
         if in_dim <= 0 or out_dim <= 0 or any(h <= 0 for h in hidden):
             raise ValueError("layer dimensions must be positive")
@@ -144,7 +150,7 @@ class Mlp:
         self.out_dim = int(out_dim)
         self.time_embed = int(time_embed) if time_embed else None
         self.dims = [int(d) for d in dims]
-        self.flat = np.zeros(sum(a * b + b for a, b in zip(dims, dims[1:])))
+        self.flat = np.zeros(sum(a * b + b for a, b in zip(dims, dims[1:])), dtype=dtype)
         params = self.views(self.flat)
         self.weights: list[Array] = params[0::2]
         self.biases: list[Array] = params[1::2]
@@ -338,24 +344,26 @@ class Workspace:
     `g_input` holds the input gradient and `transposed` contiguous copies of
     the transposed weights, stale once the weights change; the first
     `input_grad` makes both. A lone row runs as two, like every `Mlp` batch.
+    Every buffer, the table too, has the dtype of the net's parameters.
     """
 
     def __init__(self, net: Mlp, rows: int, *, steps: int | None = None):
         if rows < 1:
             raise ValueError(f"a workspace needs at least one row, got {rows}")
         height = max(rows, 2)
+        dtype = net.flat.dtype
         self.rows = rows
-        self.input = np.empty((height, net.dims[0]))
+        self.input = np.empty((height, net.dims[0]), dtype)
         self.x = self.input[:rows, : net.in_dim]
         self.emb = self.input[:rows, net.in_dim :]
         self.table = None
         if steps is not None and net.time_embed is not None:
-            self.table = time_embedding(np.arange(1, steps + 1), net.time_embed)
+            self.table = time_embedding(np.arange(1, steps + 1), net.time_embed).astype(dtype, copy=False)
         *hidden, out = net.dims[1:]
         self.layers = [
-            (np.empty((height, width)), np.empty((height, width)), np.empty((height, width)))
+            (np.empty((height, width), dtype), np.empty((height, width), dtype), np.empty((height, width), dtype))
             for width in hidden
-        ] + [(np.empty((height, out)), None, np.empty((height, out)))]
+        ] + [(np.empty((height, out), dtype), None, np.empty((height, out), dtype))]
         self.g_input, self.transposed = None, None
 
 
@@ -369,8 +377,12 @@ class AdamW:
     the moment-based update, so a zero gradient with nonzero decay still
     shrinks the weights. The bias corrections ``c_i = 1 - beta_i**t`` are
     folded into the step size and eps as in Kingma & Ba 2015, §2: ``p -=
-    lr*sqrt(c2)/c1 * m / (sqrt(v) + eps*sqrt(c2))``. A step allocates no
-    array: it works in two scratch arrays the size of the largest parameter.
+    lr*sqrt(c2)/c1 * m / (sqrt(v) + eps*sqrt(c2))``. The moments and the
+    update are computed in `dtype` (the parameters' own by default); with a
+    narrower one, such as float32 gradients for float64 master parameters,
+    each update is widened into a scratch array before it is subtracted. A
+    step allocates no array: it works in scratch arrays the size of the
+    largest parameter.
     """
 
     def __init__(
@@ -381,6 +393,7 @@ class AdamW:
         beta2: float = 0.999,
         eps: float = 1e-8,
         weight_decay: float = 0.0,
+        dtype=None,
     ):
         if not (0.0 <= lr < math.inf):
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
@@ -396,12 +409,18 @@ class AdamW:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        if dtype is None:
+            dtype = self.params[0].dtype if self.params else np.float64
+        self.m = [np.zeros(p.shape, dtype) for p in self.params]
+        self.v = [np.zeros(p.shape, dtype) for p in self.params]
         self.t = 0
         size = max((p.size for p in self.params), default=0)
-        a, b = np.empty(size), np.empty(size)
+        a, b = np.empty(size, dtype), np.empty(size, dtype)
         self._scratch = [(a[: p.size].reshape(p.shape), b[: p.size].reshape(p.shape)) for p in self.params]
+        # A mixed-dtype `p -= a` would take a ufunc buffer on every call, so
+        # an update for a wider parameter is first copied into `wide`.
+        wide = np.empty(size) if any(p.dtype != dtype for p in self.params) else None
+        self._wide = [None if p.dtype == dtype else wide[: p.size].reshape(p.shape) for p in self.params]
 
     def step(self, grads: Sequence[Array]) -> None:
         """One update from `grads`, given in the order of the parameters."""
@@ -415,7 +434,7 @@ class AdamW:
         c2 = 1.0 - self.beta2 ** self.t
         step = self.lr * math.sqrt(c2) / c1
         eps_hat = self.eps * math.sqrt(c2)
-        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
+        for p, g, m, v, (a, b), wide in zip(self.params, grads, self.m, self.v, self._scratch, self._wide):
             m *= self.beta1
             np.multiply(1.0 - self.beta1, g, out=a)
             m += a
@@ -429,6 +448,9 @@ class AdamW:
             b += eps_hat
             np.divide(m, b, out=a)
             a *= step
+            if wide is not None:
+                np.copyto(wide, a)
+                a = wide
             p -= a
 
 
@@ -460,24 +482,31 @@ def check_training(cfg) -> None:
         raise ValueError(f"hidden widths must be >= 1, got {list(cfg.hidden)}")
 
 
-def fit(net: Mlp, ws: Workspace, batch: Callable[[], Array], cfg, what: str) -> None:
+def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str, steps: int | None = None) -> None:
     """Fit `net` to the mean squared error by `cfg.steps` AdamW steps at
     `cfg.lr` and `cfg.weight_decay`, for a training config such as
     `ReconTrainConfig` or `DiffusionTrainConfig`.
 
-    Each step calls ``batch()``, which writes one batch into the workspace
-    `ws` (`ws.x`, and `ws.emb` for a step-conditioned net) and returns its
-    target rows. The parameter gradients go into one flat vector, which AdamW
-    updates in `chunks` along with `net.flat`. Non-finite parameters after the
-    last step, a diverged fit that no checkpoint load would accept, raise an
-    error naming `what`.
+    The passes run on a `TRAIN_DTYPE` working copy of `net`, in a workspace
+    of `rows` rows (with the embeddings of steps 1 to `steps` for a
+    step-conditioned net). Each step calls ``batch(ws)``, which writes one
+    batch into that workspace `ws` (`ws.x`, and `ws.emb` for a
+    step-conditioned net) and returns its target rows. The parameter
+    gradients go into one flat vector, from which AdamW updates the float64
+    master `net.flat` in `chunks`; one cast copy then refreshes the working
+    weights. Non-finite parameters after the last step, a diverged fit that
+    no checkpoint load would accept, raise an error naming `what`.
     """
-    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    grad = np.empty_like(net.flat)
-    grads, grad_chunks = net.views(grad), chunks(grad)
+    work = Mlp(net.in_dim, net.dims[1:-1], net.out_dim, time_embed=net.time_embed, seed=None, dtype=TRAIN_DTYPE)
+    work.flat[...] = net.flat
+    ws = Workspace(work, rows, steps=steps)
+    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay, dtype=TRAIN_DTYPE)
+    grad = np.empty_like(work.flat)
+    grads, grad_chunks = work.views(grad), chunks(grad)
     for _ in range(cfg.steps):
-        net.mse_grads(ws, batch(), grads)
+        work.mse_grads(ws, batch(ws), grads)
         opt.step(grad_chunks)
+        np.copyto(work.flat, net.flat)
     if not np.isfinite(net.flat).all():
         raise ValueError(
             f"{what} training ({cfg.steps} steps, lr={cfg.lr}) produced non-finite parameter values"

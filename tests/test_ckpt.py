@@ -100,3 +100,42 @@ class TestWrite:
             json.dumps(payload, indent=1)
         with pytest.raises(TypeError):
             ckpt.write(tmp_path / "bad.json", payload)
+
+
+class TestAtomicWrite:
+    """A payload or row the writer rejects leaves the previous file as it was
+    and no temporary file beside it."""
+
+    @pytest.mark.parametrize("payload,error", [
+        ({"a": [1.0], "b": math.nan}, ValueError),
+        ({"a": [1.0], "b": {1, 2}}, TypeError),
+    ])
+    def test_rejected_payload_keeps_the_previous_file(self, tmp_path, payload, error):
+        path = tmp_path / "report.json"
+        ckpt.write(path, {"a": [1.0, 2.0], "b": "good"})
+        before = path.read_bytes()
+        with pytest.raises(error):
+            ckpt.write(path, payload)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_csv_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        ckpt.write_csv(path, ["a", "b"], [["1", "2"]])
+        before = path.read_bytes()
+
+        def rows():
+            yield ["3", "4"]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            ckpt.write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_success_replaces_the_file(self, tmp_path):
+        path = tmp_path / "new" / "report.json"
+        ckpt.write(path, {"v": 1})
+        ckpt.write(path, {"v": 2})
+        assert path.read_bytes() == _dumped({"v": 2})
+        assert [p.name for p in path.parent.iterdir()] == ["report.json"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,30 @@ class TestFitGauss:
             det.alpha_batch(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="^alphas contains non-finite values$"):
             calibrate_thresholds(np.array([[np.inf, 1.0], [0.0, 1.0]]))
+
+
+class TestGaussAlphaBatch:
+    def test_matches_the_workspace_path_and_lone_rows_bit_for_bit(self):
+        g = stream(2, "gauss-batch")
+        det = fit_gauss(g.standard_normal((50, 6)) * 3.0 + 1.0)
+        x = g.standard_normal((40, 6)) * 4.0
+        got = det.alpha_batch(x)
+        assert np.array_equal(got, det.alpha_with_vjp(x, det.workspace(40))[0])
+        for row, alpha in zip(x, got, strict=True):
+            assert np.array_equal(alpha, det.alpha(row))
+
+    def test_allocates_one_batch_sized_array(self):
+        # (400, 128) float64 is 400 KiB; the workspace held seven such arrays.
+        det = fit_gauss(stream(3, "gauss-fit").standard_normal((50, 128)))
+        x = stream(3, "gauss-x").standard_normal((400, 128))
+        det.alpha_batch(x)
+        tracemalloc.start()
+        try:
+            det.alpha_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes
 
 
 class TestScore:

@@ -13,7 +13,7 @@ from arpro.diffusion import (
     train_denoiser,
 )
 from arpro.repair import RepairConfig, RepairRow, repair_batch
-from arpro.tensor import Mlp, normal, stream
+from arpro.tensor import Mlp, stream
 
 
 def constant_eps_denoiser(n: int, value: float, schedule) -> Denoiser:
@@ -207,7 +207,7 @@ class TestDenoiserCheckpoint:
         loaded = Denoiser.load(path)
         assert loaded.schedule.std_mode == "paper-literal"
         assert np.array_equal(loaded.schedule.b, den.schedule.b)
-        x = normal(0, "ckx", 4)
+        x = stream(0, "ckx").standard_normal(4)
         assert np.array_equal(den.net.forward_np(x, 3), loaded.net.forward_np(x, 3))
         assert np.array_equal(sample(den, [1]), sample(loaded, [1]))
 

@@ -5,9 +5,20 @@ import numpy as np
 import pytest
 
 from arpro import ckpt
-from arpro.detector import ReconTrainConfig, fit_recon
+from arpro.detector import ReconTrainConfig, fit_recon, load_detector
 from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, predict_mu, train_denoiser
-from arpro.tensor import CHUNK, ONE_OFF_ROWS, AdamW, Mlp, Workspace, chunks, normal, stream, time_embedding
+from arpro.tensor import (
+    CHUNK,
+    ONE_OFF_ROWS,
+    TRAIN_DTYPE,
+    AdamW,
+    Mlp,
+    Workspace,
+    chunks,
+    fit,
+    stream,
+    time_embedding,
+)
 
 from conftest import central_diff, max_rel_err
 
@@ -44,7 +55,7 @@ class TestMlp:
     def test_deterministic_construction_and_forward(self):
         a = Mlp(4, [8], 4, seed=3)
         b = Mlp(4, [8], 4, seed=3)
-        x = normal(1, "x", 4)
+        x = stream(1, "x").standard_normal(4)
         assert np.array_equal(a.forward_np(x), b.forward_np(x))
 
     def test_input_dimension_checked(self):
@@ -529,6 +540,64 @@ class TestWorkspaceTraining:
         assert self._warm_step_peak(monkeypatch, lambda: fit_recon(data, cfg)) < 16 * 1024
 
 
+class TestMixedPrecisionFit:
+    """`fit` trains a float32 working copy against float64 master weights;
+    every net it returns is float64."""
+
+    @pytest.mark.parametrize("time_embed,height,hidden", TRAINING_CASES)
+    def test_tracks_the_float64_reference(self, time_embed, height, hidden):
+        # 20 steps at lr 3e-2 move the largest parameter by 25-50%. The small
+        # nets stay within 1e-6 of the float64 reference, relative to their
+        # largest parameter (2e-7 measured). The wide net's Adam steps
+        # normalise gradients near zero, whose float32 rounding is large
+        # relative to them, so it drifts further (1.2e-3 measured).
+        net = Mlp(5, hidden, 5, time_embed=time_embed, seed=1)
+        ref = _ReferenceMlp(net, lr=3e-2, weight_decay=0.01)
+        g = stream(1, f"train-f32-{len(hidden)}-{time_embed}-{height}")
+        draws = [
+            (g.standard_normal((height, 5)), g.standard_normal((height, 5)),
+             g.integers(1, 21, size=height) if time_embed else None)
+            for _ in range(20)
+        ]
+        batches = iter(draws)
+
+        def batch(ws):
+            x, target, t = next(batches)
+            ws.x[...] = x
+            if time_embed:
+                ws.emb[...] = ws.table[t - 1]
+            assert ws.x.dtype == TRAIN_DTYPE
+            return target.astype(TRAIN_DTYPE)
+
+        for x, target, t in draws:
+            ref.step(x, target, t)
+        cfg = DiffusionTrainConfig(hidden=tuple(hidden), steps=20, lr=3e-2, weight_decay=0.01)
+        fit(net, height, batch, cfg, "test", steps=20)
+        assert net.flat.dtype == np.float64
+        want = np.concatenate([p.ravel() for p in ref.params])
+        assert max_rel_err(net.flat, want) <= (5e-3 if net.flat.size > CHUNK else 1e-6)
+
+    def test_trained_nets_predictions_and_checkpoints_are_float64(self, tmp_path):
+        data = stream(41, "f64-out").standard_normal((30, 4))
+        den = train_denoiser(data, make_schedule(8), DiffusionTrainConfig(hidden=(8,), time_embed=4, steps=20), seed=1)
+        det = fit_recon(data, ReconTrainConfig(hidden=(6,), steps=20), seed=1)
+        assert den.net.flat.dtype == np.float64 and det.net.flat.dtype == np.float64
+        assert all(p.dtype == np.float64 for p in (*den.net.parameters(), *det.net.parameters()))
+        assert predict_mu(den, data[:3], 4).dtype == np.float64
+        assert det.alpha_batch(data).dtype == np.float64
+        den.save(tmp_path / "denoiser.json")
+        det.save(tmp_path / "detector.json")
+        assert Denoiser.load(tmp_path / "denoiser.json").net.flat.dtype == np.float64
+        assert load_detector(tmp_path / "detector.json").net.flat.dtype == np.float64
+
+    def test_zero_lr_leaves_autoencoder_parameters(self):
+        data = stream(42, "r0").standard_normal((20, 4))
+        det = fit_recon(data, ReconTrainConfig(hidden=(8, 3), steps=50, lr=0.0), seed=2)
+        fresh = Mlp(4, [8, 3], 4, seed=2, stream_name="recon-init")
+        for got, want in zip(det.net.parameters(), fresh.parameters(), strict=True):
+            assert np.array_equal(got, want)
+
+
 def _reference(net, x, t):
     return _reference_forward(net, net.parameters(), x, t)[0]
 
@@ -602,14 +671,14 @@ class TestWorkspaceInference:
 
 class TestRandomStreams:
     def test_same_address_same_draws(self):
-        assert np.array_equal(normal(7, "z", (4, 3)), normal(7, "z", (4, 3)))
+        assert np.array_equal(stream(7, "z").standard_normal((4, 3)), stream(7, "z").standard_normal((4, 3)))
 
     def test_distinct_streams_differ(self):
-        assert not np.array_equal(normal(7, "z", 16), normal(7, "eps", 16))
-        assert not np.array_equal(normal(7, "z", 16), normal(8, "z", 16))
+        assert not np.array_equal(stream(7, "z").standard_normal(16), stream(7, "eps").standard_normal(16))
+        assert not np.array_equal(stream(7, "z").standard_normal(16), stream(8, "z").standard_normal(16))
 
     def test_standard_normal_moments(self):
-        draws = normal(123, "moments", 100_000)
+        draws = stream(123, "moments").standard_normal(100_000)
         assert abs(float(draws.mean())) < 0.02
         assert abs(float(draws.var()) - 1.0) < 0.05
 
@@ -626,7 +695,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         ckpt.write(path, ckpt.mlp_payload(net, kind="mlp"))
         loaded = ckpt.mlp_from_payload(ckpt.read(path, expected_kind="mlp"))
-        x = normal(0, "ckpt-x", 6)
+        x = stream(0, "ckpt-x").standard_normal(6)
         assert np.array_equal(net.forward_np(x, t=2), loaded.forward_np(x, t=2))
 
     def test_schema_and_kind_checked(self, tmp_path):
