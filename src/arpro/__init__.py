@@ -28,6 +28,7 @@ from .repair import (
     RepairConfig,
     RepairResult,
     RepairRow,
+    RepairSettings,
     baseline_repair,
     guided_repair,
     make_guidance_schedule,

@@ -161,25 +161,26 @@ def _require_file(path: str | None, what: str) -> str | None:
     return path
 
 
-def _load_models(args, n: int):
+def _load_models(args, cfg: ExperimentConfig, n: int):
     """The detector and denoiser checkpoints that --detector and --denoiser
-    name, None for a flag not given; each must have the dataset's dimension n."""
+    name, None for a flag not given; each must have the dataset's dimension n.
+    The denoiser samples with the config's `diffusion.std_mode`."""
     detector = denoiser = None
     if args.detector is not None:
         detector = load_detector(_require_file(args.detector, "detector"))
     if args.denoiser is not None:
-        denoiser = _load_denoiser(args.denoiser, args.std_mode)
+        denoiser = _load_denoiser(args.denoiser, cfg.diffusion.std_mode)
     for path, model in ((args.detector, detector), (args.denoiser, denoiser)):
         if model is not None and model.n != n:
             raise CliError(f"{path}: {model.kind} checkpoint has dimension {model.n}, but the dataset has {n}")
     return detector, denoiser
 
 
-def _load_denoiser(path: str, std_mode: str | None) -> Denoiser:
-    """Load a denoiser; --std-mode overrides the checkpoint's sampling std."""
+def _load_denoiser(path: str, std_mode: str) -> Denoiser:
+    """Load a denoiser that samples with `std_mode`, whatever its checkpoint's."""
     denoiser = Denoiser.load(_require_file(path, "denoiser"))
     sched = denoiser.schedule
-    if std_mode is not None and std_mode != sched.std_mode:
+    if std_mode != sched.std_mode:
         denoiser = Denoiser(denoiser.net, make_schedule(sched.T, sched.b_start, sched.b_end, std_mode))
     return denoiser
 
@@ -217,7 +218,7 @@ def _cmd_train_diffusion(args) -> int:
 def _cmd_repair(args) -> int:
     cfg, overrides = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args, dataset.n)
+    detector, denoiser = _load_models(args, cfg, dataset.n)
     arm = "guided" if args.guided else "baseline"
     pipe, results = harness.run_single_arm(cfg, arm, dataset=dataset, detector=detector, denoiser=denoiser)
 
@@ -243,7 +244,7 @@ def _cmd_evaluate(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg, overrides = _experiment_config(args, file_cfg)
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args, dataset.n)
+    detector, denoiser = _load_models(args, cfg, dataset.n)
     report = harness.run_experiment(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
     report.provenance = {"config_file": file_cfg or None, "overrides": overrides}
     paths = harness.write_report(report, args.out)
@@ -265,7 +266,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args, dataset.n)
+    detector, denoiser = _load_models(args, cfg, dataset.n)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:

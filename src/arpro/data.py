@@ -410,6 +410,10 @@ def load_csv_dataset(directory) -> Dataset:
         raise ValueError(f"{meta_path}: expected schema {DATASET_SCHEMA!r}, got {meta.get('schema')!r}")
 
     header, train = _read_csv(directory / "train.csv")
+    for key, value in (("n", len(header)), ("feature_names", header)):
+        if key in meta and meta[key] != value:
+            raise ValueError(f"{meta_path}: {key} {meta[key]!r} does not match train.csv's header, "
+                             f"which gives {value!r}")
     _, test = _read_csv(directory / "test.csv", n_cols=len(header))
     labels_path = directory / "test_labels.csv"
     _, labels = _read_csv(labels_path, n_cols=len(header))

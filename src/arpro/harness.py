@@ -40,14 +40,8 @@ from .detector import (
     fit_recon,
 )
 from .diffusion import Denoiser, DiffusionTrainConfig, make_schedule, train_denoiser
-from .properties import (
-    PropertyWeights,
-    Tolerances,
-    conformal_threshold,
-    satisfaction_rate,
-    tnr,
-)
-from .repair import RepairConfig, RepairResult, RepairRow, repair_batch
+from .properties import Tolerances, conformal_threshold, satisfaction_rate, tnr
+from .repair import RepairConfig, RepairResult, RepairRow, RepairSettings, repair_batch
 
 REPORT_SCHEMA = "arpro-report-v1"
 METRIC_NAMES = ("m_s", "m_d", "m_omega", "m_omega_bar")
@@ -218,44 +212,6 @@ class DiffusionConfig(_Config):
 
     def train(self, train, seed: int) -> Denoiser:
         return train_denoiser(train, self.schedule(), _library(DiffusionTrainConfig, self), seed=seed)
-
-
-@dataclass(frozen=True)
-class RepairSettings(_Config):
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 1.0
-    lambda4: float = 1.0
-    eta_start: float = 0.0
-    eta_end: float = 0.05
-    infill_mode: str = "level-matched"
-    delta2: float | None = None  # None: calibrated from baseline distances
-    delta4: float = 0.0
-    delta: float = 0.2
-
-    def __post_init__(self):
-        # The weights', tolerances' and RepairConfig's rules: lambdas >= 0, the deltas, infill mode and eta.
-        self.repair_config(seed=0, stream_tag="check")
-
-    def weights(self) -> PropertyWeights:
-        return PropertyWeights(self.lambda1, self.lambda2, self.lambda3, self.lambda4)
-
-    def tolerances(self) -> Tolerances:
-        # delta2 only matters for satisfaction checks, not the repair loop.
-        return Tolerances(delta2=self.delta2 if self.delta2 is not None else 1.0,
-                          delta4=self.delta4, delta=self.delta)
-
-    def repair_config(self, seed: int, stream_tag: str, weights: PropertyWeights | None = None,
-                      eta_scale: float = 1.0) -> RepairConfig:
-        return RepairConfig(
-            weights=weights if weights is not None else self.weights(),
-            tol=self.tolerances(),
-            eta_start=self.eta_start * eta_scale,
-            eta_end=self.eta_end * eta_scale,
-            infill_mode=self.infill_mode,
-            seed=seed,
-            stream_tag=stream_tag,
-        )
 
 
 @dataclass(frozen=True)
@@ -433,20 +389,16 @@ def repair_timing(results) -> dict:
     return {"repair_rows": len(results), "repair_s": per_row * len(results), "repair_per_row_s": per_row}
 
 
-def _repair(pipe: Pipeline, cfg: ExperimentConfig, count: int, arms, settings=((None, 1.0),)) -> list[RepairResult]:
-    """Repair the first `count` selected instances in one batch; results are
-    ordered by setting, then instance, then arm.
-
-    Each ``(weights, eta_scale)`` setting overrides the repair settings (None
-    keeps the configured weights).
-    """
-    targets = list(zip(pipe.instance_ids, pipe.masks))[:count]
-    rows = []
-    for weights, eta_scale in settings:
-        for instance_id, omega in targets:
-            rcfg = cfg.repair.repair_config(cfg.seed, stream_tag=f"inst{instance_id}", weights=weights,
-                                            eta_scale=eta_scale)
-            rows.extend(RepairRow(pipe.test[instance_id], omega, rcfg, guided=arm == "guided") for arm in arms)
+def _repair(pipe: Pipeline, cfg: ExperimentConfig, count: int, sections) -> list[RepairResult]:
+    """Repair the first `count` selected instances in one batch, each once per
+    repair section in `sections`; results are ordered by instance, then
+    section. The rows of an instance share its random streams."""
+    rows = [
+        RepairRow(pipe.test[instance_id], omega,
+                  RepairConfig(**dataclasses.asdict(section), seed=cfg.seed, stream_tag=f"inst{instance_id}"))
+        for instance_id, omega in list(zip(pipe.instance_ids, pipe.masks))[:count]
+        for section in sections
+    ]
     return repair_batch(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, rows)
 
 
@@ -458,7 +410,7 @@ def run_experiment(
 ) -> AggregateReport:
     """Paired baseline/guided repairs over the selected anomalous instances."""
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
-    results = _repair(pipe, cfg, len(pipe.instance_ids), ("baseline", "guided"))
+    results = _repair(pipe, cfg, len(pipe.instance_ids), (cfg.repair.unguided(), cfg.repair))
     records = [
         InstanceRecord(instance_id=i, baseline=results[2 * k], guided=results[2 * k + 1])
         for k, i in enumerate(pipe.instance_ids)
@@ -480,7 +432,7 @@ def run_experiment(
     delta2 = cfg.repair.delta2
     if delta2 is None:
         delta2 = max(float(np.percentile([r.baseline.loss.l2 for r in records], 95)), DELTA_DENOM_FLOOR)
-    sat_tol = Tolerances(delta2=delta2, delta4=cfg.repair.delta4, delta=cfg.repair.delta)
+    sat_tol = Tolerances(delta2=delta2, delta4=cfg.repair.delta4)
     sat_baseline = satisfaction_rate([r.baseline.loss for r in records], sat_tol)
     sat_guided = satisfaction_rate([r.guided.loss for r in records], sat_tol)
 
@@ -511,7 +463,8 @@ def run_single_arm(
     if arm not in ("baseline", "guided"):
         raise ValueError(f"arm must be 'baseline' or 'guided', got {arm!r}")
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
-    results = _repair(pipe, cfg, len(pipe.instance_ids), (arm,))
+    section = cfg.repair if arm == "guided" else cfg.repair.unguided()
+    results = _repair(pipe, cfg, len(pipe.instance_ids), (section,))
     return pipe, list(zip(pipe.instance_ids, results))
 
 
@@ -535,20 +488,19 @@ def ablation_sweep(
         raise ValueError("ablation needs at least one value")
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"ablation values must be finite numbers, got {values}")
+    repair = cfg.repair
+    if param == "eta_scale":
+        sections = [dataclasses.replace(repair, eta_start=repair.eta_start * v, eta_end=repair.eta_end * v)
+                    for v in values]
+    else:
+        sections = [dataclasses.replace(repair, **{param: v}) for v in values]
     pipe = prepare_pipeline(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
     count = min(cfg.ablation_instances, len(pipe.instance_ids))
-
-    settings = []
-    for value in values:
-        if param == "eta_scale":
-            settings.append((None, value))
-        else:
-            settings.append((dataclasses.replace(cfg.repair.weights(), **{param: value}), 1.0))
-    results = _repair(pipe, cfg, count, ("guided",), settings)
+    results = _repair(pipe, cfg, count, sections)
 
     rows = []
     for k, value in enumerate(values):
-        chunk = results[k * count:(k + 1) * count]
+        chunk = results[k::len(values)]
         row = {"param": param, "value": value, "n_instances": count}
         for name in METRIC_NAMES:
             row[f"mean_{name}"] = float(np.mean([getattr(r.metrics, name) for r in chunk]))

@@ -42,20 +42,16 @@ class PropertyWeights:
 @dataclass(frozen=True)
 class Tolerances:
     """Slack for the constraint checks: delta2 bounds the masked distance,
-    delta4 is the allowed score degradation off-region, delta the failure
-    probability budget."""
+    delta4 is the allowed score degradation off-region."""
 
     delta2: float = 1.0
     delta4: float = 0.0
-    delta: float = 0.2
 
     def __post_init__(self):
         if not (self.delta2 > 0.0):
             raise ValueError(f"delta2 must be positive, got {self.delta2}")
         if not (self.delta4 >= 0.0):
             raise ValueError(f"delta4 must be nonnegative, got {self.delta4}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -95,16 +91,17 @@ def _regions(detector, x_bad: Array, omega: Array):
 
 def loss_breakdown(detector, x_bad, x_fix, omega, tol: Tolerances, weights: PropertyWeights) -> LossBreakdown:
     """Evaluate the four losses of a repair and their weighted total."""
-    return losses_from_metrics(metrics(detector, x_bad, x_fix, omega), tol, weights)
+    return losses_from_metrics(metrics(detector, x_bad, x_fix, omega), tol.delta4, weights)
 
 
-def losses_from_metrics(record: MetricsRecord, tol: Tolerances, weights: PropertyWeights) -> LossBreakdown:
+def losses_from_metrics(record: MetricsRecord, delta4: float, weights: PropertyWeights) -> LossBreakdown:
     """The four losses of a repair from its metrics: the score, the masked
-    distance, and the hinged region-score changes."""
+    distance, and the hinged region-score changes, the off-region one past
+    its slack `delta4`."""
     l1 = record.m_s
     l2 = record.m_d
     l3 = max(0.0, record.m_omega)
-    l4 = max(0.0, record.m_omega_bar - tol.delta4)
+    l4 = max(0.0, record.m_omega_bar - delta4)
     total = weights.lambda1 * l1 + weights.lambda2 * l2 + weights.lambda3 * l3 + weights.lambda4 * l4
     return LossBreakdown(l1=l1, l2=l2, l3=l3, l4=l4, total=float(total))
 

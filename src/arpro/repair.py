@@ -4,8 +4,8 @@ Starting from pure noise, each reverse step combines the denoiser's posterior
 mean with sampling noise, subtracts a scheduled multiple of the property-loss
 gradient, and then overwrites the non-anomalous region with a correspondingly
 noised copy of the original input. The unguided baseline is the identical
-iteration with the guidance weight forced to zero, consuming the same random
-streams so paired comparisons see identical noise.
+iteration with a guidance ramp of zeros, consuming the same random streams
+so paired comparisons see identical noise.
 
 Repairs run in lock step: every row of a batch (an instance, an arm, a weight
 setting) takes the same reverse steps together, with one denoiser forward and
@@ -35,9 +35,10 @@ expression evaluates, so the bits are those of the expression.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,34 +62,61 @@ BLOCK = 10
 MAX_ABS_ITERATE = 1e10
 
 
+def _check_ramp(eta_start: float, eta_end: float) -> None:
+    if not (0.0 <= eta_start <= eta_end):
+        raise ValueError(f"need 0 <= eta_start <= eta_end, got ({eta_start}, {eta_end})")
+
+
 def make_guidance_schedule(T: int, eta_start: float, eta_end: float) -> Array:
     """Per-step guidance weights, index 0 at t=1: a linear ramp from eta_start
     at t=1 to eta_end at t=T (eta_end alone when T is 1)."""
     if T < 1:
         raise ValueError(f"step count must be >= 1, got {T}")
-    if not (0.0 <= eta_start <= eta_end):
-        raise ValueError(f"need 0 <= eta_start <= eta_end, got ({eta_start}, {eta_end})")
+    _check_ramp(eta_start, eta_end)
     if T == 1:
         return np.array([float(eta_end)])
     return np.linspace(eta_start, eta_end, T)
 
 
 @dataclass(frozen=True)
-class RepairConfig:
-    weights: PropertyWeights = field(default_factory=PropertyWeights)
-    tol: Tolerances = field(default_factory=Tolerances)
+class RepairSettings(PropertyWeights):
+    """The repair settings of a config file's `repair` section: the loss
+    weights `lambda1..4` (a section is the `PropertyWeights` of its repairs),
+    the guidance ramp from `eta_start` at t=1 to `eta_end` at t=T, the infill
+    mode and the tolerances. The repair loop reads `delta4`; `delta2` (None:
+    calibrated from the baseline distances) only bounds the satisfaction
+    rate."""
+
     eta_start: float = 0.0
     eta_end: float = 0.05
     infill_mode: str = "level-matched"
+    delta2: float | None = None
+    delta4: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()  # the weights' rules, then the tolerances'
+        if self.delta2 is None:
+            Tolerances(delta4=self.delta4)
+        else:
+            Tolerances(self.delta2, self.delta4)
+        if self.infill_mode not in INFILL_MODES:
+            raise ValueError(f"infill mode must be one of {INFILL_MODES}, got {self.infill_mode!r}")
+        _check_ramp(self.eta_start, self.eta_end)
+
+    def unguided(self):
+        """These settings with a ramp of zeros: the unguided baseline."""
+        return dataclasses.replace(self, eta_start=0.0, eta_end=0.0)
+
+
+@dataclass(frozen=True)
+class RepairConfig(RepairSettings):
+    """The settings of one repair: a `repair` section plus the `seed` and
+    `stream_tag` that name its random streams, and whether to record its
+    trajectory."""
+
     seed: int = 0
     stream_tag: str = "repair"
     record_trajectory: bool = False
-
-    def __post_init__(self):
-        if self.infill_mode not in INFILL_MODES:
-            raise ValueError(f"infill mode must be one of {INFILL_MODES}, got {self.infill_mode!r}")
-        if not (0.0 <= self.eta_start <= self.eta_end):
-            raise ValueError(f"need 0 <= eta_start <= eta_end, got ({self.eta_start}, {self.eta_end})")
 
 
 @dataclass(frozen=True)
@@ -120,13 +148,11 @@ class RepairResult:
 
 @dataclass(frozen=True)
 class RepairRow:
-    """One repair of a batch: the target, its anomaly mask, its settings, and
-    whether it follows the guidance ramp or runs as the unguided baseline."""
+    """One repair of a batch: the target, its anomaly mask and its settings."""
 
     x_bad: Array
     omega: Array
     cfg: RepairConfig
-    guided: bool = True
 
 
 def _noise_steps(generators, n: int, steps: int, owner: Array):
@@ -196,11 +222,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     x_bad = np.stack([_check_input(row.x_bad, n) for row in rows])
     omega = np.stack([as_mask(row.omega, n) for row in rows])
     omega_bar = 1.0 - omega
-    zeros = np.zeros(schedule.T)
-    eta = np.stack([
-        make_guidance_schedule(schedule.T, row.cfg.eta_start, row.cfg.eta_end) if row.guided else zeros
-        for row in rows
-    ])
+    eta = np.stack([make_guidance_schedule(schedule.T, row.cfg.eta_start, row.cfg.eta_end) for row in rows])
 
     def column(values) -> Array:
         return np.array(values, dtype=np.float64)[:, None]
@@ -209,8 +231,8 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     beta_bad = detector.beta_value(x_bad)
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
-    delta4 = column([row.cfg.tol.delta4 for row in rows])
-    lambdas = [column([getattr(row.cfg.weights, f"lambda{k}") for row in rows]) for k in range(1, 5)]
+    delta4 = column([row.cfg.delta4 for row in rows])
+    lambdas = [column([getattr(row.cfg, f"lambda{k}") for row in rows]) for k in range(1, 5)]
     guided = np.flatnonzero(eta.any(axis=1))
     eta_guided, update = eta[guided], np.empty((guided.size, n))
     regions = (omega_bar[guided], s_om_bad[guided], s_ob_bad[guided])
@@ -282,7 +304,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
         for r, row in enumerate(rows):
             regions = (omega_bar[r], float(s_om_bad[r, 0]), float(s_ob_bad[r, 0]))
             scores = scored_metrics(alpha_fix[r], float(beta_fix[r, 0]), x[r], x_bad[r], omega[r], regions)
-            loss = losses_from_metrics(scores, row.cfg.tol, row.cfg.weights)
+            loss = losses_from_metrics(scores, row.cfg.delta4, row.cfg)
             if not np.all(np.isfinite([*loss.as_dict().values(), *scores.as_dict().values()])):
                 raise ValueError(f"repair {row.cfg.stream_tag}: the final iterate's losses or metrics are non-finite")
             results.append(RepairResult(
@@ -307,9 +329,9 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
 
 def guided_repair(detector, denoiser: Denoiser, schedule: NoiseSchedule, x_bad, omega, cfg: RepairConfig) -> RepairResult:
     """Repair with the scheduled guidance ramp."""
-    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg, guided=True)])[0]
+    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg)])[0]
 
 
 def baseline_repair(detector, denoiser: Denoiser, schedule: NoiseSchedule, x_bad, omega, cfg: RepairConfig) -> RepairResult:
-    """Same iteration with guidance forced to zero; masked infill retained."""
-    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg, guided=False)])[0]
+    """The same repair with a ramp of zeros: the unguided baseline."""
+    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg.unguided())])[0]

@@ -146,6 +146,28 @@ class TestEvaluateCommand:
         assert payload["config"]["repair"]["lambda2"] == 2.5
 
 
+class TestStdMode:
+    @pytest.mark.parametrize("command", ["evaluate", "repair"])
+    def test_config_std_mode_reaches_a_loaded_denoiser(self, workspace, tmp_path, command):
+        # The workspace denoiser was trained with the stock "standard" std mode.
+        _, _, data_dir, models = workspace
+        assert Denoiser.load(models / "denoiser.json").schedule.std_mode == "standard"
+        config = tmp_path / "paper-literal.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "diffusion": {**TINY_CONFIG["diffusion"],
+                                                                   "std_mode": "paper-literal"}}))
+        out = tmp_path / command
+        assert main([command, "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                     "--detector", str(models / "detector.json"), "--denoiser", str(models / "denoiser.json"),
+                     "--out", str(out), *(["--guided"] if command == "repair" else [])]) == 0
+        if command == "evaluate":
+            payload = json.loads((out / "report.json").read_text())
+            assert payload["config"]["diffusion"]["std_mode"] == "paper-literal"
+            results = [instance[arm] for instance in payload["instances"] for arm in ("baseline", "guided")]
+        else:
+            results = json.loads((out / "repairs.json").read_text())["results"]
+        assert results and {result["std_mode"] for result in results} == {"paper-literal"}
+
+
 class TestAblateCommand:
     def test_emits_table(self, workspace, tmp_path):
         _, config, data_dir, models = workspace
@@ -210,6 +232,23 @@ class TestValidationFailures:
                      "--config", str(config), "--out", str(tmp_path / "m")])
         assert code == 1
         assert message.format(broken / "meta.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,code,message", [
+        ({"n": 7}, 1, "{}: n 7 does not match train.csv's header, which gives 24"),
+        ({"feature_names": ["a", "b"]}, 1, "{}: feature_names ['a', 'b'] does not match train.csv's header"),
+        ({"n": None, "feature_names": None}, 0, ""),  # both keys left out
+    ], ids=["n", "feature_names", "neither"])
+    def test_meta_json_checked_against_train_csv(self, workspace, tmp_path, capsys, edit, code, message):
+        _, config, data_dir, _ = workspace
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        for name in ("train.csv", "test.csv", "test_labels.csv"):
+            (edited / name).write_bytes((data_dir / name).read_bytes())
+        meta = {**json.loads((data_dir / "meta.json").read_text()), **edit}
+        (edited / "meta.json").write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+        assert main(["train-detector", "--input", str(edited), "--seed", "7",
+                     "--config", str(config), "--out", str(tmp_path / "m")]) == code
+        assert message.format(edited / "meta.json") in capsys.readouterr().err
 
     @pytest.mark.parametrize("which", ["detector", "denoiser"])
     @pytest.mark.parametrize("text,message", [

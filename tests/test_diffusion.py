@@ -31,7 +31,7 @@ def sample(den: Denoiser, seeds, tag: str = "sample"):
     whose mask covers every coordinate, so the target never enters."""
     n = den.n
     det = GaussDetector(np.zeros(n), np.ones(n))
-    rows = [RepairRow(np.zeros(n), np.ones(n), RepairConfig(seed=s, stream_tag=tag), guided=False) for s in seeds]
+    rows = [RepairRow(np.zeros(n), np.ones(n), RepairConfig(seed=s, stream_tag=tag, eta_end=0.0)) for s in seeds]
     return np.stack([result.x_fix for result in repair_batch(det, den, den.schedule, rows)])
 
 

@@ -1,8 +1,6 @@
 import dataclasses
 import json
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +128,16 @@ class TestAblation:
         assert rows[0]["mean_m_omega"] == pytest.approx(
             float(np.mean([m.m_omega for m in guided]))
         )
+
+    def test_zero_eta_scale_is_the_baseline_arm(self):
+        # The baseline is the configured repair with a ramp of zeros, so an
+        # eta_scale of 0 repeats it bit for bit.
+        cfg = tiny_config(seed=8)
+        [row] = ablation_sweep(cfg, "eta_scale", [0.0])
+        assert row["n_instances"] == cfg.ablation_instances
+        baseline = [r.baseline.metrics for r in run_experiment(cfg).records[: cfg.ablation_instances]]
+        for name in ("m_s", "m_d", "m_omega", "m_omega_bar"):
+            assert row[f"mean_{name}"] == float(np.mean([getattr(m, name) for m in baseline]))
 
     def test_table_shape(self):
         rows = ablation_sweep(tiny_config(seed=9), "lambda1", [0.1, 1.0, 10.0])
@@ -301,7 +309,7 @@ class TestConfigSchema:
         ({"seed": True}, "config.seed must be an int, got True"),
         ({"normalize": 1}, "config.normalize must be a bool, got 1"),
         ({"quantile": math.nan}, "config.quantile must be a finite number, got nan"),
-        ({"repair": {"delta": -math.inf}}, "config.repair.delta must be a finite number, got -inf"),
+        ({"repair": {"delta4": -math.inf}}, "config.repair.delta4 must be a finite number, got -inf"),
         ({"data": {"kind": 3}}, "config.data.kind must be a string, got 3"),
         ({"detector": {"hidden": [8, 2.0]}}, r"config.detector.hidden\[1\] must be an int, got 2.0"),
         ({"data": {"anomalies": {"kind": "spike"}}}, "config.data.anomalies must be a list"),
@@ -372,10 +380,3 @@ class TestConfigSchema:
                 assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict(), allow_nan=False))) == cfg
                 outcomes["loaded"] += 1
         assert min(outcomes.values()) >= 30, outcomes
-
-    def test_readme_config_block_loads(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("### Configuration", 1)[1]
-        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-        cfg = ExperimentConfig.from_dict(json.loads(block))
-        assert cfg.seed == 7

@@ -236,15 +236,13 @@ class TestValidation:
             Tolerances(delta2=0.0)
         with pytest.raises(ValueError):
             Tolerances(delta4=-1.0)
-        with pytest.raises(ValueError):
-            Tolerances(delta=1.0)
 
     def test_non_finite_rejected(self):
         for value in (math.nan, math.inf, -math.inf):
             for k in range(1, 5):
                 with pytest.raises(ValueError, match=f"lambda{k} must be nonnegative and finite, got {value}"):
                     PropertyWeights(**{f"lambda{k}": value})
-        for key in ("delta2", "delta4", "delta"):
+        for key in ("delta2", "delta4"):
             for value in (math.nan, -math.inf):
                 with pytest.raises(ValueError, match=key):
                     Tolerances(**{key: value})

@@ -17,7 +17,7 @@ from arpro.detector import (
 )
 from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
 from arpro.harness import image_benchmark_config, timeseries_benchmark_config
-from arpro.properties import L2_SMOOTH_EPS, GuidanceState, PropertyWeights, Tolerances
+from arpro.properties import L2_SMOOTH_EPS, GuidanceState, PropertyWeights
 from arpro.repair import (
     RepairConfig,
     RepairRow,
@@ -170,14 +170,14 @@ class TestFullMaskIsAncestralSampling:
         det, den, sched, x_bad, omega = small_world
         g = stream(53, "ancestral-batch")
         rows = [RepairRow(x_bad + g.standard_normal(8), np.ones(8),
-                          RepairConfig(seed=seed, stream_tag=f"anc{seed % 3}", infill_mode=mode), guided=False)
+                          RepairConfig(seed=seed, stream_tag=f"anc{seed % 3}", infill_mode=mode).unguided())
                 for seed in range(6)]
         # A guided partial-mask row in the same batch leaves the others alone.
         rows.insert(2, RepairRow(x_bad, omega, RepairConfig(seed=1, stream_tag="anc1", eta_end=0.1,
                                                             infill_mode=mode)))
         results = repair_batch(det, den, sched, rows)
         for row, result in zip(rows, results):
-            if not row.guided:
+            if not result.guided:
                 assert np.array_equal(result.x_fix, _ancestral_sample(den, row.cfg.seed, row.cfg.stream_tag))
 
 
@@ -229,8 +229,7 @@ class TestValidation:
 
     def test_divergence_raises_naming_stream_and_step(self, small_world):
         det, den, sched, x_bad, omega = small_world
-        cfg = RepairConfig(seed=0, stream_tag="inst3", eta_start=1e6, eta_end=1e9,
-                           weights=PropertyWeights(lambda1=1e6))
+        cfg = RepairConfig(seed=0, stream_tag="inst3", eta_start=1e6, eta_end=1e9, lambda1=1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"inst3: iterate became non-finite at step t=\d+"):
                 guided_repair(det, den, sched, x_bad, omega, cfg)
@@ -281,38 +280,38 @@ class TestBatchContract:
         # Several instances, both arms and two settings (weights and ramp start)
         # in one batch; the guided subset changes size at t=1.
         det, den, sched, targets = batch_world
-        settings = [(PropertyWeights(), 0.0), (PropertyWeights(lambda1=3.0, lambda2=0.5), 0.02)]
-        rows = [
-            RepairRow(x_bad, omega, RepairConfig(weights=w, eta_start=start, eta_end=0.1, infill_mode=mode,
-                                                 seed=3, stream_tag=f"inst{i}"), guided=guided)
+        settings = [({}, 0.0), ({"lambda1": 3.0, "lambda2": 0.5}, 0.02)]
+        arms = [
+            (x_bad, omega, RepairConfig(**w, eta_start=start, eta_end=0.1, infill_mode=mode,
+                                        seed=3, stream_tag=f"inst{i}"), guided)
             for w, start in settings
             for i, (x_bad, omega) in enumerate(targets)
             for guided in (False, True)
         ]
+        rows = [RepairRow(x_bad, omega, cfg if guided else cfg.unguided()) for x_bad, omega, cfg, guided in arms]
         batch = repair_batch(det, den, sched, rows)
         assert len({result.seconds for result in batch}) == 1
-        for row, got in zip(rows, batch, strict=True):
-            runner = guided_repair if row.guided else baseline_repair
-            alone = runner(det, den, sched, row.x_bad, row.omega, row.cfg)
+        for (x_bad, omega, cfg, guided), got in zip(arms, batch, strict=True):
+            runner = guided_repair if guided else baseline_repair
+            alone = runner(det, den, sched, x_bad, omega, cfg)
             assert got.trajectory_hash == alone.trajectory_hash
             assert np.array_equal(got.x_fix, alone.x_fix)
             assert got.loss == alone.loss and got.metrics == alone.metrics
-            assert got.guided == row.guided
+            assert got.guided == guided
 
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_guidance_rows_equal_their_baseline_rows(self, batch_world, mode):
         det, den, sched, targets = batch_world
-        zero = [RepairConfig(eta_start=0.0, eta_end=0.0, infill_mode=mode, seed=4, stream_tag=f"inst{i}")
-                for i in range(len(targets))]
-        rows = [RepairRow(x_bad, omega, cfg, guided=guided)
-                for cfg, (x_bad, omega) in zip(zero, targets) for guided in (False, True)]
-        x_bad, omega = targets[0]
-        rows.append(RepairRow(x_bad, omega, RepairConfig(eta_end=0.1, infill_mode=mode, seed=4, stream_tag="inst0")))
+        # Zero-ramp rows, in a batch with a guided row, against baseline repairs of guided settings alone.
+        cfgs = [RepairConfig(eta_end=0.1, infill_mode=mode, seed=4, stream_tag=f"inst{i}") for i in range(len(targets))]
+        rows = [RepairRow(x_bad, omega, cfg.unguided()) for cfg, (x_bad, omega) in zip(cfgs, targets)]
+        rows.append(RepairRow(*targets[0], cfgs[0]))
         results = repair_batch(det, den, sched, rows)
-        for base, guided in zip(results[0:-1:2], results[1:-1:2]):
-            assert guided.trajectory_hash == base.trajectory_hash
-            assert np.array_equal(guided.x_fix, base.x_fix)
-            assert not guided.guided
+        for cfg, (x_bad, omega), zero in zip(cfgs, targets, results[:-1], strict=True):
+            base = baseline_repair(det, den, sched, x_bad, omega, cfg)
+            assert zero.trajectory_hash == base.trajectory_hash
+            assert np.array_equal(zero.x_fix, base.x_fix)
+            assert not zero.guided
         assert results[-1].trajectory_hash != results[0].trajectory_hash
 
     @pytest.mark.parametrize("mode", MODES)
@@ -322,7 +321,7 @@ class TestBatchContract:
                 for i, (x_bad, omega) in enumerate(targets)]
         x_bad, omega = targets[1]
         rows.insert(2, RepairRow(x_bad, omega, RepairConfig(
-            eta_start=1e9, eta_end=1e12, weights=PropertyWeights(lambda1=1e12), infill_mode=mode, stream_tag="boom")))
+            eta_start=1e9, eta_end=1e12, lambda1=1e12, infill_mode=mode, stream_tag="boom")))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the loop reports divergence itself, not through numpy warnings
             with pytest.raises(ValueError, match=r"repair boom: iterate became non-finite at step t=\d+"):
@@ -387,7 +386,7 @@ class TestSeededInvariants:
             for i, (xb, z) in enumerate(zip(x_bad, omega)):
                 def cfg(end):
                     return RepairConfig(eta_end=end, infill_mode=mode, seed=seed, stream_tag=f"inst{i}")
-                rows += [RepairRow(xb, z, cfg(eta_end), guided=False),
+                rows += [RepairRow(xb, z, cfg(eta_end).unguided()),
                          RepairRow(xb, z, cfg(0.0)),
                          RepairRow(xb, z, cfg(eta_end))]
             results = repair_batch(det, den, sched, rows)
@@ -489,13 +488,12 @@ def _step_by_step_repair(det, den, sched, rows):
     x_bad = np.stack([row.x_bad for row in rows])
     omega = np.stack([row.omega for row in rows])
     omega_bar = 1.0 - omega
-    eta = np.stack([make_guidance_schedule(sched.T, row.cfg.eta_start, row.cfg.eta_end) if row.guided
-                    else np.zeros(sched.T) for row in rows])
+    eta = np.stack([make_guidance_schedule(sched.T, row.cfg.eta_start, row.cfg.eta_end) for row in rows])
     alpha_bad, beta_bad = det.alpha_batch(x_bad), det.beta_value(x_bad)
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
-    delta4 = np.array([[row.cfg.tol.delta4] for row in rows])
-    lambdas = [np.array([[getattr(row.cfg.weights, f"lambda{k}")] for row in rows]) for k in range(1, 5)]
+    delta4 = np.array([[row.cfg.delta4] for row in rows])
+    lambdas = [np.array([[getattr(row.cfg, f"lambda{k}")] for row in rows]) for k in range(1, 5)]
     keys = list(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))
     owner = np.array([keys.index((row.cfg.seed, row.cfg.stream_tag)) for row in rows])
 
@@ -559,7 +557,7 @@ class TestBlockedNoiseAndHashes:
             for guided in (False, True):
                 cfg = RepairConfig(eta_end=0.05, infill_mode=mode, seed=5, stream_tag=f"inst{i}",
                                    record_trajectory=(i, guided) == (1, True))
-                rows.append(RepairRow(x_bad, omega, cfg, guided=guided))
+                rows.append(RepairRow(x_bad, omega, cfg if guided else cfg.unguided()))
         results = repair_batch(det, den, sched, rows)
         x_fix, hashes, steps = _step_by_step_repair(det, den, sched, rows)
         for r, result in enumerate(results):
@@ -590,13 +588,12 @@ class TestBlockedNoiseAndHashes:
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
             omega = (g.random(n) < 0.5).astype(np.float64)
             omega[i] = 1.0
-            cfg = RepairConfig(weights=PropertyWeights(1.0 + i, 0.5 * i, 1.0, 2.0 - 0.5 * i),
-                               tol=Tolerances(delta4=0.1 * i), eta_start=eta_start, eta_end=0.05 + 0.01 * i,
+            cfg = RepairConfig(lambda1=1.0 + i, lambda2=0.5 * i, lambda3=1.0, lambda4=2.0 - 0.5 * i,
+                               delta4=0.1 * i, eta_start=eta_start, eta_end=0.05 + 0.01 * i,
                                infill_mode=mode, seed=7, stream_tag=f"inst{i}", record_trajectory=i == 2)
-            for guided in (False, True):
-                rows.append(RepairRow(x_bad, omega, cfg, guided=guided))
-        guided_at = [{r for r, row in enumerate(rows) if row.guided
-                      and make_guidance_schedule(T, row.cfg.eta_start, row.cfg.eta_end)[t - 1] > 0.0}
+            rows += [RepairRow(x_bad, omega, cfg.unguided()), RepairRow(x_bad, omega, cfg)]
+        guided_at = [{r for r, row in enumerate(rows)
+                      if make_guidance_schedule(T, row.cfg.eta_start, row.cfg.eta_end)[t - 1] > 0.0}
                      for t in (2, 1)]
         assert guided_at == [{1, 3, 5, 7}, {3, 7}]
         results = repair_batch(det, den, sched, rows)
@@ -730,9 +727,9 @@ class TestGuidanceState:
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
             omega = (g.random(n) < 0.5).astype(np.float64)
             omega[i % n] = 1.0
-            cfg = RepairConfig(weights=PropertyWeights(1.0, 0.5 + 0.1 * i, 1.0, 2.0), eta_start=0.01 * (i % 2 == 0),
+            cfg = RepairConfig(lambda2=0.5 + 0.1 * i, lambda4=2.0, eta_start=0.01 * (i % 2 == 0),
                                eta_end=0.05, seed=3, stream_tag=f"inst{i}")
-            rows += [RepairRow(x_bad, omega, cfg, guided=False), RepairRow(x_bad, omega, cfg)]
+            rows += [RepairRow(x_bad, omega, cfg.unguided()), RepairRow(x_bad, omega, cfg)]
         results = repair_batch(det, den, sched, rows)
         x_fix, hashes, _ = _step_by_step_repair(det, den, sched, rows)
         for r, result in enumerate(results):
@@ -762,8 +759,8 @@ class TestOneGuidanceStatePerRepair:
             omega = (g.random(n) < 0.5).astype(np.float64)
             omega[i] = 1.0
             cfg = RepairConfig(eta_start=eta_start, eta_end=0.3, seed=7, stream_tag=f"inst{i}")
-            rows += [RepairRow(train[i] + 2.0, omega, cfg, guided=False),
-                     RepairRow(train[i] + 2.0, omega, cfg, guided=guided_arm)]
+            rows += [RepairRow(train[i] + 2.0, omega, cfg.unguided()),
+                     RepairRow(train[i] + 2.0, omega, cfg if guided_arm else cfg.unguided())]
         heights = []
 
         class Counted(GuidanceState):
@@ -795,7 +792,7 @@ class TestGuidedStepAllocation:
             x_bad = g.standard_normal(n)
             omega = (g.random(n) < 0.2).astype(np.float64)
             cfg = RepairConfig(seed=4, stream_tag=f"inst{i}")
-            rows += [RepairRow(x_bad, omega, cfg, guided=False), RepairRow(x_bad, omega, cfg)]
+            rows += [RepairRow(x_bad, omega, cfg.unguided()), RepairRow(x_bad, omega, cfg)]
         assert instances * n * 8 > 16 * 1024
         # The trace opens as step T-1 calls the denoiser and is read as step
         # T-2 does, so it covers one whole reverse step.

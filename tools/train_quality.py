@@ -44,7 +44,6 @@ def config(src: Path, kind: str, seed: int, overrides: dict, cwd: Path) -> dict:
     text = _run(src, ["-c", f"import json; from arpro import harness; "
                             f"print(json.dumps(harness.{CONFIGS[kind]}({seed}).to_dict()))"], cwd)
     cfg = json.loads(text)
-    cfg.pop("jobs", None)
     cfg["data"]["n_test_normal"] = HELD_OUT_NORMALS
     for key, value in overrides.items():
         *parents, last = key.split(".")
