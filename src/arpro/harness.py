@@ -393,11 +393,13 @@ def _repair(pipe: Pipeline, cfg: ExperimentConfig, count: int, sections) -> list
     """Repair the first `count` selected instances in one batch, each once per
     repair section in `sections`; results are ordered by instance, then
     section. The rows of an instance share its random streams."""
+    # The sections' fields, read directly: `dataclasses.asdict` deep-copies.
+    settings = [{f.name: getattr(section, f.name) for f in dataclasses.fields(section)} for section in sections]
     rows = [
         RepairRow(pipe.test[instance_id], omega,
-                  RepairConfig(**dataclasses.asdict(section), seed=cfg.seed, stream_tag=f"inst{instance_id}"))
+                  RepairConfig(**fields, seed=cfg.seed, stream_tag=f"inst{instance_id}"))
         for instance_id, omega in list(zip(pipe.instance_ids, pipe.masks))[:count]
-        for section in sections
+        for fields in settings
     ]
     return repair_batch(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, rows)
 

@@ -6,11 +6,12 @@ linear output) is the reconstruction detector's autoencoder and the
 diffusion denoiser alike, and `fit` trains both: AdamW on a mean squared
 error, the caller supplying only the network and a function that writes
 each batch. Parameters are arrays viewing one flat vector per network.
-Training runs in `TRAIN_DTYPE` (float32) against float64 master weights:
-`fit` runs its passes, gradients and AdamW moments on a float32 working
-copy and adds each update to the float64 master, so every net it returns,
-and every checkpoint, inference pass and guidance gradient after training,
-is float64. `Mlp.backward` and `Mlp.input_grad` are the closed-form
+Training runs in `TRAIN_DTYPE` (float32) from a float64 start: `fit`
+trains a float32 working copy, its passes, gradients, AdamW moments and
+updates alike, and then adds the copy's displacement to the float64
+weights it started from, so every net it returns, and every checkpoint,
+inference pass and guidance gradient after training, is float64.
+`Mlp.backward` and `Mlp.input_grad` are the closed-form
 vector-Jacobian products of the forward pass, which is all the training
 losses and guidance gradients need. Randomness comes from counter-based
 streams addressed by an explicit (seed, name) pair, which keeps paired
@@ -31,8 +32,8 @@ parameter's size back to the kernel, so a fresh temporary on every step
 faults its pages in again, and the faults cost as much as the arithmetic.
 `fit` owns the working copy, its workspace and the flat parameter gradient
 that matches `Mlp.flat`, the one vector the weights and biases view;
-`AdamW` keeps its scratch arrays and updates the flat vectors in
-cache-sized `chunks`. A one-off forward pass
+`AdamW` keeps its scratch arrays and updates the working copy's flat
+vector in cache-sized `chunks`. A one-off forward pass
 runs `ONE_OFF_ROWS` rows at a time through a workspace of its own.
 """
 
@@ -46,14 +47,15 @@ import numpy as np
 
 Array = np.ndarray
 
-# 32768 values are 256 KiB in float64, so the arrays one chunk's AdamW
-# update passes over (parameter, gradient, two moments, two scratch, and in
-# training the float64 widened update) fit a 2 MiB L2 cache.
+# 32768 values are 256 KiB in float64, so the six arrays one chunk's AdamW
+# update passes over (parameter, gradient, two moments, two scratch) fit a
+# 2 MiB L2 cache.
 CHUNK = 32768
 
-# `fit`'s passes, gradients and AdamW moments run in this precision; the
-# master weights it updates stay float64 (Micikevicius et al. 2018, Mixed
-# Precision Training).
+# `fit` trains in this precision. Unlike fp16, float32 needs no float64
+# master copy to keep small updates from underflowing (Micikevicius et al.
+# 2018, Mixed Precision Training), so only the start and the trained net
+# are float64.
 TRAIN_DTYPE = np.float32
 
 # A forward pass without a workspace runs this many rows at a time, so it
@@ -375,14 +377,14 @@ class AdamW:
 
     The decay multiplies parameters by ``1 - lr*weight_decay`` independently of
     the moment-based update, so a zero gradient with nonzero decay still
-    shrinks the weights. The bias corrections ``c_i = 1 - beta_i**t`` are
-    folded into the step size and eps as in Kingma & Ba 2015, §2: ``p -=
-    lr*sqrt(c2)/c1 * m / (sqrt(v) + eps*sqrt(c2))``. The moments and the
-    update are computed in `dtype` (the parameters' own by default); with a
-    narrower one, such as float32 gradients for float64 master parameters,
-    each update is widened into a scratch array before it is subtracted. A
-    step allocates no array: it works in scratch arrays the size of the
-    largest parameter.
+    shrinks the weights. The moments are kept scaled, ``m/(1-beta1)`` and
+    ``v/(1-beta2)``, so each is updated by one multiply and one add, and those
+    factors are folded into the step size and eps together with the bias
+    corrections ``c_i = 1 - beta_i**t`` (Kingma & Ba 2015, §2): with ``r2 =
+    sqrt(c2/(1-beta2))``, ``p -= lr*(1-beta1)*r2/c1 * m / (sqrt(v) +
+    eps*r2)``. The moments and the update have the parameters' dtype, and
+    each gradient must have its parameter's. A step allocates no array: it
+    works in scratch arrays the size of the largest parameter.
     """
 
     def __init__(
@@ -393,7 +395,6 @@ class AdamW:
         beta2: float = 0.999,
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        dtype=None,
     ):
         if not (0.0 <= lr < math.inf):
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
@@ -409,18 +410,13 @@ class AdamW:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        if dtype is None:
-            dtype = self.params[0].dtype if self.params else np.float64
-        self.m = [np.zeros(p.shape, dtype) for p in self.params]
-        self.v = [np.zeros(p.shape, dtype) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
         size = max((p.size for p in self.params), default=0)
+        dtype = self.params[0].dtype if self.params else np.float64
         a, b = np.empty(size, dtype), np.empty(size, dtype)
         self._scratch = [(a[: p.size].reshape(p.shape), b[: p.size].reshape(p.shape)) for p in self.params]
-        # A mixed-dtype `p -= a` would take a ufunc buffer on every call, so
-        # an update for a wider parameter is first copied into `wide`.
-        wide = np.empty(size) if any(p.dtype != dtype for p in self.params) else None
-        self._wide = [None if p.dtype == dtype else wide[: p.size].reshape(p.shape) for p in self.params]
 
     def step(self, grads: Sequence[Array]) -> None:
         """One update from `grads`, given in the order of the parameters."""
@@ -429,18 +425,18 @@ class AdamW:
         for i, (p, g) in enumerate(zip(self.params, grads)):
             if np.shape(g) != p.shape:
                 raise ValueError(f"gradient {i} has shape {np.shape(g)}, its parameter {p.shape}")
+            if np.asarray(g).dtype != p.dtype:
+                raise ValueError(f"gradient {i} has dtype {np.asarray(g).dtype}, its parameter {p.dtype}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        step = self.lr * math.sqrt(c2) / c1
-        eps_hat = self.eps * math.sqrt(c2)
-        for p, g, m, v, (a, b), wide in zip(self.params, grads, self.m, self.v, self._scratch, self._wide):
+        r2 = math.sqrt((1.0 - self.beta2 ** self.t) / (1.0 - self.beta2))
+        step = self.lr * (1.0 - self.beta1) * r2 / c1
+        eps_hat = self.eps * r2
+        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
             m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=a)
-            m += a
+            m += g
             v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
-            a *= g
+            np.multiply(g, g, out=a)
             v += a
             if self.weight_decay != 0.0:
                 p *= 1.0 - self.lr * self.weight_decay
@@ -448,9 +444,6 @@ class AdamW:
             b += eps_hat
             np.divide(m, b, out=a)
             a *= step
-            if wide is not None:
-                np.copyto(wide, a)
-                a = wide
             p -= a
 
 
@@ -487,26 +480,28 @@ def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str
     `cfg.lr` and `cfg.weight_decay`, for a training config such as
     `ReconTrainConfig` or `DiffusionTrainConfig`.
 
-    The passes run on a `TRAIN_DTYPE` working copy of `net`, in a workspace
+    Training runs on a `TRAIN_DTYPE` working copy of `net`, in a workspace
     of `rows` rows (with the embeddings of steps 1 to `steps` for a
     step-conditioned net). Each step calls ``batch(ws)``, which writes one
     batch into that workspace `ws` (`ws.x`, and `ws.emb` for a
     step-conditioned net) and returns its target rows. The parameter
-    gradients go into one flat vector, from which AdamW updates the float64
-    master `net.flat` in `chunks`; one cast copy then refreshes the working
-    weights. Non-finite parameters after the last step, a diverged fit that
-    no checkpoint load would accept, raise an error naming `what`.
+    gradients go into one flat vector, from which AdamW updates the working
+    copy's `flat` in `chunks`. After the last step the working copy's
+    displacement from its cast start is added to the float64 `net.flat`,
+    so a fit that moves no weight (at ``lr=0``, say) returns `net` bit for
+    bit. Non-finite parameters after the last step, a diverged fit that no
+    checkpoint load would accept, raise an error naming `what`.
     """
     work = Mlp(net.in_dim, net.dims[1:-1], net.out_dim, time_embed=net.time_embed, seed=None, dtype=TRAIN_DTYPE)
     work.flat[...] = net.flat
     ws = Workspace(work, rows, steps=steps)
-    opt = AdamW(chunks(net.flat), lr=cfg.lr, weight_decay=cfg.weight_decay, dtype=TRAIN_DTYPE)
+    opt = AdamW(chunks(work.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
     grad = np.empty_like(work.flat)
     grads, grad_chunks = work.views(grad), chunks(grad)
     for _ in range(cfg.steps):
         work.mse_grads(ws, batch(ws), grads)
         opt.step(grad_chunks)
-        np.copyto(work.flat, net.flat)
+    net.flat += work.flat - net.flat.astype(TRAIN_DTYPE)
     if not np.isfinite(net.flat).all():
         raise ValueError(
             f"{what} training ({cfg.steps} steps, lr={cfg.lr}) produced non-finite parameter values"

@@ -234,9 +234,10 @@ class TestMlpBackward:
 class _ReferenceAdamW:
     """AdamW as whole-array expressions, each step allocating its
     temporaries. By default each step is the folded form (Kingma & Ba 2015,
-    §2) in the operation order of `AdamW.step`, which `AdamW` must match bit
-    for bit; with `textbook` it is ``lr * (m/c1) / (sqrt(v/c2) + eps)``,
-    which `AdamW` matches up to rounding."""
+    §2) on the scaled moments ``m/(1-beta1)`` and ``v/(1-beta2)``, in the
+    operation order of `AdamW.step`, which `AdamW` must match bit for bit;
+    with `textbook` it is ``lr * (m/c1) / (sqrt(v/c2) + eps)`` on the
+    textbook moments, which `AdamW` matches up to rounding."""
 
     def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8, textbook=False):
         self.params, self.lr, self.weight_decay = params, lr, weight_decay
@@ -249,17 +250,22 @@ class _ReferenceAdamW:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
+        r2 = math.sqrt(c2 / (1.0 - self.beta2))
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            if self.textbook:
+                m += (1.0 - self.beta1) * g
+                v += (1.0 - self.beta2) * g * g
+            else:
+                m += g
+                v += g * g
             if self.weight_decay != 0.0:
                 p *= 1.0 - self.lr * self.weight_decay
             if self.textbook:
                 p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             else:
-                p -= m / (np.sqrt(v) + self.eps * math.sqrt(c2)) * (self.lr * math.sqrt(c2) / c1)
+                p -= m / (np.sqrt(v) + self.eps * r2) * (self.lr * (1.0 - self.beta1) * r2 / c1)
 
 
 class TestAdamW:
@@ -322,6 +328,15 @@ class TestAdamW:
         with pytest.raises(ValueError, match=r"gradient 1 has shape \(1,\), its parameter \(3,\)"):
             opt.step([np.zeros((2, 2)), np.array([1.0])])
         assert np.array_equal(w, [1.0, 2.0, 3.0]) and opt.t == 0
+
+    def test_gradient_dtype_must_match_parameter(self):
+        # A float64 gradient for float32 moments would be rounded into them
+        # without a word.
+        w = np.array([1.0, 2.0], dtype=np.float32)
+        opt = AdamW([np.zeros(3, np.float32), w])
+        with pytest.raises(ValueError, match="gradient 1 has dtype float64, its parameter float32"):
+            opt.step([np.zeros(3, np.float32), np.array([0.5, 0.5])])
+        assert np.array_equal(w, [1.0, 2.0]) and opt.t == 0
 
     def test_no_parameters(self):
         opt = AdamW([])
@@ -541,8 +556,8 @@ class TestWorkspaceTraining:
 
 
 class TestMixedPrecisionFit:
-    """`fit` trains a float32 working copy against float64 master weights;
-    every net it returns is float64."""
+    """`fit` trains a float32 working copy from the float64 start and adds
+    what it learned to that start; every net it returns is float64."""
 
     @pytest.mark.parametrize("time_embed,height,hidden", TRAINING_CASES)
     def test_tracks_the_float64_reference(self, time_embed, height, hidden):
@@ -595,6 +610,17 @@ class TestMixedPrecisionFit:
         det = fit_recon(data, ReconTrainConfig(hidden=(8, 3), steps=50, lr=0.0), seed=2)
         fresh = Mlp(4, [8, 3], 4, seed=2, stream_name="recon-init")
         for got, want in zip(det.net.parameters(), fresh.parameters(), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_zero_lr_leaves_denoiser_parameters(self):
+        # The drawn weights carry float64 bits that no float32 holds, so only
+        # a fit that never rounds the start itself returns them unchanged.
+        data = stream(43, "d0-f32").standard_normal((20, 4))
+        cfg = DiffusionTrainConfig(hidden=(8, 3), time_embed=4, steps=50, lr=0.0, weight_decay=0.01)
+        den = train_denoiser(data, make_schedule(5), cfg, seed=2)
+        fresh = Mlp(4, [8, 3], 4, time_embed=4, seed=2, stream_name="denoiser-init")
+        assert not np.array_equal(fresh.flat, fresh.flat.astype(TRAIN_DTYPE))
+        for got, want in zip(den.net.parameters(), fresh.parameters(), strict=True):
             assert np.array_equal(got, want)
 
 

@@ -2,7 +2,7 @@
 
 Usage:
     python3 tools/train_quality.py PARENT_SRC CHANGE_SRC [--seeds 0 1 2 3 4] [--work DIR]
-                                   [--set diffusion.steps=500 ...]
+                                   [--set diffusion.steps=500 ...] [--evaluate]
 
 For each source tree and seed, the stock time-series and image benchmark
 configs (`timeseries_benchmark_config`, `image_benchmark_config`, as each
@@ -18,6 +18,11 @@ workload scores them:
   the noise from ``default_rng([seed, 17])``; overall, and by quartile of
   the step t (q1 holds the smallest t);
 - the mean autoencoder alpha of the image rows.
+
+With `--evaluate`, each config without the held-out rows (the dataset the
+acceptance benchmark C5 evaluates) also goes through `gen-data` and then
+`evaluate` with the trained models, and its report adds the median `m_s` of
+both arms and `delta_percent.m_omega`, the C5 measure.
 
 Both trees are printed side by side, one line per seed and metric, then the
 median over the seeds.
@@ -38,13 +43,15 @@ HELD_OUT_NORMALS = 64  # perfbench's train workload adds as many
 VAL_DRAWS = 8  # noise draws per held-out row
 
 
-def config(src: Path, kind: str, seed: int, overrides: dict, cwd: Path) -> dict:
-    """The tree's stock config of `kind` at `seed`, with the held-out rows and
-    `overrides` (dotted key -> value) applied."""
+def config(src: Path, kind: str, seed: int, overrides: dict, cwd: Path, held_out: bool = True) -> dict:
+    """The tree's stock config of `kind` at `seed`, with the held-out rows
+    (unless `held_out` is false) and `overrides` (dotted key -> value)
+    applied."""
     text = _run(src, ["-c", f"import json; from arpro import harness; "
                             f"print(json.dumps(harness.{CONFIGS[kind]}({seed}).to_dict()))"], cwd)
     cfg = json.loads(text)
-    cfg["data"]["n_test_normal"] = HELD_OUT_NORMALS
+    if held_out:
+        cfg["data"]["n_test_normal"] = HELD_OUT_NORMALS
     for key, value in overrides.items():
         *parents, last = key.split(".")
         node = cfg
@@ -54,8 +61,10 @@ def config(src: Path, kind: str, seed: int, overrides: dict, cwd: Path) -> dict:
     return cfg
 
 
-def train(src: Path, out: Path, seed: int, overrides: dict) -> None:
-    """Data and models of both configs at `seed`, written under `out`."""
+def train(src: Path, out: Path, seed: int, overrides: dict, evaluate: bool = False) -> None:
+    """Data and models of both configs at `seed`, written under `out`; with
+    `evaluate`, also the `evaluate` report of each config without the
+    held-out rows, in `evaluate/`."""
     for kind in CONFIGS:
         directory = out / kind
         directory.mkdir(parents=True, exist_ok=True)
@@ -63,10 +72,33 @@ def train(src: Path, out: Path, seed: int, overrides: dict) -> None:
         (directory / "config.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
         common = ["--config", "config.json", "--seed", str(seed)]
         stages = [["gen-data", "--out", "data"], ["train-diffusion", "--input", "data", "--out", "models"]]
+        models = ["--denoiser", "models/denoiser.json"]
         if kind == "image":
             stages.append(["train-detector", "--input", "data", "--out", "models"])
+            models += ["--detector", "models/detector.json"]
         for stage in stages:
             _run(src, ["-m", "arpro", *stage, *common], directory)
+        if evaluate:
+            # The held-out rows are drawn after all others, so the training
+            # rows and the models are the same without them.
+            cfg = config(src, kind, seed, overrides, directory, held_out=False)
+            (directory / "evaluate.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
+            common = ["--config", "evaluate.json", "--seed", str(seed)]
+            for stage in (["gen-data", "--out", "evaluate-data"],
+                          ["evaluate", "--input", "evaluate-data", *models, "--out", "evaluate"]):
+                _run(src, ["-m", "arpro", *stage, *common], directory)
+
+
+def evaluation(out: Path) -> dict:
+    """The median `m_s` of both arms and `delta_percent.m_omega` of the
+    `evaluate` reports under `out`."""
+    result = {}
+    for kind in CONFIGS:
+        report = json.loads((out / kind / "evaluate" / "report.json").read_text(encoding="utf-8"))
+        for arm in ("baseline", "guided"):
+            result[f"{kind}.m_s.{arm}"] = report["medians"][arm]["m_s"]
+        result[f"{kind}.delta_percent.m_omega"] = report["delta_percent"]["m_omega"]
+    return result
 
 
 def score(out: Path, seed: int) -> dict:
@@ -103,12 +135,12 @@ def score(out: Path, seed: int) -> dict:
 def table(results: dict, seeds: list[int]) -> list[str]:
     """Lines of the side-by-side table of {side: {seed: metrics}}."""
     names = list(results["parent"][seeds[0]])
-    lines = [f"{'seed':>6}  {'metric':<26} {'parent':>12} {'change':>12} {'change-parent':>14}"]
+    lines = [f"{'seed':>6}  {'metric':<28} {'parent':>12} {'change':>12} {'change-parent':>14}"]
     for label, pick in [*((str(s), lambda side, n, s=s: results[side][s][n]) for s in seeds),
                         ("median", lambda side, n: statistics.median(results[side][s][n] for s in seeds))]:
         for name in names:
             p, c = pick("parent", name), pick("change", name)
-            lines.append(f"{label:>6}  {name:<26} {p:>12.6f} {c:>12.6f} {c - p:>+14.3e}")
+            lines.append(f"{label:>6}  {name:<28} {p:>12.6f} {c:>12.6f} {c - p:>+14.3e}")
     return lines
 
 
@@ -130,6 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path, default=None, help="output directory (default: a new temporary one)")
     parser.add_argument("--set", type=_override, action="append", default=[], metavar="KEY=JSON",
                         help="override one entry of both configs, such as diffusion.steps=500")
+    parser.add_argument("--evaluate", action="store_true",
+                        help="also run `evaluate` and report both arms' median m_s and delta_percent.m_omega")
     args = parser.parse_args(argv)
     for src in (args.parent_src, args.change_src):
         if not (src / "arpro" / "__init__.py").is_file():
@@ -141,9 +175,11 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             print(f"training {side} seed {seed}", flush=True)
             out = work / side / f"seed{seed}"
-            train(src.resolve(), out, seed, overrides)
+            train(src.resolve(), out, seed, overrides, args.evaluate)
             text = _run(src.resolve(), [str(Path(__file__).resolve()), "--score", str(out), str(seed)], out)
             results[side][seed] = json.loads(text)
+            if args.evaluate:
+                results[side][seed].update(evaluation(out))
     print("\n".join(table(results, args.seeds)))
     return 0
 
