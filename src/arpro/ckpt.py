@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -51,6 +52,22 @@ def decode_array(data: str, count: int) -> Array:
     if not np.all(np.isfinite(values)):
         raise ValueError("checkpoint contains non-finite parameter values")
     return values
+
+
+def count(value, key: str) -> int:
+    """`value`, the checkpoint's `key`, which must be a JSON integer: a bool,
+    a number with a fraction or a string is an error naming the key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"checkpoint key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def number(value, key: str) -> float:
+    """`value`, the checkpoint's `key`, as a float; it must be a finite JSON
+    number, and a bool or a string is an error naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"checkpoint key {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def write(path, payload: dict) -> None:
@@ -205,8 +222,9 @@ def load(path, build, expected_kind: str | None):
     """``build(payload)`` of the checkpoint at `path`, which `read` reads and
     checks. A ValueError from `build`, such as a layer or data mismatch, is
     raised again with the file's path in front, as `read` words its own; so
-    is a TypeError, which a value of the wrong JSON type raises, such as
-    ``int(None)`` for a ``null`` step count."""
+    is a TypeError, which a value of the wrong JSON type raises, such as a
+    layer width that is a string. `count` and `number` check the scalar
+    keys."""
     payload = read(path, expected_kind)
     try:
         return build(payload)
@@ -235,7 +253,9 @@ def mlp_from_payload(payload: dict) -> Mlp:
     if not layers:
         raise ValueError("checkpoint has no layers")
     time_embed = payload.get("time_embed")
-    in_dim = int(payload.get("in_dim", layers[0]["in"]))
+    if time_embed is not None:
+        count(time_embed, "time_embed")
+    in_dim = count(payload.get("in_dim", layers[0]["in"]), "in_dim")
     expected_first = in_dim + (time_embed or 0)
     if layers[0]["in"] != expected_first:
         raise ValueError(

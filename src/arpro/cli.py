@@ -128,12 +128,12 @@ def _experiment_config(args, file_cfg: dict) -> tuple[ExperimentConfig, dict]:
     merged = copy.deepcopy(file_cfg)
     overrides = _collect_overrides(args)
     for section, values in overrides.items():
-        if isinstance(values, dict):
-            merged.setdefault(section, {}).update(values)
-        else:
+        if not isinstance(values, dict):
             merged[section] = values
+        elif isinstance(merged.setdefault(section, {}), dict):  # any other section fails in from_dict
+            merged[section].update(values)
     data_kind = overrides.get("data", {}).get("kind")
-    if data_kind is not None and "anomalies" not in merged["data"]:
+    if data_kind is not None and isinstance(merged["data"], dict) and "anomalies" not in merged["data"]:
         merged["data"]["anomalies"] = [dataclasses.asdict(spec) for spec in STOCK_ANOMALIES[data_kind]]
     try:
         cfg = ExperimentConfig.from_dict(merged)
@@ -198,7 +198,7 @@ def _cmd_train_detector(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     det_cfg = cfg.detector if args.kind is None else dataclasses.replace(cfg.detector, kind=args.kind)
     train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
-    detector = det_cfg.fit(train, seed=cfg.seed)
+    detector = harness.fit_detector(det_cfg, train, cfg.seed)
     out = Path(args.out) / "detector.json"
     detector.save(out)
     print(f"wrote {det_cfg.kind} detector to {out}")
@@ -208,7 +208,7 @@ def _cmd_train_detector(args) -> int:
 def _cmd_train_diffusion(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
-    denoiser = cfg.diffusion.train(train, seed=cfg.seed)
+    denoiser = harness.train_denoiser(train, cfg.diffusion, seed=cfg.seed)  # harness's name, as perfbench wraps it
     out = Path(args.out) / "denoiser.json"
     denoiser.save(out)
     print(f"wrote denoiser (T={denoiser.schedule.T}) to {out}")

@@ -185,9 +185,10 @@ class GaussDetector(_DetectorBase):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GaussDetector":
-        n = int(payload["n"])
+        n = ckpt.count(payload["n"], "n")
         flat = ckpt.decode_array(payload["data"], 2 * n)
-        return cls(flat[:n], flat[n:], sigma_floor=float(payload.get("sigma_floor", DEFAULT_SIGMA_FLOOR)))
+        sigma_floor = ckpt.number(payload.get("sigma_floor", DEFAULT_SIGMA_FLOOR), "sigma_floor")
+        return cls(flat[:n], flat[n:], sigma_floor=sigma_floor)
 
 
 class ReconDetector(_DetectorBase):
@@ -280,7 +281,11 @@ def fit_gauss(train, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> GaussDetector:
 
 
 @dataclass(frozen=True)
-class ReconTrainConfig:
+class DetectorConfig:
+    """A config file's `detector` section; `fit_recon` reads its training keys."""
+
+    kind: str = "gauss"
+    sigma_floor: float = DEFAULT_SIGMA_FLOOR
     hidden: tuple[int, ...] = (64, 16, 64)
     steps: int = 1500
     batch: int = 32
@@ -288,12 +293,15 @@ class ReconTrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("gauss", "recon"):
+            raise ValueError(f"detector kind must be 'gauss' or 'recon', got {self.kind!r}")
         check_training(self)
 
 
-def fit_recon(train, cfg: ReconTrainConfig | None = None, seed: int = 0) -> ReconDetector:
-    """Train an autoencoder on normal data by squared reconstruction error."""
-    cfg = cfg or ReconTrainConfig()
+def fit_recon(train, cfg: DetectorConfig | None = None, seed: int = 0) -> ReconDetector:
+    """Train an autoencoder on normal data by squared reconstruction error,
+    with the layout and training settings of `cfg`."""
+    cfg = cfg or DetectorConfig(kind="recon")
     data = check_batch(train)
     m, n = data.shape
     net = Mlp(n, list(cfg.hidden), n, seed=seed, stream_name="recon-init")

@@ -123,7 +123,10 @@ class Denoiser:
     def from_payload(cls, payload: dict) -> "Denoiser":
         sched = payload["schedule"]
         schedule = make_schedule(
-            int(sched["T"]), float(sched["b_start"]), float(sched["b_end"]), sched["std_mode"]
+            ckpt.count(sched["T"], "schedule.T"),
+            ckpt.number(sched["b_start"], "schedule.b_start"),
+            ckpt.number(sched["b_end"], "schedule.b_end"),
+            sched["std_mode"],
         )
         return cls(ckpt.mlp_from_payload(payload), schedule)
 
@@ -143,7 +146,14 @@ def predict_mu(
 
 
 @dataclass(frozen=True)
-class DiffusionTrainConfig:
+class DiffusionConfig:
+    """A config file's `diffusion` section: the noise schedule and the
+    denoiser's layout and training settings, which `train_denoiser` reads."""
+
+    T: int = 100
+    b_start: float | None = None
+    b_end: float | None = None
+    std_mode: str = "standard"
     hidden: tuple[int, ...] = (128, 128)
     time_embed: int = 32
     steps: int = 2000
@@ -155,17 +165,17 @@ class DiffusionTrainConfig:
         check_training(self)
         if self.time_embed < 1 or self.time_embed % 2:
             raise ValueError(f"time_embed must be positive and even, got {self.time_embed}")
+        self.schedule()  # make_schedule's rules on T, b_start, b_end and std_mode
+
+    def schedule(self) -> NoiseSchedule:
+        return make_schedule(self.T, self.b_start, self.b_end, self.std_mode)
 
 
-def train_denoiser(
-    normal_data,
-    schedule: NoiseSchedule,
-    cfg: DiffusionTrainConfig | None = None,
-    seed: int = 0,
-) -> Denoiser:
-    """Fit the noise predictor by MSE over uniformly sampled steps; a step
-    allocates no batch-sized array."""
-    cfg = cfg or DiffusionTrainConfig()
+def train_denoiser(normal_data, cfg: DiffusionConfig | None = None, seed: int = 0) -> Denoiser:
+    """Fit the noise predictor of `cfg`'s schedule by MSE over uniformly
+    sampled steps; a step allocates no batch-sized array."""
+    cfg = cfg or DiffusionConfig()
+    schedule = cfg.schedule()
     data = check_batch(normal_data)
     m, n = data.shape
     net = Mlp(n, list(cfg.hidden), n, time_embed=cfg.time_embed, seed=seed, stream_name="denoiser-init")

@@ -32,14 +32,8 @@ from .data import (
     gen_synthetic_image,
     gen_synthetic_ts,
 )
-from .detector import (
-    ReconTrainConfig,
-    binarize,
-    calibrate_thresholds,
-    fit_gauss,
-    fit_recon,
-)
-from .diffusion import Denoiser, DiffusionTrainConfig, make_schedule, train_denoiser
+from .detector import DetectorConfig, binarize, calibrate_thresholds, fit_gauss, fit_recon
+from .diffusion import Denoiser, DiffusionConfig, train_denoiser
 from .properties import Tolerances, conformal_threshold, satisfaction_rate, tnr
 from .repair import RepairConfig, RepairResult, RepairRow, RepairSettings, repair_batch
 
@@ -117,12 +111,6 @@ class _Config:
         return _to_json(self)
 
 
-def _library(cls, cfg):
-    """The library settings `cls` built from the fields of the same names in
-    the config `cfg`; building them runs their range rules."""
-    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
-
-
 # The anomalies each data kind injects unless its config lists others.
 STOCK_ANOMALIES = {
     "ts": (
@@ -167,51 +155,6 @@ class DataConfig(_Config):
     def generate(self, seed: int) -> Dataset:
         generator = gen_synthetic_ts if self.kind == "ts" else gen_synthetic_image
         return generator(spec=list(self.anomalies), seed=seed, **self._generator_args())
-
-
-@dataclass(frozen=True)
-class DetectorConfig(_Config):
-    kind: str = "gauss"
-    sigma_floor: float = 1e-3
-    hidden: tuple[int, ...] = (64, 16, 64)
-    steps: int = 1500
-    batch: int = 32
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("gauss", "recon"):
-            raise ValueError(f"detector kind must be 'gauss' or 'recon', got {self.kind!r}")
-        _library(ReconTrainConfig, self)  # the training keys' rules
-
-    def fit(self, train, seed: int):
-        if self.kind == "gauss":
-            return fit_gauss(train, sigma_floor=self.sigma_floor)
-        return fit_recon(train, _library(ReconTrainConfig, self), seed=seed)
-
-
-@dataclass(frozen=True)
-class DiffusionConfig(_Config):
-    T: int = 100
-    b_start: float | None = None
-    b_end: float | None = None
-    std_mode: str = "standard"
-    hidden: tuple[int, ...] = (128, 128)
-    time_embed: int = 32
-    steps: int = 2000
-    batch: int = 32
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        _library(DiffusionTrainConfig, self)  # the training keys' and time_embed's rules
-        self.schedule()  # make_schedule's rules on T, b_start, b_end and std_mode
-
-    def schedule(self):
-        return make_schedule(self.T, self.b_start, self.b_end, self.std_mode)
-
-    def train(self, train, seed: int) -> Denoiser:
-        return train_denoiser(train, self.schedule(), _library(DiffusionTrainConfig, self), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -263,7 +206,7 @@ def prepare_pipeline(
     train, test = scaled_splits(cfg, dataset)
 
     if detector is None:
-        detector = cfg.detector.fit(train, seed=cfg.seed)
+        detector = fit_detector(cfg.detector, train, cfg.seed)
     elif detector.n != train.shape[1]:
         raise ValueError(f"detector dimension {detector.n} does not match data {train.shape[1]}")
     train_alpha = detector.alpha_batch(train)
@@ -281,7 +224,7 @@ def prepare_pipeline(
         raise ValueError("no anomalous instances found: every test score is at or below the threshold")
 
     if denoiser is None:
-        denoiser = cfg.diffusion.train(train, seed=cfg.seed)
+        denoiser = train_denoiser(train, cfg.diffusion, seed=cfg.seed)
     elif denoiser.n != train.shape[1]:
         raise ValueError(f"denoiser dimension {denoiser.n} does not match data {train.shape[1]}")
 
@@ -296,6 +239,15 @@ def prepare_pipeline(
         instance_ids=instance_ids.tolist(),
         masks=np.stack([binarize(test_alpha[i], thresholds) for i in instance_ids]),
     )
+
+
+def fit_detector(section: DetectorConfig, train: np.ndarray, seed: int):
+    """The detector of `section`'s kind, fitted to `train`. The fitting
+    functions are looked up in this module, where perfbench's spans wrap
+    them."""
+    if section.kind == "gauss":
+        return fit_gauss(train, sigma_floor=section.sigma_floor)
+    return fit_recon(train, section, seed=seed)
 
 
 def scaled_splits(cfg: ExperimentConfig, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +353,7 @@ def _repair(pipe: Pipeline, cfg: ExperimentConfig, count: int, sections) -> list
         for instance_id, omega in list(zip(pipe.instance_ids, pipe.masks))[:count]
         for fields in settings
     ]
-    return repair_batch(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, rows)
+    return repair_batch(pipe.detector, pipe.denoiser, rows)
 
 
 def run_experiment(

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import as_mask, _check_input
-from .diffusion import Denoiser, NoiseSchedule, predict_mu
+from .diffusion import Denoiser, predict_mu
 from .properties import (
     LossBreakdown,
     MetricsRecord,
@@ -198,10 +198,11 @@ class _TrajectoryHashes:
         return [hasher.hexdigest() for hasher in self.hashers]
 
 
-def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) -> list[RepairResult]:
-    """Run the repairs of `rows` in lock step; one result per row, in order.
+def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
+    """Run the repairs of `rows` in lock step, on the denoiser's noise
+    schedule; one result per row, in order.
 
-    The rows share the detector, denoiser, schedule and infill mode. Rows with
+    The rows share the detector, denoiser and infill mode. Rows with
     the same ``(seed, stream_tag)`` share one set of random draws, so the two
     arms of an instance see identical noise. Each result's `seconds` is the
     loop time divided by the number of rows.
@@ -212,8 +213,7 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     n = detector.n
     if denoiser.n != n:
         raise ValueError(f"denoiser dimension {denoiser.n} does not match detector {n}")
-    if schedule.T != denoiser.schedule.T or not np.array_equal(schedule.b, denoiser.schedule.b):
-        raise ValueError("noise schedule does not match the denoiser's training schedule")
+    schedule = denoiser.schedule
     modes = sorted({row.cfg.infill_mode for row in rows})
     if len(modes) > 1:
         raise ValueError(f"the rows of a repair batch share one infill mode, got {modes}")
@@ -327,11 +327,11 @@ def repair_batch(detector, denoiser: Denoiser, schedule: NoiseSchedule, rows) ->
     return results
 
 
-def guided_repair(detector, denoiser: Denoiser, schedule: NoiseSchedule, x_bad, omega, cfg: RepairConfig) -> RepairResult:
+def guided_repair(detector, denoiser: Denoiser, x_bad, omega, cfg: RepairConfig) -> RepairResult:
     """Repair with the scheduled guidance ramp."""
-    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg)])[0]
+    return repair_batch(detector, denoiser, [RepairRow(x_bad, omega, cfg)])[0]
 
 
-def baseline_repair(detector, denoiser: Denoiser, schedule: NoiseSchedule, x_bad, omega, cfg: RepairConfig) -> RepairResult:
+def baseline_repair(detector, denoiser: Denoiser, x_bad, omega, cfg: RepairConfig) -> RepairResult:
     """The same repair with a ramp of zeros: the unguided baseline."""
-    return repair_batch(detector, denoiser, schedule, [RepairRow(x_bad, omega, cfg.unguided())])[0]
+    return repair_batch(detector, denoiser, [RepairRow(x_bad, omega, cfg.unguided())])[0]

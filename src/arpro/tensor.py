@@ -466,8 +466,9 @@ def check_batch(data, n: int | None = None, subject: str = "training data") -> A
 
 
 def check_training(cfg) -> None:
-    """Range rules of a training config's `batch`, `steps`, `lr`,
-    `weight_decay` and `hidden` widths, each error naming its key."""
+    """Range rules of the `batch`, `steps`, `lr`, `weight_decay` and `hidden`
+    widths of a model's settings (`DetectorConfig`, `DiffusionConfig`), each
+    error naming its key."""
     for name, low in (("batch", 1), ("steps", 0), ("lr", 0.0), ("weight_decay", 0.0)):
         if not getattr(cfg, name) >= low:
             raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
@@ -477,8 +478,8 @@ def check_training(cfg) -> None:
 
 def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str, steps: int | None = None) -> None:
     """Fit `net` to the mean squared error by `cfg.steps` AdamW steps at
-    `cfg.lr` and `cfg.weight_decay`, for a training config such as
-    `ReconTrainConfig` or `DiffusionTrainConfig`.
+    `cfg.lr` and `cfg.weight_decay`, for a model's settings such as
+    `DetectorConfig` or `DiffusionConfig`.
 
     Training runs on a `TRAIN_DTYPE` working copy of `net`, in a workspace
     of `rows` rows (with the embeddings of steps 1 to `steps` for a

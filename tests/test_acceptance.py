@@ -15,7 +15,7 @@ import pytest
 
 from arpro.cli import main as cli_main
 from arpro.data import gen_synthetic_ts
-from arpro.detector import binarize, fit_gauss, fit_recon, ReconTrainConfig
+from arpro.detector import binarize, fit_gauss, fit_recon, DetectorConfig
 from arpro.harness import (
     image_benchmark_config,
     prepare_pipeline,
@@ -85,7 +85,7 @@ def test_criterion_1_decomposability():
     g = stream(900, "c1")
     detectors = [
         fit_gauss(g.standard_normal((100, 8)) * 1.5 + 0.3),
-        fit_recon(g.standard_normal((80, 8)) * 0.5, ReconTrainConfig(hidden=(12,), steps=150), seed=0),
+        fit_recon(g.standard_normal((80, 8)) * 0.5, DetectorConfig(hidden=(12,), steps=150), seed=0),
     ]
     worst = 0.0
     for det in detectors:
@@ -105,7 +105,7 @@ def test_criterion_2_gradients():
     t0 = time.perf_counter()
     g = stream(901, "c2")
     gauss = fit_gauss(g.standard_normal((100, 8)) * 1.2)
-    recon = fit_recon(g.standard_normal((80, 8)) * 0.5, ReconTrainConfig(hidden=(16,), steps=200), seed=1)
+    recon = fit_recon(g.standard_normal((80, 8)) * 0.5, DetectorConfig(hidden=(16,), steps=200), seed=1)
     tol, weights = Tolerances(delta4=0.05), PropertyWeights(0.8, 1.2, 1.0, 0.9)
     worst = 0.0
     checked = 0
@@ -139,8 +139,8 @@ def test_criterion_3_zero_guidance_equivalence(ts_pipeline):
     mismatches = 0
     for seed in range(20):
         rcfg = RepairConfig(seed=seed, stream_tag="c3", eta_start=0.0, eta_end=0.0)
-        guided = guided_repair(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, x_bad, omega, rcfg)
-        base = baseline_repair(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, x_bad, omega, rcfg)
+        guided = guided_repair(pipe.detector, pipe.denoiser, x_bad, omega, rcfg)
+        base = baseline_repair(pipe.detector, pipe.denoiser, x_bad, omega, rcfg)
         if guided.trajectory_hash != base.trajectory_hash or not np.array_equal(guided.x_fix, base.x_fix):
             mismatches += 1
     seconds = time.perf_counter() - t0
@@ -158,7 +158,7 @@ def test_criterion_4_mask_preservation(ts_pipeline):
     for mode in ("level-matched", "paper-literal"):
         rcfg = RepairConfig(seed=4, stream_tag="c4", infill_mode=mode,
                             eta_start=0.1, eta_end=0.3, record_trajectory=True)
-        out = guided_repair(pipe.detector, pipe.denoiser, pipe.denoiser.schedule, x_bad, omega, rcfg)
+        out = guided_repair(pipe.detector, pipe.denoiser, x_bad, omega, rcfg)
         for _, x_bad_level, x_step in out.trajectory:
             ok = ok and np.array_equal(x_step[keep], x_bad_level[keep])
         if mode == "level-matched":

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arpro import ckpt
+from arpro.detector import GaussDetector, ReconDetector, load_detector
+from arpro.diffusion import Denoiser, make_schedule
+from arpro.tensor import Mlp
 
 EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308,
@@ -139,3 +142,59 @@ class TestAtomicWrite:
         ckpt.write(path, {"v": 2})
         assert path.read_bytes() == _dumped({"v": 2})
         assert [p.name for p in path.parent.iterdir()] == ["report.json"]
+
+
+class TestCheckpointNumbers:
+    """Count keys load only from JSON integers and the schedule's and gauss
+    detector's floats only from finite JSON numbers; any other value exits
+    with an error naming the file and the key, where a cast would have
+    truncated it silently."""
+
+    @staticmethod
+    def _models():
+        return {
+            "denoiser": Denoiser(Mlp(4, [6], 4, time_embed=4, seed=0), make_schedule(10, 1e-3, 0.05)),
+            "gauss": GaussDetector(np.zeros(4), np.ones(4), sigma_floor=0.01),
+            "recon": ReconDetector(Mlp(4, [3], 4, seed=0)),
+        }
+
+    @staticmethod
+    def _load(kind, path):
+        return Denoiser.load(path) if kind == "denoiser" else load_detector(path)
+
+    @pytest.mark.parametrize("kind,key,value,message", [
+        ("denoiser", "schedule.T", 10.7, "must be an integer, got 10.7"),
+        ("denoiser", "schedule.T", "10", "must be an integer, got '10'"),
+        ("denoiser", "schedule.T", True, "must be an integer, got True"),
+        ("denoiser", "schedule.T", 10.0, "must be an integer, got 10.0"),
+        ("denoiser", "schedule.b_start", "0.001", "must be a finite number, got '0.001'"),
+        ("denoiser", "schedule.b_end", True, "must be a finite number, got True"),
+        ("denoiser", "schedule.b_end", math.inf, "must be a finite number, got inf"),
+        ("denoiser", "time_embed", True, "must be an integer, got True"),
+        ("denoiser", "in_dim", 4.0, "must be an integer, got 4.0"),
+        ("gauss", "n", 4.9, "must be an integer, got 4.9"),
+        ("gauss", "n", False, "must be an integer, got False"),
+        ("gauss", "sigma_floor", "0.01", "must be a finite number, got '0.01'"),
+        ("gauss", "sigma_floor", math.nan, "must be a finite number, got nan"),
+        ("recon", "in_dim", "4", "must be an integer, got '4'"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, kind, key, value, message):
+        path = tmp_path / f"{kind}.json"
+        self._models()[kind].save(path)
+        payload = json.loads(path.read_text())
+        *parents, last = key.split(".")
+        target = payload
+        for name in parents:
+            target = target[name]
+        target[last] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            self._load(kind, path)
+        assert str(info.value) == f"{path}: checkpoint key {key!r} {message}"
+
+    @pytest.mark.parametrize("kind", ["denoiser", "gauss", "recon"])
+    def test_written_files_load_unchanged(self, tmp_path, kind):
+        path, again = tmp_path / "a.json", tmp_path / "b.json"
+        self._models()[kind].save(path)
+        self._load(kind, path).save(again)
+        assert again.read_bytes() == path.read_bytes()

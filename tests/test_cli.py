@@ -271,8 +271,7 @@ class TestValidationFailures:
         ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: checkpoint lacks required key 'layers'"),
         ("detector", lambda p: {k: v for k, v in p.items() if k != "n"}, "{}: checkpoint lacks required key 'n'"),
         ("detector", lambda p: {**p, "n": 25}, "{}: checkpoint data holds 48 values, expected 50"),
-        ("detector", lambda p: {**p, "n": None}, "{}: a checkpoint value has the wrong type: int() argument must "
-         "be a string, a bytes-like object or a real number, not 'NoneType'"),
+        ("detector", lambda p: {**p, "n": None}, "{}: checkpoint key 'n' must be an integer, got None"),
         ("detector", lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
     ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data", "null-n", "int-data"])
     def test_wrong_kind_or_malformed_detector_exits_1(self, workspace, tmp_path, capsys, source, edit, message):
@@ -295,8 +294,7 @@ class TestValidationFailures:
         (lambda p: {**p, "time_embed": None, "in_dim": 32},
          "{}: denoiser input and output dimensions must match"),
         (lambda p: {**p, "schedule": {**p["schedule"], "T": None}},
-         "{}: a checkpoint value has the wrong type: int() argument must be a string, a bytes-like object "
-         "or a real number, not 'NoneType'"),
+         "{}: checkpoint key 'schedule.T' must be an integer, got None"),
         (lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
     ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data"])
     def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
@@ -418,6 +416,20 @@ class TestValidationFailures:
         out = tmp_path / "d"
         assert main(["gen-data", "--kind", "ts", "--out", str(out), "--config", str(config)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,argv,message", [
+        ('{"repair": null}', ["evaluate", "--input", "d", "--lambda1", "2"], "config.repair must be an object, got None"),
+        ('{"data": 5}', ["gen-data", "--kind", "ts"], "config.data must be an object, got 5"),
+        ('{"diffusion": [1]}', ["evaluate", "--input", "d", "--std-mode", "standard"],
+         "config.diffusion must be an object, got [1]"),
+    ])
+    def test_non_object_section_under_a_flag_exits_1(self, tmp_path, capsys, text, argv, message):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
         assert not out.exists()
 
     def test_diverged_training_exits_1_without_checkpoint(self, workspace, tmp_path, capsys):

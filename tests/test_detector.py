@@ -6,9 +6,9 @@ import pytest
 
 from arpro.detector import (
     DecomposableScore,
+    DetectorConfig,
     GaussDetector,
     ReconDetector,
-    ReconTrainConfig,
     binarize,
     calibrate_thresholds,
     fit_gauss,
@@ -251,19 +251,19 @@ class TestFitRecon:
     def test_overfits_single_vector(self):
         target = np.array([0.3, -0.8, 0.5, 1.1])
         train = np.tile(target, (200, 1))
-        det = fit_recon(train, ReconTrainConfig(hidden=(16,), steps=800, lr=1e-2), seed=0)
+        det = fit_recon(train, DetectorConfig(hidden=(16,), steps=800, lr=1e-2), seed=0)
         assert float(det.alpha(target).mean()) < 1e-3
 
     def test_training_reduces_error(self):
         g = stream(9, "recon-train")
         train = g.standard_normal((120, 6)) * 0.3 + np.array([1.0, -1.0, 0.5, 0.0, 2.0, -0.5])
-        cfg = ReconTrainConfig(hidden=(12, 4, 12), steps=600, lr=3e-3)
+        cfg = DetectorConfig(hidden=(12, 4, 12), steps=600, lr=3e-3)
         trained = fit_recon(train, cfg, seed=1)
         untrained = ReconDetector(Mlp(6, [12, 4, 12], 6, seed=1, stream_name="recon-init"))
         assert trained.alpha_batch(train).mean() < untrained.alpha_batch(train).mean()
 
     def test_inference_dimension_checked(self):
-        det = fit_recon(np.zeros((10, 3)) + 0.5, ReconTrainConfig(hidden=(4,), steps=10), seed=0)
+        det = fit_recon(np.zeros((10, 3)) + 0.5, DetectorConfig(hidden=(4,), steps=10), seed=0)
         with pytest.raises(ValueError, match="dimension"):
             det.score(np.zeros(4))
 
@@ -274,7 +274,7 @@ class TestFitRecon:
     def test_diverged_fit_rejected(self):
         train = stream(6, "diverge").standard_normal((40, 5))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite parameter"):
-            fit_recon(train, ReconTrainConfig(hidden=(4,), steps=20, lr=1e307), seed=0)
+            fit_recon(train, DetectorConfig(hidden=(4,), steps=20, lr=1e307), seed=0)
 
 
 class TestCheckpoints:

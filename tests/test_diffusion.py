@@ -4,7 +4,7 @@ import pytest
 from arpro.detector import GaussDetector
 from arpro.diffusion import (
     Denoiser,
-    DiffusionTrainConfig,
+    DiffusionConfig,
     NoiseSchedule,
     denoising_loss,
     make_schedule,
@@ -32,7 +32,7 @@ def sample(den: Denoiser, seeds, tag: str = "sample"):
     n = den.n
     det = GaussDetector(np.zeros(n), np.ones(n))
     rows = [RepairRow(np.zeros(n), np.ones(n), RepairConfig(seed=s, stream_tag=tag, eta_end=0.0)) for s in seeds]
-    return np.stack([result.x_fix for result in repair_batch(det, den, den.schedule, rows)])
+    return np.stack([result.x_fix for result in repair_batch(det, den, rows)])
 
 
 class TestSchedule:
@@ -143,10 +143,9 @@ class TestTraining:
             phase = g.uniform(0.0, 2 * np.pi)
             rows.append(np.sin(2 * np.pi * taus / 16 + phase) + 0.1 * g.standard_normal(16))
         data = np.stack(rows)
-        sched = make_schedule(20)
-        cfg = DiffusionTrainConfig(hidden=(32, 32), time_embed=8, steps=500, lr=3e-3)
-        den = train_denoiser(data, sched, cfg, seed=1)
-        untrained = Denoiser(Mlp(16, [32, 32], 16, time_embed=8, seed=1, stream_name="denoiser-init"), sched)
+        cfg = DiffusionConfig(T=20, hidden=(32, 32), time_embed=8, steps=500, lr=3e-3)
+        den = train_denoiser(data, cfg, seed=1)
+        untrained = Denoiser(Mlp(16, [32, 32], 16, time_embed=8, seed=1, stream_name="denoiser-init"), cfg.schedule())
         eval_g = stream(35, "sin-eval")
         eps = eval_g.standard_normal((64, 16))
         t = eval_g.integers(1, 21, size=64)
@@ -155,9 +154,8 @@ class TestTraining:
 
     def test_zero_lr_leaves_parameters(self):
         data = stream(36, "d0").standard_normal((20, 4))
-        sched = make_schedule(5)
-        cfg = DiffusionTrainConfig(hidden=(8,), time_embed=4, steps=50, lr=0.0)
-        den = train_denoiser(data, sched, cfg, seed=2)
+        cfg = DiffusionConfig(T=5, hidden=(8,), time_embed=4, steps=50, lr=0.0)
+        den = train_denoiser(data, cfg, seed=2)
         fresh = Mlp(4, [8], 4, time_embed=4, seed=2, stream_name="denoiser-init")
         for got, want in zip(den.net.parameters(), fresh.parameters()):
             assert np.array_equal(got, want)
@@ -170,14 +168,13 @@ class TestTraining:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="training data is empty"):
-            train_denoiser(np.zeros((0, 4)), make_schedule(5))
+            train_denoiser(np.zeros((0, 4)), DiffusionConfig(T=5))
 
 
 class TestSampling:
     def test_deterministic_given_seed(self):
         data = 0.5 * stream(38, "sd").standard_normal((30, 4))
-        sched = make_schedule(10)
-        den = train_denoiser(data, sched, DiffusionTrainConfig(hidden=(8,), time_embed=4, steps=100), seed=3)
+        den = train_denoiser(data, DiffusionConfig(T=10, hidden=(8,), time_embed=4, steps=100), seed=3)
         assert np.array_equal(sample(den, [9]), sample(den, [9]))
         assert not np.array_equal(sample(den, [9]), sample(den, [10]))
 
@@ -190,9 +187,8 @@ class TestSampling:
 
     def test_constant_data_mean(self):
         data = np.full((60, 2), 2.0) + 0.05 * stream(39, "cd").standard_normal((60, 2))
-        sched = make_schedule(25)
-        cfg = DiffusionTrainConfig(hidden=(32, 32), time_embed=8, steps=1200, lr=3e-3)
-        den = train_denoiser(data, sched, cfg, seed=4)
+        cfg = DiffusionConfig(T=25, hidden=(32, 32), time_embed=8, steps=1200, lr=3e-3)
+        den = train_denoiser(data, cfg, seed=4)
         draws = sample(den, range(100), tag="cmean")
         assert abs(float(draws.mean()) - 2.0) < 0.1
 
@@ -200,8 +196,9 @@ class TestSampling:
 class TestDenoiserCheckpoint:
     def test_round_trip(self, tmp_path):
         data = stream(40, "ck").standard_normal((30, 4))
-        sched = make_schedule(8, 0.01, 0.1, std_mode="paper-literal")
-        den = train_denoiser(data, sched, DiffusionTrainConfig(hidden=(8,), time_embed=4, steps=60), seed=6)
+        cfg = DiffusionConfig(T=8, b_start=0.01, b_end=0.1, std_mode="paper-literal",
+                              hidden=(8,), time_embed=4, steps=60)
+        den = train_denoiser(data, cfg, seed=6)
         path = tmp_path / "denoiser.json"
         den.save(path)
         loaded = Denoiser.load(path)

@@ -23,6 +23,7 @@ from arpro.harness import (
     write_report,
 )
 from arpro.detector import GaussDetector, binarize
+from arpro.diffusion import train_denoiser
 from arpro.properties import conformal_threshold
 
 
@@ -243,7 +244,7 @@ class TestConfigParsing:
         other = ExperimentConfig.from_dict(
             {**cfg.to_dict(), "data": {**cfg.data.to_dict(), "n_features": 3}}
         )
-        denoiser = other.diffusion.train(other.data.generate(0).train, seed=0)
+        denoiser = train_denoiser(other.data.generate(0).train, other.diffusion, seed=0)
         with pytest.raises(ValueError, match="dimension"):
             prepare_pipeline(cfg, denoiser=denoiser)
 

@@ -7,15 +7,15 @@ import pytest
 
 import arpro.repair
 from arpro.detector import (
+    DetectorConfig,
     GaussDetector,
     ReconDetector,
-    ReconTrainConfig,
     binarize,
     calibrate_thresholds,
     fit_gauss,
     fit_recon,
 )
-from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
+from arpro.diffusion import Denoiser, DiffusionConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
 from arpro.harness import image_benchmark_config, timeseries_benchmark_config
 from arpro.properties import L2_SMOOTH_EPS, GuidanceState, PropertyWeights
 from arpro.repair import (
@@ -38,15 +38,14 @@ def small_world():
     mu = g.uniform(-1.0, 1.0, size=8)
     train = mu + 0.5 * g.standard_normal((150, 8))
     det = fit_gauss(train)
-    sched = make_schedule(30)
-    den = train_denoiser(train, sched, DiffusionTrainConfig(hidden=(32, 32), time_embed=8, steps=400), seed=50)
+    den = train_denoiser(train, DiffusionConfig(T=30, hidden=(32, 32), time_embed=8, steps=400), seed=50)
     x_bad = train[0].copy()
     x_bad[2] += 3.0
     x_bad[5] -= 2.5
     tau = calibrate_thresholds(det.alpha_batch(train), 0.9)
     omega = binarize(det.score(x_bad), tau)
     assert omega.sum() >= 1
-    return det, den, sched, x_bad, omega
+    return det, den, x_bad, omega
 
 
 class TestGuidanceSchedule:
@@ -68,75 +67,76 @@ class TestGuidanceSchedule:
 
 class TestMaskedInfill:
     def test_empty_mask_level_matched_returns_input(self, small_world):
-        det, den, sched, x_bad, _ = small_world
+        det, den, x_bad, _ = small_world
         cfg = RepairConfig(seed=7, infill_mode="level-matched")
-        out = guided_repair(det, den, sched, x_bad, np.zeros(8), cfg)
+        out = guided_repair(det, den, x_bad, np.zeros(8), cfg)
         assert np.array_equal(out.x_fix, x_bad)
 
     def test_empty_mask_paper_literal_returns_noised_input(self, small_world):
-        det, den, sched, x_bad, _ = small_world
+        det, den, x_bad, _ = small_world
         cfg = RepairConfig(seed=7, stream_tag="pl", infill_mode="paper-literal")
-        out = guided_repair(det, den, sched, x_bad, np.zeros(8), cfg)
+        out = guided_repair(det, den, x_bad, np.zeros(8), cfg)
         # Final step blends x_bad at level 1 with the final eps draw.
         es = stream(7, "pl/eps")
+        sched = den.schedule
         eps_draws = [es.standard_normal(8) for _ in range(sched.T)]
         expected = np.sqrt(sched.a[0]) * x_bad + np.sqrt(1.0 - sched.a[0]) * eps_draws[-1]
         assert np.allclose(out.x_fix, expected, atol=1e-12)
 
     def test_all_ones_mask_is_legal(self, small_world):
-        det, den, sched, x_bad, _ = small_world
-        out = guided_repair(det, den, sched, x_bad, np.ones(8), RepairConfig(seed=3))
+        det, den, x_bad, _ = small_world
+        out = guided_repair(det, den, x_bad, np.ones(8), RepairConfig(seed=3))
         assert np.all(np.isfinite(out.x_fix))
 
     @pytest.mark.parametrize("mode", ["level-matched", "paper-literal"])
     def test_untouched_region_matches_noised_original_every_step(self, small_world, mode):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         keep = (1.0 - omega).astype(bool)
         cfg = RepairConfig(seed=5, infill_mode=mode, record_trajectory=True)
-        out = guided_repair(det, den, sched, x_bad, omega, cfg)
-        assert out.trajectory is not None and len(out.trajectory) == sched.T
+        out = guided_repair(det, den, x_bad, omega, cfg)
+        assert out.trajectory is not None and len(out.trajectory) == den.schedule.T
         for _, x_bad_level, x_step in out.trajectory:
             assert np.array_equal(x_step[keep], x_bad_level[keep])
 
     def test_level_matched_final_region_exact(self, small_world):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         keep = (1.0 - omega).astype(bool)
-        out = guided_repair(det, den, sched, x_bad, omega, RepairConfig(seed=6))
+        out = guided_repair(det, den, x_bad, omega, RepairConfig(seed=6))
         assert np.max(np.abs(out.x_fix[keep] - x_bad[keep])) == 0.0
 
 
 class TestZeroGuidanceEquivalence:
     def test_bit_identical_trajectories(self, small_world):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         for seed in range(5):
             cfg = RepairConfig(seed=seed, eta_start=0.0, eta_end=0.0)
-            guided = guided_repair(det, den, sched, x_bad, omega, cfg)
-            base = baseline_repair(det, den, sched, x_bad, omega, cfg)
+            guided = guided_repair(det, den, x_bad, omega, cfg)
+            base = baseline_repair(det, den, x_bad, omega, cfg)
             assert guided.trajectory_hash == base.trajectory_hash
             assert np.array_equal(guided.x_fix, base.x_fix)
 
     def test_nonzero_guidance_differs_from_baseline(self, small_world):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         cfg = RepairConfig(seed=2, eta_start=0.01, eta_end=0.05)
-        guided = guided_repair(det, den, sched, x_bad, omega, cfg)
-        base = baseline_repair(det, den, sched, x_bad, omega, cfg)
+        guided = guided_repair(det, den, x_bad, omega, cfg)
+        base = baseline_repair(det, den, x_bad, omega, cfg)
         assert guided.trajectory_hash != base.trajectory_hash
 
 
 class TestDeterminism:
     def test_identical_runs_identical_results(self, small_world):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         cfg = RepairConfig(seed=11, eta_end=0.1)
-        a = guided_repair(det, den, sched, x_bad, omega, cfg)
-        b = guided_repair(det, den, sched, x_bad, omega, cfg)
+        a = guided_repair(det, den, x_bad, omega, cfg)
+        b = guided_repair(det, den, x_bad, omega, cfg)
         assert np.array_equal(a.x_fix, b.x_fix)
         assert a.trajectory_hash == b.trajectory_hash
         assert a.loss == b.loss and a.metrics == b.metrics
 
     def test_distinct_stream_tags_differ(self, small_world):
-        det, den, sched, x_bad, omega = small_world
-        a = guided_repair(det, den, sched, x_bad, omega, RepairConfig(seed=11, stream_tag="a"))
-        b = guided_repair(det, den, sched, x_bad, omega, RepairConfig(seed=11, stream_tag="b"))
+        det, den, x_bad, omega = small_world
+        a = guided_repair(det, den, x_bad, omega, RepairConfig(seed=11, stream_tag="a"))
+        b = guided_repair(det, den, x_bad, omega, RepairConfig(seed=11, stream_tag="b"))
         assert a.trajectory_hash != b.trajectory_hash
 
 
@@ -159,15 +159,15 @@ class TestFullMaskIsAncestralSampling:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_single_rows(self, small_world, mode):
-        det, den, sched, x_bad, _ = small_world
+        det, den, x_bad, _ = small_world
         for seed in range(5):
             cfg = RepairConfig(seed=seed, stream_tag="anc", infill_mode=mode)
-            out = baseline_repair(det, den, sched, x_bad, np.ones(8), cfg)
+            out = baseline_repair(det, den, x_bad, np.ones(8), cfg)
             assert np.array_equal(out.x_fix, _ancestral_sample(den, seed, "anc")), seed
 
     @pytest.mark.parametrize("mode", MODES)
     def test_mixed_batch(self, small_world, mode):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         g = stream(53, "ancestral-batch")
         rows = [RepairRow(x_bad + g.standard_normal(8), np.ones(8),
                           RepairConfig(seed=seed, stream_tag=f"anc{seed % 3}", infill_mode=mode).unguided())
@@ -175,7 +175,7 @@ class TestFullMaskIsAncestralSampling:
         # A guided partial-mask row in the same batch leaves the others alone.
         rows.insert(2, RepairRow(x_bad, omega, RepairConfig(seed=1, stream_tag="anc1", eta_end=0.1,
                                                             infill_mode=mode)))
-        results = repair_batch(det, den, sched, rows)
+        results = repair_batch(det, den, rows)
         for row, result in zip(rows, results):
             if not result.guided:
                 assert np.array_equal(result.x_fix, _ancestral_sample(den, row.cfg.seed, row.cfg.stream_tag))
@@ -205,11 +205,11 @@ class TestGuidanceDirection:
     def test_guided_repair_improves_on_spike_with_defaults(self, small_world):
         # Default weights and guidance ramp, 50 seeded instances: at least
         # 80% must lower the total score and the flagged-region score.
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         s_bad = det.score(x_bad).total
         wins = 0
         for seed in range(50):
-            out = guided_repair(det, den, sched, x_bad, omega, RepairConfig(seed=seed))
+            out = guided_repair(det, den, x_bad, omega, RepairConfig(seed=seed))
             if out.loss.l1 < s_bad and out.metrics.m_omega < 0.0:
                 wins += 1
         assert wins >= 40
@@ -217,22 +217,16 @@ class TestGuidanceDirection:
 
 class TestValidation:
     def test_dimension_mismatch(self, small_world):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         with pytest.raises(ValueError):
-            guided_repair(det, den, sched, np.zeros(4), np.zeros(4), RepairConfig(seed=0))
-
-    def test_mismatched_schedule(self, small_world):
-        det, den, _, x_bad, omega = small_world
-        other = make_schedule(7)
-        with pytest.raises(ValueError, match="does not match"):
-            guided_repair(det, den, other, x_bad, omega, RepairConfig(seed=0))
+            guided_repair(det, den, np.zeros(4), np.zeros(4), RepairConfig(seed=0))
 
     def test_divergence_raises_naming_stream_and_step(self, small_world):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         cfg = RepairConfig(seed=0, stream_tag="inst3", eta_start=1e6, eta_end=1e9, lambda1=1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"inst3: iterate became non-finite at step t=\d+"):
-                guided_repair(det, den, sched, x_bad, omega, cfg)
+                guided_repair(det, den, x_bad, omega, cfg)
 
     def test_bad_config(self):
         with pytest.raises(ValueError, match="infill mode"):
@@ -241,8 +235,8 @@ class TestValidation:
             RepairConfig(eta_start=0.5, eta_end=0.1)
 
     def test_result_serialization(self, small_world):
-        det, den, sched, x_bad, omega = small_world
-        out = baseline_repair(det, den, sched, x_bad, omega, RepairConfig(seed=1))
+        det, den, x_bad, omega = small_world
+        out = baseline_repair(det, den, x_bad, omega, RepairConfig(seed=1))
         payload = out.as_dict()
         expected = {"x_fix", "losses", "metrics", "seed", "infill_mode", "std_mode",
                     "guided", "trajectory_hash"}
@@ -259,9 +253,8 @@ def batch_world(request):
     if request.param == "gauss":
         det = fit_gauss(train)
     else:
-        det = fit_recon(train, ReconTrainConfig(hidden=(16, 4, 16), steps=300), seed=52)
-    sched = make_schedule(20)
-    den = train_denoiser(train, sched, DiffusionTrainConfig(hidden=(32, 32), time_embed=8, steps=200), seed=52)
+        det = fit_recon(train, DetectorConfig(hidden=(16, 4, 16), steps=300), seed=52)
+    den = train_denoiser(train, DiffusionConfig(T=20, hidden=(32, 32), time_embed=8, steps=200), seed=52)
     tau = calibrate_thresholds(det.alpha_batch(train), 0.9)
     targets = []
     for i in range(3):
@@ -271,7 +264,7 @@ def batch_world(request):
         omega = binarize(det.score(x_bad), tau)
         assert omega.sum() >= 1
         targets.append((x_bad, omega))
-    return det, den, sched, targets
+    return det, den, targets
 
 
 class TestBatchContract:
@@ -279,7 +272,7 @@ class TestBatchContract:
     def test_row_alone_matches_row_in_mixed_batch(self, batch_world, mode):
         # Several instances, both arms and two settings (weights and ramp start)
         # in one batch; the guided subset changes size at t=1.
-        det, den, sched, targets = batch_world
+        det, den, targets = batch_world
         settings = [({}, 0.0), ({"lambda1": 3.0, "lambda2": 0.5}, 0.02)]
         arms = [
             (x_bad, omega, RepairConfig(**w, eta_start=start, eta_end=0.1, infill_mode=mode,
@@ -289,11 +282,11 @@ class TestBatchContract:
             for guided in (False, True)
         ]
         rows = [RepairRow(x_bad, omega, cfg if guided else cfg.unguided()) for x_bad, omega, cfg, guided in arms]
-        batch = repair_batch(det, den, sched, rows)
+        batch = repair_batch(det, den, rows)
         assert len({result.seconds for result in batch}) == 1
         for (x_bad, omega, cfg, guided), got in zip(arms, batch, strict=True):
             runner = guided_repair if guided else baseline_repair
-            alone = runner(det, den, sched, x_bad, omega, cfg)
+            alone = runner(det, den, x_bad, omega, cfg)
             assert got.trajectory_hash == alone.trajectory_hash
             assert np.array_equal(got.x_fix, alone.x_fix)
             assert got.loss == alone.loss and got.metrics == alone.metrics
@@ -301,14 +294,14 @@ class TestBatchContract:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_guidance_rows_equal_their_baseline_rows(self, batch_world, mode):
-        det, den, sched, targets = batch_world
+        det, den, targets = batch_world
         # Zero-ramp rows, in a batch with a guided row, against baseline repairs of guided settings alone.
         cfgs = [RepairConfig(eta_end=0.1, infill_mode=mode, seed=4, stream_tag=f"inst{i}") for i in range(len(targets))]
         rows = [RepairRow(x_bad, omega, cfg.unguided()) for cfg, (x_bad, omega) in zip(cfgs, targets)]
         rows.append(RepairRow(*targets[0], cfgs[0]))
-        results = repair_batch(det, den, sched, rows)
+        results = repair_batch(det, den, rows)
         for cfg, (x_bad, omega), zero in zip(cfgs, targets, results[:-1], strict=True):
-            base = baseline_repair(det, den, sched, x_bad, omega, cfg)
+            base = baseline_repair(det, den, x_bad, omega, cfg)
             assert zero.trajectory_hash == base.trajectory_hash
             assert np.array_equal(zero.x_fix, base.x_fix)
             assert not zero.guided
@@ -316,7 +309,7 @@ class TestBatchContract:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_diverging_row_raises_with_its_tag(self, batch_world, mode):
-        det, den, sched, targets = batch_world
+        det, den, targets = batch_world
         rows = [RepairRow(x_bad, omega, RepairConfig(eta_end=0.1, infill_mode=mode, stream_tag=f"inst{i}"))
                 for i, (x_bad, omega) in enumerate(targets)]
         x_bad, omega = targets[1]
@@ -325,18 +318,18 @@ class TestBatchContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the loop reports divergence itself, not through numpy warnings
             with pytest.raises(ValueError, match=r"repair boom: iterate became non-finite at step t=\d+"):
-                repair_batch(det, den, sched, rows)
+                repair_batch(det, den, rows)
 
     def test_mixed_infill_modes_rejected(self, small_world):
-        det, den, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         rows = [RepairRow(x_bad, omega, RepairConfig(infill_mode=mode)) for mode in MODES]
         with pytest.raises(ValueError, match="infill mode"):
-            repair_batch(det, den, sched, rows)
+            repair_batch(det, den, rows)
 
     def test_empty_batch_rejected(self, small_world):
-        det, den, sched, _, _ = small_world
+        det, den, _, _ = small_world
         with pytest.raises(ValueError, match="at least one row"):
-            repair_batch(det, den, sched, [])
+            repair_batch(det, den, [])
 
 
 def _random_world(seed: int, kind: str):
@@ -356,7 +349,7 @@ def _random_world(seed: int, kind: str):
     x_bad = train[:rows] + g.normal(0.0, 2.0, size=(rows, n))
     omega = (g.random((rows, n)) < 0.5).astype(np.float64)
     omega[np.arange(rows), g.integers(0, n, size=rows)] = 1.0
-    return g, det, den, sched, x_bad, omega
+    return g, det, den, x_bad, omega
 
 
 INVARIANT_SEEDS = range(12)
@@ -369,7 +362,7 @@ class TestSeededInvariants:
     @pytest.mark.parametrize("kind", KINDS)
     def test_decomposability(self, kind):
         for seed in INVARIANT_SEEDS:
-            _, det, _, _, x_bad, omega = _random_world(seed, kind)
+            _, det, _, x_bad, omega = _random_world(seed, kind)
             for x, z in zip(x_bad, omega):
                 s = det.score(x)
                 assert abs(s.total - (s.alpha.sum() + s.beta)) <= 1e-9 * (1.0 + abs(s.total))
@@ -380,7 +373,7 @@ class TestSeededInvariants:
     @pytest.mark.parametrize("kind", KINDS)
     def test_mask_preservation_and_arm_pairing(self, kind, mode):
         for seed in INVARIANT_SEEDS:
-            g, det, den, sched, x_bad, omega = _random_world(seed, kind)
+            g, det, den, x_bad, omega = _random_world(seed, kind)
             eta_end = float(g.uniform(0.01, 0.1))
             rows = []
             for i, (xb, z) in enumerate(zip(x_bad, omega)):
@@ -389,7 +382,7 @@ class TestSeededInvariants:
                 rows += [RepairRow(xb, z, cfg(eta_end).unguided()),
                          RepairRow(xb, z, cfg(0.0)),
                          RepairRow(xb, z, cfg(eta_end))]
-            results = repair_batch(det, den, sched, rows)
+            results = repair_batch(det, den, rows)
             for base, zero, guided, xb, z in zip(results[0::3], results[1::3], results[2::3], x_bad, omega):
                 assert zero.trajectory_hash == base.trajectory_hash
                 assert np.array_equal(zero.x_fix, base.x_fix)
@@ -481,10 +474,10 @@ class TestBatchHeightsAtBenchmarkShapes:
 
 
 
-def _step_by_step_repair(det, den, sched, rows):
+def _step_by_step_repair(det, den, rows):
     """The reference loop: one noise draw per stream and one hash update per
     row at every step. Returns (x_fix, trajectory hashes, trajectories)."""
-    n = det.n
+    n, sched = det.n, den.schedule
     x_bad = np.stack([row.x_bad for row in rows])
     omega = np.stack([row.omega for row in rows])
     omega_bar = 1.0 - omega
@@ -547,8 +540,7 @@ class TestBlockedNoiseAndHashes:
         n = 8
         train = g.standard_normal((40, n))
         det = fit_gauss(train)
-        sched = make_schedule(T)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=T), sched)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=T), make_schedule(T))
         rows = []
         for i in range(3):
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
@@ -558,8 +550,8 @@ class TestBlockedNoiseAndHashes:
                 cfg = RepairConfig(eta_end=0.05, infill_mode=mode, seed=5, stream_tag=f"inst{i}",
                                    record_trajectory=(i, guided) == (1, True))
                 rows.append(RepairRow(x_bad, omega, cfg if guided else cfg.unguided()))
-        results = repair_batch(det, den, sched, rows)
-        x_fix, hashes, steps = _step_by_step_repair(det, den, sched, rows)
+        results = repair_batch(det, den, rows)
+        x_fix, hashes, steps = _step_by_step_repair(det, den, rows)
         for r, result in enumerate(results):
             assert np.array_equal(result.x_fix, x_fix[r])
             assert result.trajectory_hash == hashes[r]
@@ -581,8 +573,7 @@ class TestBlockedNoiseAndHashes:
         g = stream(T, "guided-set-world")
         train = g.standard_normal((40, n))
         det = fit_gauss(train)
-        sched = make_schedule(T)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), sched)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), make_schedule(T))
         rows = []
         for i, eta_start in enumerate((0.0, 0.02, 0.0, 0.01)):
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
@@ -596,8 +587,8 @@ class TestBlockedNoiseAndHashes:
                       if make_guidance_schedule(T, row.cfg.eta_start, row.cfg.eta_end)[t - 1] > 0.0}
                      for t in (2, 1)]
         assert guided_at == [{1, 3, 5, 7}, {3, 7}]
-        results = repair_batch(det, den, sched, rows)
-        x_fix, hashes, steps = _step_by_step_repair(det, den, sched, rows)
+        results = repair_batch(det, den, rows)
+        x_fix, hashes, steps = _step_by_step_repair(det, den, rows)
         for r, result in enumerate(results):
             assert np.array_equal(result.x_fix, x_fix[r])
             assert result.trajectory_hash == hashes[r]
@@ -609,13 +600,13 @@ class TestBlockedNoiseAndHashes:
 
 class TestFinalIterateBound:
     def test_huge_finite_iterate_raises_with_its_tag(self, small_world):
-        det, _, sched, x_bad, omega = small_world
+        det, den, x_bad, omega = small_world
         net = Mlp(8, [8], 8, time_embed=8, seed=1)
         for w in net.weights:
             w[...] = 0.0
         net.biases[-1][...] = 1e150  # every noise prediction is 1e150: huge, yet finite at every step
         with pytest.raises(ValueError, match=r"repair huge: the final iterate has a coordinate beyond ±1e\+10"):
-            guided_repair(det, Denoiser(net, sched), sched, x_bad, omega, RepairConfig(stream_tag="huge"))
+            guided_repair(det, Denoiser(net, den.schedule), x_bad, omega, RepairConfig(stream_tag="huge"))
 
 
 def guidance_grad(det, x, x_bad, omega, regions, delta4, lambdas):
@@ -720,8 +711,7 @@ class TestGuidanceState:
         g = stream(height, f"guided-heights-{kind}")
         train = g.standard_normal((40, n))
         det = fit_gauss(train) if kind == "gauss" else ReconDetector(Mlp(n, [6], n, seed=height))
-        sched = make_schedule(T)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=height), sched)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=height), make_schedule(T))
         rows = []
         for i in range(height):
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
@@ -730,8 +720,8 @@ class TestGuidanceState:
             cfg = RepairConfig(lambda2=0.5 + 0.1 * i, lambda4=2.0, eta_start=0.01 * (i % 2 == 0),
                                eta_end=0.05, seed=3, stream_tag=f"inst{i}")
             rows += [RepairRow(x_bad, omega, cfg.unguided()), RepairRow(x_bad, omega, cfg)]
-        results = repair_batch(det, den, sched, rows)
-        x_fix, hashes, _ = _step_by_step_repair(det, den, sched, rows)
+        results = repair_batch(det, den, rows)
+        x_fix, hashes, _ = _step_by_step_repair(det, den, rows)
         for r, result in enumerate(results):
             assert np.array_equal(result.x_fix, x_fix[r])
             assert result.trajectory_hash == hashes[r]
@@ -752,8 +742,7 @@ class TestOneGuidanceStatePerRepair:
         g = stream(T, "one-state-world")
         train = g.standard_normal((40, n))
         det = fit_gauss(train)
-        sched = make_schedule(T)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), sched)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), make_schedule(T))
         rows = []
         for i, eta_start in enumerate(eta_starts):
             omega = (g.random(n) < 0.5).astype(np.float64)
@@ -769,7 +758,7 @@ class TestOneGuidanceStatePerRepair:
                 super().__init__(detector, rows, *operands)
 
         monkeypatch.setattr(arpro.repair, "GuidanceState", Counted)
-        results = repair_batch(det, den, sched, rows)
+        results = repair_batch(det, den, rows)
         assert heights == built
         assert [result.guided for result in results] == [False, guided_arm] * len(eta_starts)
 
@@ -784,8 +773,7 @@ class TestGuidedStepAllocation:
     def test_warm_guided_step(self, monkeypatch, kind, denoiser, instances):
         det = BENCHMARK_DETECTORS[kind]
         T, n = 6, det.n
-        sched = make_schedule(T)
-        den = Denoiser(BENCHMARK_NETS[denoiser], sched)
+        den = Denoiser(BENCHMARK_NETS[denoiser], make_schedule(T))
         g = stream(14, f"alloc-world-{kind}")
         rows = []
         for i in range(instances):
@@ -808,7 +796,7 @@ class TestGuidedStepAllocation:
 
         monkeypatch.setattr(arpro.repair, "predict_mu", traced)
         try:
-            repair_batch(det, den, sched, rows)
+            repair_batch(det, den, rows)
         finally:
             if tracemalloc.is_tracing():
                 tracemalloc.stop()

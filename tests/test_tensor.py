@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from arpro import ckpt
-from arpro.detector import ReconTrainConfig, fit_recon, load_detector
-from arpro.diffusion import Denoiser, DiffusionTrainConfig, make_schedule, predict_mu, train_denoiser
+from arpro.detector import DetectorConfig, fit_recon, load_detector
+from arpro.diffusion import Denoiser, DiffusionConfig, make_schedule, predict_mu, train_denoiser
 from arpro.tensor import (
     CHUNK,
     ONE_OFF_ROWS,
@@ -543,15 +543,15 @@ class TestWorkspaceTraining:
         # broadcasts took a 64 KiB ufunc buffer each, and the table lookup
         # into the column block of the input a 16 KiB copy.
         data = stream(0, "train-alloc").standard_normal((200, 256))
-        cfg = DiffusionTrainConfig(hidden=(256, 256), time_embed=32, batch=64, steps=2)
-        peak = self._warm_step_peak(monkeypatch, lambda: train_denoiser(data, make_schedule(100, 1e-3, 0.05), cfg))
+        cfg = DiffusionConfig(T=100, b_start=1e-3, b_end=0.05, hidden=(256, 256), time_embed=32, batch=64, steps=2)
+        peak = self._warm_step_peak(monkeypatch, lambda: train_denoiser(data, cfg))
         assert peak < 16 * 1024
 
     def test_warm_autoencoder_training_step_allocates_no_batch_sized_array(self, monkeypatch):
         # The image autoencoder's training shape; one batch-by-width array of
         # its input and output layers is 64 KiB.
         data = stream(0, "recon-alloc").standard_normal((200, 256))
-        cfg = ReconTrainConfig(hidden=(96, 32, 96), batch=32, steps=2)
+        cfg = DetectorConfig(hidden=(96, 32, 96), batch=32, steps=2)
         assert self._warm_step_peak(monkeypatch, lambda: fit_recon(data, cfg)) < 16 * 1024
 
 
@@ -586,7 +586,7 @@ class TestMixedPrecisionFit:
 
         for x, target, t in draws:
             ref.step(x, target, t)
-        cfg = DiffusionTrainConfig(hidden=tuple(hidden), steps=20, lr=3e-2, weight_decay=0.01)
+        cfg = DiffusionConfig(hidden=tuple(hidden), steps=20, lr=3e-2, weight_decay=0.01)
         fit(net, height, batch, cfg, "test", steps=20)
         assert net.flat.dtype == np.float64
         want = np.concatenate([p.ravel() for p in ref.params])
@@ -594,8 +594,8 @@ class TestMixedPrecisionFit:
 
     def test_trained_nets_predictions_and_checkpoints_are_float64(self, tmp_path):
         data = stream(41, "f64-out").standard_normal((30, 4))
-        den = train_denoiser(data, make_schedule(8), DiffusionTrainConfig(hidden=(8,), time_embed=4, steps=20), seed=1)
-        det = fit_recon(data, ReconTrainConfig(hidden=(6,), steps=20), seed=1)
+        den = train_denoiser(data, DiffusionConfig(T=8, hidden=(8,), time_embed=4, steps=20), seed=1)
+        det = fit_recon(data, DetectorConfig(hidden=(6,), steps=20), seed=1)
         assert den.net.flat.dtype == np.float64 and det.net.flat.dtype == np.float64
         assert all(p.dtype == np.float64 for p in (*den.net.parameters(), *det.net.parameters()))
         assert predict_mu(den, data[:3], 4).dtype == np.float64
@@ -607,7 +607,7 @@ class TestMixedPrecisionFit:
 
     def test_zero_lr_leaves_autoencoder_parameters(self):
         data = stream(42, "r0").standard_normal((20, 4))
-        det = fit_recon(data, ReconTrainConfig(hidden=(8, 3), steps=50, lr=0.0), seed=2)
+        det = fit_recon(data, DetectorConfig(hidden=(8, 3), steps=50, lr=0.0), seed=2)
         fresh = Mlp(4, [8, 3], 4, seed=2, stream_name="recon-init")
         for got, want in zip(det.net.parameters(), fresh.parameters(), strict=True):
             assert np.array_equal(got, want)
@@ -616,8 +616,8 @@ class TestMixedPrecisionFit:
         # The drawn weights carry float64 bits that no float32 holds, so only
         # a fit that never rounds the start itself returns them unchanged.
         data = stream(43, "d0-f32").standard_normal((20, 4))
-        cfg = DiffusionTrainConfig(hidden=(8, 3), time_embed=4, steps=50, lr=0.0, weight_decay=0.01)
-        den = train_denoiser(data, make_schedule(5), cfg, seed=2)
+        cfg = DiffusionConfig(T=5, hidden=(8, 3), time_embed=4, steps=50, lr=0.0, weight_decay=0.01)
+        den = train_denoiser(data, cfg, seed=2)
         fresh = Mlp(4, [8, 3], 4, time_embed=4, seed=2, stream_name="denoiser-init")
         assert not np.array_equal(fresh.flat, fresh.flat.astype(TRAIN_DTYPE))
         for got, want in zip(den.net.parameters(), fresh.parameters(), strict=True):
@@ -764,12 +764,12 @@ class TestCheckpoint:
 class TestFit:
     def test_settings_rejected_naming_the_key(self):
         for cfg, message in (
-            (lambda: ReconTrainConfig(steps=-3), "steps must be >= 0, got -3"),
-            (lambda: ReconTrainConfig(hidden=(4, 0)), r"hidden widths must be >= 1, got \[4, 0\]"),
-            (lambda: ReconTrainConfig(lr=float("nan")), "lr must be >= 0.0, got nan"),
-            (lambda: DiffusionTrainConfig(batch=0), "batch must be >= 1, got 0"),
-            (lambda: DiffusionTrainConfig(weight_decay=-1.0), "weight_decay must be >= 0.0, got -1.0"),
-            (lambda: DiffusionTrainConfig(time_embed=5), "time_embed must be positive and even, got 5"),
+            (lambda: DetectorConfig(steps=-3), "steps must be >= 0, got -3"),
+            (lambda: DetectorConfig(hidden=(4, 0)), r"hidden widths must be >= 1, got \[4, 0\]"),
+            (lambda: DetectorConfig(lr=float("nan")), "lr must be >= 0.0, got nan"),
+            (lambda: DiffusionConfig(batch=0), "batch must be >= 1, got 0"),
+            (lambda: DiffusionConfig(weight_decay=-1.0), "weight_decay must be >= 0.0, got -1.0"),
+            (lambda: DiffusionConfig(time_embed=5), "time_embed must be positive and even, got 5"),
         ):
             with pytest.raises(ValueError, match=message):
                 cfg()
@@ -781,6 +781,6 @@ class TestFit:
     ])
     def test_both_fits_check_the_data_alike(self, data, message):
         with pytest.raises(ValueError, match=message):
-            fit_recon(data, ReconTrainConfig(hidden=(4,), steps=1))
+            fit_recon(data, DetectorConfig(hidden=(4,), steps=1))
         with pytest.raises(ValueError, match=message):
-            train_denoiser(data, make_schedule(5), DiffusionTrainConfig(hidden=(4,), time_embed=4, steps=1))
+            train_denoiser(data, DiffusionConfig(T=5, hidden=(4,), time_embed=4, steps=1))
