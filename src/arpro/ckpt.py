@@ -1,10 +1,14 @@
-"""JSON checkpoints for model parameters (schema ``arpro-ckpt-v1``).
+"""JSON input and output: checkpoints (schema ``arpro-ckpt-v1``), config
+files and every file the program writes.
 
 A checkpoint is a single JSON document carrying the layer layout and all
-float64 parameters as one base64 blob of little-endian bytes. Loading
-validates the schema tag, the expected kind, the keys that kind requires, and
-finiteness of every value. The JSON writer `write` and the CSV writer
-`write_csv` write every file the program outputs.
+float64 parameters as one base64 blob of little-endian bytes. `from_json`
+decodes a JSON value as a typed field, naming its dotted path in any error;
+it reads a config file's sections and, through `entry`, each key a model's
+`from_payload` reads from a checkpoint. `read` checks a checkpoint's schema
+tag and kind, and `decode_array` the size and finiteness of its blob. The
+JSON writer `write` and the CSV writer `write_csv` write every file the
+program outputs.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from __future__ import annotations
 import base64
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -26,15 +32,77 @@ from .tensor import Array, Mlp
 
 SCHEMA = "arpro-ckpt-v1"
 
-# Keys each checkpoint kind must carry besides "schema" and "kind", and the
-# keys of the object (or of every entry of the list) stored under some of them.
-REQUIRED_KEYS = {
-    "gauss": ("n", "data"),
-    "recon": ("layers", "data"),
-    "denoiser": ("layers", "data", "schedule"),
-    "mlp": ("layers", "data"),
-}
-NESTED_KEYS = {"layers": ("in", "out", "act"), "schedule": ("T", "b_start", "b_end", "std_mode")}
+# One entry of a checkpoint's `layers` list; `in` is a keyword, so this is
+# not a dataclass.
+Layer = typing.TypedDict("Layer", {"in": int, "out": int, "act": str})
+
+_TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string"}
+
+
+def from_json(tp, value, where: str):
+    """`value`, decoded from JSON, as field type `tp`: a dataclass (from its
+    fields that `__init__` takes), a TypedDict, ``tuple[X, ...]``,
+    ``X | None``, int, float, bool or str. Any error is a ValueError naming
+    `where`, the value's dotted path."""
+    if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object, got {value!r}")
+        hints = typing.get_type_hints(tp)
+        if typing.is_typeddict(tp):
+            names, required = list(hints), tp.__required_keys__
+        else:
+            fields = [f for f in dataclasses.fields(tp) if f.init]
+            names = [f.name for f in fields]
+            required = {f.name for f in fields
+                        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+        unknown = sorted(set(value) - set(names))
+        if unknown:
+            raise ValueError(f"unknown keys in {where}: {unknown}")
+        kwargs = {}
+        for name in names:
+            if name in value:
+                kwargs[name] = from_json(hints[name], value[name], f"{where}.{name}")
+            elif name in required:
+                raise ValueError(f"{where} lacks required key {name!r}")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if type(None) in args:  # X | None
+        return None if value is None else from_json(args[0], value, where)
+    if tp is float:
+        # A JSON int is a float here; the bound turns away NaN, ±inf and ints too large for a float.
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+        return value
+    raise ValueError(f"{where} must be {_TYPE_NAMES[tp]}, got {value!r}")
+
+
+def to_json(value):
+    """JSON-native form of a `from_json` value: dataclasses become objects of
+    the fields `__init__` takes, in field order, and tuples become lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value) if f.init}
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    return value
+
+
+def entry(payload: dict, key: str, tp=None, default=dataclasses.MISSING):
+    """The checkpoint `payload`'s `key` decoded as type `tp` (`from_json`),
+    or as stored when `tp` is None; `default` when the key is absent, and an
+    error when it is absent and has no default."""
+    if key not in payload:
+        if default is dataclasses.MISSING:
+            raise ValueError(f"checkpoint lacks required key {key!r}")
+        return default
+    return payload[key] if tp is None else from_json(tp, payload[key], f"checkpoint.{key}")
 
 
 def encode_arrays(arrays) -> str:
@@ -52,22 +120,6 @@ def decode_array(data: str, count: int) -> Array:
     if not np.all(np.isfinite(values)):
         raise ValueError("checkpoint contains non-finite parameter values")
     return values
-
-
-def count(value, key: str) -> int:
-    """`value`, the checkpoint's `key`, which must be a JSON integer: a bool,
-    a number with a fraction or a string is an error naming the key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"checkpoint key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def number(value, key: str) -> float:
-    """`value`, the checkpoint's `key`, as a float; it must be a finite JSON
-    number, and a bool or a string is an error naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"checkpoint key {key!r} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def write(path, payload: dict) -> None:
@@ -199,6 +251,9 @@ def read_object(path, what: str) -> dict:
 
 
 def read(path, expected_kind: str | None = None) -> dict:
+    """The checkpoint at `path`, checked for its schema tag and, when
+    `expected_kind` is given, its kind; each model's `from_payload` reads
+    and checks its keys."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -207,31 +262,19 @@ def read(path, expected_kind: str | None = None) -> dict:
         raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {payload.get('schema')!r}")
     if expected_kind is not None and payload.get("kind") != expected_kind:
         raise ValueError(f"{path}: expected kind {expected_kind!r}, got {payload.get('kind')!r}")
-    for key in REQUIRED_KEYS.get(str(payload.get("kind")), ()):
-        if key not in payload:
-            raise ValueError(f"{path}: checkpoint lacks required key {key!r}")
-        value = payload[key]
-        for entry in value if isinstance(value, list) else [value]:
-            for sub in NESTED_KEYS.get(key, ()):
-                if not isinstance(entry, dict) or sub not in entry:
-                    raise ValueError(f"{path}: checkpoint lacks required key {key + '.' + sub!r}")
     return payload
 
 
 def load(path, build, expected_kind: str | None):
     """``build(payload)`` of the checkpoint at `path`, which `read` reads and
-    checks. A ValueError from `build`, such as a layer or data mismatch, is
-    raised again with the file's path in front, as `read` words its own; so
-    is a TypeError, which a value of the wrong JSON type raises, such as a
-    layer width that is a string. `count` and `number` check the scalar
-    keys."""
+    checks. A ValueError from `build`, such as a missing key, a value of the
+    wrong type or a layer or data mismatch, is raised again with the file's
+    path in front, as `read` words its own."""
     payload = read(path, expected_kind)
     try:
         return build(payload)
     except ValueError as exc:
         raise ValueError(f"{Path(path)}: {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"{Path(path)}: a checkpoint value has the wrong type: {exc}") from exc
 
 
 def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
@@ -249,13 +292,11 @@ def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
 
 
 def mlp_from_payload(payload: dict) -> Mlp:
-    layers = payload["layers"]
+    layers = entry(payload, "layers", tuple[Layer, ...])
     if not layers:
         raise ValueError("checkpoint has no layers")
-    time_embed = payload.get("time_embed")
-    if time_embed is not None:
-        count(time_embed, "time_embed")
-    in_dim = count(payload.get("in_dim", layers[0]["in"]), "in_dim")
+    time_embed = entry(payload, "time_embed", int | None, None)
+    in_dim = entry(payload, "in_dim", int, layers[0]["in"])
     expected_first = in_dim + (time_embed or 0)
     if layers[0]["in"] != expected_first:
         raise ValueError(
@@ -270,5 +311,5 @@ def mlp_from_payload(payload: dict) -> Mlp:
     acts, layout = [layer["act"] for layer in layers], [layer["act"] for layer in net.layer_dims()]
     if acts != layout:
         raise ValueError(f"layer activations must be {layout}, got {acts}")
-    net.flat[...] = decode_array(payload["data"], net.flat.size)
+    net.flat[...] = decode_array(entry(payload, "data"), net.flat.size)
     return net

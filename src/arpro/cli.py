@@ -18,7 +18,7 @@ from pathlib import Path
 from . import ckpt, harness
 from .data import load_csv_dataset, save_dataset
 from .detector import load_detector
-from .diffusion import Denoiser, make_schedule
+from .diffusion import Denoiser
 from .harness import STOCK_ANOMALIES, ExperimentConfig
 
 
@@ -179,10 +179,7 @@ def _load_models(args, cfg: ExperimentConfig, n: int):
 def _load_denoiser(path: str, std_mode: str) -> Denoiser:
     """Load a denoiser that samples with `std_mode`, whatever its checkpoint's."""
     denoiser = Denoiser.load(_require_file(path, "denoiser"))
-    sched = denoiser.schedule
-    if std_mode != sched.std_mode:
-        denoiser = Denoiser(denoiser.net, make_schedule(sched.T, sched.b_start, sched.b_end, std_mode))
-    return denoiser
+    return Denoiser(denoiser.net, dataclasses.replace(denoiser.schedule, std_mode=std_mode))
 
 
 def _cmd_gen_data(args) -> int:
@@ -289,11 +286,22 @@ _COMMANDS = {
 }
 
 
+def _check_out(path: str) -> None:
+    """Fail before any input is read when the output directory `path` could
+    not be made: it, or else its nearest existing ancestor, is not a
+    directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise CliError(f"--out {path}: {existing} is not a directory")
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         raise CliError("a subcommand is required (see --help)")
+    _check_out(args.out)
     return _COMMANDS[args.command](args)
 
 

@@ -185,9 +185,9 @@ class GaussDetector(_DetectorBase):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GaussDetector":
-        n = ckpt.count(payload["n"], "n")
-        flat = ckpt.decode_array(payload["data"], 2 * n)
-        sigma_floor = ckpt.number(payload.get("sigma_floor", DEFAULT_SIGMA_FLOOR), "sigma_floor")
+        n = ckpt.entry(payload, "n", int)
+        flat = ckpt.decode_array(ckpt.entry(payload, "data"), 2 * n)
+        sigma_floor = ckpt.entry(payload, "sigma_floor", float, DEFAULT_SIGMA_FLOOR)
         return cls(flat[:n], flat[n:], sigma_floor=sigma_floor)
 
 

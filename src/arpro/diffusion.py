@@ -10,7 +10,7 @@ coordinate, is `arpro.repair`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,32 +22,33 @@ STD_MODES = ("standard", "paper-literal")
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step variance schedule b, cumulative products a, sampling std."""
+    """A linear variance schedule, the four numbers a denoiser checkpoint
+    stores: `T` steps from `b_start` to `b_end`, and the std mode. The
+    arrays they fix are derived, not passed: per-step variances `b`, their
+    cumulative products `a` of ``1 - b``, and the sampling std `sigma`,
+    sqrt(b) in "standard" mode and b itself in "paper-literal" mode."""
 
-    b: Array
-    a: Array
-    sigma: Array
-    std_mode: str
+    T: int
     b_start: float
     b_end: float
+    std_mode: str
+    b: Array = field(init=False, repr=False, compare=False)
+    a: Array = field(init=False, repr=False, compare=False)
+    sigma: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b, a = self.b, self.a
-        if b.ndim != 1 or b.size < 1 or a.shape != b.shape or self.sigma.shape != b.shape:
-            raise ValueError("schedule arrays must be 1-D and equally sized")
-        if np.any(b <= 0.0) or np.any(b >= 1.0):
-            raise ValueError("variance schedule entries must lie in (0, 1)")
-        if np.any(np.diff(b) < 0.0):
-            raise ValueError("variance schedule must be nondecreasing")
-        expected = np.cumprod(1.0 - b)
-        if not np.allclose(a, expected, rtol=1e-12, atol=0.0):
-            raise ValueError("cumulative products do not match the variance schedule")
+        if self.T < 1:
+            raise ValueError(f"step count T must be >= 1, got {self.T}")
+        if not (0.0 < self.b_start <= self.b_end < 1.0):
+            raise ValueError(f"need 0 < b_start <= b_end < 1, got ({self.b_start}, {self.b_end})")
+        if self.T > 1 and self.b_start == self.b_end:
+            raise ValueError("a multi-step schedule needs b_start < b_end")
         if self.std_mode not in STD_MODES:
             raise ValueError(f"std mode must be one of {STD_MODES}, got {self.std_mode!r}")
-
-    @property
-    def T(self) -> int:
-        return self.b.size
+        b = np.linspace(self.b_start, self.b_end, self.T)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", np.cumprod(1.0 - b))
+        object.__setattr__(self, "sigma", np.sqrt(b) if self.std_mode == "standard" else b.copy())
 
 
 def make_schedule(
@@ -59,23 +60,14 @@ def make_schedule(
     """Linear variance schedule over T steps.
 
     Defaults rescale the common 1000-step endpoints (1e-4, 0.02) to T, capped
-    at 0.999. In "standard" mode the sampling std is sqrt(b_t); the
-    "paper-literal" mode uses b_t itself.
+    at 0.999; `NoiseSchedule` applies the range rules.
     """
-    if T < 1:
-        raise ValueError(f"step count T must be >= 1, got {T}")
+    steps = max(T, 1)  # NoiseSchedule rejects T < 1; the defaults must not divide by it first
     if b_start is None:
-        b_start = min(1e-4 * (1000.0 / T), 0.999)
+        b_start = min(1e-4 * (1000.0 / steps), 0.999)
     if b_end is None:
-        b_end = min(0.02 * (1000.0 / T), 0.999)
-    if not (0.0 < b_start <= b_end < 1.0):
-        raise ValueError(f"need 0 < b_start <= b_end < 1, got ({b_start}, {b_end})")
-    if T > 1 and b_start == b_end:
-        raise ValueError("a multi-step schedule needs b_start < b_end")
-    b = np.linspace(b_start, b_end, T)
-    a = np.cumprod(1.0 - b)
-    sigma = np.sqrt(b) if std_mode == "standard" else b.copy()
-    return NoiseSchedule(b=b, a=a, sigma=sigma, std_mode=std_mode, b_start=float(b_start), b_end=float(b_end))
+        b_end = min(0.02 * (1000.0 / steps), 0.999)
+    return NoiseSchedule(T, float(b_start), float(b_end), std_mode)
 
 
 def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float, out: Array | None = None) -> Array:
@@ -106,13 +98,8 @@ class Denoiser:
         return self.net.in_dim
 
     def save(self, path) -> None:
-        sched = {
-            "T": self.schedule.T,
-            "b_start": self.schedule.b_start,
-            "b_end": self.schedule.b_end,
-            "std_mode": self.schedule.std_mode,
-        }
-        ckpt.write(path, ckpt.mlp_payload(self.net, kind=self.kind, extra={"schedule": sched}))
+        extra = {"schedule": ckpt.to_json(self.schedule)}
+        ckpt.write(path, ckpt.mlp_payload(self.net, kind=self.kind, extra=extra))
 
     @classmethod
     def load(cls, path) -> "Denoiser":
@@ -121,13 +108,7 @@ class Denoiser:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Denoiser":
-        sched = payload["schedule"]
-        schedule = make_schedule(
-            ckpt.count(sched["T"], "schedule.T"),
-            ckpt.number(sched["b_start"], "schedule.b_start"),
-            ckpt.number(sched["b_end"], "schedule.b_end"),
-            sched["std_mode"],
-        )
+        schedule = ckpt.entry(payload, "schedule", NoiseSchedule)
         return cls(ckpt.mlp_from_payload(payload), schedule)
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,66 +47,17 @@ DELTA_NOTE = (
 )
 
 
-_TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string"}
-
-
-def _from_json(tp, value, where: str):
-    """`value`, decoded from JSON, as field type `tp`; any error is a
-    ValueError naming `where`, the value's dotted path."""
-    if dataclasses.is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ValueError(f"{where} must be an object, got {value!r}")
-        fields = dataclasses.fields(tp)
-        unknown = sorted(set(value) - {f.name for f in fields})
-        if unknown:
-            raise ValueError(f"unknown keys in {where}: {unknown}")
-        hints = typing.get_type_hints(tp)
-        kwargs = {}
-        for f in fields:
-            if f.name in value:
-                kwargs[f.name] = _from_json(hints[f.name], value[f.name], f"{where}.{f.name}")
-            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-                raise ValueError(f"{where}.{f.name} is required")
-        try:
-            return tp(**kwargs)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
-            raise ValueError(f"{where} must be a list, got {value!r}")
-        return tuple(_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if type(None) in args:  # X | None
-        return None if value is None else _from_json(args[0], value, where)
-    if tp is float:
-        # A JSON int is a float here; the bound turns away NaN, ±inf and ints too large for a float.
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
-        return value
-    raise ValueError(f"{where} must be {_TYPE_NAMES[tp]}, got {value!r}")
-
-
-def _to_json(value):
-    """JSON-native form of a config value: dataclasses become objects in field
-    order and tuples become lists."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
-
-
 class _Config:
     """`from_dict`/`to_dict` for the config dataclasses, derived from their
-    fields and field types. Range rules live in each class's `__post_init__`."""
+    fields and field types by `ckpt.from_json` and `ckpt.to_json`. Range
+    rules live in each class's `__post_init__`."""
 
     @classmethod
     def from_dict(cls, payload: dict, where: str = "config"):
-        return _from_json(cls, payload, where)
+        return ckpt.from_json(cls, payload, where)
 
     def to_dict(self) -> dict:
-        return _to_json(self)
+        return ckpt.to_json(self)
 
 
 # The anomalies each data kind injects unless its config lists others.
@@ -183,7 +132,6 @@ class ExperimentConfig(_Config):
 class Pipeline:
     """Fitted models and selected instances shared by every experiment entry point."""
 
-    dataset: Dataset
     train: np.ndarray
     test: np.ndarray
     detector: object
@@ -229,7 +177,6 @@ def prepare_pipeline(
         raise ValueError(f"denoiser dimension {denoiser.n} does not match data {train.shape[1]}")
 
     return Pipeline(
-        dataset=dataset,
         train=train,
         test=test,
         detector=detector,

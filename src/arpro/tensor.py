@@ -47,9 +47,9 @@ import numpy as np
 
 Array = np.ndarray
 
-# 32768 values are 256 KiB in float64, so the six arrays one chunk's AdamW
-# update passes over (parameter, gradient, two moments, two scratch) fit a
-# 2 MiB L2 cache.
+# AdamW runs on the float32 working copy of `fit`, where 32768 values are
+# 128 KiB, so the six arrays one chunk's update passes over (parameter,
+# gradient, two moments, two scratch) take 768 KiB of a 2 MiB L2 cache.
 CHUNK = 32768
 
 # `fit` trains in this precision. Unlike fp16, float32 needs no float64

@@ -145,7 +145,7 @@ class TestAtomicWrite:
 
 
 class TestCheckpointNumbers:
-    """Count keys load only from JSON integers and the schedule's and gauss
+    """Count keys load only from JSON ints and the schedule's and gauss
     detector's floats only from finite JSON numbers; any other value exits
     with an error naming the file and the key, where a cast would have
     truncated it silently."""
@@ -163,20 +163,20 @@ class TestCheckpointNumbers:
         return Denoiser.load(path) if kind == "denoiser" else load_detector(path)
 
     @pytest.mark.parametrize("kind,key,value,message", [
-        ("denoiser", "schedule.T", 10.7, "must be an integer, got 10.7"),
-        ("denoiser", "schedule.T", "10", "must be an integer, got '10'"),
-        ("denoiser", "schedule.T", True, "must be an integer, got True"),
-        ("denoiser", "schedule.T", 10.0, "must be an integer, got 10.0"),
+        ("denoiser", "schedule.T", 10.7, "must be an int, got 10.7"),
+        ("denoiser", "schedule.T", "10", "must be an int, got '10'"),
+        ("denoiser", "schedule.T", True, "must be an int, got True"),
+        ("denoiser", "schedule.T", 10.0, "must be an int, got 10.0"),
         ("denoiser", "schedule.b_start", "0.001", "must be a finite number, got '0.001'"),
         ("denoiser", "schedule.b_end", True, "must be a finite number, got True"),
         ("denoiser", "schedule.b_end", math.inf, "must be a finite number, got inf"),
-        ("denoiser", "time_embed", True, "must be an integer, got True"),
-        ("denoiser", "in_dim", 4.0, "must be an integer, got 4.0"),
-        ("gauss", "n", 4.9, "must be an integer, got 4.9"),
-        ("gauss", "n", False, "must be an integer, got False"),
+        ("denoiser", "time_embed", True, "must be an int, got True"),
+        ("denoiser", "in_dim", 4.0, "must be an int, got 4.0"),
+        ("gauss", "n", 4.9, "must be an int, got 4.9"),
+        ("gauss", "n", False, "must be an int, got False"),
         ("gauss", "sigma_floor", "0.01", "must be a finite number, got '0.01'"),
         ("gauss", "sigma_floor", math.nan, "must be a finite number, got nan"),
-        ("recon", "in_dim", "4", "must be an integer, got '4'"),
+        ("recon", "in_dim", "4", "must be an int, got '4'"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, kind, key, value, message):
         path = tmp_path / f"{kind}.json"
@@ -190,7 +190,7 @@ class TestCheckpointNumbers:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError) as info:
             self._load(kind, path)
-        assert str(info.value) == f"{path}: checkpoint key {key!r} {message}"
+        assert str(info.value) == f"{path}: checkpoint.{key} {message}"
 
     @pytest.mark.parametrize("kind", ["denoiser", "gauss", "recon"])
     def test_written_files_load_unchanged(self, tmp_path, kind):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arpro import harness
 from arpro.cli import main
 from arpro.detector import GaussDetector, ReconDetector
 from arpro.diffusion import Denoiser, make_schedule
@@ -268,10 +269,10 @@ class TestValidationFailures:
 
     @pytest.mark.parametrize("source,edit,message", [
         ("denoiser", dict, "{}: unknown detector kind 'denoiser'"),
-        ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: checkpoint lacks required key 'layers'"),
+        ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: unknown detector kind 'denoiser'"),
         ("detector", lambda p: {k: v for k, v in p.items() if k != "n"}, "{}: checkpoint lacks required key 'n'"),
         ("detector", lambda p: {**p, "n": 25}, "{}: checkpoint data holds 48 values, expected 50"),
-        ("detector", lambda p: {**p, "n": None}, "{}: checkpoint key 'n' must be an integer, got None"),
+        ("detector", lambda p: {**p, "n": None}, "{}: checkpoint.n must be an int, got None"),
         ("detector", lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
     ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data", "null-n", "int-data"])
     def test_wrong_kind_or_malformed_detector_exits_1(self, workspace, tmp_path, capsys, source, edit, message):
@@ -286,7 +287,7 @@ class TestValidationFailures:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda p: {**p, "schedule": {**p["schedule"], "b_start": 0.5, "b_end": 0.1}},
-         "{}: need 0 < b_start <= b_end < 1, got (0.5, 0.1)"),
+         "{}: checkpoint.schedule: need 0 < b_start <= b_end < 1, got (0.5, 0.1)"),
         (lambda p: {**p, "data": base64.b64encode(base64.b64decode(p["data"])[:-8]).decode()},
          "{}: checkpoint data holds 1207 values, expected 1208"),
         (lambda p: {**p, "layers": [{**p["layers"][0], "act": "relu"}, *p["layers"][1:]]},
@@ -294,7 +295,7 @@ class TestValidationFailures:
         (lambda p: {**p, "time_embed": None, "in_dim": 32},
          "{}: denoiser input and output dimensions must match"),
         (lambda p: {**p, "schedule": {**p["schedule"], "T": None}},
-         "{}: checkpoint key 'schedule.T' must be an integer, got None"),
+         "{}: checkpoint.schedule.T must be an int, got None"),
         (lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
     ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data"])
     def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
@@ -336,6 +337,23 @@ class TestValidationFailures:
         assert capsys.readouterr().err == ("error: confidence 0.95 needs at least 19 training rows for a "
                                            "finite conformal threshold, got 10\n")
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command,out", [
+        (["gen-data", "--kind", "ts"], "taken"),
+        (["evaluate", "--input", "{data}"], "taken/sub"),
+    ], ids=["gen-data-file", "evaluate-under-file"])
+    def test_out_that_cannot_be_a_directory_exits_1_before_any_work(self, workspace, tmp_path, capsys,
+                                                                    monkeypatch, command, out):
+        _, config, data_dir, _ = workspace
+        (tmp_path / "taken").write_text("a file")
+        prepared = []
+        monkeypatch.setattr(harness, "prepare_pipeline", lambda *args, **kwargs: prepared.append(args))
+        argv = [arg.format(data=data_dir) for arg in command]
+        code = main([*argv, "--seed", "7", "--config", str(config), "--out", str(tmp_path / out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --out {tmp_path / out}: {tmp_path / 'taken'} is not a directory\n"
+        assert prepared == []
+        assert (tmp_path / "taken").read_text() == "a file"
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gen-data", "--out", "x", "--bogus-flag", "1"]) == 1
@@ -444,13 +462,59 @@ class TestValidationFailures:
         assert "non-finite parameter values" in capsys.readouterr().err
         assert not (out / "denoiser.json").exists()
 
-    @pytest.mark.parametrize("kind,key", [
-        ("gauss", "n"), ("gauss", "data"),
-        ("recon", "layers"), ("recon", "data"),
-        ("denoiser", "layers"), ("denoiser", "data"), ("denoiser", "schedule"),
-        ("recon", "layers.act"), ("denoiser", "layers.in"), ("denoiser", "schedule.T"),
+    @pytest.mark.parametrize("kind,key,message", [
+        ("gauss", "n", "checkpoint lacks required key 'n'"),
+        ("gauss", "data", "checkpoint lacks required key 'data'"),
+        ("recon", "layers", "checkpoint lacks required key 'layers'"),
+        ("recon", "data", "checkpoint lacks required key 'data'"),
+        ("denoiser", "layers", "checkpoint lacks required key 'layers'"),
+        ("denoiser", "data", "checkpoint lacks required key 'data'"),
+        ("denoiser", "schedule", "checkpoint lacks required key 'schedule'"),
+        ("recon", "layers.act", "checkpoint.layers[0] lacks required key 'act'"),
+        ("denoiser", "layers.in", "checkpoint.layers[0] lacks required key 'in'"),
+        ("denoiser", "schedule.T", "checkpoint.schedule lacks required key 'T'"),
     ])
-    def test_checkpoint_missing_key_exits_1(self, workspace, tmp_path, capsys, kind, key):
+    def test_checkpoint_missing_key_exits_1(self, workspace, tmp_path, capsys, kind, key, message):
+        def drop(payload):
+            outer, _, inner = key.partition(".")
+            if inner:
+                nested = payload[outer]
+                del (nested[0] if isinstance(nested, list) else nested)[inner]
+            else:
+                del payload[key]
+            return payload
+
+        broken = self._broken_checkpoint(workspace, tmp_path, kind, drop)
+        assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("recon", lambda p: {**p, "layers": p["layers"][0]},
+         "checkpoint.layers must be a list, got {'in': 24, 'out': 8, 'act': 'silu'}"),
+        ("denoiser", lambda p: {**p, "layers": [p["layers"][0], 5, *p["layers"][2:]]},
+         "checkpoint.layers[1] must be an object, got 5"),
+        ("recon", lambda p: {**p, "layers": [p["layers"][0], {**p["layers"][1], "in": True}]},
+         "checkpoint.layers[1].in must be an int, got True"),
+        ("recon", lambda p: {**p, "layers": [{**p["layers"][0], "out": 8.0}, p["layers"][1]]},
+         "checkpoint.layers[0].out must be an int, got 8.0"),
+        ("denoiser", lambda p: {**p, "layers": [p["layers"][0], {**p["layers"][1], "in": "16"}, p["layers"][2]]},
+         "checkpoint.layers[1].in must be an int, got '16'"),
+        ("recon", lambda p: {**p, "layers": [{**p["layers"][0], "act": 5}, p["layers"][1]]},
+         "checkpoint.layers[0].act must be a string, got 5"),
+        ("recon", lambda p: {**p, "layers": [p["layers"][0], {**p["layers"][1], "bias": True}]},
+         "unknown keys in checkpoint.layers[1]: ['bias']"),
+        ("denoiser", lambda p: {**p, "schedule": {**p["schedule"], "beta": 0.1}},
+         "unknown keys in checkpoint.schedule: ['beta']"),
+    ], ids=["layers-object", "entry-not-object", "in-true", "out-float", "in-string", "act-int",
+            "unknown-layer-key", "unknown-schedule-key"])
+    def test_malformed_layer_or_schedule_exits_1_naming_key(self, workspace, tmp_path, capsys, kind, edit, message):
+        broken = self._broken_checkpoint(workspace, tmp_path, kind, edit)
+        assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+
+    @staticmethod
+    def _broken_checkpoint(workspace, tmp_path, kind, edit) -> Path:
+        """The workspace's `kind` checkpoint (or a fresh recon detector for
+        the 24-feature data) after ``edit(payload)``, written beside the
+        other model and run through `repair`, which must exit 1."""
         _, config, data_dir, models = workspace
         detector, denoiser = models / "detector.json", models / "denoiser.json"
         if kind == "recon":
@@ -459,21 +523,14 @@ class TestValidationFailures:
         target = denoiser if kind == "denoiser" else detector
         payload = json.loads(target.read_text())
         assert payload["kind"] == kind
-        outer, _, inner = key.partition(".")
-        if inner:
-            nested = payload[outer]
-            del (nested[0] if isinstance(nested, list) else nested)[inner]
-        else:
-            del payload[key]
         broken = tmp_path / f"broken-{target.name}"
-        broken.write_text(json.dumps(payload))
+        broken.write_text(json.dumps(edit(payload)))
         detector, denoiser = (detector, broken) if kind == "denoiser" else (broken, denoiser)
         code = main(["repair", "--input", str(data_dir), "--detector", str(detector),
                      "--denoiser", str(denoiser), "--guided", "--seed", "7", "--config", str(config),
                      "--out", str(tmp_path / "r")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert broken.name in err and repr(key) in err
+        return broken
 
     def test_huge_final_iterate_exits_1_without_report(self, workspace, tmp_path, capsys):
         _, config, data_dir, models = workspace

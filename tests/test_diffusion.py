@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,11 +82,14 @@ class TestSchedule:
         assert sched.b_start == pytest.approx(1e-3)
         assert sched.b_end == pytest.approx(0.2)
 
-    def test_tampered_arrays_rejected(self):
-        sched = make_schedule(3, 0.1, 0.3)
-        with pytest.raises(ValueError, match="cumulative"):
-            NoiseSchedule(b=sched.b, a=sched.a * 0.9, sigma=sched.sigma,
-                          std_mode="standard", b_start=0.1, b_end=0.3)
+    def test_arrays_derive_from_the_four_numbers(self):
+        sched = NoiseSchedule(3, 0.1, 0.3, "standard")
+        assert sched == make_schedule(3, 0.1, 0.3)
+        assert np.array_equal(sched.b, make_schedule(3, 0.1, 0.3).b)
+        literal = dataclasses.replace(sched, std_mode="paper-literal")
+        assert np.array_equal(literal.sigma, sched.b) and np.array_equal(literal.a, sched.a)
+        with pytest.raises(TypeError):
+            NoiseSchedule(3, 0.1, 0.3, "standard", b=sched.b)
 
 
 class TestPosteriorMean:

@@ -314,7 +314,7 @@ class TestConfigSchema:
         ({"data": {"kind": 3}}, "config.data.kind must be a string, got 3"),
         ({"detector": {"hidden": [8, 2.0]}}, r"config.detector.hidden\[1\] must be an int, got 2.0"),
         ({"data": {"anomalies": {"kind": "spike"}}}, "config.data.anomalies must be a list"),
-        ({"data": {"anomalies": [{"magnitude": 1.0}]}}, r"config.data.anomalies\[0\].kind is required"),
+        ({"data": {"anomalies": [{"magnitude": 1.0}]}}, r"config.data.anomalies\[0\] lacks required key 'kind'"),
         ({"data": {"anomalies": ["spike"]}}, r"config.data.anomalies\[0\] must be an object"),
         ({"data": {"anomalies": [{"kind": "spike", "extent": 2}]}},
          r"config.data.anomalies\[0\]: anomaly extent must lie in \(0, 1\], got 2.0"),
