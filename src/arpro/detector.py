@@ -80,14 +80,13 @@ class _DetectorBase:
 
     def alpha_with_vjp(self, x: Array, ws=None):
         """alpha of a validated vector or batch of rows, and its
-        vector-Jacobian product ``vjp(g_alpha, acc=None)``.
+        vector-Jacobian product ``vjp(g_alpha)``, the gradient of
+        ``sum(g_alpha * alpha(x))`` with respect to x.
 
-        `vjp` returns the gradient of ``sum(g_alpha * alpha(x))`` with respect
-        to x, added onto `acc` when one is given. Both run in `ws`, a
-        `workspace` of x's height (made here when not given), and return views
-        of its buffers, valid until it is used again; `x` may be `ws.x`. No
-        ufunc broadcasts a row or a column over the batch, which would cost an
-        iterator buffer the batch's size.
+        Both run in `ws`, a `workspace` of x's height (made here when not
+        given), and return views of its buffers, valid until it is used again;
+        `x` may be `ws.x`. No ufunc broadcasts a row or a column over the
+        batch, which would cost an iterator buffer the batch's size.
         """
         raise NotImplementedError
 
@@ -123,7 +122,7 @@ class GaussDetector(_DetectorBase):
 
     def __init__(self, mu, sigma, sigma_floor: float = DEFAULT_SIGMA_FLOOR):
         if sigma_floor <= 0.0:
-            raise ValueError("sigma floor must be positive")
+            raise ValueError(f"sigma_floor must be positive, got {sigma_floor!r}")
         mu = np.asarray(mu, dtype=np.float64)
         sigma = np.asarray(sigma, dtype=np.float64)
         if mu.ndim != 1 or mu.shape != sigma.shape:
@@ -134,8 +133,14 @@ class GaussDetector(_DetectorBase):
         self.sigma = np.maximum(sigma, sigma_floor)
         self.sigma_floor = float(sigma_floor)
         self.n = mu.shape[0]
-        self._inv_two_var = 1.0 / (2.0 * self.sigma**2)
-        self._log_term = 0.5 * np.log(2.0 * math.pi * self.sigma**2)
+        with np.errstate(over="ignore", divide="ignore"):
+            self._inv_two_var = 1.0 / (2.0 * self.sigma**2)
+            self._log_term = 0.5 * np.log(2.0 * math.pi * self.sigma**2)
+        bad = ~(np.isfinite(self._inv_two_var) & np.isfinite(self._log_term))
+        if bad.any():
+            i = int(np.argmax(bad))
+            who = "sigma_floor" if sigma[i] <= sigma_floor else f"sigma[{i}]"
+            raise ValueError(f"{who} {float(self.sigma[i])!r} makes 1/(2 sigma^2) or log(2 pi sigma^2) non-finite")
 
     def workspace(self, rows: int) -> "_GaussWorkspace":
         return _GaussWorkspace(self, rows)
@@ -161,12 +166,10 @@ class GaussDetector(_DetectorBase):
         diff = np.subtract(x, ws.mu, out=ws.diff)
         alpha = self._alpha(diff, ws.inv_two_var, ws.log_term, out=ws.alpha)
 
-        def vjp(g_alpha, acc=None):  # g_alpha * inv_two_var * 2.0 * diff + acc
+        def vjp(g_alpha):  # g_alpha * inv_two_var * 2.0 * diff
             g = np.multiply(g_alpha, ws.inv_two_var, out=ws.grad)
             g *= 2.0
             g *= diff
-            if acc is not None:
-                g += acc
             return g.reshape(x.shape)
 
         return alpha.reshape(x.shape), vjp
@@ -188,7 +191,11 @@ class GaussDetector(_DetectorBase):
         n = ckpt.entry(payload, "n", int)
         flat = ckpt.decode_array(ckpt.entry(payload, "data"), 2 * n)
         sigma_floor = ckpt.entry(payload, "sigma_floor", float, DEFAULT_SIGMA_FLOOR)
-        return cls(flat[:n], flat[n:], sigma_floor=sigma_floor)
+        try:
+            return cls(flat[:n], flat[n:], sigma_floor=sigma_floor)
+        except ValueError as exc:  # the floor's fault, or a sigma that `data` holds
+            key = "sigma_floor" if str(exc).startswith("sigma_floor") else "data"
+            raise ValueError(f"checkpoint.{key}: {exc}") from exc
 
 
 class ReconDetector(_DetectorBase):
@@ -216,13 +223,13 @@ class ReconDetector(_DetectorBase):
             ws.x[...] = x
         r = np.subtract(self.net._forward(ws.net, derivs=True), ws.x, out=ws.r)
 
-        def vjp(g_alpha, acc=None):
+        def vjp(g_alpha):
             # alpha = r*r with r = f(x) - x. g_r = g_alpha * 2.0 * r, and the
-            # residual's own -g_r term is added before the network's input
+            # residual's own -g_r term comes before the network's input
             # gradient; the order fixes the rounding of the sum.
             g_r = np.multiply(g_alpha, 2.0, out=ws.g_r)
             g_r *= r
-            g = np.negative(g_r, out=ws.grad) if acc is None else np.subtract(acc, g_r, out=ws.grad)
+            g = np.negative(g_r, out=ws.grad)
             g += self.net.input_grad(ws.net, g_r)
             return g.reshape(x.shape)
 

@@ -18,8 +18,8 @@ import numpy as np
 from .detector import as_mask, _check_input
 from .tensor import Array
 
-# Smoothing inside the masked-distance gradient so guidance stays defined at
-# the distance minimum; loss *values* use the raw Euclidean norm.
+# Smoothing inside `grad_guidance`'s masked-distance gradient so it stays
+# defined at the distance minimum; loss *values* use the raw Euclidean norm.
 L2_SMOOTH_EPS = 1e-12
 
 
@@ -107,20 +107,22 @@ def losses_from_metrics(record: MetricsRecord, delta4: float, weights: PropertyW
 
 
 class GuidanceState:
-    """The guidance gradient of `rows` rows: every buffer it uses, and copies
-    of each row's target `x_bad`, mask `omega`, ``regions`` ``(omega_bar,
-    s_om_bad, s_ob_bad)``, `delta4` and weights `lambdas`, where a scalar
-    serves every row and a column gives one value each. A repair builds one
-    before its loop, then writes the guided iterates into `x` and calls `grad`.
+    """The guidance gradient of `rows` rows, the part of it that reaches a
+    repair: every buffer it uses, and copies of each row's mask `omega`,
+    ``regions`` ``(omega_bar, s_om_bad, s_ob_bad)``, `delta4` and score-term
+    weights ``lambdas = (lambda1, lambda3, lambda4)``, where a scalar serves
+    every row and a column gives one value each. A repair builds one before
+    its loop, then writes the guided iterates into `x` and calls `grad`.
 
-    The masked distance uses a smoothed norm sqrt(sum(..)^2 + eps) so its
-    gradient exists at zero distance; the hinge terms have subgradient zero at
-    the kink. Because the score decomposes, the three score terms reduce to
-    one vector-Jacobian product of alpha with weight
+    The masked distance's gradient lies on omega_bar alone, which the infill
+    overwrites at every step, so that term is left out (`grad_guidance` adds
+    it). The hinge terms have subgradient zero at the kink. Because the score
+    decomposes, the three score terms reduce to one vector-Jacobian product
+    of alpha with weight
     ``lambda1 + lambda3*[l3>0]*omega + lambda4*[l4>0]*omega_bar``.
     """
 
-    def __init__(self, detector, rows: int, x_bad, omega, regions, delta4, lambdas):
+    def __init__(self, detector, rows: int, omega, regions, delta4, lambdas):
         n = detector.n
 
         def own(value, width: int) -> Array:
@@ -129,14 +131,14 @@ class GuidanceState:
             return out
 
         omega_bar, s_om_bad, s_ob_bad = regions
-        lambda1, lambda2, lambda3, lambda4 = lambdas
+        lambda1, lambda3, lambda4 = lambdas
         self.detector = detector
         self.ws = detector.workspace(rows)
         self.x = self.ws.x
-        self.x_bad, self.omega, self.omega_bar, self.lambda1 = (own(v, n) for v in (x_bad, omega, omega_bar, lambda1))
-        self.s_om_bad, self.s_ob_bad, self.delta4 = (own(v, 1) for v in (s_om_bad, s_ob_bad, delta4))
-        self.lambda2, self.lambda3, self.lambda4 = (own(v, 1) for v in (lambda2, lambda3, lambda4))
-        self.g_alpha, self.masked, self.term = (np.empty((rows, n)) for _ in range(3))
+        self.omega, self.omega_bar, self.lambda1 = (own(v, n) for v in (omega, omega_bar, lambda1))
+        columns = (s_om_bad, s_ob_bad, delta4, lambda3, lambda4)
+        self.s_om_bad, self.s_ob_bad, self.delta4, self.lambda3, self.lambda4 = (own(v, 1) for v in columns)
+        self.g_alpha, self.term = (np.empty((rows, n)) for _ in range(2))
         self.col, self.on3, self.on4 = (np.empty((rows, 1)) for _ in range(3))
 
     def grad(self) -> Array:
@@ -166,21 +168,7 @@ class GuidanceState:
         np.copyto(t, np.multiply(self.lambda4, self.on4, out=col))
         t *= self.omega_bar
         g_alpha += t
-        # masked = (x - x_bad) * omega_bar
-        masked = np.subtract(x, self.x_bad, out=self.masked)
-        masked *= self.omega_bar
-        # root = sqrt(sum(masked * masked) + eps)
-        np.add.reduce(np.multiply(masked, masked, out=t), axis=-1, keepdims=True, out=col)
-        col += L2_SMOOTH_EPS
-        np.sqrt(col, out=col)
-        # g_l2 = lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
-        col *= 2.0
-        np.divide(self.lambda2, col, out=col)
-        col *= 2.0
-        np.copyto(t, col)
-        t *= masked
-        t *= self.omega_bar
-        return vjp(g_alpha, t)
+        return vjp(g_alpha)
 
 
 def grad_guidance(detector, x_bad, x_fix, omega, tol: Tolerances, weights: PropertyWeights) -> Array:
@@ -188,10 +176,11 @@ def grad_guidance(detector, x_bad, x_fix, omega, tol: Tolerances, weights: Prope
     x_bad = _check_input(x_bad, detector.n)
     x_fix = _check_input(x_fix, detector.n)
     omega = as_mask(omega, detector.n)
-    lambdas = (weights.lambda1, weights.lambda2, weights.lambda3, weights.lambda4)
-    state = GuidanceState(detector, 1, x_bad, omega, _regions(detector, x_bad, omega), tol.delta4, lambdas)
+    regions = _regions(detector, x_bad, omega)
+    state = GuidanceState(detector, 1, omega, regions, tol.delta4, (weights.lambda1, weights.lambda3, weights.lambda4))
     np.copyto(state.x, x_fix)
-    return state.grad()[0]
+    masked = regions[0] * (x_fix - x_bad)
+    return state.grad()[0] + weights.lambda2 * masked / np.sqrt(masked @ masked + L2_SMOOTH_EPS)
 
 
 def metrics(detector, x_bad, x_fix, omega) -> MetricsRecord:

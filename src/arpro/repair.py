@@ -26,9 +26,11 @@ table, and the iterate, the posterior mean and the noised target each have
 one buffer, as does each stream's noise. The guidance gradient runs in a
 `properties.GuidanceState`, built before the loop for the rows whose ramp is
 nonzero at some step: their operands, the detector's workspace and every
-buffer of the gradient. A step at which any of them has a nonzero weight
-gathers their iterates straight into that workspace's input; a row at weight
-0 then takes ``xhat - 0 * grad``, the bits of xhat for a finite gradient.
+buffer of the gradient. It leaves out the masked distance, whose gradient
+lies on the omega_bar entries that the infill overwrites. A step at which
+any guided row has a nonzero weight gathers their iterates straight into
+that workspace's input; a row at weight 0 then takes ``xhat - 0 * grad``,
+the bits of xhat for a finite gradient.
 Every update runs in place one operation at a time, in the order its
 expression evaluates, so the bits are those of the expression.
 """
@@ -232,11 +234,11 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
     delta4 = column([row.cfg.delta4 for row in rows])
-    lambdas = [column([getattr(row.cfg, f"lambda{k}") for row in rows]) for k in range(1, 5)]
+    lambdas = [column([getattr(row.cfg, f"lambda{k}") for row in rows]) for k in (1, 3, 4)]
     guided = np.flatnonzero(eta.any(axis=1))
     eta_guided, update = eta[guided], np.empty((guided.size, n))
     regions = (omega_bar[guided], s_om_bad[guided], s_ob_bad[guided])
-    state = GuidanceState(detector, guided.size, x_bad[guided], omega[guided], regions, delta4[guided],
+    state = GuidanceState(detector, guided.size, omega[guided], regions, delta4[guided],
                           [lam[guided] for lam in lambdas]) if guided.size else None
 
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}

@@ -192,6 +192,23 @@ class TestCheckpointNumbers:
             self._load(kind, path)
         assert str(info.value) == f"{path}: checkpoint.{key} {message}"
 
+    @pytest.mark.parametrize("sigma,sigma_floor,key,culprit", [
+        (1.0, 1e200, "sigma_floor", "sigma_floor 1e+200"),
+        (1e-200, 1e-200, "sigma_floor", "sigma_floor 1e-200"),
+        (1e200, 0.01, "data", "sigma[0] 1e+200"),
+    ])
+    def test_gauss_constants_that_overflow_name_the_key(self, tmp_path, sigma, sigma_floor, key, culprit):
+        path = tmp_path / "gauss.json"
+        self._models()["gauss"].save(path)
+        payload = json.loads(path.read_text())
+        payload["sigma_floor"] = sigma_floor
+        payload["data"] = ckpt.encode_arrays([np.zeros(4), np.array([sigma, 1.0, 1.0, 1.0])])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            load_detector(path)
+        assert str(info.value) == (f"{path}: checkpoint.{key}: {culprit} makes 1/(2 sigma^2) "
+                                   f"or log(2 pi sigma^2) non-finite")
+
     @pytest.mark.parametrize("kind", ["denoiser", "gauss", "recon"])
     def test_written_files_load_unchanged(self, tmp_path, kind):
         path, again = tmp_path / "a.json", tmp_path / "b.json"

@@ -67,6 +67,29 @@ class TestFitGauss:
             calibrate_thresholds(np.array([[np.inf, 1.0], [0.0, 1.0]]))
 
 
+class TestGaussConstants:
+    """A Gaussian detector is rejected at construction unless 1/(2 sigma^2)
+    and log(2 pi sigma^2) are finite at every floored sigma, so no score
+    comes out inf or nan; the message names the floor when the floor set the
+    sigma at fault."""
+
+    def test_floor_whose_square_overflows(self):
+        with pytest.raises(ValueError, match=r"^sigma_floor 1e\+200 makes 1/\(2 sigma\^2\) or log"):
+            GaussDetector(np.zeros(2), np.ones(2), sigma_floor=1e200)
+
+    def test_floor_whose_square_underflows(self):
+        with pytest.raises(ValueError, match=r"^sigma_floor 1e-200 makes 1/\(2 sigma\^2\) or log"):
+            GaussDetector(np.zeros(2), np.array([1e-200, 1.0]), sigma_floor=1e-200)
+
+    def test_sigma_above_the_floor_is_named_by_feature(self):
+        with pytest.raises(ValueError, match=r"^sigma\[1\] 1e\+200 makes"):
+            GaussDetector(np.zeros(2), np.array([1.0, 1e200]))
+
+    def test_finite_extremes_are_kept(self):
+        det = GaussDetector(np.zeros(2), np.array([1e-150, 1e150]), sigma_floor=1e-150)
+        assert np.all(np.isfinite(det.alpha(np.zeros(2))))
+
+
 class TestGaussAlphaBatch:
     def test_matches_the_workspace_path_and_lone_rows_bit_for_bit(self):
         g = stream(2, "gauss-batch")

@@ -17,7 +17,7 @@ from arpro.detector import (
 )
 from arpro.diffusion import Denoiser, DiffusionConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
 from arpro.harness import image_benchmark_config, timeseries_benchmark_config
-from arpro.properties import L2_SMOOTH_EPS, GuidanceState, PropertyWeights
+from arpro.properties import GuidanceState, PropertyWeights
 from arpro.repair import (
     RepairConfig,
     RepairRow,
@@ -332,6 +332,30 @@ class TestBatchContract:
             repair_batch(det, den, [])
 
 
+class TestLambda2CannotMoveARepair:
+    """The infill overwrites the omega_bar entries of every guided step, and
+    the masked distance's gradient lies there alone, so `lambda2` leaves a
+    repair's bits as they are, in both infill modes and under either
+    detector; `lambda1`, which reaches omega, moves them."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_x_fix_and_hashes_equal_across_lambda2(self, batch_world, mode):
+        det, den, targets = batch_world
+
+        def run(**weights):
+            return repair_batch(det, den, [
+                RepairRow(x_bad, omega, RepairConfig(infill_mode=mode, seed=9, stream_tag=f"inst{i}", **weights))
+                for i, (x_bad, omega) in enumerate(targets)])
+
+        reference = run(lambda2=0.0)
+        for lambda2 in (1.0, 10.0):
+            for ref, got in zip(reference, run(lambda2=lambda2), strict=True):
+                assert got.x_fix.tobytes() == ref.x_fix.tobytes()
+                assert got.trajectory_hash == ref.trajectory_hash
+        moved = run(lambda1=10.0)
+        assert any(got.x_fix.tobytes() != ref.x_fix.tobytes() for ref, got in zip(reference, moved))
+
+
 def _random_world(seed: int, kind: str):
     """A world of random size with an untrained denoiser, a few targets and
     random anomaly masks (each flags at least one coordinate). The invariants
@@ -450,15 +474,15 @@ class TestBatchHeightsAtBenchmarkShapes:
         omega = (g.uniform(size=(rows, n)) < 0.1).astype(np.float64)
         alpha_bad = det.alpha_batch(x_bad)
         per_row = (
-            x, x_bad, omega, 1.0 - omega,
+            x, omega, 1.0 - omega,
             (alpha_bad * omega).sum(axis=1, keepdims=True),
             (alpha_bad * (1.0 - omega)).sum(axis=1, keepdims=True),
             g.uniform(0.0, 1.0, size=(rows, 1)),
-            *(g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(4)),
+            *(g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(3)),
         )
 
-        def guide(x, x_bad, omega, omega_bar, s_om_bad, s_ob_bad, delta4, *lambdas):
-            return guidance_grad(det, x, x_bad, omega, (omega_bar, s_om_bad, s_ob_bad), delta4, lambdas)
+        def guide(x, omega, omega_bar, s_om_bad, s_ob_bad, delta4, *lambdas):
+            return guidance_grad(det, x, omega, (omega_bar, s_om_bad, s_ob_bad), delta4, lambdas)
 
         full = guide(*per_row)
         for height in HEIGHTS[:-1]:
@@ -486,7 +510,7 @@ def _step_by_step_repair(det, den, rows):
     s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
     s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
     delta4 = np.array([[row.cfg.delta4] for row in rows])
-    lambdas = [np.array([[getattr(row.cfg, f"lambda{k}")] for row in rows]) for k in range(1, 5)]
+    lambdas = [np.array([[getattr(row.cfg, f"lambda{k}")] for row in rows]) for k in (1, 3, 4)]
     keys = list(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))
     owner = np.array([keys.index((row.cfg.seed, row.cfg.stream_tag)) for row in rows])
 
@@ -511,7 +535,7 @@ def _step_by_step_repair(det, den, rows):
             xhat = xhat + sched.sigma[t - 1] * z()
         sel = np.flatnonzero(eta[:, t - 1])
         if sel.size:
-            grad = guidance_grad(det, x[sel], x_bad[sel], omega[sel],
+            grad = guidance_grad(det, x[sel], omega[sel],
                                  (omega_bar[sel], s_om_bad[sel], s_ob_bad[sel]),
                                  delta4[sel], [lam[sel] for lam in lambdas])
             xhat[sel] = xhat[sel] - eta[sel, t - 1, None] * grad
@@ -609,28 +633,25 @@ class TestFinalIterateBound:
             guided_repair(det, Denoiser(net, den.schedule), x_bad, omega, RepairConfig(stream_tag="huge"))
 
 
-def guidance_grad(det, x, x_bad, omega, regions, delta4, lambdas):
+def guidance_grad(det, x, omega, regions, delta4, lambdas):
     """The guidance gradient at `x`, one vector or a batch of rows, from a
     `GuidanceState` built for its rows and called once."""
-    state = GuidanceState(det, len(x) if np.ndim(x) == 2 else 1, x_bad, omega, regions, delta4, lambdas)
+    state = GuidanceState(det, len(x) if np.ndim(x) == 2 else 1, omega, regions, delta4, lambdas)
     np.copyto(state.x, x)
     return state.grad().reshape(np.shape(x))
 
 
-def _expression_guidance(det, x, x_bad, omega, regions, delta4, lambdas):
-    """The guidance gradient as plain expressions, each allocating its
-    result; `GuidanceState.grad` must give the same bits."""
-    lambda1, lambda2, lambda3, lambda4 = lambdas
+def _expression_guidance(det, x, omega, regions, delta4, lambdas):
+    """The repair's guidance gradient, the score terms, as plain expressions,
+    each allocating its result; `GuidanceState.grad` must give the same
+    bits."""
+    lambda1, lambda3, lambda4 = lambdas
     omega_bar, s_om_bad, s_ob_bad = regions
     beta = det.beta_value(x)
     alpha, vjp = det.alpha_with_vjp(x)
     on3 = ((alpha * omega).sum(axis=-1, keepdims=True) + beta - s_om_bad > 0.0).astype(np.float64)
     on4 = ((alpha * omega_bar).sum(axis=-1, keepdims=True) + beta - s_ob_bad - delta4 > 0.0).astype(np.float64)
-    g_alpha = (lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar
-    masked = (x - x_bad) * omega_bar
-    root = np.sqrt((masked * masked).sum(axis=-1, keepdims=True) + L2_SMOOTH_EPS)
-    g_l2 = lambda2 / (2.0 * root) * 2.0 * masked * omega_bar
-    return vjp(g_alpha, g_l2)
+    return vjp((lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar)
 
 
 def _benchmark_detectors():
@@ -659,14 +680,14 @@ def _guidance_operands(det, rows: int, seed: int):
     regions = (1.0 - omega,
                (alpha_bad * omega).sum(axis=1, keepdims=True) * g.uniform(0.8, 1.6, size=(rows, 1)),
                (alpha_bad * (1.0 - omega)).sum(axis=1, keepdims=True) * g.uniform(0.8, 1.6, size=(rows, 1)))
-    lambdas = [g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(4)]
+    lambdas = [g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(3)]
     iterates = [x_bad + g.normal(0.0, 0.5, size=(rows, n)) for _ in range(3)]
-    return iterates, (x_bad, omega, regions, g.uniform(0.0, 1.0, size=(rows, 1)), lambdas)
+    return iterates, (omega, regions, g.uniform(0.0, 1.0, size=(rows, 1)), lambdas)
 
 
 def _select(operands, keep):
-    x_bad, omega, regions, delta4, lambdas = operands
-    return (x_bad[keep], omega[keep], tuple(a[keep] for a in regions), delta4[keep], [lam[keep] for lam in lambdas])
+    omega, regions, delta4, lambdas = operands
+    return (omega[keep], tuple(a[keep] for a in regions), delta4[keep], [lam[keep] for lam in lambdas])
 
 
 class TestGuidanceState:
@@ -695,9 +716,9 @@ class TestGuidanceState:
     def test_vector_call_matches_its_row(self, kind):
         det = BENCHMARK_DETECTORS[kind]
         iterates, operands = _guidance_operands(det, 3, seed=4)
-        x_bad, omega, regions, delta4, lambdas = operands
+        omega, regions, delta4, lambdas = operands
         grad = guidance_grad(det, iterates[0], *operands)
-        vector = guidance_grad(det, iterates[0][1], x_bad[1], omega[1],
+        vector = guidance_grad(det, iterates[0][1], omega[1],
                                (regions[0][1], float(regions[1][1, 0]), float(regions[2][1, 0])),
                                float(delta4[1, 0]), [float(lam[1, 0]) for lam in lambdas])
         assert vector.shape == (det.n,)

@@ -7,8 +7,10 @@ For each source tree and seed, the stock time-series and image benchmark
 configs (`timeseries_benchmark_config`, `image_benchmark_config`, as each
 tree defines them) run through `gen-data`, `train-detector`,
 `train-diffusion`, `evaluate`, `repair --guided` and
-`ablate --param lambda2 --values 0.1,1,10`, each as `python3 -m arpro` with
-that tree on PYTHONPATH. Every file the runs write is then compared between
+`ablate --param lambda4 --values 0.1,1,10`, each as `python3 -m arpro` with
+that tree on PYTHONPATH. The ablation sweeps `lambda4` because it moves the
+image repairs (`lambda2` moves no repair, so a sweep of it would repeat one
+repair three times). Every file the runs write is then compared between
 the two trees, except the measured timing: `timings.json` is skipped and the
 `seconds` column of `summary.csv` is dropped. Each differing file is printed
 with the JSON paths or CSV cells that differ and the largest absolute and
@@ -64,7 +66,7 @@ def run_tree(src: Path, out: Path, kind: str, seed: int) -> None:
         ["train-diffusion", "--input", "data", "--out", "models"],
         ["evaluate", "--input", "data", *models, "--out", "evaluate"],
         ["repair", "--guided", "--input", "data", *models, "--out", "repair"],
-        ["ablate", "--input", "data", *models, "--param", "lambda2", "--values", "0.1,1,10", "--out", "ablate"],
+        ["ablate", "--input", "data", *models, "--param", "lambda4", "--values", "0.1,1,10", "--out", "ablate"],
     ):
         _run(src, ["-m", "arpro", *stage, *common], out)
 
