@@ -113,8 +113,10 @@ def encode_arrays(arrays) -> str:
 def decode_array(data: str, count: int) -> Array:
     if not isinstance(data, str):
         raise ValueError(f"checkpoint data must be a base64 string, got {type(data).__name__}")
-    raw = base64.b64decode(data.encode("ascii"), validate=True)
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    try:
+        values = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").astype(np.float64)
+    except ValueError as exc:  # not base64, or bytes that are not whole float64 values
+        raise ValueError(f"checkpoint.data: {exc}") from exc
     if values.size != count:
         raise ValueError(f"checkpoint data holds {values.size} values, expected {count}")
     if not np.all(np.isfinite(values)):

@@ -1,15 +1,15 @@
 """Linearly decomposable anomaly detectors.
 
-A detector assigns each input a vector of per-feature scores ``alpha`` and a
-scalar regularizer ``beta``; the total anomaly score is their sum. Region
-scores restrict the sum of ``alpha`` to a binary selection, feature-wise
-thresholds binarize ``alpha`` into an anomaly mask, and region-score gradients
-are closed-form vector-Jacobian products of ``alpha``.
+A detector assigns each input a vector of per-feature scores ``alpha``; the
+total anomaly score is their sum. Region scores restrict that sum to a binary
+selection, feature-wise thresholds binarize ``alpha`` into an anomaly mask,
+and region-score gradients are closed-form vector-Jacobian products of
+``alpha``.
 
 Two detectors ship: squared reconstruction error of an autoencoder, and
-independent per-feature Gaussian negative log-likelihood. Both use a constant
-``beta`` of zero; the decomposition API still carries ``beta`` so region
-arithmetic holds for the general form.
+independent per-feature Gaussian negative log-likelihood. The paper's scalar
+``beta`` is 0 for both: a constant cancels from each region-score change the
+properties compare, and `DecomposableScore` reports it as 0.0.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def _check_input(x, n: int) -> Array:
 
 
 class _DetectorBase:
-    """Shared decomposable-score operations; subclasses provide
-    `alpha_with_vjp`, the one formula for alpha."""
+    """Shared decomposable-score operations, on a score that is the sum of
+    alpha; subclasses provide `alpha_with_vjp`, the one formula for alpha."""
 
     n: int
 
@@ -95,19 +95,11 @@ class _DetectorBase:
         them."""
         raise NotImplementedError
 
-    def beta_value(self, x: Array) -> float:
-        """beta of a vector; for a batch of rows, a scalar shared by every row
-        or a column with one value per row."""
-        return 0.0
-
     def score(self, x) -> DecomposableScore:
-        x = _check_input(x, self.n)
-        return DecomposableScore.build(self.alpha(x), self.beta_value(x))
+        return DecomposableScore.build(self.alpha(x), 0.0)
 
     def region_score(self, x, z) -> float:
-        x = _check_input(x, self.n)
-        z = as_mask(z, self.n)
-        return float(self.beta_value(x) + (self.alpha(x) * z).sum())
+        return float((self.alpha(x) * as_mask(z, self.n)).sum())
 
     def grad_region_score(self, x, z) -> Array:
         """Gradient of the region score with respect to the input."""
@@ -303,6 +295,7 @@ class DetectorConfig:
         if self.kind not in ("gauss", "recon"):
             raise ValueError(f"detector kind must be 'gauss' or 'recon', got {self.kind!r}")
         check_training(self)
+        GaussDetector(np.zeros(1), np.zeros(1), self.sigma_floor)  # its rules on the floor, which sets this sigma
 
 
 def fit_recon(train, cfg: DetectorConfig | None = None, seed: int = 0) -> ReconDetector:

@@ -18,6 +18,9 @@ from . import ckpt
 from .tensor import TRAIN_DTYPE, Array, Mlp, Workspace, check_batch, check_training, fit, stream
 
 STD_MODES = ("standard", "paper-literal")
+# The most steps a schedule may have, 100 times the stock T; checked before
+# the schedule's arrays of length T are built.
+MAX_T = 10_000
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,8 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"step count T must be >= 1, got {self.T}")
+        if self.T > MAX_T:
+            raise ValueError(f"step count T must be <= {MAX_T}, got {self.T}")
         if not (0.0 < self.b_start <= self.b_end < 1.0):
             raise ValueError(f"need 0 < b_start <= b_end < 1, got ({self.b_start}, {self.b_end})")
         if self.T > 1 and self.b_start == self.b_end:

@@ -160,14 +160,14 @@ def prepare_pipeline(
     train_alpha = detector.alpha_batch(train)
     test_alpha = detector.alpha_batch(test)
     thresholds = calibrate_thresholds(train_alpha, q=cfg.quantile)
-    score_threshold = conformal_threshold(_totals(detector, train, train_alpha), cfg.confidence)
+    score_threshold = conformal_threshold(train_alpha.sum(axis=1), cfg.confidence)
     if score_threshold == math.inf:
         # The conformal rank ceil((n+1)*confidence) is at most n once n >= confidence/(1-confidence).
         needed = math.ceil(round(cfg.confidence / (1.0 - cfg.confidence), 9))
         raise ValueError(f"confidence {cfg.confidence} needs at least {needed} training rows for a finite "
                          f"conformal threshold, got {len(train)}")
 
-    instance_ids = np.flatnonzero(_totals(detector, test, test_alpha) > score_threshold)[: cfg.n_instances]
+    instance_ids = np.flatnonzero(test_alpha.sum(axis=1) > score_threshold)[: cfg.n_instances]
     if not instance_ids.size:
         raise ValueError("no anomalous instances found: every test score is at or below the threshold")
 
@@ -204,12 +204,6 @@ def scaled_splits(cfg: ExperimentConfig, dataset: Dataset) -> tuple[np.ndarray, 
         return dataset.train, dataset.test
     scaler = fit_scaler(dataset.train)
     return scaler.apply(dataset.train), scaler.apply(dataset.test)
-
-
-def _totals(detector, data: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Total score of each row of `data` from its alpha rows; a per-row beta
-    column adds row by row."""
-    return (alpha.sum(axis=1, keepdims=True) + detector.beta_value(data))[:, 0]
 
 
 @dataclass(frozen=True)

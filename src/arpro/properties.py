@@ -117,8 +117,8 @@ class GuidanceState:
     The masked distance's gradient lies on omega_bar alone, which the infill
     overwrites at every step, so that term is left out (`grad_guidance` adds
     it). The hinge terms have subgradient zero at the kink. Because the score
-    decomposes, the three score terms reduce to one vector-Jacobian product
-    of alpha with weight
+    is the sum of alpha, the three score terms reduce to one vector-Jacobian
+    product of alpha with weight
     ``lambda1 + lambda3*[l3>0]*omega + lambda4*[l4>0]*omega_bar``.
     """
 
@@ -146,17 +146,14 @@ class GuidanceState:
         expression runs one operation at a time in the order it evaluates, a
         column tiled into a buffer before it meets a batch, so the bits are
         those of the expression."""
-        x, t, col = self.x, self.term, self.col
-        beta = self.detector.beta_value(x)
-        alpha, vjp = self.detector.alpha_with_vjp(x, self.ws)
-        # on3 = sum(alpha * omega) + beta - s_om_bad > 0
+        t, col = self.term, self.col
+        alpha, vjp = self.detector.alpha_with_vjp(self.x, self.ws)
+        # on3 = sum(alpha * omega) - s_om_bad > 0
         np.add.reduce(np.multiply(alpha, self.omega, out=t), axis=-1, keepdims=True, out=col)
-        col += beta
         col -= self.s_om_bad
         np.greater(col, 0.0, out=self.on3)
-        # on4 = sum(alpha * omega_bar) + beta - s_ob_bad - delta4 > 0
+        # on4 = sum(alpha * omega_bar) - s_ob_bad - delta4 > 0
         np.add.reduce(np.multiply(alpha, self.omega_bar, out=t), axis=-1, keepdims=True, out=col)
-        col += beta
         col -= self.s_ob_bad
         col -= self.delta4
         np.greater(col, 0.0, out=self.on4)
@@ -189,19 +186,19 @@ def metrics(detector, x_bad, x_fix, omega) -> MetricsRecord:
     x_fix = _check_input(x_fix, detector.n)
     omega = as_mask(omega, detector.n)
     regions = _regions(detector, x_bad, omega)
-    return scored_metrics(detector.alpha(x_fix), detector.beta_value(x_fix), x_fix, x_bad, omega, regions)
+    return scored_metrics(detector.alpha(x_fix), x_fix, x_bad, omega, regions)
 
 
-def scored_metrics(alpha_fix: Array, beta_fix: float, x_fix: Array, x_bad: Array, omega: Array, regions) -> MetricsRecord:
-    """The four metrics of a repair from the detector's alpha and beta at
-    x_fix and the target's ``_regions``, so a caller that already scored
-    either side does not score it again."""
+def scored_metrics(alpha_fix: Array, x_fix: Array, x_bad: Array, omega: Array, regions) -> MetricsRecord:
+    """The four metrics of a repair from the detector's alpha at x_fix, whose
+    sum is the score, and the target's ``_regions``, so a caller that already
+    scored either side does not score it again."""
     omega_bar, s_om_bad, s_ob_bad = regions
     return MetricsRecord(
-        m_s=float(alpha_fix.sum() + beta_fix),
+        m_s=float(alpha_fix.sum()),
         m_d=float(np.linalg.norm(omega_bar * (x_fix - x_bad))),
-        m_omega=float(beta_fix + (alpha_fix * omega).sum()) - s_om_bad,
-        m_omega_bar=float(beta_fix + (alpha_fix * omega_bar).sum()) - s_ob_bad,
+        m_omega=float((alpha_fix * omega).sum()) - s_om_bad,
+        m_omega_bar=float((alpha_fix * omega_bar).sum()) - s_ob_bad,
     )
 
 

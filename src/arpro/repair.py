@@ -230,9 +230,8 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
         return np.array(values, dtype=np.float64)[:, None]
 
     alpha_bad = detector.alpha_batch(x_bad)
-    beta_bad = detector.beta_value(x_bad)
-    s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
-    s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
+    s_om_bad = (alpha_bad * omega).sum(axis=1, keepdims=True)
+    s_ob_bad = (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
     delta4 = column([row.cfg.delta4 for row in rows])
     lambdas = [column([getattr(row.cfg, f"lambda{k}") for row in rows]) for k in (1, 3, 4)]
     guided = np.flatnonzero(eta.any(axis=1))
@@ -301,11 +300,10 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
         state = None  # its buffers would add to the peak memory of the scoring below
 
         alpha_fix = detector.alpha_batch(x)
-        beta_fix = np.broadcast_to(detector.beta_value(x), (len(rows), 1))
         results = []
         for r, row in enumerate(rows):
             regions = (omega_bar[r], float(s_om_bad[r, 0]), float(s_ob_bad[r, 0]))
-            scores = scored_metrics(alpha_fix[r], float(beta_fix[r, 0]), x[r], x_bad[r], omega[r], regions)
+            scores = scored_metrics(alpha_fix[r], x[r], x_bad[r], omega[r], regions)
             loss = losses_from_metrics(scores, row.cfg.delta4, row.cfg)
             if not np.all(np.isfinite([*loss.as_dict().values(), *scores.as_dict().values()])):
                 raise ValueError(f"repair {row.cfg.stream_tag}: the final iterate's losses or metrics are non-finite")

@@ -8,7 +8,7 @@ import pytest
 from arpro import harness
 from arpro.cli import main
 from arpro.detector import GaussDetector, ReconDetector
-from arpro.diffusion import Denoiser, make_schedule
+from arpro.diffusion import MAX_T, Denoiser, make_schedule
 from arpro.tensor import Mlp
 
 TINY_CONFIG = {
@@ -297,7 +297,14 @@ class TestValidationFailures:
         (lambda p: {**p, "schedule": {**p["schedule"], "T": None}},
          "{}: checkpoint.schedule.T must be an int, got None"),
         (lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
-    ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data"])
+        (lambda p: {**p, "schedule": {**p["schedule"], "T": MAX_T + 1}},
+         f"{{}}: checkpoint.schedule: step count T must be <= {MAX_T}, got {MAX_T + 1}"),
+        (lambda p: {**p, "data": "!!!!"}, "{}: checkpoint.data: Only base64 data is allowed"),
+        (lambda p: {**p, "data": "AAAA"},
+         "{}: checkpoint.data: buffer size must be a multiple of element size"),
+        (lambda p: {**p, "data": "abc"}, "{}: checkpoint.data: Incorrect padding"),
+    ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data", "T-above-cap",
+            "data-not-base64", "data-partial-value", "data-bad-padding"])
     def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
         _, config, data_dir, models = workspace
         broken = tmp_path / "broken-denoiser.json"
@@ -427,6 +434,11 @@ class TestValidationFailures:
         ('{"diffusion": {"time_embed": 3}}', "config.diffusion: time_embed must be positive and even, got 3"),
         ('{"data": {"n_train": -1}}', "config.data: n_train must be >= 1, got -1"),
         ('{"data": {"anomalies": []}}', "config.data: anomalies must hold at least one anomaly spec"),
+        ('{"detector": {"sigma_floor": -1}}', "config.detector: sigma_floor must be positive, got -1.0"),
+        ('{"detector": {"sigma_floor": 1e200}}',
+         "config.detector: sigma_floor 1e+200 makes 1/(2 sigma^2) or log(2 pi sigma^2) non-finite"),
+        (json.dumps({"diffusion": {"T": MAX_T + 1}}),
+         f"config.diffusion: step count T must be <= {MAX_T}, got {MAX_T + 1}"),
     ])
     def test_mistyped_or_out_of_range_config_exits_1_at_load(self, tmp_path, capsys, text, message):
         config = tmp_path / "bad.json"

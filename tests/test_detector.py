@@ -149,11 +149,8 @@ class TestRegionScore:
             def alpha(self, x):
                 return np.array([1.0, 2.0, 3.0])
 
-            def beta_value(self, x):
-                return 0.5
-
         stub = Stub(mu=np.zeros(3), sigma=np.ones(3))
-        assert stub.region_score(np.zeros(3), [1, 0, 1]) == pytest.approx(4.5)
+        assert stub.region_score(np.zeros(3), [1, 0, 1]) == pytest.approx(4.0)
 
     def test_full_region_equals_total(self):
         x = np.array([0.3, -0.7, 1.2])

@@ -506,9 +506,9 @@ def _step_by_step_repair(det, den, rows):
     omega = np.stack([row.omega for row in rows])
     omega_bar = 1.0 - omega
     eta = np.stack([make_guidance_schedule(sched.T, row.cfg.eta_start, row.cfg.eta_end) for row in rows])
-    alpha_bad, beta_bad = det.alpha_batch(x_bad), det.beta_value(x_bad)
-    s_om_bad = beta_bad + (alpha_bad * omega).sum(axis=1, keepdims=True)
-    s_ob_bad = beta_bad + (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
+    alpha_bad = det.alpha_batch(x_bad)
+    s_om_bad = (alpha_bad * omega).sum(axis=1, keepdims=True)
+    s_ob_bad = (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
     delta4 = np.array([[row.cfg.delta4] for row in rows])
     lambdas = [np.array([[getattr(row.cfg, f"lambda{k}")] for row in rows]) for k in (1, 3, 4)]
     keys = list(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))
@@ -647,10 +647,9 @@ def _expression_guidance(det, x, omega, regions, delta4, lambdas):
     bits."""
     lambda1, lambda3, lambda4 = lambdas
     omega_bar, s_om_bad, s_ob_bad = regions
-    beta = det.beta_value(x)
     alpha, vjp = det.alpha_with_vjp(x)
-    on3 = ((alpha * omega).sum(axis=-1, keepdims=True) + beta - s_om_bad > 0.0).astype(np.float64)
-    on4 = ((alpha * omega_bar).sum(axis=-1, keepdims=True) + beta - s_ob_bad - delta4 > 0.0).astype(np.float64)
+    on3 = ((alpha * omega).sum(axis=-1, keepdims=True) - s_om_bad > 0.0).astype(np.float64)
+    on4 = ((alpha * omega_bar).sum(axis=-1, keepdims=True) - s_ob_bad - delta4 > 0.0).astype(np.float64)
     return vjp((lambda1 + lambda3 * on3 * omega) + lambda4 * on4 * omega_bar)
 
 

@@ -7,11 +7,12 @@ For each source tree and seed, the stock time-series and image benchmark
 configs (`timeseries_benchmark_config`, `image_benchmark_config`, as each
 tree defines them) run through `gen-data`, `train-detector`,
 `train-diffusion`, `evaluate`, `repair --guided` and
-`ablate --param lambda4 --values 0.1,1,10`, each as `python3 -m arpro` with
-that tree on PYTHONPATH. The ablation sweeps `lambda4` because it moves the
-image repairs (`lambda2` moves no repair, so a sweep of it would repeat one
-repair three times). Every file the runs write is then compared between
-the two trees, except the measured timing: `timings.json` is skipped and the
+`ablate --param lambda4 --values 0.1,1,10`, all in one `python3` with that
+tree on PYTHONPATH, which calls `arpro.cli.main` once per stage. The
+ablation sweeps `lambda4` because it moves the image repairs (`lambda2`
+moves no repair, so a sweep of it would repeat one repair three times).
+Every file the runs write is then compared between the two trees, except
+the measured timing: `timings.json` is skipped and the
 `seconds` column of `summary.csv` is dropped. Each differing file is printed
 with the JSON paths or CSV cells that differ and the largest absolute and
 relative difference among the numbers that sit at the same place in both
@@ -19,13 +20,14 @@ versions (a checkpoint's base64 `data` blob counts as its float64 values), so
 a re-baseline shows whether its differences are rounding-sized.
 
 Exit codes: 0 when every compared file is byte-identical, 1 on any
-difference, 2 when a command fails.
+difference, 2 when a command fails (stderr names it after arpro's error).
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import csv
 import io
 import json
@@ -43,32 +45,54 @@ SKIPPED = {"timings.json"}
 MAX_LISTED = 8
 
 
-def _run(src: Path, args: list[str], cwd: Path) -> str:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+def in_tree(src: Path, call: str, *args):
+    """``module.function(*args)``, named by `call`, run in a new python whose
+    `arpro` is the tree `src` and whose path holds tools/; arguments and
+    result go as JSON. If it fails, its stderr is passed on and the tool exits 2."""
+    code = f"import json, sys, {call.split('.')[0]}; print(json.dumps({call}(*json.loads(sys.argv[1]))))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src.resolve()), str(Path(__file__).parent.resolve())))}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(args)], env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.stderr.write(f"command failed ({proc.returncode}) in {cwd}: {' '.join(args)}\n{proc.stderr}")
+        sys.stderr.write(proc.stderr)
         raise SystemExit(2)
-    return proc.stdout
+    return json.loads(proc.stdout)
 
 
-def run_tree(src: Path, out: Path, kind: str, seed: int) -> None:
-    """All six stages of one stock config at one seed, written under `out`."""
+def stock_config(kind: str, seed: int) -> dict:
+    """The stock config of `kind` at `seed`, from the `arpro` on the path."""
+    from arpro import harness
+    return getattr(harness, CONFIGS[kind])(seed).to_dict()
+
+
+def run_stages(directory: Path, stages) -> None:
+    """Each stage, `arpro` arguments, through `arpro.cli.main` in `directory`
+    with stdout dropped; exit 2 at the first that fails, naming it."""
+    from arpro.cli import main
+    os.chdir(directory)
+    for stage in stages:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(stage)
+        if code != 0:
+            sys.stderr.write(f"command failed ({code}) in {directory}: arpro {' '.join(stage)}\n")
+            raise SystemExit(2)
+
+
+def run_tree(out: str, kind: str, seed: int) -> None:
+    """All six stages of one stock config at one seed, written under `out`,
+    with the `arpro` on the path (`in_tree` runs it)."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _run(src, ["-c", f"import json; from arpro import harness; "
-                              f"print(json.dumps(harness.{CONFIGS[kind]}({seed}).to_dict(), sort_keys=True))"], out)
-    (out / "config.json").write_text(config, encoding="utf-8")
+    (out / "config.json").write_text(json.dumps(stock_config(kind, seed), sort_keys=True) + "\n", encoding="utf-8")
     common = ["--config", "config.json", "--seed", str(seed)]
     models = ["--detector", "models/detector.json", "--denoiser", "models/denoiser.json"]
-    for stage in (
+    run_stages(out, [[*stage, *common] for stage in (
         ["gen-data", "--out", "data"],
         ["train-detector", "--input", "data", "--out", "models"],
         ["train-diffusion", "--input", "data", "--out", "models"],
         ["evaluate", "--input", "data", *models, "--out", "evaluate"],
         ["repair", "--guided", "--input", "data", *models, "--out", "repair"],
         ["ablate", "--input", "data", *models, "--param", "lambda4", "--values", "0.1,1,10", "--out", "ablate"],
-    ):
-        _run(src, ["-m", "arpro", *stage, *common], out)
+    )])
 
 
 def _comparable(path: Path) -> bytes:
@@ -204,7 +228,8 @@ def main(argv=None) -> int:
         for kind in CONFIGS:
             for seed in args.seeds:
                 print(f"running {side} {kind} seed {seed}", flush=True)
-                run_tree(src.resolve(), work / side / f"{kind}-seed{seed}", kind, seed)
+                out = str((work / side / f"{kind}-seed{seed}").resolve())
+                in_tree(src, "compare_outputs.run_tree", out, kind, seed)
     return 1 if compare(work / "parent", work / "change") else 0
 
 

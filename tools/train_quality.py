@@ -8,15 +8,18 @@ For each source tree and seed, the stock time-series and image benchmark
 configs (`timeseries_benchmark_config`, `image_benchmark_config`, as each
 tree defines them), with `HELD_OUT_NORMALS` normal test rows added, run
 through `gen-data`, `train-diffusion` and, for the image config,
-`train-detector`, each as `python3 -m arpro` with that tree on PYTHONPATH.
+`train-detector`. Each tree and seed runs in one `python3` with that tree on
+PYTHONPATH, which calls `arpro.cli.main` once per stage and then scores the
+models; a stage that fails makes the tool exit 2, as `compare_outputs` does.
 `--set KEY=JSON` overrides one config entry (say `diffusion.steps=500`) in
 both configs of both trees. The trained models are then scored on the normal
 test rows, scaled by the training split's scaler, as perfbench's `train`
 workload scores them:
 
-- the held-out denoising MSE: `VAL_DRAWS` draws per row, the steps and then
-  the noise from ``default_rng([seed, 17])``; overall, and by quartile of
-  the step t (q1 holds the smallest t);
+- the held-out denoising MSE (`arpro.diffusion.denoising_loss`):
+  `VAL_DRAWS` draws per row, the steps and then the noise from
+  ``default_rng([seed, 17])``; overall, and by quartile of the step t (q1
+  holds the smallest t);
 - the mean autoencoder alpha of the image rows.
 
 With `--evaluate`, each config without the held-out rows (the dataset the
@@ -37,19 +40,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-from compare_outputs import CONFIGS, _run  # a sibling in tools/
+from compare_outputs import CONFIGS, in_tree, run_stages, stock_config  # a sibling in tools/
 
 HELD_OUT_NORMALS = 64  # perfbench's train workload adds as many
 VAL_DRAWS = 8  # noise draws per held-out row
 
 
-def config(src: Path, kind: str, seed: int, overrides: dict, cwd: Path, held_out: bool = True) -> dict:
-    """The tree's stock config of `kind` at `seed`, with the held-out rows
-    (unless `held_out` is false) and `overrides` (dotted key -> value)
-    applied."""
-    text = _run(src, ["-c", f"import json; from arpro import harness; "
-                            f"print(json.dumps(harness.{CONFIGS[kind]}({seed}).to_dict()))"], cwd)
-    cfg = json.loads(text)
+def config(kind: str, seed: int, overrides: dict, held_out: bool = True) -> dict:
+    """The stock config of `kind` at `seed`, with the held-out rows (unless
+    `held_out` is false) and `overrides` (dotted key -> value) applied."""
+    cfg = stock_config(kind, seed)
     if held_out:
         cfg["data"]["n_test_normal"] = HELD_OUT_NORMALS
     for key, value in overrides.items():
@@ -61,14 +61,16 @@ def config(src: Path, kind: str, seed: int, overrides: dict, cwd: Path, held_out
     return cfg
 
 
-def train(src: Path, out: Path, seed: int, overrides: dict, evaluate: bool = False) -> None:
-    """Data and models of both configs at `seed`, written under `out`; with
-    `evaluate`, also the `evaluate` report of each config without the
-    held-out rows, in `evaluate/`."""
+def measure(out: str, seed: int, overrides: dict, evaluate: bool) -> dict:
+    """Data and models of both configs at `seed`, written under `out`, and
+    their `score`; with `evaluate`, also the `evaluate` report of each config
+    without the held-out rows, in `evaluate/`, and its `evaluation`. Run by
+    `in_tree`, with the `arpro` on the path."""
+    out = Path(out)
     for kind in CONFIGS:
         directory = out / kind
         directory.mkdir(parents=True, exist_ok=True)
-        cfg = config(src, kind, seed, overrides, directory)
+        cfg = config(kind, seed, overrides)
         (directory / "config.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
         common = ["--config", "config.json", "--seed", str(seed)]
         stages = [["gen-data", "--out", "data"], ["train-diffusion", "--input", "data", "--out", "models"]]
@@ -76,17 +78,17 @@ def train(src: Path, out: Path, seed: int, overrides: dict, evaluate: bool = Fal
         if kind == "image":
             stages.append(["train-detector", "--input", "data", "--out", "models"])
             models += ["--detector", "models/detector.json"]
-        for stage in stages:
-            _run(src, ["-m", "arpro", *stage, *common], directory)
+        run_stages(directory, [[*stage, *common] for stage in stages])
         if evaluate:
             # The held-out rows are drawn after all others, so the training
             # rows and the models are the same without them.
-            cfg = config(src, kind, seed, overrides, directory, held_out=False)
+            cfg = config(kind, seed, overrides, held_out=False)
             (directory / "evaluate.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
             common = ["--config", "evaluate.json", "--seed", str(seed)]
-            for stage in (["gen-data", "--out", "evaluate-data"],
-                          ["evaluate", "--input", "evaluate-data", *models, "--out", "evaluate"]):
-                _run(src, ["-m", "arpro", *stage, *common], directory)
+            run_stages(directory, [[*stage, *common] for stage in (
+                ["gen-data", "--out", "evaluate-data"],
+                ["evaluate", "--input", "evaluate-data", *models, "--out", "evaluate"])])
+    return {**score(out, seed), **(evaluation(out) if evaluate else {})}
 
 
 def evaluation(out: Path) -> dict:
@@ -107,7 +109,7 @@ def score(out: Path, seed: int) -> dict:
     import numpy as np
     from arpro.data import fit_scaler, load_csv_dataset
     from arpro.detector import load_detector
-    from arpro.diffusion import Denoiser
+    from arpro.diffusion import Denoiser, denoising_loss
 
     result = {}
     for kind in CONFIGS:
@@ -119,13 +121,11 @@ def score(out: Path, seed: int) -> dict:
         rng = np.random.default_rng([seed, 17])
         t = rng.integers(1, T + 1, size=x0.shape[0])
         eps = rng.standard_normal(x0.shape)
-        a = denoiser.schedule.a[t - 1]
-        x_t = np.sqrt(a)[:, None] * x0 + np.sqrt(1.0 - a)[:, None] * eps
-        err = (denoiser.net.forward_np(x_t, t) - eps) ** 2
-        result[f"{kind}.denoiser_mse"] = float(np.mean(err))
+        result[f"{kind}.denoiser_mse"] = denoising_loss(denoiser, x0, t, eps)
         quartile = (t - 1) * 4 // T
         for q in range(4):
-            result[f"{kind}.denoiser_mse.q{q + 1}"] = float(np.mean(err[quartile == q]))
+            rows = quartile == q
+            result[f"{kind}.denoiser_mse.q{q + 1}"] = denoising_loss(denoiser, x0[rows], t[rows], eps[rows])
         if kind == "image":
             detector = load_detector(out / kind / "models" / "detector.json")
             result["image.recon_alpha"] = float(detector.alpha_batch(normals).mean())
@@ -174,18 +174,11 @@ def main(argv=None) -> int:
     for side, src in (("parent", args.parent_src), ("change", args.change_src)):
         for seed in args.seeds:
             print(f"training {side} seed {seed}", flush=True)
-            out = work / side / f"seed{seed}"
-            train(src.resolve(), out, seed, overrides, args.evaluate)
-            text = _run(src.resolve(), [str(Path(__file__).resolve()), "--score", str(out), str(seed)], out)
-            results[side][seed] = json.loads(text)
-            if args.evaluate:
-                results[side][seed].update(evaluation(out))
+            out = str((work / side / f"seed{seed}").resolve())
+            results[side][seed] = in_tree(src, "train_quality.measure", out, seed, overrides, args.evaluate)
     print("\n".join(table(results, args.seeds)))
     return 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--score"]:
-        print(json.dumps(score(Path(sys.argv[2]), int(sys.argv[3]))))
-        sys.exit(0)
     sys.exit(main())
