@@ -111,16 +111,17 @@ def encode_arrays(arrays) -> str:
 
 
 def decode_array(data: str, count: int) -> Array:
+    """The `count` finite float64 values of a checkpoint's base64 `data`."""
     if not isinstance(data, str):
-        raise ValueError(f"checkpoint data must be a base64 string, got {type(data).__name__}")
+        raise ValueError(f"checkpoint.data must be a base64 string, got {type(data).__name__}")
     try:
         values = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").astype(np.float64)
     except ValueError as exc:  # not base64, or bytes that are not whole float64 values
         raise ValueError(f"checkpoint.data: {exc}") from exc
     if values.size != count:
-        raise ValueError(f"checkpoint data holds {values.size} values, expected {count}")
+        raise ValueError(f"checkpoint.data holds {values.size} values, expected {count}")
     if not np.all(np.isfinite(values)):
-        raise ValueError("checkpoint contains non-finite parameter values")
+        raise ValueError("checkpoint.data: non-finite parameter values")
     return values
 
 
@@ -261,9 +262,9 @@ def read(path, expected_kind: str | None = None) -> dict:
         raise FileNotFoundError(f"checkpoint not found: {path}")
     payload = read_object(path, "checkpoint")
     if payload.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {payload.get('schema')!r}")
+        raise ValueError(f"{path}: checkpoint.schema: expected {SCHEMA!r}, got {payload.get('schema')!r}")
     if expected_kind is not None and payload.get("kind") != expected_kind:
-        raise ValueError(f"{path}: expected kind {expected_kind!r}, got {payload.get('kind')!r}")
+        raise ValueError(f"{path}: checkpoint.kind: expected {expected_kind!r}, got {payload.get('kind')!r}")
     return payload
 
 
@@ -294,24 +295,36 @@ def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
 
 
 def mlp_from_payload(payload: dict) -> Mlp:
+    """The network in a checkpoint `payload`. The layers are checked, and the
+    data blob against the parameter count they give, before the network is
+    built, so a layout of huge layers fails on the blob's size rather than
+    allocating their parameters."""
     layers = entry(payload, "layers", tuple[Layer, ...])
     if not layers:
         raise ValueError("checkpoint has no layers")
     time_embed = entry(payload, "time_embed", int | None, None)
+    if time_embed is not None and (time_embed <= 0 or time_embed % 2 != 0):
+        raise ValueError(f"checkpoint.time_embed must be positive and even, got {time_embed}")
     in_dim = entry(payload, "in_dim", int, layers[0]["in"])
+    if in_dim < 1:
+        raise ValueError(f"checkpoint.in_dim must be >= 1, got {in_dim}")
     expected_first = in_dim + (time_embed or 0)
     if layers[0]["in"] != expected_first:
         raise ValueError(
-            f"first layer expects {layers[0]['in']} inputs, "
+            f"checkpoint.layers[0].in: first layer expects {layers[0]['in']} inputs, "
             f"but in_dim={in_dim} and time_embed={time_embed}"
         )
-    for prev, cur in zip(layers, layers[1:]):
+    for i, (prev, cur) in enumerate(zip(layers, layers[1:]), start=1):
         if prev["out"] != cur["in"]:
-            raise ValueError(f"layer dimensions do not compose: {prev} -> {cur}")
+            raise ValueError(f"checkpoint.layers[{i}].in: layer dimensions do not compose: {prev} -> {cur}")
+    for i, layer in enumerate(layers):
+        if layer["out"] < 1:
+            raise ValueError(f"checkpoint.layers[{i}].out must be >= 1, got {layer['out']}")
+    acts, layout = [layer["act"] for layer in layers], ["silu"] * (len(layers) - 1) + ["linear"]
+    if acts != layout:
+        raise ValueError(f"checkpoint.layers: layer activations must be {layout}, got {acts}")
+    flat = decode_array(entry(payload, "data"), sum(layer["in"] * layer["out"] + layer["out"] for layer in layers))
     hidden = [layer["out"] for layer in layers[:-1]]
     net = Mlp(in_dim, hidden, layers[-1]["out"], time_embed=time_embed, seed=None)
-    acts, layout = [layer["act"] for layer in layers], [layer["act"] for layer in net.layer_dims()]
-    if acts != layout:
-        raise ValueError(f"layer activations must be {layout}, got {acts}")
-    net.flat[...] = decode_array(entry(payload, "data"), net.flat.size)
+    net.flat[...] = flat
     return net

@@ -265,7 +265,7 @@ def _from_payload(payload: dict):
     for cls in (GaussDetector, ReconDetector):
         if payload.get("kind") == cls.kind:
             return cls.from_payload(payload)
-    raise ValueError(f"unknown detector kind {payload.get('kind')!r}")
+    raise ValueError(f"checkpoint.kind: unknown detector kind {payload.get('kind')!r}")
 
 
 # -- fitting -------------------------------------------------------------------

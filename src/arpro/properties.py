@@ -82,13 +82,6 @@ class MetricsRecord:
         }
 
 
-def _regions(detector, x_bad: Array, omega: Array):
-    omega_bar = 1.0 - omega
-    s_om_bad = detector.region_score(x_bad, omega)
-    s_ob_bad = detector.region_score(x_bad, omega_bar)
-    return omega_bar, s_om_bad, s_ob_bad
-
-
 def loss_breakdown(detector, x_bad, x_fix, omega, tol: Tolerances, weights: PropertyWeights) -> LossBreakdown:
     """Evaluate the four losses of a repair and their weighted total."""
     return losses_from_metrics(metrics(detector, x_bad, x_fix, omega), tol.delta4, weights)
@@ -109,10 +102,12 @@ def losses_from_metrics(record: MetricsRecord, delta4: float, weights: PropertyW
 class GuidanceState:
     """The guidance gradient of `rows` rows, the part of it that reaches a
     repair: every buffer it uses, and copies of each row's mask `omega`,
-    ``regions`` ``(omega_bar, s_om_bad, s_ob_bad)``, `delta4` and score-term
-    weights ``lambdas = (lambda1, lambda3, lambda4)``, where a scalar serves
-    every row and a column gives one value each. A repair builds one before
-    its loop, then writes the guided iterates into `x` and calls `grad`.
+    `delta4` and score-term weights ``lambdas = (lambda1, lambda3,
+    lambda4)``, where a scalar serves every row and a column gives one value
+    each. From `omega` and `alpha_bad`, the detector's alpha at each row's
+    target, it keeps ``omega_bar = 1 - omega`` and the target's region
+    scores on omega and omega_bar. A repair builds one before its loop, then
+    writes the guided iterates into `x` and calls `grad`.
 
     The masked distance's gradient lies on omega_bar alone, which the infill
     overwrites at every step, so that term is left out (`grad_guidance` adds
@@ -122,7 +117,7 @@ class GuidanceState:
     ``lambda1 + lambda3*[l3>0]*omega + lambda4*[l4>0]*omega_bar``.
     """
 
-    def __init__(self, detector, rows: int, omega, regions, delta4, lambdas):
+    def __init__(self, detector, rows: int, omega, alpha_bad, delta4, lambdas):
         n = detector.n
 
         def own(value, width: int) -> Array:
@@ -130,14 +125,15 @@ class GuidanceState:
             np.copyto(out, value)
             return out
 
-        omega_bar, s_om_bad, s_ob_bad = regions
         lambda1, lambda3, lambda4 = lambdas
         self.detector = detector
         self.ws = detector.workspace(rows)
         self.x = self.ws.x
-        self.omega, self.omega_bar, self.lambda1 = (own(v, n) for v in (omega, omega_bar, lambda1))
-        columns = (s_om_bad, s_ob_bad, delta4, lambda3, lambda4)
-        self.s_om_bad, self.s_ob_bad, self.delta4, self.lambda3, self.lambda4 = (own(v, 1) for v in columns)
+        self.omega, self.lambda1 = own(omega, n), own(lambda1, n)
+        self.omega_bar = 1.0 - self.omega
+        self.s_om_bad = (alpha_bad * self.omega).sum(axis=1, keepdims=True)
+        self.s_ob_bad = (alpha_bad * self.omega_bar).sum(axis=1, keepdims=True)
+        self.delta4, self.lambda3, self.lambda4 = (own(v, 1) for v in (delta4, lambda3, lambda4))
         self.g_alpha, self.term = (np.empty((rows, n)) for _ in range(2))
         self.col, self.on3, self.on4 = (np.empty((rows, 1)) for _ in range(3))
 
@@ -173,10 +169,10 @@ def grad_guidance(detector, x_bad, x_fix, omega, tol: Tolerances, weights: Prope
     x_bad = _check_input(x_bad, detector.n)
     x_fix = _check_input(x_fix, detector.n)
     omega = as_mask(omega, detector.n)
-    regions = _regions(detector, x_bad, omega)
-    state = GuidanceState(detector, 1, omega, regions, tol.delta4, (weights.lambda1, weights.lambda3, weights.lambda4))
+    lambdas = (weights.lambda1, weights.lambda3, weights.lambda4)
+    state = GuidanceState(detector, 1, omega, detector.alpha(x_bad), tol.delta4, lambdas)
     np.copyto(state.x, x_fix)
-    masked = regions[0] * (x_fix - x_bad)
+    masked = state.omega_bar[0] * (x_fix - x_bad)
     return state.grad()[0] + weights.lambda2 * masked / np.sqrt(masked @ masked + L2_SMOOTH_EPS)
 
 
@@ -185,20 +181,19 @@ def metrics(detector, x_bad, x_fix, omega) -> MetricsRecord:
     x_bad = _check_input(x_bad, detector.n)
     x_fix = _check_input(x_fix, detector.n)
     omega = as_mask(omega, detector.n)
-    regions = _regions(detector, x_bad, omega)
-    return scored_metrics(detector.alpha(x_fix), x_fix, x_bad, omega, regions)
+    return scored_metrics(detector.alpha(x_fix), detector.alpha(x_bad), x_fix, x_bad, omega)
 
 
-def scored_metrics(alpha_fix: Array, x_fix: Array, x_bad: Array, omega: Array, regions) -> MetricsRecord:
-    """The four metrics of a repair from the detector's alpha at x_fix, whose
-    sum is the score, and the target's ``_regions``, so a caller that already
-    scored either side does not score it again."""
-    omega_bar, s_om_bad, s_ob_bad = regions
+def scored_metrics(alpha_fix: Array, alpha_bad: Array, x_fix: Array, x_bad: Array, omega: Array) -> MetricsRecord:
+    """The four metrics of a repair from the detector's alpha at x_fix and at
+    x_bad, whose sums over omega and omega_bar are the region scores, so a
+    caller that already scored either side does not score it again."""
+    omega_bar = 1.0 - omega
     return MetricsRecord(
         m_s=float(alpha_fix.sum()),
         m_d=float(np.linalg.norm(omega_bar * (x_fix - x_bad))),
-        m_omega=float((alpha_fix * omega).sum()) - s_om_bad,
-        m_omega_bar=float((alpha_fix * omega_bar).sum()) - s_ob_bad,
+        m_omega=float((alpha_fix * omega).sum()) - float((alpha_bad * omega).sum()),
+        m_omega_bar=float((alpha_fix * omega_bar).sum()) - float((alpha_bad * omega_bar).sum()),
     )
 
 

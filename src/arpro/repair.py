@@ -25,13 +25,13 @@ The loop allocates its arrays once per repair: the denoiser forward runs in a
 table, and the iterate, the posterior mean and the noised target each have
 one buffer, as does each stream's noise. The guidance gradient runs in a
 `properties.GuidanceState`, built before the loop for the rows whose ramp is
-nonzero at some step: their operands, the detector's workspace and every
-buffer of the gradient. It leaves out the masked distance, whose gradient
-lies on the omega_bar entries that the infill overwrites. A step at which
-any guided row has a nonzero weight gathers their iterates straight into
-that workspace's input; a row at weight 0 then takes ``xhat - 0 * grad``,
-the bits of xhat for a finite gradient.
-Every update runs in place one operation at a time, in the order its
+nonzero at some step: their masks, weights and targets' alphas, the
+detector's workspace and every buffer of the gradient. It leaves out the
+masked distance, whose gradient lies on the omega_bar entries that the
+infill overwrites. A step at which any guided row has a nonzero weight
+gathers their iterates straight into that workspace's input; a row at
+weight 0 then takes ``xhat - 0 * grad``, the bits of xhat for a finite
+gradient. Every update runs in place one operation at a time, in the order its
 expression evaluates, so the bits are those of the expression.
 """
 
@@ -230,14 +230,11 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
         return np.array(values, dtype=np.float64)[:, None]
 
     alpha_bad = detector.alpha_batch(x_bad)
-    s_om_bad = (alpha_bad * omega).sum(axis=1, keepdims=True)
-    s_ob_bad = (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
     delta4 = column([row.cfg.delta4 for row in rows])
     lambdas = [column([getattr(row.cfg, f"lambda{k}") for row in rows]) for k in (1, 3, 4)]
     guided = np.flatnonzero(eta.any(axis=1))
     eta_guided, update = eta[guided], np.empty((guided.size, n))
-    regions = (omega_bar[guided], s_om_bad[guided], s_ob_bad[guided])
-    state = GuidanceState(detector, guided.size, omega[guided], regions, delta4[guided],
+    state = GuidanceState(detector, guided.size, omega[guided], alpha_bad[guided], delta4[guided],
                           [lam[guided] for lam in lambdas]) if guided.size else None
 
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
@@ -302,8 +299,7 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
         alpha_fix = detector.alpha_batch(x)
         results = []
         for r, row in enumerate(rows):
-            regions = (omega_bar[r], float(s_om_bad[r, 0]), float(s_ob_bad[r, 0]))
-            scores = scored_metrics(alpha_fix[r], x[r], x_bad[r], omega[r], regions)
+            scores = scored_metrics(alpha_fix[r], alpha_bad[r], x[r], x_bad[r], omega[r])
             loss = losses_from_metrics(scores, row.cfg.delta4, row.cfg)
             if not np.all(np.isfinite([*loss.as_dict().values(), *scores.as_dict().values()])):
                 raise ValueError(f"repair {row.cfg.stream_tag}: the final iterate's losses or metrics are non-finite")

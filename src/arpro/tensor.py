@@ -33,7 +33,7 @@ faults its pages in again, and the faults cost as much as the arithmetic.
 `fit` owns the working copy, its workspace and the flat parameter gradient
 that matches `Mlp.flat`, the one vector the weights and biases view;
 `AdamW` keeps its scratch arrays and updates the working copy's flat
-vector in cache-sized `chunks`. A one-off forward pass
+vector in cache-sized slices. A one-off forward pass
 runs `ONE_OFF_ROWS` rows at a time through a workspace of its own.
 """
 
@@ -51,6 +51,9 @@ Array = np.ndarray
 # 128 KiB, so the six arrays one chunk's update passes over (parameter,
 # gradient, two moments, two scratch) take 768 KiB of a 2 MiB L2 cache.
 CHUNK = 32768
+# AdamW's moment decay rates and the offset of its denominator (Kingma & Ba
+# 2015); every network trains with these.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 # `fit` trains in this precision. Unlike fp16, float32 needs no float64
 # master copy to keep small updates from underflowing (Micikevicius et al.
@@ -78,12 +81,6 @@ def _sigmoid(x: Array, out: Array | None = None, scratch: Array | None = None) -
     num = np.maximum(e, num, out=out)
     e += 1.0
     return np.divide(num, e, out=num)
-
-
-def chunks(flat: Array) -> list[Array]:
-    """Consecutive views of `CHUNK` elements of a 1-D array (the last may be
-    shorter), the parameter lists `AdamW` gets for the flat vectors."""
-    return [flat[i : i + CHUNK] for i in range(0, flat.size, CHUNK)]
 
 
 # -- random streams ----------------------------------------------------------
@@ -127,7 +124,7 @@ class Mlp:
     When `time_embed` is set, the embedding of the step index is concatenated
     to the input before the first layer, so the first weight matrix has
     ``in_dim + time_embed`` rows. The weights and biases are views of `flat`,
-    a vector of `dtype`, in `parameters()` order. The weights are drawn from
+    a vector of `dtype`, in `views` order. The weights are drawn from
     the (seed, stream_name) stream; with `seed` None every parameter starts
     at zero, for a caller that writes them all, such as a checkpoint load.
     """
@@ -164,8 +161,9 @@ class Mlp:
             np.multiply(g.standard_normal(w.shape), math.sqrt(gain / w.shape[0]), out=w)
 
     def views(self, flat: Array) -> list[Array]:
-        """Arrays shaped like `parameters()`, in that order, viewing
-        consecutive slices of `flat`, a vector the size of `self.flat`."""
+        """The weights and biases interleaved layer by layer, as arrays
+        viewing consecutive slices of `flat`, a vector the size of
+        `self.flat`; `backward` writes its gradients in this order."""
         out, start = [], 0
         for fan_in, fan_out in zip(self.dims, self.dims[1:]):
             for shape in ((fan_in, fan_out), (fan_out,)):
@@ -173,11 +171,6 @@ class Mlp:
                 out.append(flat[start:stop].reshape(shape))
                 start = stop
         return out
-
-    def parameters(self) -> list[Array]:
-        """Weights and biases interleaved layer by layer; `backward` and
-        `AdamW` use the same order."""
-        return self.views(self.flat)
 
     def layer_dims(self) -> list[dict]:
         last = len(self.weights) - 1
@@ -285,8 +278,8 @@ class Mlp:
 
     def backward(self, ws: Workspace, g_out: Array, grads: list[Array]) -> list[Array]:
         """Parameter gradients of ``sum(g_out * output)`` for the pass last
-        run in `ws` with derivatives, written into `grads` (arrays shaped like
-        `parameters()`, such as ``net.views(flat)``) and returned. The
+        run in `ws` with derivatives, written into `grads` (the arrays of
+        ``net.views(flat)``) and returned. The
         gradient chain runs in the workspace's buffers."""
         g = self._output_grad(ws, g_out)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -373,69 +366,52 @@ class Workspace:
 
 
 class AdamW:
-    """Adam with decoupled weight decay, updating parameter arrays in place.
+    """Adam with decoupled weight decay, updating one parameter vector `flat`
+    in place.
 
     The decay multiplies parameters by ``1 - lr*weight_decay`` independently of
     the moment-based update, so a zero gradient with nonzero decay still
-    shrinks the weights. The moments are kept scaled, ``m/(1-beta1)`` and
-    ``v/(1-beta2)``, so each is updated by one multiply and one add, and those
+    shrinks the weights. The moments are kept scaled, ``m/(1-BETA1)`` and
+    ``v/(1-BETA2)``, so each is updated by one multiply and one add, and those
     factors are folded into the step size and eps together with the bias
-    corrections ``c_i = 1 - beta_i**t`` (Kingma & Ba 2015, §2): with ``r2 =
-    sqrt(c2/(1-beta2))``, ``p -= lr*(1-beta1)*r2/c1 * m / (sqrt(v) +
-    eps*r2)``. The moments and the update have the parameters' dtype, and
-    each gradient must have its parameter's. A step allocates no array: it
-    works in scratch arrays the size of the largest parameter.
+    corrections ``c_i = 1 - BETA_i**t`` (Kingma & Ba 2015, §2): with ``r2 =
+    sqrt(c2/(1-BETA2))``, ``p -= lr*(1-BETA1)*r2/c1 * m / (sqrt(v) +
+    EPS*r2)``. The moments and the update have the vector's dtype, which the
+    gradient must have too. A step allocates no array: it walks the
+    vectors in `CHUNK`-sized slices through two scratch arrays of that size.
     """
 
-    def __init__(
-        self,
-        params: Sequence[Array],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, flat: Array, lr: float = 1e-3, weight_decay: float = 0.0):
         if not (0.0 <= lr < math.inf):
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
-        if not (0.0 <= beta1 < 1.0) or not (0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
         if not (0.0 <= weight_decay < math.inf):
             raise ValueError(f"weight decay must be finite and nonnegative, got {weight_decay}")
-        self.params = list(params)
+        self.flat = flat
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
         self.t = 0
-        size = max((p.size for p in self.params), default=0)
-        dtype = self.params[0].dtype if self.params else np.float64
-        a, b = np.empty(size, dtype), np.empty(size, dtype)
-        self._scratch = [(a[: p.size].reshape(p.shape), b[: p.size].reshape(p.shape)) for p in self.params]
+        self._a, self._b = (np.empty(min(CHUNK, flat.size), flat.dtype) for _ in range(2))
 
-    def step(self, grads: Sequence[Array]) -> None:
-        """One update from `grads`, given in the order of the parameters."""
-        if len(grads) != len(self.params):
-            raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            if np.shape(g) != p.shape:
-                raise ValueError(f"gradient {i} has shape {np.shape(g)}, its parameter {p.shape}")
-            if np.asarray(g).dtype != p.dtype:
-                raise ValueError(f"gradient {i} has dtype {np.asarray(g).dtype}, its parameter {p.dtype}")
+    def step(self, grad: Array) -> None:
+        """One update from `grad`, the gradient of the whole vector."""
+        if grad.shape != self.flat.shape or grad.dtype != self.flat.dtype:
+            raise ValueError(
+                f"gradient of shape {grad.shape} and dtype {grad.dtype} does not match "
+                f"the parameter vector's {self.flat.shape} and {self.flat.dtype}"
+            )
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        r2 = math.sqrt((1.0 - self.beta2 ** self.t) / (1.0 - self.beta2))
-        step = self.lr * (1.0 - self.beta1) * r2 / c1
-        eps_hat = self.eps * r2
-        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
-            m *= self.beta1
+        c1 = 1.0 - BETA1 ** self.t
+        r2 = math.sqrt((1.0 - BETA2 ** self.t) / (1.0 - BETA2))
+        step = self.lr * (1.0 - BETA1) * r2 / c1
+        eps_hat = EPS * r2
+        for start in range(0, self.flat.size, CHUNK):
+            part = slice(start, start + CHUNK)
+            p, g, m, v = self.flat[part], grad[part], self.m[part], self.v[part]
+            a, b = self._a[: p.size], self._b[: p.size]
+            m *= BETA1
             m += g
-            v *= self.beta2
+            v *= BETA2
             np.multiply(g, g, out=a)
             v += a
             if self.weight_decay != 0.0:
@@ -487,7 +463,7 @@ def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str
     batch into that workspace `ws` (`ws.x`, and `ws.emb` for a
     step-conditioned net) and returns its target rows. The parameter
     gradients go into one flat vector, from which AdamW updates the working
-    copy's `flat` in `chunks`. After the last step the working copy's
+    copy's `flat`. After the last step the working copy's
     displacement from its cast start is added to the float64 `net.flat`,
     so a fit that moves no weight (at ``lr=0``, say) returns `net` bit for
     bit. Non-finite parameters after the last step, a diverged fit that no
@@ -496,12 +472,12 @@ def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str
     work = Mlp(net.in_dim, net.dims[1:-1], net.out_dim, time_embed=net.time_embed, seed=None, dtype=TRAIN_DTYPE)
     work.flat[...] = net.flat
     ws = Workspace(work, rows, steps=steps)
-    opt = AdamW(chunks(work.flat), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(work.flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
     grad = np.empty_like(work.flat)
-    grads, grad_chunks = work.views(grad), chunks(grad)
+    grads = work.views(grad)
     for _ in range(cfg.steps):
         work.mse_grads(ws, batch(ws), grads)
-        opt.step(grad_chunks)
+        opt.step(grad)
     net.flat += work.flat - net.flat.astype(TRAIN_DTYPE)
     if not np.isfinite(net.flat).all():
         raise ValueError(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,3 +216,77 @@ class TestCheckpointNumbers:
         self._models()[kind].save(path)
         self._load(kind, path).save(again)
         assert again.read_bytes() == path.read_bytes()
+
+
+# Each leaf of a written checkpoint is replaced by each of these in turn.
+MUTATIONS = [0, -1, 10**12, 1e200, 2.5, "x", None, True, [], {}]
+
+FUZZ_CONFIG = {
+    "data": {"kind": "ts", "n_features": 2, "window_len": 8, "n_train": 20, "n_test": 2, "start_jitter": 8.0,
+             "anomalies": [{"kind": "spike", "magnitude": 1.5, "extent": 0.15}]},
+    "detector": {"hidden": [3], "steps": 2},
+    "diffusion": {"T": 3, "hidden": [4], "time_embed": 4, "steps": 2},
+}
+
+
+def _leaves(value, path=()):
+    """(key path, dotted name) of every leaf of a JSON document; the base64
+    `data` blob is one leaf."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _leaves(item, (*path, key))
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path, "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+@pytest.fixture(scope="module")
+def written_checkpoints(tmp_path_factory):
+    """A gauss detector, a recon detector and a denoiser, written by the CLI."""
+    from arpro.cli import main
+
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "config.json"
+    config.write_text(json.dumps(FUZZ_CONFIG))
+    common = ["--seed", "1", "--config", str(config)]
+    data = str(root / "data")
+    assert main(["gen-data", "--out", data, *common]) == 0
+    for kind in ("gauss", "recon"):
+        assert main(["train-detector", "--kind", kind, "--input", data, "--out", str(root / kind), *common]) == 0
+    assert main(["train-diffusion", "--input", data, "--out", str(root / "denoiser"), *common]) == 0
+    return {"gauss": root / "gauss" / "detector.json", "recon": root / "recon" / "detector.json",
+            "denoiser": root / "denoiser" / "denoiser.json"}
+
+
+class TestOneLeafMutations:
+    """Every checkpoint with one leaf replaced either loads, to a detector
+    whose alpha of a finite row is finite, or fails with a ValueError that
+    names the file and a key of the checkpoint; no other exception, a
+    MemoryError least of all, escapes the loaders the CLI calls."""
+
+    @pytest.mark.parametrize("kind", ["gauss", "recon", "denoiser"])
+    def test_each_leaf_each_value(self, tmp_path, written_checkpoints, kind):
+        original = json.loads(written_checkpoints[kind].read_text())
+        load = Denoiser.load if kind == "denoiser" else load_detector
+        path = tmp_path / "mutated.json"
+        for keys, name in _leaves(original):
+            for value in MUTATIONS:
+                payload = json.loads(json.dumps(original))
+                target = payload
+                for key in keys[:-1]:
+                    target = target[key]
+                target[keys[-1]] = value
+                path.write_text(json.dumps(payload))
+                case = f"checkpoint{name} = {value!r}"
+                try:
+                    model = load(path)
+                except ValueError as exc:
+                    message = str(exc)
+                    assert message.startswith(f"{path}: "), (case, message)
+                    named = re.search(r"checkpoint\.(\w+)", message)
+                    assert named and named.group(1) in original, (case, message)
+                    continue
+                if kind != "denoiser":
+                    assert np.isfinite(model.alpha(np.zeros(model.n))).all(), case

@@ -268,12 +268,12 @@ class TestValidationFailures:
         assert message.format(paths[which]) in capsys.readouterr().err
 
     @pytest.mark.parametrize("source,edit,message", [
-        ("denoiser", dict, "{}: unknown detector kind 'denoiser'"),
-        ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: unknown detector kind 'denoiser'"),
+        ("denoiser", dict, "{}: checkpoint.kind: unknown detector kind 'denoiser'"),
+        ("detector", lambda p: {**p, "kind": "denoiser"}, "{}: checkpoint.kind: unknown detector kind 'denoiser'"),
         ("detector", lambda p: {k: v for k, v in p.items() if k != "n"}, "{}: checkpoint lacks required key 'n'"),
-        ("detector", lambda p: {**p, "n": 25}, "{}: checkpoint data holds 48 values, expected 50"),
+        ("detector", lambda p: {**p, "n": 25}, "{}: checkpoint.data holds 48 values, expected 50"),
         ("detector", lambda p: {**p, "n": None}, "{}: checkpoint.n must be an int, got None"),
-        ("detector", lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
+        ("detector", lambda p: {**p, "data": 5}, "{}: checkpoint.data must be a base64 string, got int"),
     ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data", "null-n", "int-data"])
     def test_wrong_kind_or_malformed_detector_exits_1(self, workspace, tmp_path, capsys, source, edit, message):
         _, config, data_dir, models = workspace
@@ -289,22 +289,26 @@ class TestValidationFailures:
         (lambda p: {**p, "schedule": {**p["schedule"], "b_start": 0.5, "b_end": 0.1}},
          "{}: checkpoint.schedule: need 0 < b_start <= b_end < 1, got (0.5, 0.1)"),
         (lambda p: {**p, "data": base64.b64encode(base64.b64decode(p["data"])[:-8]).decode()},
-         "{}: checkpoint data holds 1207 values, expected 1208"),
+         "{}: checkpoint.data holds 1207 values, expected 1208"),
         (lambda p: {**p, "layers": [{**p["layers"][0], "act": "relu"}, *p["layers"][1:]]},
-         "{}: layer activations must be ['silu', 'silu', 'linear'], got ['relu', 'silu', 'linear']"),
+         "{}: checkpoint.layers: layer activations must be ['silu', 'silu', 'linear'], got ['relu', 'silu', 'linear']"),
         (lambda p: {**p, "time_embed": None, "in_dim": 32},
          "{}: denoiser input and output dimensions must match"),
         (lambda p: {**p, "schedule": {**p["schedule"], "T": None}},
          "{}: checkpoint.schedule.T must be an int, got None"),
-        (lambda p: {**p, "data": 5}, "{}: checkpoint data must be a base64 string, got int"),
+        (lambda p: {**p, "data": 5}, "{}: checkpoint.data must be a base64 string, got int"),
         (lambda p: {**p, "schedule": {**p["schedule"], "T": MAX_T + 1}},
          f"{{}}: checkpoint.schedule: step count T must be <= {MAX_T}, got {MAX_T + 1}"),
         (lambda p: {**p, "data": "!!!!"}, "{}: checkpoint.data: Only base64 data is allowed"),
         (lambda p: {**p, "data": "AAAA"},
          "{}: checkpoint.data: buffer size must be a multiple of element size"),
         (lambda p: {**p, "data": "abc"}, "{}: checkpoint.data: Incorrect padding"),
+        # Layers of 10**12 units would need 49 * 10**12 parameters; the blob is checked before any is allocated.
+        (lambda p: {**p, "layers": [{**p["layers"][0], "out": 10**12}, {**p["layers"][1], "in": 10**12},
+                                    *p["layers"][2:]]},
+         "{}: checkpoint.data holds 1208 values, expected 49000000000424"),
     ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data", "T-above-cap",
-            "data-not-base64", "data-partial-value", "data-bad-padding"])
+            "data-not-base64", "data-partial-value", "data-bad-padding", "huge-layers"])
     def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
         _, config, data_dir, models = workspace
         broken = tmp_path / "broken-denoiser.json"

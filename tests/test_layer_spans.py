@@ -38,3 +38,5 @@ def test_training_commands_record_their_layer_spans(tmp_path):
     # The training spans' sizes are the step counts that the per-step metrics divide by.
     assert recorded["detector.fit_recon"] == [3]
     assert recorded["diffusion.train"] == [4]
+    # One span per optimizer step: the autoencoder's 3, then the denoiser's 4.
+    assert len(recorded["tensor.adamw_step"]) == 3 + 4

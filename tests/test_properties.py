@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arpro.detector import GaussDetector, fit_gauss
+from arpro.detector import GaussDetector, ReconDetector, fit_gauss
 from arpro.properties import (
     LossBreakdown,
     MetricsRecord,
@@ -16,7 +16,7 @@ from arpro.properties import (
     satisfaction_rate,
     tnr,
 )
-from arpro.tensor import stream
+from arpro.tensor import Mlp, stream
 
 from conftest import central_diff, max_rel_err
 
@@ -167,6 +167,30 @@ class TestMetrics:
             assert m.m_omega + m.m_omega_bar == pytest.approx(
                 det.score(x_fix).total - det.score(x_bad).total, rel=1e-9, abs=1e-9
             )
+
+
+class TestScoresTheTargetOnce:
+    """The one-row `metrics` and `grad_guidance` score x_bad once and the
+    repair once: two `alpha_with_vjp` calls, for either detector kind."""
+
+    @pytest.mark.parametrize("kind", ["gauss", "recon"])
+    @pytest.mark.parametrize("call", [
+        lambda det, x_bad, x_fix, omega: metrics(det, x_bad, x_fix, omega),
+        lambda det, x_bad, x_fix, omega: grad_guidance(det, x_bad, x_fix, omega, *DEFAULTS),
+    ], ids=["metrics", "grad_guidance"])
+    def test_two_alpha_calls(self, monkeypatch, kind, call):
+        det = unit_gauss(6) if kind == "gauss" else ReconDetector(Mlp(6, [4], 6, seed=0))
+        g = stream(27, f"score-once-{kind}")
+        calls = []
+        alpha_with_vjp = type(det).alpha_with_vjp
+
+        def counted(self, x, ws=None):
+            calls.append(x)
+            return alpha_with_vjp(self, x, ws)
+
+        monkeypatch.setattr(type(det), "alpha_with_vjp", counted)
+        call(det, g.standard_normal(6), g.standard_normal(6), np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
+        assert len(calls) == 2
 
 
 class TestSatisfaction:

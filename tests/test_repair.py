@@ -472,17 +472,14 @@ class TestBatchHeightsAtBenchmarkShapes:
         x = g.standard_normal((rows, n))
         x_bad = g.standard_normal((rows, n))
         omega = (g.uniform(size=(rows, n)) < 0.1).astype(np.float64)
-        alpha_bad = det.alpha_batch(x_bad)
         per_row = (
-            x, omega, 1.0 - omega,
-            (alpha_bad * omega).sum(axis=1, keepdims=True),
-            (alpha_bad * (1.0 - omega)).sum(axis=1, keepdims=True),
+            x, omega, det.alpha_batch(x_bad),
             g.uniform(0.0, 1.0, size=(rows, 1)),
             *(g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(3)),
         )
 
-        def guide(x, omega, omega_bar, s_om_bad, s_ob_bad, delta4, *lambdas):
-            return guidance_grad(det, x, omega, (omega_bar, s_om_bad, s_ob_bad), delta4, lambdas)
+        def guide(x, omega, alpha_bad, delta4, *lambdas):
+            return guidance_grad(det, x, omega, alpha_bad, delta4, lambdas)
 
         full = guide(*per_row)
         for height in HEIGHTS[:-1]:
@@ -507,8 +504,6 @@ def _step_by_step_repair(det, den, rows):
     omega_bar = 1.0 - omega
     eta = np.stack([make_guidance_schedule(sched.T, row.cfg.eta_start, row.cfg.eta_end) for row in rows])
     alpha_bad = det.alpha_batch(x_bad)
-    s_om_bad = (alpha_bad * omega).sum(axis=1, keepdims=True)
-    s_ob_bad = (alpha_bad * omega_bar).sum(axis=1, keepdims=True)
     delta4 = np.array([[row.cfg.delta4] for row in rows])
     lambdas = [np.array([[getattr(row.cfg, f"lambda{k}")] for row in rows]) for k in (1, 3, 4)]
     keys = list(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))
@@ -535,9 +530,7 @@ def _step_by_step_repair(det, den, rows):
             xhat = xhat + sched.sigma[t - 1] * z()
         sel = np.flatnonzero(eta[:, t - 1])
         if sel.size:
-            grad = guidance_grad(det, x[sel], omega[sel],
-                                 (omega_bar[sel], s_om_bad[sel], s_ob_bad[sel]),
-                                 delta4[sel], [lam[sel] for lam in lambdas])
+            grad = guidance_grad(det, x[sel], omega[sel], alpha_bad[sel], delta4[sel], [lam[sel] for lam in lambdas])
             xhat[sel] = xhat[sel] - eta[sel, t - 1, None] * grad
         eps_t = eps()
         level = t - 1 if level_matched else t
@@ -633,20 +626,22 @@ class TestFinalIterateBound:
             guided_repair(det, Denoiser(net, den.schedule), x_bad, omega, RepairConfig(stream_tag="huge"))
 
 
-def guidance_grad(det, x, omega, regions, delta4, lambdas):
+def guidance_grad(det, x, omega, alpha_bad, delta4, lambdas):
     """The guidance gradient at `x`, one vector or a batch of rows, from a
     `GuidanceState` built for its rows and called once."""
-    state = GuidanceState(det, len(x) if np.ndim(x) == 2 else 1, omega, regions, delta4, lambdas)
+    state = GuidanceState(det, len(x) if np.ndim(x) == 2 else 1, omega, alpha_bad, delta4, lambdas)
     np.copyto(state.x, x)
     return state.grad().reshape(np.shape(x))
 
 
-def _expression_guidance(det, x, omega, regions, delta4, lambdas):
+def _expression_guidance(det, x, omega, alpha_bad, delta4, lambdas):
     """The repair's guidance gradient, the score terms, as plain expressions,
     each allocating its result; `GuidanceState.grad` must give the same
     bits."""
     lambda1, lambda3, lambda4 = lambdas
-    omega_bar, s_om_bad, s_ob_bad = regions
+    omega_bar = 1.0 - omega
+    s_om_bad = (alpha_bad * omega).sum(axis=-1, keepdims=True)
+    s_ob_bad = (alpha_bad * omega_bar).sum(axis=-1, keepdims=True)
     alpha, vjp = det.alpha_with_vjp(x)
     on3 = ((alpha * omega).sum(axis=-1, keepdims=True) - s_om_bad > 0.0).astype(np.float64)
     on4 = ((alpha * omega_bar).sum(axis=-1, keepdims=True) - s_ob_bad - delta4 > 0.0).astype(np.float64)
@@ -669,24 +664,23 @@ BENCHMARK_DETECTORS = _benchmark_detectors()
 
 def _guidance_operands(det, rows: int, seed: int):
     """Random iterates and per-row guidance operands for `rows` rows, in
-    `guidance_grad`'s order after `x`; the target's region scores are scaled
-    by 0.8 to 1.6, so each hinge is on for some rows and off for others."""
+    `guidance_grad`'s order after `x`; the target's alphas on omega and on
+    omega_bar are scaled by 0.8 to 1.6 each, so each hinge is on for some
+    rows and off for others."""
     n = det.n
     g = stream(seed, f"guidance-operands-{rows}")
     x_bad = g.standard_normal((rows, n))
     omega = (g.uniform(size=(rows, n)) < 0.2).astype(np.float64)
-    alpha_bad = det.alpha_batch(x_bad)
-    regions = (1.0 - omega,
-               (alpha_bad * omega).sum(axis=1, keepdims=True) * g.uniform(0.8, 1.6, size=(rows, 1)),
-               (alpha_bad * (1.0 - omega)).sum(axis=1, keepdims=True) * g.uniform(0.8, 1.6, size=(rows, 1)))
+    scale = np.where(omega == 1.0, g.uniform(0.8, 1.6, size=(rows, 1)), g.uniform(0.8, 1.6, size=(rows, 1)))
+    alpha_bad = det.alpha_batch(x_bad) * scale
     lambdas = [g.uniform(0.1, 2.0, size=(rows, 1)) for _ in range(3)]
     iterates = [x_bad + g.normal(0.0, 0.5, size=(rows, n)) for _ in range(3)]
-    return iterates, (omega, regions, g.uniform(0.0, 1.0, size=(rows, 1)), lambdas)
+    return iterates, (omega, alpha_bad, g.uniform(0.0, 1.0, size=(rows, 1)), lambdas)
 
 
 def _select(operands, keep):
-    omega, regions, delta4, lambdas = operands
-    return (omega[keep], tuple(a[keep] for a in regions), delta4[keep], [lam[keep] for lam in lambdas])
+    omega, alpha_bad, delta4, lambdas = operands
+    return (omega[keep], alpha_bad[keep], delta4[keep], [lam[keep] for lam in lambdas])
 
 
 class TestGuidanceState:
@@ -715,10 +709,9 @@ class TestGuidanceState:
     def test_vector_call_matches_its_row(self, kind):
         det = BENCHMARK_DETECTORS[kind]
         iterates, operands = _guidance_operands(det, 3, seed=4)
-        omega, regions, delta4, lambdas = operands
+        omega, alpha_bad, delta4, lambdas = operands
         grad = guidance_grad(det, iterates[0], *operands)
-        vector = guidance_grad(det, iterates[0][1], omega[1],
-                               (regions[0][1], float(regions[1][1, 0]), float(regions[2][1, 0])),
+        vector = guidance_grad(det, iterates[0][1], omega[1], alpha_bad[1],
                                float(delta4[1, 0]), [float(lam[1, 0]) for lam in lambdas])
         assert vector.shape == (det.n,)
         assert np.array_equal(vector, grad[1])

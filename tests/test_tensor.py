@@ -14,7 +14,6 @@ from arpro.tensor import (
     AdamW,
     Mlp,
     Workspace,
-    chunks,
     fit,
     stream,
     time_embedding,
@@ -120,7 +119,7 @@ def _probe(hidden, time_embed, height, seed):
 def _param_fd(net, loss):
     """Central differences of loss() with respect to each parameter array."""
     out = []
-    for p in net.parameters():
+    for p in net.views(net.flat):
         saved = p.copy()
 
         def f(v):
@@ -270,39 +269,35 @@ class _ReferenceAdamW:
 
 class TestAdamW:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_matches_reference_bit_for_bit(self, weight_decay):
-        g = stream(12, f"adamw-ref-{weight_decay}")
-        shapes = [(4, 3), (5,), (1,)]
-        start = [g.standard_normal(shape) for shape in shapes]
-        params = [p.copy() for p in start]
-        ref_params = [p.copy() for p in start]
-        opt = AdamW(params, lr=3e-2, weight_decay=weight_decay)
-        ref = _ReferenceAdamW(ref_params, lr=3e-2, weight_decay=weight_decay)
+    @pytest.mark.parametrize("size", [18, CHUNK, 2 * CHUNK + 5])
+    def test_matches_reference_bit_for_bit(self, size, weight_decay):
+        # One short slice, one full slice, and three slices with a short last one.
+        g = stream(12, f"adamw-ref-{size}-{weight_decay}")
+        start = g.standard_normal(size)
+        flat, ref_flat = start.copy(), start.copy()
+        opt = AdamW(flat, lr=3e-2, weight_decay=weight_decay)
+        ref = _ReferenceAdamW([ref_flat], lr=3e-2, weight_decay=weight_decay)
         for _ in range(30):
-            grads = [g.standard_normal(shape) for shape in shapes]
-            opt.step(grads)
-            ref.step(grads)
-        for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
-            for a, b in zip(got, want, strict=True):
-                assert np.array_equal(a, b)
-        assert not np.array_equal(params[0], start[0])
+            grad = g.standard_normal(size)
+            opt.step(grad)
+            ref.step([grad])
+        for a, b in ((flat, ref_flat), (opt.m, ref.m[0]), (opt.v, ref.v[0])):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(flat, start)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_folded_form_matches_textbook_up_to_rounding(self, weight_decay):
         g = stream(13, f"adamw-textbook-{weight_decay}")
-        shapes = [(40, 30), (30,)]
-        start = [g.standard_normal(shape) for shape in shapes]
-        params = [p.copy() for p in start]
-        ref_params = [p.copy() for p in start]
-        opt = AdamW(params, lr=3e-2, weight_decay=weight_decay)
-        ref = _ReferenceAdamW(ref_params, lr=3e-2, weight_decay=weight_decay, textbook=True)
+        start = g.standard_normal(1230)
+        flat, ref_flat = start.copy(), start.copy()
+        opt = AdamW(flat, lr=3e-2, weight_decay=weight_decay)
+        ref = _ReferenceAdamW([ref_flat], lr=3e-2, weight_decay=weight_decay, textbook=True)
         for _ in range(200):
-            grads = [g.standard_normal(shape) for shape in shapes]
-            opt.step(grads)
-            ref.step(grads)
-        for a, b in zip(params, ref_params, strict=True):
-            assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
-        assert not np.array_equal(params[0], start[0])
+            grad = g.standard_normal(1230)
+            opt.step(grad)
+            ref.step([grad])
+        assert np.allclose(flat, ref_flat, rtol=1e-10, atol=1e-12)
+        assert not np.array_equal(flat, start)
 
     def test_step_allocates_no_parameter_sized_array(self):
         # The image denoiser's shape: 256 -> 256 -> 256 -> 256 with a 32-wide
@@ -310,13 +305,14 @@ class TestAdamW:
         net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
         g = stream(0, "adamw-alloc")
         ws, _ = _forward_in(net, g.standard_normal((64, 256)), g.integers(1, 100, size=64))
-        grads = net.mse_grads(ws, g.standard_normal((64, 256)), _grads(net))
-        opt = AdamW(net.parameters(), weight_decay=0.01)
-        opt.step(grads)
+        grad = np.empty_like(net.flat)
+        net.mse_grads(ws, g.standard_normal((64, 256)), net.views(grad))
+        opt = AdamW(net.flat, weight_decay=0.01)
+        opt.step(grad)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            opt.step(grads)
+            opt.step(grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -324,69 +320,63 @@ class TestAdamW:
 
     def test_gradient_shape_must_match_parameter(self):
         w = np.array([1.0, 2.0, 3.0])
-        opt = AdamW([np.zeros((2, 2)), w])
-        with pytest.raises(ValueError, match=r"gradient 1 has shape \(1,\), its parameter \(3,\)"):
-            opt.step([np.zeros((2, 2)), np.array([1.0])])
+        opt = AdamW(w)
+        with pytest.raises(ValueError, match=r"gradient of shape \(1,\) and dtype float64 does not match "
+                                             r"the parameter vector's \(3,\) and float64"):
+            opt.step(np.array([1.0]))
         assert np.array_equal(w, [1.0, 2.0, 3.0]) and opt.t == 0
 
     def test_gradient_dtype_must_match_parameter(self):
         # A float64 gradient for float32 moments would be rounded into them
         # without a word.
         w = np.array([1.0, 2.0], dtype=np.float32)
-        opt = AdamW([np.zeros(3, np.float32), w])
-        with pytest.raises(ValueError, match="gradient 1 has dtype float64, its parameter float32"):
-            opt.step([np.zeros(3, np.float32), np.array([0.5, 0.5])])
+        opt = AdamW(w)
+        with pytest.raises(ValueError, match=r"gradient of shape \(2,\) and dtype float64 does not match "
+                                             r"the parameter vector's \(2,\) and float32"):
+            opt.step(np.array([0.5, 0.5]))
         assert np.array_equal(w, [1.0, 2.0]) and opt.t == 0
 
     def test_no_parameters(self):
-        opt = AdamW([])
-        opt.step([])
+        opt = AdamW(np.zeros(0))
+        opt.step(np.zeros(0))
         assert opt.t == 1
 
     def test_single_step_hand_derived(self):
         # One bias-corrected step at w=1, g=1: m_hat = v_hat = 1, so the
         # update is lr / (1 + eps).
         w = np.array([1.0])
-        opt = AdamW([w], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
-        opt.step([np.array([1.0])])
+        opt = AdamW(w, lr=0.1, weight_decay=0.0)
+        opt.step(np.array([1.0]))
         expected = 1.0 - 0.1 / (1.0 + 1e-8)
         assert np.allclose(w, [expected], rtol=0, atol=1e-15)
 
     def test_zero_gradient_no_decay_is_identity(self):
         w = np.array([1.5, -2.0])
-        opt = AdamW([w], lr=0.1)
-        opt.step([np.zeros(2)])
+        opt = AdamW(w, lr=0.1)
+        opt.step(np.zeros(2))
         assert np.array_equal(w, [1.5, -2.0])
 
     def test_decoupled_decay(self):
         w = np.array([1.0])
-        opt = AdamW([w], lr=0.1, weight_decay=0.1)
-        opt.step([np.array([0.0])])
+        opt = AdamW(w, lr=0.1, weight_decay=0.1)
+        opt.step(np.array([0.0]))
         assert np.allclose(w, [0.99], rtol=0, atol=1e-15)
 
     def test_zero_lr_is_identity(self):
         w = np.array([3.0])
-        opt = AdamW([w], lr=0.0, weight_decay=0.5)
-        opt.step([np.array([7.0])])
+        opt = AdamW(w, lr=0.0, weight_decay=0.5)
+        opt.step(np.array([7.0]))
         assert np.array_equal(w, [3.0])
 
     def test_invalid_hyperparameters(self):
         w = np.array([1.0])
-        with pytest.raises(ValueError, match="gradients"):
-            AdamW([w]).step([])
         with pytest.raises(ValueError):
-            AdamW([w], lr=-1.0)
+            AdamW(w, lr=-1.0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
-                AdamW([w], lr=bad)
+                AdamW(w, lr=bad)
             with pytest.raises(ValueError, match="finite"):
-                AdamW([w], weight_decay=bad)
-        with pytest.raises(ValueError):
-            AdamW([w], beta1=1.0)
-        with pytest.raises(ValueError):
-            AdamW([w], beta2=-0.1)
-        with pytest.raises(ValueError):
-            AdamW([w], eps=0.0)
+                AdamW(w, weight_decay=bad)
 
 
 def _reference_forward(net, params, x, t):
@@ -417,7 +407,7 @@ class _ReferenceMlp:
 
     def __init__(self, net, lr, weight_decay):
         self.net = net
-        self.params = [p.copy() for p in net.parameters()]
+        self.params = [p.copy() for p in net.views(net.flat)]
         self.opt = _ReferenceAdamW(self.params, lr=lr, weight_decay=weight_decay)
 
     def step(self, x, target, t):
@@ -440,7 +430,7 @@ class _ReferenceMlp:
 
 # Two silu hidden layers, one, and none, with and without the step embedding,
 # at batch heights 1 (run padded to two), 3 and 32; and one net wide enough
-# that its flat vector spans two AdamW chunks, the boundary falling inside a
+# that its flat vector spans two AdamW slices, the boundary falling inside a
 # weight matrix.
 TRAINING_CASES = [
     pytest.param(te, height, hidden, id=f"{name}-{'time' if te else 'plain'}-{height}")
@@ -457,10 +447,9 @@ class TestWorkspaceTraining:
         ref = _ReferenceMlp(net, lr=3e-2, weight_decay=0.01)
         start = net.flat.copy()
         ws = Workspace(net, height)
-        opt = AdamW(chunks(net.flat), lr=3e-2, weight_decay=0.01)
+        opt = AdamW(net.flat, lr=3e-2, weight_decay=0.01)
         grad = np.empty_like(net.flat)
-        grads, grad_chunks = net.views(grad), chunks(grad)
-        assert len(grad_chunks) == -(-net.flat.size // CHUNK)
+        grads = net.views(grad)
         g = stream(1, f"train-ref-{len(hidden)}-{time_embed}-{height}")
         table = time_embedding(np.arange(1, 21), time_embed) if time_embed else None
         for _ in range(20):
@@ -472,8 +461,8 @@ class TestWorkspaceTraining:
             if time_embed:
                 ws.emb[...] = table[t - 1]
             net.mse_grads(ws, target, grads)
-            opt.step(grad_chunks)
-        for got, want in zip(net.parameters(), ref.params, strict=True):
+            opt.step(grad)
+        for got, want in zip(net.views(net.flat), ref.params, strict=True):
             assert np.array_equal(got, want)
         assert not np.array_equal(net.flat, start)
 
@@ -495,13 +484,13 @@ class TestWorkspaceTraining:
         g = stream(0, "workspace-alloc")
         ws.input[...] = g.standard_normal(ws.input.shape)
         target = g.standard_normal((64, 256))
-        opt = AdamW(chunks(net.flat), weight_decay=0.01)
+        opt = AdamW(net.flat, weight_decay=0.01)
         grad = np.empty_like(net.flat)
-        grads, grad_chunks = net.views(grad), chunks(grad)
+        grads = net.views(grad)
 
         def step():
             net.mse_grads(ws, target, grads)
-            opt.step(grad_chunks)
+            opt.step(grad)
 
         step()
         tracemalloc.start()
@@ -521,8 +510,8 @@ class TestWorkspaceTraining:
         update of one warm step."""
         step, peaks = AdamW.step, []
 
-        def traced(opt, grads):
-            step(opt, grads)
+        def traced(opt, grad):
+            step(opt, grad)
             if opt.t == 1:
                 tracemalloc.start()
             elif opt.t == 2:
@@ -597,7 +586,6 @@ class TestMixedPrecisionFit:
         den = train_denoiser(data, DiffusionConfig(T=8, hidden=(8,), time_embed=4, steps=20), seed=1)
         det = fit_recon(data, DetectorConfig(hidden=(6,), steps=20), seed=1)
         assert den.net.flat.dtype == np.float64 and det.net.flat.dtype == np.float64
-        assert all(p.dtype == np.float64 for p in (*den.net.parameters(), *det.net.parameters()))
         assert predict_mu(den, data[:3], 4).dtype == np.float64
         assert det.alpha_batch(data).dtype == np.float64
         den.save(tmp_path / "denoiser.json")
@@ -609,8 +597,7 @@ class TestMixedPrecisionFit:
         data = stream(42, "r0").standard_normal((20, 4))
         det = fit_recon(data, DetectorConfig(hidden=(8, 3), steps=50, lr=0.0), seed=2)
         fresh = Mlp(4, [8, 3], 4, seed=2, stream_name="recon-init")
-        for got, want in zip(det.net.parameters(), fresh.parameters(), strict=True):
-            assert np.array_equal(got, want)
+        assert np.array_equal(det.net.flat, fresh.flat)
 
     def test_zero_lr_leaves_denoiser_parameters(self):
         # The drawn weights carry float64 bits that no float32 holds, so only
@@ -620,12 +607,11 @@ class TestMixedPrecisionFit:
         den = train_denoiser(data, cfg, seed=2)
         fresh = Mlp(4, [8, 3], 4, time_embed=4, seed=2, stream_name="denoiser-init")
         assert not np.array_equal(fresh.flat, fresh.flat.astype(TRAIN_DTYPE))
-        for got, want in zip(den.net.parameters(), fresh.parameters(), strict=True):
-            assert np.array_equal(got, want)
+        assert np.array_equal(den.net.flat, fresh.flat)
 
 
 def _reference(net, x, t):
-    return _reference_forward(net, net.parameters(), x, t)[0]
+    return _reference_forward(net, net.views(net.flat), x, t)[0]
 
 
 class TestWorkspaceInference:
@@ -755,7 +741,7 @@ class TestCheckpoint:
             layer["act"] = act
         path = tmp_path / "model.json"
         ckpt.write(path, payload)
-        message = f"{path}: layer activations must be ['silu', 'linear'], got {acts}"
+        message = f"{path}: checkpoint.layers: layer activations must be ['silu', 'linear'], got {acts}"
         with pytest.raises(ValueError) as info:
             ckpt.load(path, ckpt.mlp_from_payload, "mlp")
         assert str(info.value) == message
