@@ -71,9 +71,11 @@ class Dataset:
         return self.train.shape[1]
 
 
-# The least value each generator argument with a lower bound may take.
+# The least value each generator argument with a lower bound may take. A
+# window shorter than 6 steps leaves no room for the sinusoids' periods,
+# which are drawn from [max(6, window_len / 6), window_len].
 _MINIMA = {
-    "n_features": 1, "window_len": 1, "side": 1, "n_basis": 1, "n_train": 1, "n_test": 1,
+    "n_features": 1, "window_len": 6, "side": 1, "n_basis": 1, "n_train": 1, "n_test": 1,
     "n_test_normal": 0, "noise_std": 0.0, "start_jitter": 0.0,
 }
 MAX_SIDE = 32

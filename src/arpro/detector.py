@@ -181,6 +181,8 @@ class GaussDetector(_DetectorBase):
     @classmethod
     def from_payload(cls, payload: dict) -> "GaussDetector":
         n = ckpt.entry(payload, "n", int)
+        if n < 1:
+            raise ValueError(f"checkpoint.n must be >= 1, got {n}")
         flat = ckpt.decode_array(ckpt.entry(payload, "data"), 2 * n)
         sigma_floor = ckpt.entry(payload, "sigma_floor", float, DEFAULT_SIGMA_FLOOR)
         try:

@@ -85,11 +85,13 @@ class DataConfig(_Config):
     noise_std: float = 0.1
     start_jitter: float = 32.0
     n_basis: int = 32
-    anomalies: tuple[AnomalySpec, ...] = STOCK_ANOMALIES["ts"]
+    anomalies: tuple[AnomalySpec, ...] = None  # the kind's STOCK_ANOMALIES when not given
 
     def __post_init__(self):
         if self.kind not in ("ts", "image"):
             raise ValueError(f"data kind must be 'ts' or 'image', got {self.kind!r}")
+        if self.anomalies is None:
+            object.__setattr__(self, "anomalies", STOCK_ANOMALIES[self.kind])
         check_generator_args(self.kind, self.anomalies, **self._generator_args())
 
     def _generator_args(self) -> dict:
@@ -383,6 +385,8 @@ def ablation_sweep(
         raise ValueError("ablation needs at least one value")
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"ablation values must be finite numbers, got {values}")
+    if not all(v >= 0.0 for v in values):
+        raise ValueError(f"ablation values of {param} must be nonnegative, got {values}")
     repair = cfg.repair
     if param == "eta_scale":
         sections = [dataclasses.replace(repair, eta_start=repair.eta_start * v, eta_end=repair.eta_end * v)
@@ -469,7 +473,6 @@ def timeseries_benchmark_config(seed: int = 0, n_instances: int = 50) -> Experim
             n_test=50,
             noise_std=0.1,
             start_jitter=32.0,
-            anomalies=STOCK_ANOMALIES["ts"],
         ),
         detector=DetectorConfig(kind="gauss"),
         diffusion=DiffusionConfig(T=100, hidden=(128, 128), steps=2000),
@@ -489,7 +492,6 @@ def image_benchmark_config(seed: int = 0, n_instances: int = 50) -> ExperimentCo
             n_test=50,
             noise_std=0.2,
             n_basis=32,
-            anomalies=STOCK_ANOMALIES["image"],
         ),
         detector=DetectorConfig(kind="recon", hidden=(96, 32, 96), steps=2500),
         diffusion=DiffusionConfig(

@@ -1,11 +1,14 @@
+import argparse
 import base64
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arpro import harness
+from arpro import cli, harness
 from arpro.cli import main
 from arpro.detector import GaussDetector, ReconDetector
 from arpro.diffusion import MAX_T, Denoiser, make_schedule
@@ -53,6 +56,27 @@ def dir_equal(a: Path, b: Path) -> bool:
     return all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
 
 
+# A value for each flag whose dest is a config key, other than the stock config's.
+OVERRIDE_VALUES = {
+    "repair.lambda1": 0.5, "repair.lambda2": 2.5, "repair.lambda3": 0.25, "repair.lambda4": 4.0,
+    "repair.eta_start": 0.01, "repair.eta_end": 0.5, "repair.infill_mode": "paper-literal",
+    "diffusion.std_mode": "paper-literal", "data.kind": "image", "detector.kind": "recon",
+}
+# The other arguments each subcommand with such a flag requires.
+REQUIRED_ARGS = {
+    "gen-data": [], "train-detector": ["--input", "d"],
+    "repair": ["--input", "d", "--detector", "a", "--denoiser", "b", "--guided"],
+    "evaluate": ["--input", "d"], "ablate": ["--input", "d", "--param", "lambda1", "--values", "1"],
+}
+
+
+def _override_flags() -> list[tuple[str, str, str]]:
+    """(subcommand, flag, dest) of every flag whose dest is a dotted config key."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command, parser in sub.choices.items() for action in parser._actions if "." in action.dest]
+
+
 class TestGenData:
     def test_deterministic_directories(self, workspace, tmp_path):
         root, config, data_dir, _ = workspace
@@ -81,6 +105,11 @@ class TestGenData:
         assert main(["gen-data", "--kind", "image", "--out", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["modality"] == "image" and meta["n"] == 16 * 16
+        config = tmp_path / "image.json"
+        config.write_text(json.dumps({"data": {"kind": "image"}}))
+        from_file = tmp_path / "image-from-file"
+        assert main(["gen-data", "--config", str(config), "--out", str(from_file)]) == 0
+        assert dir_equal(out, from_file)
 
     def test_kind_against_config_anomalies_exits_1_naming_key(self, tmp_path, capsys):
         config = tmp_path / "ts-anomalies.json"
@@ -137,14 +166,40 @@ class TestEvaluateCommand:
 
     def test_flag_overrides_recorded_and_applied(self, workspace, tmp_path):
         _, config, data_dir, models = workspace
+        flags = [(flag, dest) for command, flag, dest in _override_flags() if command == "evaluate"]
         out = tmp_path / "eval-ov"
-        assert main(["evaluate", "--input", str(data_dir), "--seed", "7",
-                     "--config", str(config), "--detector", str(models / "detector.json"),
-                     "--denoiser", str(models / "denoiser.json"), "--lambda2", "2.5",
+        assert main(["evaluate", "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                     "--detector", str(models / "detector.json"), "--denoiser", str(models / "denoiser.json"),
+                     *(arg for flag, dest in flags for arg in (flag, str(OVERRIDE_VALUES[dest]))),
                      "--out", str(out)]) == 0
         payload = json.loads((out / "report.json").read_text())
-        assert payload["provenance"]["overrides"]["repair"]["lambda2"] == 2.5
-        assert payload["config"]["repair"]["lambda2"] == 2.5
+        expected = {"seed": 7}
+        for _, dest in flags:
+            section, key = dest.split(".")
+            expected.setdefault(section, {})[key] = OVERRIDE_VALUES[dest]
+            assert payload["config"][section][key] == OVERRIDE_VALUES[dest]
+        assert payload["provenance"]["overrides"] == expected
+        assert list(expected["repair"]) == ["lambda1", "lambda2", "lambda3", "lambda4",
+                                            "eta_start", "eta_end", "infill_mode"]
+
+
+class TestOverrideFlags:
+    def test_every_dotted_dest_names_a_field_of_its_section(self):
+        sections = typing.get_type_hints(harness.ExperimentConfig)
+        for command, flag, dest in _override_flags():
+            section, key = dest.split(".")
+            assert key in {f.name for f in dataclasses.fields(sections[section])}, (command, flag)
+        assert {dest for _, _, dest in _override_flags()} == set(OVERRIDE_VALUES)
+
+    @pytest.mark.parametrize("command,flag,dest", _override_flags())
+    def test_flag_value_reaches_config_and_overrides_under_its_key(self, command, flag, dest):
+        value = OVERRIDE_VALUES[dest]
+        args = cli.build_parser().parse_args([command, flag, str(value), "--out", "o", *REQUIRED_ARGS[command]])
+        cfg, overrides = cli._experiment_config(args, {})
+        section, key = dest.split(".")
+        assert getattr(getattr(harness.ExperimentConfig(), section), key) != value
+        assert getattr(getattr(cfg, section), key) == value
+        assert overrides == {section: {key: value}}
 
 
 class TestStdMode:
@@ -202,6 +257,21 @@ class TestAblateCommand:
                      "--param", param, "--values", values, "--out", str(tmp_path / "x")])
         assert code == 1
         assert f"ablation values must be finite numbers, got {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("param,values,message", [
+        ("eta_scale", "-1", "ablation values of eta_scale must be nonnegative, got [-1.0]"),
+        ("lambda3", "1,-0.5", "ablation values of lambda3 must be nonnegative, got [1.0, -0.5]"),
+        ("lambda1", ",", "ablation needs at least one value"),
+    ])
+    def test_negative_or_no_values_exit_1_naming_them(self, workspace, tmp_path, capsys, param, values, message):
+        _, config, data_dir, models = workspace
+        code = main(["ablate", "--input", str(data_dir), "--seed", "7", "--config", str(config),
+                     "--detector", str(models / "detector.json"),
+                     "--denoiser", str(models / "denoiser.json"),
+                     "--param", param, "--values", values, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
 
@@ -274,7 +344,9 @@ class TestValidationFailures:
         ("detector", lambda p: {**p, "n": 25}, "{}: checkpoint.data holds 48 values, expected 50"),
         ("detector", lambda p: {**p, "n": None}, "{}: checkpoint.n must be an int, got None"),
         ("detector", lambda p: {**p, "data": 5}, "{}: checkpoint.data must be a base64 string, got int"),
-    ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data", "null-n", "int-data"])
+        ("detector", lambda p: {**p, "n": 0}, "{}: checkpoint.n must be >= 1, got 0"),
+        ("detector", lambda p: {**p, "n": -1}, "{}: checkpoint.n must be >= 1, got -1"),
+    ], ids=["denoiser-file", "denoiser-kind", "no-n", "short-data", "null-n", "int-data", "zero-n", "negative-n"])
     def test_wrong_kind_or_malformed_detector_exits_1(self, workspace, tmp_path, capsys, source, edit, message):
         _, config, data_dir, models = workspace
         broken = tmp_path / "broken-detector.json"

@@ -11,6 +11,7 @@ from arpro.harness import (
     DetectorConfig,
     DiffusionConfig,
     ExperimentConfig,
+    STOCK_ANOMALIES,
     RepairSettings,
     ablation_sweep,
     image_benchmark_config,
@@ -314,6 +315,7 @@ class TestConfigSchema:
         ({"data": {"kind": 3}}, "config.data.kind must be a string, got 3"),
         ({"detector": {"hidden": [8, 2.0]}}, r"config.detector.hidden\[1\] must be an int, got 2.0"),
         ({"data": {"anomalies": {"kind": "spike"}}}, "config.data.anomalies must be a list"),
+        ({"data": {"anomalies": None}}, "config.data.anomalies must be a list, got None"),
         ({"data": {"anomalies": [{"magnitude": 1.0}]}}, r"config.data.anomalies\[0\] lacks required key 'kind'"),
         ({"data": {"anomalies": ["spike"]}}, r"config.data.anomalies\[0\] must be an object"),
         ({"data": {"anomalies": [{"kind": "spike", "extent": 2}]}},
@@ -334,12 +336,14 @@ class TestConfigSchema:
         ({"data": {"n_train": -1}}, "config.data: n_train must be >= 1, got -1"),
         ({"data": {"n_test": 0}}, "config.data: n_test must be >= 1, got 0"),
         ({"data": {"n_features": 0}}, "config.data: n_features must be >= 1, got 0"),
-        ({"data": {"window_len": 0}}, "config.data: window_len must be >= 1, got 0"),
+        ({"data": {"window_len": 0}}, "config.data: window_len must be >= 6, got 0"),
+        ({"data": {"window_len": 4}}, "config.data: window_len must be >= 6, got 4"),
         ({"data": {"n_test_normal": -1}}, "config.data: n_test_normal must be >= 0, got -1"),
         ({"data": {"noise_std": -0.1}}, "config.data: noise_std must be >= 0.0, got -0.1"),
         ({"data": {"start_jitter": -1}}, "config.data: start_jitter must be >= 0.0, got -1.0"),
         ({"data": {"anomalies": []}}, "config.data: anomalies must hold at least one anomaly spec"),
-        ({"data": {"kind": "image"}}, r"config.data: anomalies\[0\]: anomaly kind 'spike' is not an image kind"),
+        ({"data": {"kind": "image", "anomalies": [{"kind": "spike"}]}},
+         r"config.data: anomalies\[0\]: anomaly kind 'spike' is not an image kind"),
         ({"data": {"kind": "image", "side": 33, "anomalies": [{"kind": "square_defect"}]}},
          r"config.data: side must lie in \[1, 32\], got 33"),
         ({"data": {"kind": "image", "n_basis": 0, "anomalies": [{"kind": "square_defect"}]}},
@@ -350,6 +354,10 @@ class TestConfigSchema:
     def test_types_and_ranges_checked_at_load(self, payload, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("kind", ["ts", "image"])
+    def test_a_kind_without_anomalies_brings_its_stock_anomalies(self, kind):
+        assert ExperimentConfig.from_dict({"data": {"kind": kind}}).data.anomalies == STOCK_ANOMALIES[kind]
 
     def test_data_keys_of_the_other_kind_are_not_checked(self):
         # A ts config never reads `side` or `n_basis`, nor an image config `window_len` or `start_jitter`.
