@@ -86,7 +86,14 @@ def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float, out: Arra
 
 
 class Denoiser:
-    """Step-conditioned noise predictor bound to its schedule."""
+    """Step-conditioned noise predictor bound to its schedule.
+
+    The net is held in `TRAIN_DTYPE` (float32), the precision it was
+    trained in: a net of another dtype, such as the float64 one that
+    `train_denoiser` fits or a checkpoint load builds, is cast once here,
+    and every forward pass then runs in float32. A parameter beyond float32's
+    range is an error, not an infinity. A checkpoint stores the float32
+    values in its float64 blob, so save and load round-trip bit for bit."""
 
     kind = "denoiser"
 
@@ -95,6 +102,15 @@ class Denoiser:
             raise ValueError("denoiser input and output dimensions must match")
         if net.time_embed is None:
             raise ValueError("denoiser must be step-conditioned")
+        if net.flat.dtype != TRAIN_DTYPE:
+            with np.errstate(over="ignore"):  # checked below, naming the value
+                cast = net.astype(TRAIN_DTYPE)
+            finite = np.isfinite(cast.flat)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"parameter {i} is {float(net.flat[i])!r}, beyond the float32 range "
+                                 "the denoiser runs in")
+            net = cast
         self.net = net
         self.schedule = schedule
 
@@ -114,21 +130,33 @@ class Denoiser:
     @classmethod
     def from_payload(cls, payload: dict) -> "Denoiser":
         schedule = ckpt.entry(payload, "schedule", NoiseSchedule)
-        return cls(ckpt.mlp_from_payload(payload), schedule)
+        net = ckpt.mlp_from_payload(payload)
+        try:
+            return cls(net, schedule)
+        except ValueError as exc:  # a value that `data` holds beyond float32's range
+            if not str(exc).startswith("parameter"):
+                raise
+            raise ValueError(f"checkpoint.data: {exc}") from exc
 
 
 def predict_mu(
     denoiser: Denoiser, x_t: Array, t: int, ws: Workspace | None = None, out: Array | None = None
 ) -> Array:
-    """Posterior mean of the reverse step at t, written into `out` when it is
-    given. With a workspace `ws` of the batch's height, made with
-    ``steps=denoiser.schedule.T``, the denoiser's forward pass runs in it."""
+    """Posterior mean of the reverse step at t, a float64 array written into
+    `out` when it is given. With a workspace `ws` of the batch's height, made
+    with ``steps=denoiser.schedule.T``, the denoiser's float32 forward pass
+    runs in it. The noise prediction is widened to float64 before the mean
+    is formed, so the mean is float64 arithmetic on float32 predictions."""
     t = int(t)
     if not (1 <= t <= denoiser.schedule.T):
         raise ValueError(f"step {t} out of range [1, {denoiser.schedule.T}]")
     x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = denoiser.net.forward_np(x_t, t, ws=ws)
-    return posterior_mean(x_t, eps_hat, denoiser.schedule.b[t - 1], denoiser.schedule.a[t - 1], out=out)
+    if out is None:
+        out = np.empty_like(x_t)
+    # Widened by a copy into `out`: a ufunc mixing float32 and float64
+    # operands would allocate a cast buffer on every call.
+    np.copyto(out, denoiser.net.forward_np(x_t, t, ws=ws))
+    return posterior_mean(x_t, out, denoiser.schedule.b[t - 1], denoiser.schedule.a[t - 1], out=out)
 
 
 @dataclass(frozen=True)

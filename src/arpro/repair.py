@@ -21,14 +21,14 @@ depend on how they are split. So the noise and the hashes are those of a
 step-by-step loop; the finiteness check and `record_trajectory` stay per step.
 
 The loop allocates its arrays once per repair: the denoiser forward runs in a
-`tensor.Workspace` of the batch height, with the step embeddings from its
-table, and the iterate, the posterior mean and the noised target each have
-one buffer, as does each stream's noise. The guidance gradient runs in a
-`properties.GuidanceState`, built before the loop for the rows whose ramp is
-nonzero at some step: their masks, weights and targets' alphas, the
-detector's workspace and every buffer of the gradient. It leaves out the
-masked distance, whose gradient lies on the omega_bar entries that the
-infill overwrites. A step at which any guided row has a nonzero weight
+`tensor.Workspace` of the batch height, float32 like the denoiser's net, with
+the step embeddings from its table, and the float64 iterate, the posterior
+mean and the noised target each have one buffer, as does each stream's noise.
+The guidance gradient runs in a `properties.GuidanceState`, built before the
+loop for the rows whose ramp is nonzero at some step: their masks, weights
+and targets' alphas, the detector's workspace and every buffer of the
+gradient. It leaves out the masked distance, whose gradient lies on the
+omega_bar entries that the infill overwrites. A step at which any guided row has a nonzero weight
 gathers their iterates straight into that workspace's input; a row at
 weight 0 then takes ``xhat - 0 * grad``, the bits of xhat for a finite
 gradient. Every update runs in place one operation at a time, in the order its

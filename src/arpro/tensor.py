@@ -9,8 +9,10 @@ each batch. Parameters are arrays viewing one flat vector per network.
 Training runs in `TRAIN_DTYPE` (float32) from a float64 start: `fit`
 trains a float32 working copy, its passes, gradients, AdamW moments and
 updates alike, and then adds the copy's displacement to the float64
-weights it started from, so every net it returns, and every checkpoint,
-inference pass and guidance gradient after training, is float64.
+weights it started from, so every net it returns is float64. The
+denoiser casts its net back to float32 and runs every forward pass in it
+(`arpro.diffusion.Denoiser`); the autoencoder detector, every guidance
+gradient and every checkpoint's values stay float64.
 `Mlp.backward` and `Mlp.input_grad` are the closed-form
 vector-Jacobian products of the forward pass, which is all the training
 losses and guidance gradients need. Randomness comes from counter-based
@@ -55,10 +57,10 @@ CHUNK = 32768
 # 2015); every network trains with these.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-# `fit` trains in this precision. Unlike fp16, float32 needs no float64
-# master copy to keep small updates from underflowing (Micikevicius et al.
-# 2018, Mixed Precision Training), so only the start and the trained net
-# are float64.
+# `fit` trains in this precision, and a denoiser runs in it. Unlike fp16,
+# float32 needs no float64 master copy to keep small updates from
+# underflowing (Micikevicius et al. 2018, Mixed Precision Training), so
+# only the start and the net `fit` returns are float64.
 TRAIN_DTYPE = np.float32
 
 # A forward pass without a workspace runs this many rows at a time, so it
@@ -159,6 +161,12 @@ class Mlp:
         for i, w in enumerate(self.weights):
             gain = 1.0 if i == len(self.weights) - 1 else 2.0  # linear output, silu elsewhere
             np.multiply(g.standard_normal(w.shape), math.sqrt(gain / w.shape[0]), out=w)
+
+    def astype(self, dtype) -> "Mlp":
+        """A copy of this network with its parameters cast to `dtype`."""
+        net = Mlp(self.in_dim, self.dims[1:-1], self.out_dim, time_embed=self.time_embed, seed=None, dtype=dtype)
+        net.flat[...] = self.flat
+        return net
 
     def views(self, flat: Array) -> list[Array]:
         """The weights and biases interleaved layer by layer, as arrays
@@ -469,8 +477,7 @@ def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str
     bit. Non-finite parameters after the last step, a diverged fit that no
     checkpoint load would accept, raise an error naming `what`.
     """
-    work = Mlp(net.in_dim, net.dims[1:-1], net.out_dim, time_embed=net.time_embed, seed=None, dtype=TRAIN_DTYPE)
-    work.flat[...] = net.flat
+    work = net.astype(TRAIN_DTYPE)
     ws = Workspace(work, rows, steps=steps)
     opt = AdamW(work.flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
     grad = np.empty_like(work.flat)

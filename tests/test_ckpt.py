@@ -210,6 +210,21 @@ class TestCheckpointNumbers:
         assert str(info.value) == (f"{path}: checkpoint.{key}: {culprit} makes 1/(2 sigma^2) "
                                    f"or log(2 pi sigma^2) non-finite")
 
+    @pytest.mark.parametrize("value", [1e150, -3.5e38])
+    def test_denoiser_value_beyond_float32_names_file_and_data(self, tmp_path, value):
+        path = tmp_path / "denoiser.json"
+        den = self._models()["denoiser"]
+        den.save(path)
+        payload = json.loads(path.read_text())
+        flat = den.net.flat.astype(np.float64)
+        flat[7] = value
+        payload["data"] = ckpt.encode_arrays([flat])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            Denoiser.load(path)
+        assert str(info.value) == (f"{path}: checkpoint.data: parameter 7 is {value!r}, "
+                                   f"beyond the float32 range the denoiser runs in")
+
     @pytest.mark.parametrize("kind", ["denoiser", "gauss", "recon"])
     def test_written_files_load_unchanged(self, tmp_path, kind):
         path, again = tmp_path / "a.json", tmp_path / "b.json"

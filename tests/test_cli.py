@@ -598,6 +598,18 @@ class TestValidationFailures:
         broken = self._broken_checkpoint(workspace, tmp_path, kind, edit)
         assert capsys.readouterr().err == f"error: {broken}: {message}\n"
 
+    def test_denoiser_value_beyond_float32_exits_1_naming_data(self, workspace, tmp_path, capsys):
+        # The value is finite in the checkpoint's float64, but the denoiser
+        # runs in float32, where it would be an infinity.
+        def overflow(payload):
+            values = np.frombuffer(base64.b64decode(payload["data"]), dtype="<f8").copy()
+            values[3] = 1e150
+            return {**payload, "data": base64.b64encode(values.tobytes()).decode("ascii")}
+
+        broken = self._broken_checkpoint(workspace, tmp_path, "denoiser", overflow)
+        assert capsys.readouterr().err == (f"error: {broken}: checkpoint.data: parameter 3 is 1e+150, "
+                                           f"beyond the float32 range the denoiser runs in\n")
+
     @staticmethod
     def _broken_checkpoint(workspace, tmp_path, kind, edit) -> Path:
         """The workspace's `kind` checkpoint (or a fresh recon detector for
@@ -626,7 +638,7 @@ class TestValidationFailures:
         net = Mlp(24, diffusion["hidden"], 24, time_embed=diffusion["time_embed"], seed=0)
         for w in net.weights:
             w[...] = 0.0
-        net.biases[-1][...] = 1e150
+        net.biases[-1][...] = 1e30  # huge, yet within the float32 range the denoiser runs in
         huge = tmp_path / "huge-denoiser.json"
         Denoiser(net, make_schedule(diffusion["T"])).save(huge)
         out = tmp_path / "eval"

@@ -15,7 +15,7 @@ from arpro.diffusion import (
     train_denoiser,
 )
 from arpro.repair import RepairConfig, RepairRow, repair_batch
-from arpro.tensor import Mlp, stream
+from arpro.tensor import TRAIN_DTYPE, Mlp, stream
 
 
 def constant_eps_denoiser(n: int, value: float, schedule) -> Denoiser:
@@ -158,11 +158,14 @@ class TestTraining:
         assert denoising_loss(den, x0, t, eps) < 0.5 * denoising_loss(untrained, x0, t, eps)
 
     def test_zero_lr_leaves_parameters(self):
+        # The denoiser holds its net in float32, so at lr=0 it is the float32
+        # cast of the drawn start.
         data = stream(36, "d0").standard_normal((20, 4))
         cfg = DiffusionConfig(T=5, hidden=(8,), time_embed=4, steps=50, lr=0.0)
         den = train_denoiser(data, cfg, seed=2)
         fresh = Mlp(4, [8], 4, time_embed=4, seed=2, stream_name="denoiser-init")
-        assert np.array_equal(den.net.flat, fresh.flat)
+        assert den.net.flat.dtype == TRAIN_DTYPE
+        assert np.array_equal(den.net.flat, fresh.flat.astype(TRAIN_DTYPE))
 
     def test_perfect_prediction_gives_zero_loss(self):
         # The objective is mean squared prediction error, so matching the
@@ -211,6 +214,14 @@ class TestDenoiserCheckpoint:
         x = stream(0, "ckx").standard_normal(4)
         assert np.array_equal(den.net.forward_np(x, 3), loaded.net.forward_np(x, 3))
         assert np.array_equal(sample(den, [1]), sample(loaded, [1]))
+
+    @pytest.mark.parametrize("value", [1e150, 3.5e38, -1.7976931348623157e308])
+    def test_value_beyond_float32_is_rejected(self, value):
+        net = Mlp(4, [8], 4, time_embed=4, seed=0)
+        net.biases[0][2] = value  # parameter 66, after the (4 + 4) x 8 first weight
+        with pytest.raises(ValueError) as info:
+            Denoiser(net, make_schedule(5))
+        assert str(info.value) == f"parameter 66 is {value!r}, beyond the float32 range the denoiser runs in"
 
     def test_requires_time_conditioning(self):
         with pytest.raises(ValueError, match="step-conditioned"):

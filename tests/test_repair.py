@@ -465,6 +465,24 @@ class TestBatchHeightsAtBenchmarkShapes:
         assert np.array_equal(one_pass(x[:1]), full[:1])
         assert np.array_equal(net.forward_np(x[0], t), full[0])
 
+    @pytest.mark.parametrize("name,heights", [("ts-denoiser", (1, 2, 24, 48)),
+                                              ("image-denoiser", (1, 2, 20, 40))])
+    def test_predict_mu_rows_do_not_depend_on_batch_height(self, name, heights):
+        # The repair batch heights of the two benchmarks: one arm or both of
+        # every instance, with the denoiser running in float32.
+        den = Denoiser(BENCHMARK_NETS[name], make_schedule(100))
+        x = stream(12, f"mu-heights-{name}").standard_normal((heights[-1], den.n))
+
+        def one_pass(rows):
+            ws = Workspace(den.net, len(rows), steps=100)
+            return predict_mu(den, rows, 37, ws=ws, out=np.empty_like(rows))
+
+        full = one_pass(x)
+        assert full.dtype == np.float64
+        for height in heights[:-1]:
+            assert np.array_equal(one_pass(x[:height]), full[:height]), height
+        assert np.array_equal(predict_mu(den, x[0], 37), full[0])
+
     def test_recon_guidance_rows_do_not_depend_on_batch_height(self):
         det = ReconDetector(BENCHMARK_NETS["image-autoencoder"])
         n, rows = det.n, HEIGHTS[-1]
@@ -621,7 +639,7 @@ class TestFinalIterateBound:
         net = Mlp(8, [8], 8, time_embed=8, seed=1)
         for w in net.weights:
             w[...] = 0.0
-        net.biases[-1][...] = 1e150  # every noise prediction is 1e150: huge, yet finite at every step
+        net.biases[-1][...] = 1e30  # every noise prediction is 1e30: huge, yet finite in float32 at every step
         with pytest.raises(ValueError, match=r"repair huge: the final iterate has a coordinate beyond ±1e\+10"):
             guided_repair(det, Denoiser(net, den.schedule), x_bad, omega, RepairConfig(stream_tag="huge"))
 

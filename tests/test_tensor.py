@@ -546,7 +546,8 @@ class TestWorkspaceTraining:
 
 class TestMixedPrecisionFit:
     """`fit` trains a float32 working copy from the float64 start and adds
-    what it learned to that start; every net it returns is float64."""
+    what it learned to that start; every net it returns is float64, and a
+    denoiser casts its net back to float32."""
 
     @pytest.mark.parametrize("time_embed,height,hidden", TRAINING_CASES)
     def test_tracks_the_float64_reference(self, time_embed, height, hidden):
@@ -582,15 +583,17 @@ class TestMixedPrecisionFit:
         assert max_rel_err(net.flat, want) <= (5e-3 if net.flat.size > CHUNK else 1e-6)
 
     def test_trained_nets_predictions_and_checkpoints_are_float64(self, tmp_path):
+        # The denoiser's net is float32, trained or loaded; the autoencoder's
+        # net, its alphas and the denoiser's posterior means are float64.
         data = stream(41, "f64-out").standard_normal((30, 4))
         den = train_denoiser(data, DiffusionConfig(T=8, hidden=(8,), time_embed=4, steps=20), seed=1)
         det = fit_recon(data, DetectorConfig(hidden=(6,), steps=20), seed=1)
-        assert den.net.flat.dtype == np.float64 and det.net.flat.dtype == np.float64
+        assert den.net.flat.dtype == TRAIN_DTYPE and det.net.flat.dtype == np.float64
         assert predict_mu(den, data[:3], 4).dtype == np.float64
         assert det.alpha_batch(data).dtype == np.float64
         den.save(tmp_path / "denoiser.json")
         det.save(tmp_path / "detector.json")
-        assert Denoiser.load(tmp_path / "denoiser.json").net.flat.dtype == np.float64
+        assert Denoiser.load(tmp_path / "denoiser.json").net.flat.dtype == TRAIN_DTYPE
         assert load_detector(tmp_path / "detector.json").net.flat.dtype == np.float64
 
     def test_zero_lr_leaves_autoencoder_parameters(self):
@@ -600,14 +603,17 @@ class TestMixedPrecisionFit:
         assert np.array_equal(det.net.flat, fresh.flat)
 
     def test_zero_lr_leaves_denoiser_parameters(self):
-        # The drawn weights carry float64 bits that no float32 holds, so only
-        # a fit that never rounds the start itself returns them unchanged.
+        # The drawn weights carry float64 bits that no float32 holds; the
+        # denoiser runs in float32, so at lr=0 it holds their float32 cast.
+        # That `fit` returns the start bit for bit is pinned by the
+        # autoencoder above.
         data = stream(43, "d0-f32").standard_normal((20, 4))
         cfg = DiffusionConfig(T=5, hidden=(8, 3), time_embed=4, steps=50, lr=0.0, weight_decay=0.01)
         den = train_denoiser(data, cfg, seed=2)
         fresh = Mlp(4, [8, 3], 4, time_embed=4, seed=2, stream_name="denoiser-init")
         assert not np.array_equal(fresh.flat, fresh.flat.astype(TRAIN_DTYPE))
-        assert np.array_equal(den.net.flat, fresh.flat)
+        assert den.net.flat.dtype == TRAIN_DTYPE
+        assert np.array_equal(den.net.flat, fresh.flat.astype(TRAIN_DTYPE))
 
 
 def _reference(net, x, t):
