@@ -2,7 +2,8 @@
 files and every file the program writes.
 
 A checkpoint is a single JSON document carrying the layer layout and all
-float64 parameters as one base64 blob of little-endian bytes. `from_json`
+parameters as one base64 blob of little-endian float64 bytes, which holds a
+float32 network's values exactly. `from_json`
 decodes a JSON value as a typed field, naming its dotted path in any error;
 it reads a config file's sections and, through `entry`, each key a model's
 `from_payload` reads from a checkpoint. `read` checks a checkpoint's schema
@@ -294,11 +295,13 @@ def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
     return payload
 
 
-def mlp_from_payload(payload: dict) -> Mlp:
-    """The network in a checkpoint `payload`. The layers are checked, and the
+def mlp_from_payload(payload: dict, dtype=np.float64) -> Mlp:
+    """The network in a checkpoint `payload`, built with its parameters in
+    `dtype`, the precision its model runs in. The layers are checked, and the
     data blob against the parameter count they give, before the network is
     built, so a layout of huge layers fails on the blob's size rather than
-    allocating their parameters."""
+    allocating their parameters. A value beyond `dtype`'s range is an error
+    naming it, not an infinity."""
     layers = entry(payload, "layers", tuple[Layer, ...])
     if not layers:
         raise ValueError("checkpoint has no layers")
@@ -325,6 +328,12 @@ def mlp_from_payload(payload: dict) -> Mlp:
         raise ValueError(f"checkpoint.layers: layer activations must be {layout}, got {acts}")
     flat = decode_array(entry(payload, "data"), sum(layer["in"] * layer["out"] + layer["out"] for layer in layers))
     hidden = [layer["out"] for layer in layers[:-1]]
-    net = Mlp(in_dim, hidden, layers[-1]["out"], time_embed=time_embed, seed=None)
-    net.flat[...] = flat
+    net = Mlp(in_dim, hidden, layers[-1]["out"], time_embed=time_embed, seed=None, dtype=dtype)
+    with np.errstate(over="ignore"):  # checked below, naming the value
+        net.flat[...] = flat
+    finite = np.isfinite(net.flat)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"checkpoint.data: parameter {i} is {float(flat[i])!r}, beyond the "
+                         f"{net.flat.dtype} range the {payload.get('kind')} runs in")
     return net

@@ -193,7 +193,10 @@ class GaussDetector(_DetectorBase):
 
 
 class ReconDetector(_DetectorBase):
-    """Squared per-feature reconstruction error of an autoencoder."""
+    """Squared per-feature reconstruction error of an autoencoder, whose net
+    is held in float64, the precision guidance and scoring run in; a net of
+    another dtype, such as the float32 one `fit_recon` trains, is cast
+    here."""
 
     kind = "recon"
 
@@ -204,7 +207,7 @@ class ReconDetector(_DetectorBase):
             )
         if net.time_embed is not None:
             raise ValueError("autoencoder must not be step-conditioned")
-        self.net = net
+        self.net = net.astype(np.float64)
         self.n = net.in_dim
 
     def workspace(self, rows: int) -> "_ReconWorkspace":
@@ -306,7 +309,7 @@ def fit_recon(train, cfg: DetectorConfig | None = None, seed: int = 0) -> ReconD
     cfg = cfg or DetectorConfig(kind="recon")
     data = check_batch(train)
     m, n = data.shape
-    net = Mlp(n, list(cfg.hidden), n, seed=seed, stream_name="recon-init")
+    net = Mlp(n, list(cfg.hidden), n, seed=seed, stream_name="recon-init", dtype=TRAIN_DTYPE)
     picker = stream(seed, "recon-batch")
     data = data.astype(TRAIN_DTYPE)  # the batches' precision, cast once
 

@@ -88,12 +88,11 @@ def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float, out: Arra
 class Denoiser:
     """Step-conditioned noise predictor bound to its schedule.
 
-    The net is held in `TRAIN_DTYPE` (float32), the precision it was
-    trained in: a net of another dtype, such as the float64 one that
-    `train_denoiser` fits or a checkpoint load builds, is cast once here,
-    and every forward pass then runs in float32. A parameter beyond float32's
-    range is an error, not an infinity. A checkpoint stores the float32
-    values in its float64 blob, so save and load round-trip bit for bit."""
+    The net is held in `TRAIN_DTYPE` (float32), the precision
+    `train_denoiser` builds and trains it in and a checkpoint load builds it
+    in; a net of another dtype is cast here. Every forward pass runs in
+    float32. A checkpoint stores the float32 values in its float64 blob, so
+    save and load round-trip bit for bit."""
 
     kind = "denoiser"
 
@@ -102,16 +101,7 @@ class Denoiser:
             raise ValueError("denoiser input and output dimensions must match")
         if net.time_embed is None:
             raise ValueError("denoiser must be step-conditioned")
-        if net.flat.dtype != TRAIN_DTYPE:
-            with np.errstate(over="ignore"):  # checked below, naming the value
-                cast = net.astype(TRAIN_DTYPE)
-            finite = np.isfinite(cast.flat)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise ValueError(f"parameter {i} is {float(net.flat[i])!r}, beyond the float32 range "
-                                 "the denoiser runs in")
-            net = cast
-        self.net = net
+        self.net = net.astype(TRAIN_DTYPE)
         self.schedule = schedule
 
     @property
@@ -130,13 +120,7 @@ class Denoiser:
     @classmethod
     def from_payload(cls, payload: dict) -> "Denoiser":
         schedule = ckpt.entry(payload, "schedule", NoiseSchedule)
-        net = ckpt.mlp_from_payload(payload)
-        try:
-            return cls(net, schedule)
-        except ValueError as exc:  # a value that `data` holds beyond float32's range
-            if not str(exc).startswith("parameter"):
-                raise
-            raise ValueError(f"checkpoint.data: {exc}") from exc
+        return cls(ckpt.mlp_from_payload(payload, TRAIN_DTYPE), schedule)
 
 
 def predict_mu(
@@ -192,7 +176,8 @@ def train_denoiser(normal_data, cfg: DiffusionConfig | None = None, seed: int = 
     schedule = cfg.schedule()
     data = check_batch(normal_data)
     m, n = data.shape
-    net = Mlp(n, list(cfg.hidden), n, time_embed=cfg.time_embed, seed=seed, stream_name="denoiser-init")
+    net = Mlp(n, list(cfg.hidden), n, time_embed=cfg.time_embed, seed=seed, stream_name="denoiser-init",
+              dtype=TRAIN_DTYPE)
     picker = stream(seed, "denoiser-batch")
     noiser = stream(seed, "denoiser-noise")
     steps_rng = stream(seed, "denoiser-steps")

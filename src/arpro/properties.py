@@ -4,8 +4,9 @@ Four losses grade a candidate repair of an anomalous input against the
 detector that flagged it: the repaired total score, the distance to the
 original over the untouched region, and hinge penalties for degrading the
 anomalous / non-anomalous regions. The same four quantities double as the
-evaluation metrics. A split-conformal quantile of training scores gives the
-acceptance threshold used for true-negative-rate reporting.
+evaluation metrics. The finite-sample conformal quantile of the scores it
+is given gives the acceptance threshold used for true-negative-rate
+reporting.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def satisfaction_rate(breakdowns, tol: Tolerances) -> float:
 
 
 def conformal_threshold(train_scores, confidence: float) -> float:
-    """Finite-sample split-conformal quantile of training scores.
+    """Finite-sample conformal quantile of the scores passed in.
 
     Returns the ceil((n+1)*confidence)-th smallest score, or +inf when that
     rank exceeds the sample size.

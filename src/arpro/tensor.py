@@ -5,14 +5,13 @@ Everything downstream runs on this module. An `Mlp` (silu hidden layers, a
 linear output) is the reconstruction detector's autoencoder and the
 diffusion denoiser alike, and `fit` trains both: AdamW on a mean squared
 error, the caller supplying only the network and a function that writes
-each batch. Parameters are arrays viewing one flat vector per network.
-Training runs in `TRAIN_DTYPE` (float32) from a float64 start: `fit`
-trains a float32 working copy, its passes, gradients, AdamW moments and
-updates alike, and then adds the copy's displacement to the float64
-weights it started from, so every net it returns is float64. The
-denoiser casts its net back to float32 and runs every forward pass in it
-(`arpro.diffusion.Denoiser`); the autoencoder detector, every guidance
-gradient and every checkpoint's values stay float64.
+each batch. Parameters are arrays viewing one flat vector per network, of
+the one dtype it is built with. Both trained networks are built and
+trained in `TRAIN_DTYPE` (float32): `fit` runs the passes, gradients,
+AdamW moments and updates in the dtype of the net it is given. The
+denoiser keeps that net and runs every forward pass in it
+(`arpro.diffusion.Denoiser`); the autoencoder detector widens its net to
+float64, the precision every guidance gradient and score runs in.
 `Mlp.backward` and `Mlp.input_grad` are the closed-form
 vector-Jacobian products of the forward pass, which is all the training
 losses and guidance gradients need. Randomness comes from counter-based
@@ -32,11 +31,11 @@ of one batch height, which a training or repair loop allocates once and
 reuses at every step. glibc hands a freed array of a batch's or a
 parameter's size back to the kernel, so a fresh temporary on every step
 faults its pages in again, and the faults cost as much as the arithmetic.
-`fit` owns the working copy, its workspace and the flat parameter gradient
-that matches `Mlp.flat`, the one vector the weights and biases view;
-`AdamW` keeps its scratch arrays and updates the working copy's flat
-vector in cache-sized slices. A one-off forward pass
-runs `ONE_OFF_ROWS` rows at a time through a workspace of its own.
+`fit` owns the workspace and the flat parameter gradient that matches
+`Mlp.flat`, the one vector the weights and biases view; `AdamW` keeps its
+scratch arrays and updates that flat vector in cache-sized slices. A
+one-off forward pass runs `ONE_OFF_ROWS` rows at a time through a
+workspace of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 Array = np.ndarray
 
-# AdamW runs on the float32 working copy of `fit`, where 32768 values are
+# AdamW runs on the float32 nets that `fit` trains, where 32768 values are
 # 128 KiB, so the six arrays one chunk's update passes over (parameter,
 # gradient, two moments, two scratch) take 768 KiB of a 2 MiB L2 cache.
 CHUNK = 32768
@@ -57,10 +56,10 @@ CHUNK = 32768
 # 2015); every network trains with these.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-# `fit` trains in this precision, and a denoiser runs in it. Unlike fp16,
-# float32 needs no float64 master copy to keep small updates from
-# underflowing (Micikevicius et al. 2018, Mixed Precision Training), so
-# only the start and the net `fit` returns are float64.
+# The denoiser and the autoencoder are built and trained in this precision,
+# and a denoiser runs in it. Unlike fp16, float32 needs no float64 master
+# copy to keep small updates from underflowing (Micikevicius et al. 2018,
+# Mixed Precision Training).
 TRAIN_DTYPE = np.float32
 
 # A forward pass without a workspace runs this many rows at a time, so it
@@ -163,7 +162,10 @@ class Mlp:
             np.multiply(g.standard_normal(w.shape), math.sqrt(gain / w.shape[0]), out=w)
 
     def astype(self, dtype) -> "Mlp":
-        """A copy of this network with its parameters cast to `dtype`."""
+        """This network with its parameters in `dtype`: itself when they
+        already are, else a copy with its parameters cast."""
+        if self.flat.dtype == dtype:
+            return self
         net = Mlp(self.in_dim, self.dims[1:-1], self.out_dim, time_embed=self.time_embed, seed=None, dtype=dtype)
         net.flat[...] = self.flat
         return net
@@ -465,27 +467,22 @@ def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str
     `cfg.lr` and `cfg.weight_decay`, for a model's settings such as
     `DetectorConfig` or `DiffusionConfig`.
 
-    Training runs on a `TRAIN_DTYPE` working copy of `net`, in a workspace
-    of `rows` rows (with the embeddings of steps 1 to `steps` for a
-    step-conditioned net). Each step calls ``batch(ws)``, which writes one
+    `net` is trained in place, in the dtype of its parameters, in a
+    workspace of `rows` rows (with the embeddings of steps 1 to `steps` for
+    a step-conditioned net). Each step calls ``batch(ws)``, which writes one
     batch into that workspace `ws` (`ws.x`, and `ws.emb` for a
     step-conditioned net) and returns its target rows. The parameter
-    gradients go into one flat vector, from which AdamW updates the working
-    copy's `flat`. After the last step the working copy's
-    displacement from its cast start is added to the float64 `net.flat`,
-    so a fit that moves no weight (at ``lr=0``, say) returns `net` bit for
-    bit. Non-finite parameters after the last step, a diverged fit that no
+    gradients go into one flat vector, from which AdamW updates `net.flat`.
+    Non-finite parameters after the last step, a diverged fit that no
     checkpoint load would accept, raise an error naming `what`.
     """
-    work = net.astype(TRAIN_DTYPE)
-    ws = Workspace(work, rows, steps=steps)
-    opt = AdamW(work.flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    grad = np.empty_like(work.flat)
-    grads = work.views(grad)
+    ws = Workspace(net, rows, steps=steps)
+    opt = AdamW(net.flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    grad = np.empty_like(net.flat)
+    grads = net.views(grad)
     for _ in range(cfg.steps):
-        work.mse_grads(ws, batch(ws), grads)
+        net.mse_grads(ws, batch(ws), grads)
         opt.step(grad)
-    net.flat += work.flat - net.flat.astype(TRAIN_DTYPE)
     if not np.isfinite(net.flat).all():
         raise ValueError(
             f"{what} training ({cfg.steps} steps, lr={cfg.lr}) produced non-finite parameter values"

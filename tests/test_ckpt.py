@@ -210,7 +210,7 @@ class TestCheckpointNumbers:
         assert str(info.value) == (f"{path}: checkpoint.{key}: {culprit} makes 1/(2 sigma^2) "
                                    f"or log(2 pi sigma^2) non-finite")
 
-    @pytest.mark.parametrize("value", [1e150, -3.5e38])
+    @pytest.mark.parametrize("value", [1e150, -3.5e38, 3.5e38, -1.7976931348623157e308])
     def test_denoiser_value_beyond_float32_names_file_and_data(self, tmp_path, value):
         path = tmp_path / "denoiser.json"
         den = self._models()["denoiser"]

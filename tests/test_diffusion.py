@@ -215,14 +215,6 @@ class TestDenoiserCheckpoint:
         assert np.array_equal(den.net.forward_np(x, 3), loaded.net.forward_np(x, 3))
         assert np.array_equal(sample(den, [1]), sample(loaded, [1]))
 
-    @pytest.mark.parametrize("value", [1e150, 3.5e38, -1.7976931348623157e308])
-    def test_value_beyond_float32_is_rejected(self, value):
-        net = Mlp(4, [8], 4, time_embed=4, seed=0)
-        net.biases[0][2] = value  # parameter 66, after the (4 + 4) x 8 first weight
-        with pytest.raises(ValueError) as info:
-            Denoiser(net, make_schedule(5))
-        assert str(info.value) == f"parameter 66 is {value!r}, beyond the float32 range the denoiser runs in"
-
     def test_requires_time_conditioning(self):
         with pytest.raises(ValueError, match="step-conditioned"):
             Denoiser(Mlp(4, [8], 4, seed=0), make_schedule(5))

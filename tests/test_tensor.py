@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arpro import ckpt
-from arpro.detector import DetectorConfig, fit_recon, load_detector
+from arpro.detector import DetectorConfig, ReconDetector, fit_recon, load_detector
 from arpro.diffusion import Denoiser, DiffusionConfig, make_schedule, predict_mu, train_denoiser
 from arpro.tensor import (
     CHUNK,
@@ -545,9 +545,10 @@ class TestWorkspaceTraining:
 
 
 class TestMixedPrecisionFit:
-    """`fit` trains a float32 working copy from the float64 start and adds
-    what it learned to that start; every net it returns is float64, and a
-    denoiser casts its net back to float32."""
+    """`fit` trains the net it is given in place, in its dtype. The
+    denoiser and the autoencoder are built and trained in float32; the
+    denoiser keeps its float32 net, and the autoencoder detector widens its
+    net to float64."""
 
     @pytest.mark.parametrize("time_embed,height,hidden", TRAINING_CASES)
     def test_tracks_the_float64_reference(self, time_embed, height, hidden):
@@ -556,8 +557,9 @@ class TestMixedPrecisionFit:
         # largest parameter (2e-7 measured). The wide net's Adam steps
         # normalise gradients near zero, whose float32 rounding is large
         # relative to them, so it drifts further (1.2e-3 measured).
-        net = Mlp(5, hidden, 5, time_embed=time_embed, seed=1)
-        ref = _ReferenceMlp(net, lr=3e-2, weight_decay=0.01)
+        ref = _ReferenceMlp(Mlp(5, hidden, 5, time_embed=time_embed, seed=1), lr=3e-2, weight_decay=0.01)
+        net = Mlp(5, hidden, 5, time_embed=time_embed, seed=1, dtype=TRAIN_DTYPE)
+        flat = net.flat
         g = stream(1, f"train-f32-{len(hidden)}-{time_embed}-{height}")
         draws = [
             (g.standard_normal((height, 5)), g.standard_normal((height, 5)),
@@ -578,7 +580,7 @@ class TestMixedPrecisionFit:
             ref.step(x, target, t)
         cfg = DiffusionConfig(hidden=tuple(hidden), steps=20, lr=3e-2, weight_decay=0.01)
         fit(net, height, batch, cfg, "test", steps=20)
-        assert net.flat.dtype == np.float64
+        assert net.flat is flat and net.flat.dtype == TRAIN_DTYPE
         want = np.concatenate([p.ravel() for p in ref.params])
         assert max_rel_err(net.flat, want) <= (5e-3 if net.flat.size > CHUNK else 1e-6)
 
@@ -596,17 +598,40 @@ class TestMixedPrecisionFit:
         assert Denoiser.load(tmp_path / "denoiser.json").net.flat.dtype == TRAIN_DTYPE
         assert load_detector(tmp_path / "detector.json").net.flat.dtype == np.float64
 
+    @pytest.mark.parametrize("kind,dtype", [("denoiser", TRAIN_DTYPE), ("recon", np.float64)])
+    def test_a_load_builds_one_net_in_its_models_dtype(self, tmp_path, monkeypatch, kind, dtype):
+        # The checkpoint's values go straight into the net the model runs,
+        # with no net of another precision built on the way.
+        path = tmp_path / f"{kind}.json"
+        if kind == "denoiser":
+            Denoiser(Mlp(4, [8], 4, time_embed=4, seed=0), make_schedule(5)).save(path)
+        else:
+            ReconDetector(Mlp(4, [8], 4, seed=0)).save(path)
+        built, init = [], Mlp.__init__
+
+        def spy(self, *args, dtype=np.float64, **kwargs):
+            built.append(np.dtype(dtype))
+            init(self, *args, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(Mlp, "__init__", spy)
+        model = Denoiser.load(path) if kind == "denoiser" else load_detector(path)
+        assert built == [np.dtype(dtype)]
+        assert model.net.flat.dtype == dtype
+
     def test_zero_lr_leaves_autoencoder_parameters(self):
+        # The autoencoder is drawn and trained in float32, so at lr=0 the
+        # detector holds the float64 widening of the float32 cast of the
+        # drawn start.
         data = stream(42, "r0").standard_normal((20, 4))
         det = fit_recon(data, DetectorConfig(hidden=(8, 3), steps=50, lr=0.0), seed=2)
         fresh = Mlp(4, [8, 3], 4, seed=2, stream_name="recon-init")
-        assert np.array_equal(det.net.flat, fresh.flat)
+        assert det.net.flat.dtype == np.float64
+        assert np.array_equal(det.net.flat, fresh.flat.astype(TRAIN_DTYPE).astype(np.float64))
 
     def test_zero_lr_leaves_denoiser_parameters(self):
         # The drawn weights carry float64 bits that no float32 holds; the
-        # denoiser runs in float32, so at lr=0 it holds their float32 cast.
-        # That `fit` returns the start bit for bit is pinned by the
-        # autoencoder above.
+        # denoiser is drawn in float32, so at lr=0 it holds their float32
+        # cast.
         data = stream(43, "d0-f32").standard_normal((20, 4))
         cfg = DiffusionConfig(T=5, hidden=(8, 3), time_embed=4, steps=50, lr=0.0, weight_decay=0.01)
         den = train_denoiser(data, cfg, seed=2)
