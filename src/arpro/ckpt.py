@@ -112,11 +112,12 @@ def encode_arrays(arrays) -> str:
 
 
 def decode_array(data: str, count: int) -> Array:
-    """The `count` finite float64 values of a checkpoint's base64 `data`."""
+    """The `count` finite float64 values of a checkpoint's base64 `data`; on
+    a little-endian host, a read-only view of the decoded bytes."""
     if not isinstance(data, str):
         raise ValueError(f"checkpoint.data must be a base64 string, got {type(data).__name__}")
     try:
-        values = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").astype(np.float64)
+        values = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").astype(np.float64, copy=False)
     except ValueError as exc:  # not base64, or bytes that are not whole float64 values
         raise ValueError(f"checkpoint.data: {exc}") from exc
     if values.size != count:

@@ -7,14 +7,20 @@ noised copy of the original input. The unguided baseline is the identical
 iteration with a guidance ramp of zeros, consuming the same random streams
 so paired comparisons see identical noise.
 
+Each reverse step draws one Gaussian vector: omega takes its sampling noise
+from it, omega_bar the noise of the noised input. Masks are binary, so these
+are disjoint coordinates of one iid N(0, I) vector, as independent as two
+draws. A recorded `x_bad_level` shares its omega entries' noise with the
+iterate; they are diagnostic only, as its omega_bar entries alone enter it.
+
 Repairs run in lock step: every row of a batch (an instance, an arm, a weight
 setting) takes the same reverse steps together, with one denoiser forward and
 one guidance gradient per step for the whole batch. A row's result does not
 depend on the batch it runs in, by the BLAS rules that `arpro.tensor.Mlp`
 follows; the tests check this at the benchmark model shapes.
 
-The per-step Python work is done in blocks of `BLOCK` reverse steps: each
-random stream draws a block's noise in one call, since a (k, n) draw yields
+The per-step Python work is done in blocks of `BLOCK` reverse steps: the
+noise stream draws a block's noise in one call, since a (k, n) draw yields
 the bits of k successive draws of n, and each row's trajectory hash takes a
 block of iterates in one update, since SHA-256 of concatenated bytes does not
 depend on how they are split. So the noise and the hashes are those of a
@@ -23,7 +29,8 @@ step-by-step loop; the finiteness check and `record_trajectory` stay per step.
 The loop allocates its arrays once per repair: the denoiser forward runs in a
 `tensor.Workspace` of the batch height, float32 like the denoiser's net, with
 the step embeddings from its table, and the float64 iterate, the posterior
-mean and the noised target each have one buffer, as does each stream's noise.
+mean, the scaled sampling noise and the noised target each have one buffer,
+as does the noise stream.
 The guidance gradient runs in a `properties.GuidanceState`, built before the
 loop for the rows whose ramp is nonzero at some step: their masks, weights
 and targets' alphas, the detector's workspace and every buffer of the
@@ -240,7 +247,6 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
     owner = np.array([keys[(row.cfg.seed, row.cfg.stream_tag)] for row in rows])
     init = np.stack([stream(seed, f"{tag}/init").standard_normal(n) for seed, tag in keys])
-    zs = _noise_steps([stream(seed, f"{tag}/z") for seed, tag in keys], n, schedule.T - 1, owner)
     es = _noise_steps([stream(seed, f"{tag}/eps") for seed, tag in keys], n, schedule.T, owner)
 
     hashes = _TrajectoryHashes(len(rows), n)
@@ -250,10 +256,10 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
     root_a = np.sqrt(schedule.a)
     root_rem = np.sqrt(1.0 - schedule.a)
     # Each in-place update below keeps the operation order of its expression,
-    # so the bits match it: xhat = mu + sigma_t z, x_bad_level = sqrt(a_l)
+    # so the bits match it: xhat = mu + sigma_t eps, x_bad_level = sqrt(a_l)
     # x_bad + sqrt(1 - a_l) eps and x = omega_bar x_bad_level + omega xhat.
     ws = Workspace(denoiser.net, len(rows), steps=schedule.T)
-    xhat, level_buf = np.empty_like(x_bad), np.empty_like(x_bad)
+    xhat, level_buf, noise = np.empty_like(x_bad), np.empty_like(x_bad), np.empty_like(x_bad)
     finite = np.empty(x_bad.shape, dtype=bool)
     # Divergence is reported by the explicit check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,10 +268,9 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
         hashes.add(x)
         for t in range(schedule.T, 0, -1):
             predict_mu(denoiser, x, t, ws=ws, out=xhat)
+            eps_t = next(es)
             if t > 1:
-                z = next(zs)
-                z *= schedule.sigma[t - 1]
-                xhat += z
+                xhat += np.multiply(schedule.sigma[t - 1], eps_t, out=noise)
             if eta_guided[:, t - 1].any():
                 # xhat[guided] = xhat[guided] - eta_t * grad, eta_t tiled into `update` first.
                 x.take(guided, axis=0, out=state.x, mode="clip")
@@ -274,7 +279,6 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
                 grad *= update
                 xhat.take(guided, axis=0, out=update, mode="clip")
                 xhat[guided] = np.subtract(update, grad, out=update)
-            eps_t = next(es)
             level = t - 1 if level_matched else t
             if level == 0:
                 x_bad_level = x_bad

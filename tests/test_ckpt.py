@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +225,13 @@ class TestCheckpointNumbers:
             Denoiser.load(path)
         assert str(info.value) == (f"{path}: checkpoint.data: parameter 7 is {value!r}, "
                                    f"beyond the float32 range the denoiser runs in")
+
+    def test_decoded_values_view_the_decoded_bytes(self):
+        values = np.array([1.5, -0.0, 5e-324, -1.7976931348623157e308])
+        decoded = ckpt.decode_array(ckpt.encode_arrays([values]), 4)
+        assert decoded.dtype == np.float64 and decoded.tobytes() == values.astype("<f8").tobytes()
+        if sys.byteorder == "little":  # no second copy: the array is the bytes base64 decoded to
+            assert not decoded.flags.owndata and not decoded.flags.writeable
 
     @pytest.mark.parametrize("kind", ["denoiser", "gauss", "recon"])
     def test_written_files_load_unchanged(self, tmp_path, kind):

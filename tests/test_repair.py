@@ -142,13 +142,15 @@ class TestDeterminism:
 
 def _ancestral_sample(den, seed: int, tag: str):
     """The ancestral sampler written out: x_T from `{tag}/init`, then at each
-    step the posterior mean plus sigma_t z from `{tag}/z`, with no noise at t=1."""
+    step the posterior mean plus sigma_t times the step's `{tag}/eps` draw,
+    which is drawn at t=1 too but not added."""
     sched = den.schedule
-    init, zs = stream(seed, f"{tag}/init"), stream(seed, f"{tag}/z")
+    init, es = stream(seed, f"{tag}/init"), stream(seed, f"{tag}/eps")
     x = init.standard_normal(den.n)
     for t in range(sched.T, 0, -1):
         mu = posterior_mean(x, den.net.forward_np(x, t), sched.b[t - 1], sched.a[t - 1])
-        x = mu + sched.sigma[t - 1] * zs.standard_normal(den.n) if t > 1 else mu
+        eps = es.standard_normal(den.n)
+        x = mu + sched.sigma[t - 1] * eps if t > 1 else mu
     return x
 
 
@@ -179,6 +181,47 @@ class TestFullMaskIsAncestralSampling:
         for row, result in zip(rows, results):
             if not result.guided:
                 assert np.array_equal(result.x_fix, _ancestral_sample(den, row.cfg.seed, row.cfg.stream_tag))
+
+
+class TestNoiseBudget:
+    """A repair draws `{tag}/init` once and one `{tag}/eps` vector per step
+    for each (seed, tag) key, and nothing else: the sampling noise on omega
+    and the infill noise on omega_bar come from the same draw."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_eps_stream_per_key(self, monkeypatch, small_world, mode):
+        det, den, x_bad, omega = small_world
+        created = []
+
+        def recorded(seed, name):
+            created.append((seed, name))
+            return stream(seed, name)
+
+        monkeypatch.setattr(arpro.repair, "stream", recorded)
+        keep = (1.0 - omega).astype(bool)
+        rows = []
+        for seed, tag in ((0, "a"), (0, "b"), (4, "a")):
+            cfg = RepairConfig(seed=seed, stream_tag=tag, eta_end=0.1, infill_mode=mode, record_trajectory=True)
+            rows += [RepairRow(x_bad, omega, cfg.unguided()), RepairRow(x_bad, omega, cfg)]
+        rows.append(RepairRow(x_bad, np.ones(8), RepairConfig(seed=4, stream_tag="a", infill_mode=mode)))
+        results = repair_batch(det, den, rows)
+
+        keys = {(0, "a"), (0, "b"), (4, "a")}
+        assert sorted(created) == sorted((seed, f"{tag}/{name}") for seed, tag in keys for name in ("init", "eps"))
+        assert not [name for _, name in created if name.endswith("/z")]
+        sched = den.schedule
+        for r in range(0, 6, 2):
+            base, guided = results[r].trajectory, results[r + 1].trajectory
+            assert base is not None and guided is not None and len(base) == len(guided) == sched.T
+            # Both arms' omega_bar entries are the noised target of the key's eps draws, bit for bit.
+            es = stream(rows[r].cfg.seed, f"{rows[r].cfg.stream_tag}/eps")
+            for (t, _, x_base), (_, _, x_guided) in zip(base, guided):
+                eps = es.standard_normal(8)
+                level = t - 1 if mode == "level-matched" else t
+                expected = (np.sqrt(sched.a)[level - 1] * x_bad + np.sqrt(1.0 - sched.a)[level - 1] * eps
+                            if level else x_bad)
+                assert np.array_equal(x_base[keep], x_guided[keep]), t
+                assert np.array_equal(x_base[keep], expected[keep]), t
 
 
 class TestGuidanceDirection:
@@ -514,8 +557,9 @@ class TestBatchHeightsAtBenchmarkShapes:
 
 
 def _step_by_step_repair(det, den, rows):
-    """The reference loop: one noise draw per stream and one hash update per
-    row at every step. Returns (x_fix, trajectory hashes, trajectories)."""
+    """The reference loop: one noise draw and one hash update per row at
+    every step, the draw giving both the sampling noise and the infill's.
+    Returns (x_fix, trajectory hashes, trajectories)."""
     n, sched = det.n, den.schedule
     x_bad = np.stack([row.x_bad for row in rows])
     omega = np.stack([row.omega for row in rows])
@@ -531,7 +575,7 @@ def _step_by_step_repair(det, den, rows):
         generators = [stream(seed, f"{tag}/{name}") for seed, tag in keys]
         return lambda: np.stack([g.standard_normal(n) for g in generators])[owner]
 
-    init, z, eps = draws("init"), draws("z"), draws("eps")
+    init, eps = draws("init"), draws("eps")
     hashers = [hashlib.sha256() for _ in rows]
     steps = [[] if row.cfg.record_trajectory else None for row in rows]
 
@@ -544,13 +588,13 @@ def _step_by_step_repair(det, den, rows):
     update_hashes(x)
     for t in range(sched.T, 0, -1):
         xhat = predict_mu(den, x, t)
+        eps_t = eps()
         if t > 1:
-            xhat = xhat + sched.sigma[t - 1] * z()
+            xhat = xhat + sched.sigma[t - 1] * eps_t
         sel = np.flatnonzero(eta[:, t - 1])
         if sel.size:
             grad = guidance_grad(det, x[sel], omega[sel], alpha_bad[sel], delta4[sel], [lam[sel] for lam in lambdas])
             xhat[sel] = xhat[sel] - eta[sel, t - 1, None] * grad
-        eps_t = eps()
         level = t - 1 if level_matched else t
         if level == 0:
             x_bad_level = x_bad
