@@ -2,8 +2,11 @@
 files and every file the program writes.
 
 A checkpoint is a single JSON document carrying the layer layout and all
-parameters as one base64 blob of little-endian float64 bytes, which holds a
-float32 network's values exactly. `from_json`
+parameters as one base64 blob of little-endian bytes. A network's blob is
+in the dtype its model holds, which its `dtype` key names: ``"<f4"`` for
+the float32 denoiser, ``"<f8"`` for the float64 autoencoder. A checkpoint
+without the key, such as the Gauss detector's or any file written before
+the key, holds ``"<f8"``. `from_json`
 decodes a JSON value as a typed field, naming its dotted path in any error;
 it reads a config file's sections and, through `entry`, each key a model's
 `from_payload` reads from a checkpoint. `read` checks a checkpoint's schema
@@ -106,19 +109,27 @@ def entry(payload: dict, key: str, tp=None, default=dataclasses.MISSING):
     return payload[key] if tp is None else from_json(tp, payload[key], f"checkpoint.{key}")
 
 
-def encode_arrays(arrays) -> str:
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+# The dtypes a checkpoint's blob may hold, each little-endian.
+BLOB_DTYPES = ("<f4", "<f8")
+
+
+def encode_arrays(arrays, dtype: str = "<f8") -> str:
+    """The base64 text of `arrays`' values, one after another, as `dtype`
+    bytes; an array that holds `dtype` is not converted first."""
+    blob = b"".join(np.ascontiguousarray(a, dtype=dtype).tobytes() for a in arrays)
     return base64.b64encode(blob).decode("ascii")
 
 
-def decode_array(data: str, count: int) -> Array:
-    """The `count` finite float64 values of a checkpoint's base64 `data`; on
-    a little-endian host, a read-only view of the decoded bytes."""
+def decode_array(data: str, count: int, dtype: str = "<f8") -> Array:
+    """The `count` finite values of a checkpoint's base64 `data`, whose bytes
+    are `dtype` (one of `BLOB_DTYPES`), as an array of that precision; on a
+    little-endian host, a read-only view of the decoded bytes."""
     if not isinstance(data, str):
         raise ValueError(f"checkpoint.data must be a base64 string, got {type(data).__name__}")
     try:
-        values = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").astype(np.float64, copy=False)
-    except ValueError as exc:  # not base64, or bytes that are not whole float64 values
+        values = np.frombuffer(base64.b64decode(data, validate=True), dtype=dtype)
+        values = values.astype(values.dtype.type, copy=False)  # native byte order
+    except ValueError as exc:  # not base64, or bytes that are not whole values of `dtype`
         raise ValueError(f"checkpoint.data: {exc}") from exc
     if values.size != count:
         raise ValueError(f"checkpoint.data holds {values.size} values, expected {count}")
@@ -283,13 +294,17 @@ def load(path, build, expected_kind: str | None):
 
 
 def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
+    """The checkpoint of `net`, whose blob holds its parameters in the dtype
+    the net holds them in."""
+    dtype = net.flat.dtype.newbyteorder("<").str
     payload = {
         "schema": SCHEMA,
         "kind": kind,
         "layers": net.layer_dims(),
         "in_dim": net.in_dim,
         "time_embed": net.time_embed,
-        "data": encode_arrays([net.flat]),
+        "dtype": dtype,
+        "data": encode_arrays([net.flat], dtype),
     }
     if extra:
         payload.update(extra)
@@ -298,11 +313,13 @@ def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
 
 def mlp_from_payload(payload: dict, dtype=np.float64) -> Mlp:
     """The network in a checkpoint `payload`, built with its parameters in
-    `dtype`, the precision its model runs in. The layers are checked, and the
-    data blob against the parameter count they give, before the network is
-    built, so a layout of huge layers fails on the blob's size rather than
-    allocating their parameters. A value beyond `dtype`'s range is an error
-    naming it, not an infinity."""
+    `dtype`, the precision its model runs in. The blob is read in the dtype
+    its `dtype` key names (`BLOB_DTYPES`, ``"<f8"`` when absent). The layers
+    are checked, and the data blob against the parameter count they give,
+    before the network is built, so a layout of huge layers fails on the
+    blob's size rather than allocating their parameters. A value beyond
+    `dtype`'s range, from an ``"<f8"`` blob, is an error naming it, not an
+    infinity."""
     layers = entry(payload, "layers", tuple[Layer, ...])
     if not layers:
         raise ValueError("checkpoint has no layers")
@@ -327,7 +344,11 @@ def mlp_from_payload(payload: dict, dtype=np.float64) -> Mlp:
     acts, layout = [layer["act"] for layer in layers], ["silu"] * (len(layers) - 1) + ["linear"]
     if acts != layout:
         raise ValueError(f"checkpoint.layers: layer activations must be {layout}, got {acts}")
-    flat = decode_array(entry(payload, "data"), sum(layer["in"] * layer["out"] + layer["out"] for layer in layers))
+    blob_dtype = entry(payload, "dtype", str, "<f8")
+    if blob_dtype not in BLOB_DTYPES:
+        raise ValueError(f"checkpoint.dtype must be one of {list(BLOB_DTYPES)}, got {blob_dtype!r}")
+    count = sum(layer["in"] * layer["out"] + layer["out"] for layer in layers)
+    flat = decode_array(entry(payload, "data"), count, blob_dtype)
     hidden = [layer["out"] for layer in layers[:-1]]
     net = Mlp(in_dim, hidden, layers[-1]["out"], time_embed=time_embed, seed=None, dtype=dtype)
     with np.errstate(over="ignore"):  # checked below, naming the value

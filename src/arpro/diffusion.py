@@ -91,7 +91,7 @@ class Denoiser:
     The net is held in `TRAIN_DTYPE` (float32), the precision
     `train_denoiser` builds and trains it in and a checkpoint load builds it
     in; a net of another dtype is cast here. Every forward pass runs in
-    float32. A checkpoint stores the float32 values in its float64 blob, so
+    float32. A checkpoint stores the float32 values as a ``"<f4"`` blob, so
     save and load round-trip bit for bit."""
 
     kind = "denoiser"

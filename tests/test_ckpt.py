@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -219,26 +220,72 @@ class TestCheckpointNumbers:
         payload = json.loads(path.read_text())
         flat = den.net.flat.astype(np.float64)
         flat[7] = value
-        payload["data"] = ckpt.encode_arrays([flat])
+        payload["dtype"], payload["data"] = "<f8", ckpt.encode_arrays([flat])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError) as info:
             Denoiser.load(path)
         assert str(info.value) == (f"{path}: checkpoint.data: parameter 7 is {value!r}, "
                                    f"beyond the float32 range the denoiser runs in")
 
-    def test_decoded_values_view_the_decoded_bytes(self):
-        values = np.array([1.5, -0.0, 5e-324, -1.7976931348623157e308])
-        decoded = ckpt.decode_array(ckpt.encode_arrays([values]), 4)
-        assert decoded.dtype == np.float64 and decoded.tobytes() == values.astype("<f8").tobytes()
+    @pytest.mark.parametrize("dtype", ckpt.BLOB_DTYPES)
+    def test_decoded_values_view_the_decoded_bytes(self, dtype):
+        values = np.array([1.5, -0.0, 1e-45, -3.4028234663852886e38]).astype(dtype)
+        decoded = ckpt.decode_array(ckpt.encode_arrays([values], dtype), 4, dtype)
+        assert decoded.dtype == np.dtype(dtype) and decoded.tobytes() == values.tobytes()
         if sys.byteorder == "little":  # no second copy: the array is the bytes base64 decoded to
             assert not decoded.flags.owndata and not decoded.flags.writeable
 
-    @pytest.mark.parametrize("kind", ["denoiser", "gauss", "recon"])
-    def test_written_files_load_unchanged(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind,dtype", [("denoiser", "<f4"), ("denoiser", "<f8"), ("gauss", None),
+                                            ("recon", "<f8"), ("recon", "<f4")])
+    def test_written_files_load_unchanged(self, tmp_path, kind, dtype):
+        """A written file loads and saves again to the same bytes, and so
+        does one whose blob is rewritten in `dtype`: either dtype holds the
+        values exactly."""
+        model = self._models()[kind]
+        if kind == "recon":  # values of the autoencoder's float64 net that "<f4" holds
+            model.net.flat[...] = model.net.flat.astype(np.float32)
         path, again = tmp_path / "a.json", tmp_path / "b.json"
-        self._models()[kind].save(path)
+        model.save(path)
+        written = path.read_bytes()
+        if dtype is not None:
+            payload = json.loads(written)
+            payload["dtype"], payload["data"] = dtype, ckpt.encode_arrays([model.net.flat], dtype)
+            path.write_text(json.dumps(payload))
         self._load(kind, path).save(again)
-        assert again.read_bytes() == path.read_bytes()
+        assert again.read_bytes() == written
+
+    def test_denoiser_blob_holds_four_bytes_a_parameter(self, tmp_path):
+        path = tmp_path / "denoiser.json"
+        den = self._models()["denoiser"]
+        den.save(path)
+        payload = json.loads(path.read_text())
+        assert payload["dtype"] == "<f4"
+        assert len(base64.b64decode(payload["data"])) == 4 * den.net.flat.size
+
+    @pytest.mark.parametrize("kind", ["denoiser", "recon"])
+    def test_checkpoint_without_dtype_holds_float64(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        model = self._models()[kind]
+        model.save(path)
+        payload = json.loads(path.read_text())
+        del payload["dtype"]
+        payload["data"] = ckpt.encode_arrays([model.net.flat], "<f8")
+        path.write_text(json.dumps(payload))
+        loaded = self._load(kind, path)
+        assert loaded.net.flat.dtype == model.net.flat.dtype
+        assert loaded.net.flat.tobytes() == model.net.flat.tobytes()
+
+    @pytest.mark.parametrize("kind", ["denoiser", "recon"])
+    @pytest.mark.parametrize("dtype", ["<f2", ">f4"])
+    def test_other_dtype_names_file_and_key(self, tmp_path, kind, dtype):
+        path = tmp_path / f"{kind}.json"
+        self._models()[kind].save(path)
+        payload = json.loads(path.read_text())
+        payload["dtype"] = dtype
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            self._load(kind, path)
+        assert str(info.value) == f"{path}: checkpoint.dtype must be one of ['<f4', '<f8'], got {dtype!r}"
 
 
 # Each leaf of a written checkpoint is replaced by each of these in turn.

@@ -360,7 +360,7 @@ class TestValidationFailures:
     @pytest.mark.parametrize("edit,message", [
         (lambda p: {**p, "schedule": {**p["schedule"], "b_start": 0.5, "b_end": 0.1}},
          "{}: checkpoint.schedule: need 0 < b_start <= b_end < 1, got (0.5, 0.1)"),
-        (lambda p: {**p, "data": base64.b64encode(base64.b64decode(p["data"])[:-8]).decode()},
+        (lambda p: {**p, "data": base64.b64encode(base64.b64decode(p["data"])[:-4]).decode()},
          "{}: checkpoint.data holds 1207 values, expected 1208"),
         (lambda p: {**p, "layers": [{**p["layers"][0], "act": "relu"}, *p["layers"][1:]]},
          "{}: checkpoint.layers: layer activations must be ['silu', 'silu', 'linear'], got ['relu', 'silu', 'linear']"),
@@ -375,12 +375,13 @@ class TestValidationFailures:
         (lambda p: {**p, "data": "AAAA"},
          "{}: checkpoint.data: buffer size must be a multiple of element size"),
         (lambda p: {**p, "data": "abc"}, "{}: checkpoint.data: Incorrect padding"),
+        (lambda p: {**p, "dtype": ">f4"}, "{}: checkpoint.dtype must be one of ['<f4', '<f8'], got '>f4'"),
         # Layers of 10**12 units would need 49 * 10**12 parameters; the blob is checked before any is allocated.
         (lambda p: {**p, "layers": [{**p["layers"][0], "out": 10**12}, {**p["layers"][1], "in": 10**12},
                                     *p["layers"][2:]]},
          "{}: checkpoint.data holds 1208 values, expected 49000000000424"),
     ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data", "T-above-cap",
-            "data-not-base64", "data-partial-value", "data-bad-padding", "huge-layers"])
+            "data-not-base64", "data-partial-value", "data-bad-padding", "big-endian-dtype", "huge-layers"])
     def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
         _, config, data_dir, models = workspace
         broken = tmp_path / "broken-denoiser.json"
@@ -599,12 +600,12 @@ class TestValidationFailures:
         assert capsys.readouterr().err == f"error: {broken}: {message}\n"
 
     def test_denoiser_value_beyond_float32_exits_1_naming_data(self, workspace, tmp_path, capsys):
-        # The value is finite in the checkpoint's float64, but the denoiser
-        # runs in float32, where it would be an infinity.
+        # The value is finite in a float64 blob, but the denoiser runs in
+        # float32, where it would be an infinity.
         def overflow(payload):
-            values = np.frombuffer(base64.b64decode(payload["data"]), dtype="<f8").copy()
+            values = np.frombuffer(base64.b64decode(payload["data"]), dtype="<f4").astype("<f8")
             values[3] = 1e150
-            return {**payload, "data": base64.b64encode(values.tobytes()).decode("ascii")}
+            return {**payload, "dtype": "<f8", "data": base64.b64encode(values.tobytes()).decode("ascii")}
 
         broken = self._broken_checkpoint(workspace, tmp_path, "denoiser", overflow)
         assert capsys.readouterr().err == (f"error: {broken}: checkpoint.data: parameter 3 is 1e+150, "

@@ -24,6 +24,13 @@ def test_sizes_json_numbers_and_checkpoint_blob():
     b["m"][1] = 2.0
     line = compare_outputs.sizes("model.json", _json(a), _json(b))
     assert line.startswith("largest numeric difference 8e-09 absolute, 1e-09 relative; 1 of 4")
+    # A float64 blob against a float32 blob of the same values, as a
+    # checkpoint written before and after its "dtype" key: every value is compared.
+    values = np.array([4.0, -8.0, 0.1, 1e-45], dtype=np.float32)
+    a = {"kind": "denoiser", "data": ckpt.encode_arrays([values])}
+    b = {"kind": "denoiser", "dtype": "<f4", "data": ckpt.encode_arrays([values], "<f4")}
+    line = compare_outputs.sizes("denoiser.json", _json(a), _json(b))
+    assert line.endswith("; 0 of 4 finite values differ")
 
 
 def test_sizes_csv_cells_and_other_files():

@@ -16,7 +16,8 @@ the measured timing: `timings.json` is skipped and the
 `seconds` column of `summary.csv` is dropped. Each differing file is printed
 with the JSON paths or CSV cells that differ and the largest absolute and
 relative difference among the numbers that sit at the same place in both
-versions (a checkpoint's base64 `data` blob counts as its float64 values), so
+versions (a checkpoint's base64 `data` blob counts as its values, in the
+dtype its `dtype` key names, ``"<f8"`` when absent), so
 a re-baseline shows whether its differences are rounding-sized.
 
 Exit codes: 0 when every compared file is byte-identical, 1 on any
@@ -135,21 +136,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _json_numbers(a, b, key=None):
+def _json_numbers(a, b):
     """Pairs of numbers at the same place in two decoded JSON documents; a
-    string under the key "data" is a checkpoint's base64 float64 blob."""
+    string under the key "data" is a checkpoint's base64 blob, whose values
+    are read in the dtype under its object's key "dtype" (``"<f8"`` when
+    absent), so blobs of two dtypes compare value by value."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in a.keys() & b.keys():
-            yield from _json_numbers(a[k], b[k], k)
+            if k == "data" and isinstance(a[k], str) and isinstance(b[k], str):
+                x, y = (np.frombuffer(base64.b64decode(d[k]), dtype=d.get("dtype", "<f8")) for d in (a, b))
+                if x.size == y.size:
+                    yield from zip(x.tolist(), y.tolist())
+            else:
+                yield from _json_numbers(a[k], b[k])
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
             yield from _json_numbers(x, y)
     elif _is_number(a) and _is_number(b):
         yield float(a), float(b)
-    elif key == "data" and isinstance(a, str) and isinstance(b, str):
-        x, y = (np.frombuffer(base64.b64decode(s), dtype="<f8") for s in (a, b))
-        if x.size == y.size:
-            yield from zip(x.tolist(), y.tolist())
 
 
 def _csv_numbers(a, b):
