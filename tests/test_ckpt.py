@@ -229,7 +229,8 @@ class TestCheckpointNumbers:
 
     @pytest.mark.parametrize("dtype", ckpt.BLOB_DTYPES)
     def test_decoded_values_view_the_decoded_bytes(self, dtype):
-        values = np.array([1.5, -0.0, 1e-45, -3.4028234663852886e38]).astype(dtype)
+        f = np.finfo(dtype)  # each dtype's smallest subnormal and largest magnitude
+        values = np.array([1.5, -0.0, f.smallest_subnormal, -f.max], dtype=dtype)
         decoded = ckpt.decode_array(ckpt.encode_arrays([values], dtype), 4, dtype)
         assert decoded.dtype == np.dtype(dtype) and decoded.tobytes() == values.tobytes()
         if sys.byteorder == "little":  # no second copy: the array is the bytes base64 decoded to
@@ -242,7 +243,7 @@ class TestCheckpointNumbers:
         does one whose blob is rewritten in `dtype`: either dtype holds the
         values exactly."""
         model = self._models()[kind]
-        if kind == "recon":  # values of the autoencoder's float64 net that "<f4" holds
+        if kind == "recon" and dtype == "<f4":  # float64 values that "<f4" holds exactly
             model.net.flat[...] = model.net.flat.astype(np.float32)
         path, again = tmp_path / "a.json", tmp_path / "b.json"
         model.save(path)
