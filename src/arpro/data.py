@@ -193,17 +193,24 @@ def inject_image_defect(clean: Array, spec: AnomalySpec, side: int, g: np.random
 def _draw_dataset(draw_normal, inject, specs, n_train: int, n_test: int, n_test_normal: int, **fields) -> Dataset:
     """The training rows, then the anomalous test rows (each from a fresh
     normal row, the specs taken in turn), then the normal test rows with
-    all-zero masks, drawn in that order; `fields` complete the Dataset."""
-    train = np.stack([draw_normal() for _ in range(n_train)])
-    test_rows, label_rows = [], []
-    for i in range(n_test):
-        x, mask = inject(draw_normal(), specs[i % len(specs)])
-        test_rows.append(x)
-        label_rows.append(mask)
-    for _ in range(n_test_normal):
-        test_rows.append(draw_normal())
-        label_rows.append(np.zeros(train.shape[1]))
-    return Dataset(train=train, test=np.stack(test_rows), labels=np.stack(label_rows), **fields)
+    all-zero masks, drawn in that order; `fields` complete the Dataset.
+    A non-finite value, which no later command could read, is an error."""
+    # A value that overflows is reported by the explicit check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        train = np.stack([draw_normal() for _ in range(n_train)])
+        test_rows, label_rows = [], []
+        for i in range(n_test):
+            x, mask = inject(draw_normal(), specs[i % len(specs)])
+            test_rows.append(x)
+            label_rows.append(mask)
+        for _ in range(n_test_normal):
+            test_rows.append(draw_normal())
+            label_rows.append(np.zeros(train.shape[1]))
+    test = np.stack(test_rows)
+    if not (np.isfinite(train).all() and np.isfinite(test).all()):
+        raise ValueError("the generated data holds a non-finite value: noise_std or the anomalies' "
+                         "magnitude is too large")
+    return Dataset(train=train, test=test, labels=np.stack(label_rows), **fields)
 
 
 def gen_synthetic_ts(

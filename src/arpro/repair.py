@@ -19,18 +19,19 @@ one guidance gradient per step for the whole batch. A row's result does not
 depend on the batch it runs in, by the BLAS rules that `arpro.tensor.Mlp`
 follows; the tests check this at the benchmark model shapes.
 
-The per-step Python work is done in blocks of `BLOCK` reverse steps: the
-noise stream draws a block's noise in one call, since a (k, n) draw yields
-the bits of k successive draws of n, and each row's trajectory hash takes a
-block of iterates in one update, since SHA-256 of concatenated bytes does not
-depend on how they are split. So the noise and the hashes are those of a
-step-by-step loop; the finiteness check and `record_trajectory` stay per step.
+The reverse loop walks the schedule in blocks of at most `BLOCK` steps. At a
+block's top each `{tag}/eps` stream draws its k steps in one call, since a
+(k, n) draw yields the bits of k successive draws of n; at its bottom each
+row's SHA-256, created from the starting iterate, takes the block's k iterates
+in one update, since SHA-256 does not depend on how its input is split. So the
+noise and the hashes are those of a step-by-step loop; the finiteness check and
+`record_trajectory` stay per step.
 
 The loop allocates its arrays once per repair: the denoiser forward runs in a
 `tensor.Workspace` of the batch height, float32 like the denoiser's net, with
 the step embeddings from its table, and the float64 iterate, the posterior
-mean, the scaled sampling noise and the noised target each have one buffer,
-as does the noise stream.
+mean, the scaled sampling noise, the noised target and the step's draw each
+have one buffer, as do a block's draws and a block's iterates.
 The guidance gradient runs in a `properties.GuidanceState`, built before the
 loop for the rows whose ramp is nonzero at some step: their masks, weights
 and targets' alphas, the detector's workspace and every buffer of the
@@ -164,49 +165,6 @@ class RepairRow:
     cfg: RepairConfig
 
 
-def _noise_steps(generators, n: int, steps: int, owner: Array):
-    """Yield `steps` successive (rows, n) noise draws, row r from generator
-    owner[r]; each generator draws `BLOCK` steps of noise per call. Every
-    draw is yielded in the same buffer, which the caller may overwrite."""
-    block = np.empty((len(generators), BLOCK, n))
-    # Row g * BLOCK + j of `draws` is generator g's draw j. `take` reads this
-    # contiguous view without a copy of its own, which `block[:, j]` would cost.
-    draws, first = block.reshape(-1, n), owner * BLOCK
-    step = np.empty((owner.size, n))
-    for start in range(0, steps, BLOCK):
-        k = min(BLOCK, steps - start)
-        for g, out in zip(generators, block):
-            g.standard_normal(out=out[:k])
-        for j in range(k):
-            # mode="clip" writes straight into `step`; the indices are in range.
-            yield draws.take(first + j, axis=0, out=step, mode="clip")
-
-
-class _TrajectoryHashes:
-    """One SHA-256 per row over its successive iterates, fed `BLOCK` iterates
-    per update."""
-
-    def __init__(self, rows: int, n: int):
-        self.hashers = [hashlib.sha256() for _ in range(rows)]
-        self.block = np.empty((rows, BLOCK, n), dtype="<f8")
-        self.filled = 0
-
-    def add(self, x: Array) -> None:
-        self.block[:, self.filled] = x
-        self.filled += 1
-        if self.filled == BLOCK:
-            self._flush()
-
-    def _flush(self) -> None:
-        for hasher, iterates in zip(self.hashers, self.block[:, : self.filled]):
-            hasher.update(iterates)
-        self.filled = 0
-
-    def hexdigests(self) -> list[str]:
-        self._flush()
-        return [hasher.hexdigest() for hasher in self.hashers]
-
-
 def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
     """Run the repairs of `rows` in lock step, on the denoiser's noise
     schedule; one result per row, in order.
@@ -247,9 +205,7 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
     keys = {key: k for k, key in enumerate(dict.fromkeys((row.cfg.seed, row.cfg.stream_tag) for row in rows))}
     owner = np.array([keys[(row.cfg.seed, row.cfg.stream_tag)] for row in rows])
     init = np.stack([stream(seed, f"{tag}/init").standard_normal(n) for seed, tag in keys])
-    es = _noise_steps([stream(seed, f"{tag}/eps") for seed, tag in keys], n, schedule.T, owner)
-
-    hashes = _TrajectoryHashes(len(rows), n)
+    eps_streams = [stream(seed, f"{tag}/eps") for seed, tag in keys]
     steps = [[] if row.cfg.record_trajectory else None for row in rows]
     recorded = [(r, trajectory) for r, trajectory in enumerate(steps) if trajectory is not None]
 
@@ -260,43 +216,55 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
     # x_bad + sqrt(1 - a_l) eps and x = omega_bar x_bad_level + omega xhat.
     ws = Workspace(denoiser.net, len(rows), steps=schedule.T)
     xhat, level_buf, noise = np.empty_like(x_bad), np.empty_like(x_bad), np.empty_like(x_bad)
-    finite = np.empty(x_bad.shape, dtype=bool)
+    eps_t, finite = np.empty_like(x_bad), np.empty(x_bad.shape, dtype=bool)
+    # Row g * BLOCK + j of `draws` is key g's draw j of the block. `take` reads
+    # this contiguous view without a copy of its own, which `eps_block[:, j]` would cost.
+    eps_block = np.empty((len(keys), BLOCK, n))
+    draws, first = eps_block.reshape(-1, n), owner * BLOCK
+    iterates = np.empty((len(rows), BLOCK, n), dtype="<f8")
     # Divergence is reported by the explicit check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         started = time.perf_counter()
         x = init[owner]
-        hashes.add(x)
-        for t in range(schedule.T, 0, -1):
-            predict_mu(denoiser, x, t, ws=ws, out=xhat)
-            eps_t = next(es)
-            if t > 1:
-                xhat += np.multiply(schedule.sigma[t - 1], eps_t, out=noise)
-            if eta_guided[:, t - 1].any():
-                # xhat[guided] = xhat[guided] - eta_t * grad, eta_t tiled into `update` first.
-                x.take(guided, axis=0, out=state.x, mode="clip")
-                grad = state.grad()
-                np.copyto(update, eta_guided[:, t - 1, None])
-                grad *= update
-                xhat.take(guided, axis=0, out=update, mode="clip")
-                xhat[guided] = np.subtract(update, grad, out=update)
-            level = t - 1 if level_matched else t
-            if level == 0:
-                x_bad_level = x_bad
-            else:
-                x_bad_level = np.multiply(root_a[level - 1], x_bad, out=level_buf)
-                eps_t *= root_rem[level - 1]
-                x_bad_level += eps_t
-            np.multiply(omega_bar, x_bad_level, out=x)
-            xhat *= omega
-            x += xhat
-            finite_rows = np.isfinite(x, out=finite).all(axis=1)
-            if not finite_rows.all():
-                tag = rows[int(np.argmin(finite_rows))].cfg.stream_tag
-                raise ValueError(f"repair {tag}: iterate became non-finite at step t={t}")
-            hashes.add(x)
-            for r, trajectory in recorded:
-                trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
-        digests = hashes.hexdigests()
+        hashers = [hashlib.sha256(x0) for x0 in x.astype("<f8", copy=False)]
+        for top in range(schedule.T, 0, -BLOCK):
+            k = min(BLOCK, top)
+            for g, out in zip(eps_streams, eps_block):
+                g.standard_normal(out=out[:k])
+            for j in range(k):
+                t = top - j
+                predict_mu(denoiser, x, t, ws=ws, out=xhat)
+                # mode="clip" writes straight into `eps_t`; the indices are in range.
+                draws.take(first + j, axis=0, out=eps_t, mode="clip")
+                if t > 1:
+                    xhat += np.multiply(schedule.sigma[t - 1], eps_t, out=noise)
+                if eta_guided[:, t - 1].any():
+                    # xhat[guided] = xhat[guided] - eta_t * grad, eta_t tiled into `update` first.
+                    x.take(guided, axis=0, out=state.x, mode="clip")
+                    grad = state.grad()
+                    np.copyto(update, eta_guided[:, t - 1, None])
+                    grad *= update
+                    xhat.take(guided, axis=0, out=update, mode="clip")
+                    xhat[guided] = np.subtract(update, grad, out=update)
+                level = t - 1 if level_matched else t
+                if level == 0:
+                    x_bad_level = x_bad
+                else:
+                    x_bad_level = np.multiply(root_a[level - 1], x_bad, out=level_buf)
+                    eps_t *= root_rem[level - 1]
+                    x_bad_level += eps_t
+                np.multiply(omega_bar, x_bad_level, out=x)
+                xhat *= omega
+                x += xhat
+                finite_rows = np.isfinite(x, out=finite).all(axis=1)
+                if not finite_rows.all():
+                    tag = rows[int(np.argmin(finite_rows))].cfg.stream_tag
+                    raise ValueError(f"repair {tag}: iterate became non-finite at step t={t}")
+                iterates[:, j] = x
+                for r, trajectory in recorded:
+                    trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
+            for hasher, block in zip(hashers, iterates[:, :k]):
+                hasher.update(block)
         seconds = (time.perf_counter() - started) / len(rows)
         state = None  # its buffers would add to the peak memory of the scoring below
 
@@ -311,7 +279,7 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
                 x_fix=x[r].copy(),
                 loss=loss,
                 metrics=scores,
-                trajectory_hash=digests[r],
+                trajectory_hash=hashers[r].hexdigest(),
                 seconds=seconds,
                 seed=row.cfg.seed,
                 infill_mode=row.cfg.infill_mode,

@@ -516,6 +516,8 @@ class TestValidationFailures:
          "config.detector: sigma_floor 1e+200 makes 1/(2 sigma^2) or log(2 pi sigma^2) non-finite"),
         (json.dumps({"diffusion": {"T": MAX_T + 1}}),
          f"config.diffusion: step count T must be <= {MAX_T}, got {MAX_T + 1}"),
+        ('{"data": {"noise_std": 1e308}}',
+         "the generated data holds a non-finite value: noise_std or the anomalies' magnitude is too large"),
     ])
     def test_mistyped_or_out_of_range_config_exits_1_at_load(self, tmp_path, capsys, text, message):
         config = tmp_path / "bad.json"

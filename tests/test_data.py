@@ -240,6 +240,17 @@ class TestDatasetInvariants:
                 modality="timeseries",
             )
 
+    @pytest.mark.parametrize("generate", [
+        lambda: gen_synthetic_ts(2, 16, 10, 4, SPIKE, seed=1, noise_std=1e308),
+        lambda: gen_synthetic_ts(2, 16, 10, 4, AnomalySpec(kind="spike", magnitude=math.inf), seed=1),
+        lambda: gen_synthetic_image(8, 10, 4, AnomalySpec(kind="square_defect"), seed=1, noise_std=1e308),
+        lambda: gen_synthetic_image(8, 10, 4, AnomalySpec(kind="stripe_defect", magnitude=math.inf), seed=1),
+    ], ids=["ts-noise", "ts-magnitude", "image-noise", "image-magnitude"])
+    def test_non_finite_generated_value_names_its_keys(self, generate):
+        # An overflow is reported by the error alone: RuntimeWarnings fail the suite.
+        with pytest.raises(ValueError, match="non-finite value: noise_std or the anomalies' magnitude"):
+            generate()
+
 
 def _row_by_row_read(path):
     """The reference parse: `csv.reader` and `float()` cell by cell, worded

@@ -556,10 +556,12 @@ class TestBatchHeightsAtBenchmarkShapes:
 
 
 
-def _step_by_step_repair(det, den, rows):
+def _step_by_step_repair(det, den, rows, divergence=False):
     """The reference loop: one noise draw and one hash update per row at
     every step, the draw giving both the sampling noise and the infill's.
-    Returns (x_fix, trajectory hashes, trajectories)."""
+    Returns (x_fix, trajectory hashes, trajectories); with `divergence`, it
+    returns instead the first step t at which an iterate goes non-finite and
+    the first row r whose iterate does, as (t, r), or None if none does."""
     n, sched = det.n, den.schedule
     x_bad = np.stack([row.x_bad for row in rows])
     omega = np.stack([row.omega for row in rows])
@@ -601,11 +603,13 @@ def _step_by_step_repair(det, den, rows):
         else:
             x_bad_level = np.sqrt(sched.a)[level - 1] * x_bad + np.sqrt(1.0 - sched.a)[level - 1] * eps_t
         x = omega_bar * x_bad_level + omega * xhat
+        if divergence and not np.isfinite(x).all():
+            return t, int(np.argmin(np.isfinite(x).all(axis=1)))
         update_hashes(x)
         for r, trajectory in enumerate(steps):
             if trajectory is not None:
                 trajectory.append((t, x_bad_level[r].copy(), x[r].copy()))
-    return x, [hasher.hexdigest() for hasher in hashers], steps
+    return None if divergence else (x, [hasher.hexdigest() for hasher in hashers], steps)
 
 
 class TestBlockedNoiseAndHashes:
@@ -675,6 +679,33 @@ class TestBlockedNoiseAndHashes:
             for (t, level, x), (t_ref, level_ref, x_ref) in zip(result.trajectory or (), steps[r] or (), strict=True):
                 assert t == t_ref
                 assert np.array_equal(level, level_ref) and np.array_equal(x, x_ref)
+
+
+class TestDivergenceStep:
+    """The divergence message names the row and the exact step at which an
+    iterate first goes non-finite, also a step inside a block of `BLOCK`."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("eta", [1e2, 1e3, 1e5])
+    def test_message_names_first_nonfinite_step(self, eta, mode):
+        T, n = 23, 8
+        g = stream(T, "divergence-world")
+        train = g.standard_normal((40, n))
+        det = fit_gauss(train)
+        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=T), make_schedule(T))
+        x_bad = train[0] + g.normal(0.0, 2.0, size=n)
+        omega = (g.random(n) < 0.5).astype(np.float64)
+        omega[0] = 1.0
+        rows = [RepairRow(x_bad, omega, RepairConfig(eta_start=e, eta_end=e, infill_mode=mode, stream_tag=tag))
+                for tag, e in (("calm", 0.05), ("slow", eta / 10.0), ("fast", eta))]
+        with np.errstate(all="ignore"):
+            t, r = _step_by_step_repair(det, den, rows, divergence=True)
+        assert (T - t) % arpro.repair.BLOCK != 0  # not the first step of a block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                repair_batch(det, den, rows)
+        assert str(raised.value) == f"repair {rows[r].cfg.stream_tag}: iterate became non-finite at step t={t}"
 
 
 class TestFinalIterateBound:
