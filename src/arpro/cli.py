@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -140,25 +139,18 @@ def _load_dataset(path: str):
     return load_csv_dataset(_require_dir(path))
 
 
-def _load_models(args, cfg: ExperimentConfig, n: int):
+def _load_models(args, n: int):
     """The detector and denoiser checkpoints that --detector and --denoiser
-    name, None for a flag not given; each must have the dataset's dimension n.
-    The denoiser samples with the config's `diffusion.std_mode`."""
+    name, None for a flag not given; each must have the dataset's dimension n."""
     detector = denoiser = None
     if args.detector is not None:
         detector = load_detector(args.detector)
     if args.denoiser is not None:
-        denoiser = _load_denoiser(args.denoiser, cfg.diffusion.std_mode)
+        denoiser = Denoiser.load(args.denoiser)
     for path, model in ((args.detector, detector), (args.denoiser, denoiser)):
         if model is not None and model.n != n:
             raise CliError(f"{path}: {model.kind} checkpoint has dimension {model.n}, but the dataset has {n}")
     return detector, denoiser
-
-
-def _load_denoiser(path: str, std_mode: str) -> Denoiser:
-    """Load a denoiser that samples with `std_mode`, whatever its checkpoint's."""
-    denoiser = Denoiser.load(path)
-    return Denoiser(denoiser.net, dataclasses.replace(denoiser.schedule, std_mode=std_mode))
 
 
 def _cmd_gen_data(args) -> int:
@@ -193,7 +185,7 @@ def _cmd_train_diffusion(args) -> int:
 def _cmd_repair(args) -> int:
     cfg, overrides = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args, cfg, dataset.n)
+    detector, denoiser = _load_models(args, dataset.n)
     arm = "guided" if args.guided else "baseline"
     pipe, results = harness.run_single_arm(cfg, arm, dataset=dataset, detector=detector, denoiser=denoiser)
 
@@ -219,7 +211,7 @@ def _cmd_evaluate(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg, overrides = _experiment_config(args, file_cfg)
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args, cfg, dataset.n)
+    detector, denoiser = _load_models(args, dataset.n)
     report = harness.run_experiment(cfg, dataset=dataset, detector=detector, denoiser=denoiser)
     report.provenance = {"config_file": file_cfg or None, "overrides": overrides}
     paths = harness.write_report(report, args.out)
@@ -241,7 +233,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
     dataset = _load_dataset(args.input)
-    detector, denoiser = _load_models(args, cfg, dataset.n)
+    detector, denoiser = _load_models(args, dataset.n)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import ckpt
-from .tensor import Array, stream
+from .tensor import Array, check_batch, stream
 
 DATASET_SCHEMA = "arpro-ds-v1"
 TS_KINDS = ("spike", "level_shift", "noise_burst", "stuck_sensor")
 IMAGE_KINDS = ("square_defect", "stripe_defect")
 ANOMALY_KINDS = TS_KINDS + IMAGE_KINDS
-DEFAULT_SCALE_FLOOR = 1e-8
+SCALE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -462,10 +462,14 @@ class Scaler:
         return np.asarray(x, dtype=np.float64) * self.scale + self.shift
 
 
-def fit_scaler(train, scale_floor: float = DEFAULT_SCALE_FLOOR) -> Scaler:
-    if scale_floor <= 0.0:
-        raise ValueError("scale floor must be positive")
-    data = np.asarray(train, dtype=np.float64)
-    if data.ndim != 2 or data.size == 0:
-        raise ValueError("scaler needs a non-empty 2-D training batch")
-    return Scaler(shift=data.mean(axis=0), scale=np.maximum(data.std(axis=0), scale_floor))
+def fit_scaler(train) -> Scaler:
+    """The per-feature mean and std of `train`, the std floored at
+    `SCALE_FLOOR`; a column whose statistics overflow is an error."""
+    data = check_batch(train)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        shift, scale = data.mean(axis=0), data.std(axis=0)
+    bad = ~(np.isfinite(shift) & np.isfinite(scale))
+    if bad.any():
+        raise ValueError(f"the training data's column {int(np.argmax(bad)) + 1} overflows its mean or std: "
+                         "noise_std or the data's values are too large")
+    return Scaler(shift=shift, scale=np.maximum(scale, SCALE_FLOOR))

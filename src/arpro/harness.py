@@ -150,7 +150,8 @@ def prepare_pipeline(
     detector=None,
     denoiser: Denoiser | None = None,
 ) -> Pipeline:
-    """Fit models, calibrate thresholds, and select anomalous test instances."""
+    """Fit models, calibrate thresholds, and select anomalous test instances;
+    a denoiser passed in samples with `cfg.diffusion.std_mode`, whatever its own."""
     if dataset is None:
         dataset = cfg.data.generate(cfg.seed)
     train, test = scaled_splits(cfg, dataset)
@@ -177,6 +178,8 @@ def prepare_pipeline(
         denoiser = train_denoiser(train, cfg.diffusion, seed=cfg.seed)
     elif denoiser.n != train.shape[1]:
         raise ValueError(f"denoiser dimension {denoiser.n} does not match data {train.shape[1]}")
+    else:
+        denoiser = Denoiser(denoiser.net, dataclasses.replace(denoiser.schedule, std_mode=cfg.diffusion.std_mode))
 
     return Pipeline(
         train=train,

@@ -553,6 +553,18 @@ class TestValidationFailures:
         assert "non-finite parameter values" in capsys.readouterr().err
         assert not (out / "denoiser.json").exists()
 
+    @pytest.mark.parametrize("command", ["train-detector", "train-diffusion"])
+    def test_data_too_large_to_standardize_exits_1_without_checkpoint(self, tmp_path, capsys, command):
+        # A RuntimeWarning would fail the suite, so exit 1 here also means none was printed.
+        config = tmp_path / "loud.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "data": {**TINY_CONFIG["data"], "noise_std": 1e200}}))
+        data_dir, out = tmp_path / "data", tmp_path / "models"
+        assert main(["gen-data", "--out", str(data_dir), "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main([command, "--input", str(data_dir), "--config", str(config), "--out", str(out)]) == 1
+        assert "column 1 overflows its mean or std: noise_std or the data's values" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,key,message", [
         ("gauss", "n", "checkpoint lacks required key 'n'"),
         ("gauss", "data", "checkpoint lacks required key 'data'"),

@@ -214,9 +214,21 @@ class TestScaler:
         x = rng.normal(size=5)
         assert np.allclose(scaler.invert(scaler.apply(x)), x, atol=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_scaler(np.zeros((0, 2)))
+    @pytest.mark.parametrize("train,message", [
+        (np.zeros((0, 2)), "training data is empty"),
+        (np.array([[0.0, 1.0], [math.nan, 2.0]]), "training data contains non-finite values"),
+    ])
+    def test_empty_or_nan_batch_rejected(self, train, message):
+        with pytest.raises(ValueError, match=message):
+            fit_scaler(train)
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_overflowing_column_names_it_and_noise_std(self, big):
+        # Values beyond ~1e154 overflow the std's squares, and values near 1e308 the mean's sum too;
+        # the error alone reports it: RuntimeWarnings fail the suite.
+        train = np.array([[0.0, big, 1.0], [1.0, big / 2, 2.0], [2.0, big, 3.0]])
+        with pytest.raises(ValueError, match="column 2 overflows its mean or std: noise_std or the data's"):
+            fit_scaler(train)
 
 
 class TestDatasetInvariants:

@@ -19,12 +19,13 @@ from arpro.harness import (
     prepare_pipeline,
     run_experiment,
     run_single_arm,
+    scaled_splits,
     timeseries_benchmark_config,
     write_ablation,
     write_report,
 )
 from arpro.detector import GaussDetector, binarize
-from arpro.diffusion import train_denoiser
+from arpro.diffusion import Denoiser, train_denoiser
 from arpro.properties import conformal_threshold
 
 
@@ -110,6 +111,20 @@ class TestRunExperiment:
         run_experiment(cfg, dataset=dataset)
         assert np.array_equal(dataset.train, train_before)
         assert np.array_equal(dataset.test, test_before)
+
+    def test_config_std_mode_reaches_a_passed_denoiser(self):
+        cfg = tiny_config(seed=6)
+        cfg = dataclasses.replace(cfg, diffusion=dataclasses.replace(cfg.diffusion, std_mode="paper-literal"))
+        train, _ = scaled_splits(cfg, cfg.data.generate(cfg.seed))
+        standard = train_denoiser(train, dataclasses.replace(cfg.diffusion, std_mode="standard"), seed=cfg.seed)
+        literal = Denoiser(standard.net, dataclasses.replace(standard.schedule, std_mode="paper-literal"))
+        report = run_experiment(cfg, denoiser=standard)
+        expected = run_experiment(cfg, denoiser=literal)
+        assert {r.std_mode for record in report.records for r in (record.baseline, record.guided)} == {"paper-literal"}
+        for record, want in zip(report.records, expected.records, strict=True):
+            for got, ref in ((record.baseline, want.baseline), (record.guided, want.guided)):
+                assert np.array_equal(got.x_fix, ref.x_fix)
+                assert got.trajectory_hash == ref.trajectory_hash
 
     def test_single_arm_matches_experiment(self):
         cfg = tiny_config(seed=7)
@@ -246,7 +261,7 @@ class TestConfigParsing:
             {**cfg.to_dict(), "data": {**cfg.data.to_dict(), "n_features": 3}}
         )
         denoiser = train_denoiser(other.data.generate(0).train, other.diffusion, seed=0)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="denoiser dimension 36 does not match data 24"):
             prepare_pipeline(cfg, denoiser=denoiser)
 
     def test_prepare_pipeline_rejects_mismatched_detector(self):

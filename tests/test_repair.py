@@ -264,6 +264,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             guided_repair(det, den, np.zeros(4), np.zeros(4), RepairConfig(seed=0))
 
+    def test_denoiser_of_another_dimension_rejected(self, small_world):
+        _, den, _, _ = small_world
+        det = GaussDetector(np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="denoiser dimension 8 does not match detector 4"):
+            guided_repair(det, den, np.zeros(4), np.zeros(4), RepairConfig(seed=0))
+
     def test_divergence_raises_naming_stream_and_step(self, small_world):
         det, den, x_bad, omega = small_world
         cfg = RepairConfig(seed=0, stream_tag="inst3", eta_start=1e6, eta_end=1e9, lambda1=1e6)

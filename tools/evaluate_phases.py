@@ -13,7 +13,7 @@ times measured, under a `perfbench/spans.py` `Tracer` that wraps these
 functions where their callers look them up:
 
     csv_load      arpro.cli.load_csv_dataset
-    ckpt_load     arpro.cli.load_detector and arpro.cli._load_denoiser
+    ckpt_load     arpro.ckpt.load, which the detector and denoiser loads call
     prepare       arpro.harness.prepare_pipeline
     repair        arpro.harness.repair_batch, of which
       predict_mu      arpro.repair.predict_mu
@@ -54,8 +54,7 @@ PHASES = ("csv_load", "ckpt_load", "prepare", "repair", "predict_mu", "guidance"
 # what is left of `repair`.
 TARGETS = (
     ("csv_load", "arpro.cli", "load_csv_dataset"),
-    ("ckpt_load", "arpro.cli", "load_detector"),
-    ("ckpt_load", "arpro.cli", "_load_denoiser"),
+    ("ckpt_load", "arpro.ckpt", "load"),
     ("prepare", "arpro.harness", "prepare_pipeline"),
     ("repair", "arpro.harness", "repair_batch"),
     ("predict_mu", "arpro.repair", "predict_mu"),
