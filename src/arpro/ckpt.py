@@ -40,13 +40,13 @@ SCHEMA = "arpro-ckpt-v1"
 # not a dataclass.
 Layer = typing.TypedDict("Layer", {"in": int, "out": int, "act": str})
 
-_TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string"}
+_TYPE_NAMES = {int: "an int", float: "a finite number", str: "a string"}
 
 
 def from_json(tp, value, where: str):
     """`value`, decoded from JSON, as field type `tp`: a dataclass (from its
     fields that `__init__` takes), a TypedDict, ``tuple[X, ...]``,
-    ``X | None``, int, float, bool or str. Any error is a ValueError naming
+    ``X | None``, int, float or str. Any error is a ValueError naming
     `where`, the value's dotted path."""
     if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
         if not isinstance(value, dict):
@@ -293,16 +293,16 @@ def load(path, build, expected_kind: str | None):
         raise ValueError(f"{Path(path)}: {exc}") from exc
 
 
-def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
+def mlp_payload(net: Mlp, kind: str = "mlp", time_embed: int | None = None, extra: dict | None = None) -> dict:
     """The checkpoint of `net`, whose blob holds its parameters in the dtype
-    the net holds them in."""
+    the net holds them in; `in_dim` leaves out the last `time_embed` inputs."""
     dtype = net.flat.dtype.newbyteorder("<").str
     payload = {
         "schema": SCHEMA,
         "kind": kind,
         "layers": net.layer_dims(),
-        "in_dim": net.in_dim,
-        "time_embed": net.time_embed,
+        "in_dim": net.in_dim - (time_embed or 0),
+        "time_embed": time_embed,
         "dtype": dtype,
         "data": encode_arrays([net.flat], dtype),
     }
@@ -313,13 +313,13 @@ def mlp_payload(net: Mlp, kind: str = "mlp", extra: dict | None = None) -> dict:
 
 def mlp_from_payload(payload: dict, dtype=np.float64) -> Mlp:
     """The network in a checkpoint `payload`, built with its parameters in
-    `dtype`, the precision its model runs in. The blob is read in the dtype
-    its `dtype` key names (`BLOB_DTYPES`, ``"<f8"`` when absent). The layers
-    are checked, and the data blob against the parameter count they give,
-    before the network is built, so a layout of huge layers fails on the
-    blob's size rather than allocating their parameters. A value beyond
-    `dtype`'s range, from an ``"<f8"`` blob, is an error naming it, not an
-    infinity."""
+    `dtype`, the precision its model runs in, and ``in_dim + time_embed``
+    inputs (see `mlp_payload`). The blob is read in the dtype its `dtype`
+    key names (`BLOB_DTYPES`, ``"<f8"`` when absent). The layers are
+    checked, and the data blob against the parameter count they give, before
+    the network is built, so a layout of huge layers fails on the blob's size
+    rather than allocating their parameters. A value beyond `dtype`'s range,
+    from an ``"<f8"`` blob, is an error naming it, not an infinity."""
     layers = entry(payload, "layers", tuple[Layer, ...])
     if not layers:
         raise ValueError("checkpoint has no layers")
@@ -350,7 +350,7 @@ def mlp_from_payload(payload: dict, dtype=np.float64) -> Mlp:
     count = sum(layer["in"] * layer["out"] + layer["out"] for layer in layers)
     flat = decode_array(entry(payload, "data"), count, blob_dtype)
     hidden = [layer["out"] for layer in layers[:-1]]
-    net = Mlp(in_dim, hidden, layers[-1]["out"], time_embed=time_embed, seed=None, dtype=dtype)
+    net = Mlp(expected_first, hidden, layers[-1]["out"], seed=None, dtype=dtype)
     with np.errstate(over="ignore"):  # checked below, naming the value
         net.flat[...] = flat
     finite = np.isfinite(net.flat)

@@ -164,7 +164,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train_detector(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
-    train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
+    train, _ = harness.scaled_splits(_load_dataset(args.input))
     detector = harness.fit_detector(cfg.detector, train, cfg.seed)
     out = Path(args.out) / "detector.json"
     detector.save(out)
@@ -174,7 +174,7 @@ def _cmd_train_detector(args) -> int:
 
 def _cmd_train_diffusion(args) -> int:
     cfg, _ = _experiment_config(args, _load_config_file(args.config))
-    train, _ = harness.scaled_splits(cfg, _load_dataset(args.input))
+    train, _ = harness.scaled_splits(_load_dataset(args.input))
     denoiser = harness.train_denoiser(train, cfg.diffusion, seed=cfg.seed)  # harness's name, as perfbench wraps it
     out = Path(args.out) / "denoiser.json"
     denoiser.save(out)

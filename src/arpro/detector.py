@@ -205,8 +205,6 @@ class ReconDetector(_DetectorBase):
             raise ValueError(
                 f"autoencoder output dimension {net.out_dim} must equal input {net.in_dim}"
             )
-        if net.time_embed is not None:
-            raise ValueError("autoencoder must not be step-conditioned")
         self.net = net.astype(np.float64)
         self.n = net.in_dim
 
@@ -237,7 +235,11 @@ class ReconDetector(_DetectorBase):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ReconDetector":
-        return cls(ckpt.mlp_from_payload(payload))
+        net = ckpt.mlp_from_payload(payload)
+        in_dim = ckpt.entry(payload, "in_dim", int, net.in_dim)
+        if net.out_dim != in_dim:
+            raise ValueError(f"autoencoder output dimension {net.out_dim} must equal input {in_dim}")
+        return cls(net)
 
 
 class _GaussWorkspace:

@@ -1,15 +1,17 @@
 """Noise schedule and noise-prediction denoiser.
 
 The forward process blends a clean vector with Gaussian noise at a cumulative
-level per step; the denoiser is a step-conditioned MLP trained to predict the
-injected noise on non-anomalous data, and `predict_mu` turns its prediction
-into the posterior mean of a reverse step. The reverse process itself, a
-masked in-fill that is ancestral sampling when the mask covers every
-coordinate, is `arpro.repair`.
+level per step; the denoiser, a plain MLP that takes x_t beside the
+sinusoidal embedding of t, is trained to predict the injected noise on
+non-anomalous data (Ho et al. 2020), and `predict_mu` turns its prediction
+into the posterior mean of a reverse step. Only this module knows how the
+denoiser sees t. The reverse process itself, a masked in-fill that is
+ancestral sampling when the mask covers every coordinate, is `arpro.repair`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +77,16 @@ def make_schedule(
     return NoiseSchedule(T, float(b_start), float(b_end), std_mode)
 
 
+def time_embedding(t, dim: int) -> Array:
+    """Sinusoidal embedding of step indices (Vaswani et al. 2017) in an
+    even `dim`: ``(len(t), dim)`` for a scalar or a batch of steps `t`."""
+    tv = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    half = dim // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
+    angles = tv[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+
+
 def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float, out: Array | None = None) -> Array:
     """Reverse-step mean from a noise prediction:
     (x_t - b_t/sqrt(1-a_t) * eps_hat) / sqrt(1-b_t), written into `out`
@@ -86,31 +98,28 @@ def posterior_mean(x_t: Array, eps_hat: Array, b_t: float, a_t: float, out: Arra
 
 
 class Denoiser:
-    """Step-conditioned noise predictor bound to its schedule.
-
-    The net is held in `TRAIN_DTYPE` (float32), the precision
-    `train_denoiser` builds and trains it in and a checkpoint load builds it
-    in; a net of another dtype is cast here. Every forward pass runs in
-    float32. A checkpoint stores the float32 values as a ``"<f4"`` blob, so
-    save and load round-trip bit for bit."""
+    """Noise predictor eps(x_t, t) bound to its schedule. Its net maps x_t and
+    the embedding of t, ``n + time_embed`` inputs, to ``n`` outputs; `table`
+    holds the embeddings of steps 1 to T. The net and the table are held in
+    `TRAIN_DTYPE` (float32), the precision `train_denoiser` builds and trains
+    the net in and a checkpoint load builds it in; a net of another dtype is
+    cast here. A checkpoint stores the float32 values as a ``"<f4"`` blob,
+    so save and load round-trip bit for bit."""
 
     kind = "denoiser"
 
     def __init__(self, net: Mlp, schedule: NoiseSchedule):
-        if net.out_dim != net.in_dim:
-            raise ValueError("denoiser input and output dimensions must match")
-        if net.time_embed is None:
-            raise ValueError("denoiser must be step-conditioned")
+        self.time_embed = net.in_dim - net.out_dim
+        if self.time_embed <= 0 or self.time_embed % 2:
+            raise ValueError(f"denoiser must be step-conditioned: {net.in_dim} inputs for {net.out_dim} outputs")
         self.net = net.astype(TRAIN_DTYPE)
         self.schedule = schedule
-
-    @property
-    def n(self) -> int:
-        return self.net.in_dim
+        self.n = net.out_dim
+        self.table = time_embedding(np.arange(1, schedule.T + 1), self.time_embed).astype(TRAIN_DTYPE)
 
     def save(self, path) -> None:
         extra = {"schedule": ckpt.to_json(self.schedule)}
-        ckpt.write(path, ckpt.mlp_payload(self.net, kind=self.kind, extra=extra))
+        ckpt.write(path, ckpt.mlp_payload(self.net, kind=self.kind, time_embed=self.time_embed, extra=extra))
 
     @classmethod
     def load(cls, path) -> "Denoiser":
@@ -120,26 +129,35 @@ class Denoiser:
     @classmethod
     def from_payload(cls, payload: dict) -> "Denoiser":
         schedule = ckpt.entry(payload, "schedule", NoiseSchedule)
-        return cls(ckpt.mlp_from_payload(payload, TRAIN_DTYPE), schedule)
+        net = ckpt.mlp_from_payload(payload, TRAIN_DTYPE)
+        if net.out_dim != ckpt.entry(payload, "in_dim", int, net.in_dim):
+            raise ValueError("denoiser input and output dimensions must match")
+        return cls(net, schedule)
 
 
 def predict_mu(
     denoiser: Denoiser, x_t: Array, t: int, ws: Workspace | None = None, out: Array | None = None
 ) -> Array:
     """Posterior mean of the reverse step at t, a float64 array written into
-    `out` when it is given. With a workspace `ws` of the batch's height, made
-    with ``steps=denoiser.schedule.T``, the denoiser's float32 forward pass
-    runs in it. The noise prediction is widened to float64 before the mean
-    is formed, so the mean is float64 arithmetic on float32 predictions."""
+    `out` when it is given. The denoiser's float32 forward pass of x_t and
+    step t's embedding runs in `ws`, a workspace of the batch's height, or in
+    one of its own. The prediction is widened to float64 before the mean is
+    formed, so the mean is float64 arithmetic on float32 predictions."""
     t = int(t)
     if not (1 <= t <= denoiser.schedule.T):
         raise ValueError(f"step {t} out of range [1, {denoiser.schedule.T}]")
-    x_t = np.asarray(x_t, dtype=np.float64)
+    x_t, n = np.asarray(x_t, dtype=np.float64), denoiser.n
+    if ws is None:
+        ws = Workspace(denoiser.net, len(x_t) if x_t.ndim == 2 else 1)
+    if x_t.shape != (ws.rows, n) and not (ws.rows == 1 and x_t.shape == (n,)):
+        raise ValueError(f"input shape {x_t.shape} does not fit a workspace of {ws.rows} rows of {n}")
+    ws.x[:, :n] = x_t
+    ws.x[:, n:] = denoiser.table[t - 1]
     if out is None:
         out = np.empty_like(x_t)
     # Widened by a copy into `out`: a ufunc mixing float32 and float64
     # operands would allocate a cast buffer on every call.
-    np.copyto(out, denoiser.net.forward_np(x_t, t, ws=ws))
+    np.copyto(out, denoiser.net.forward_np(ws.x, ws=ws).reshape(x_t.shape))
     return posterior_mean(x_t, out, denoiser.schedule.b[t - 1], denoiser.schedule.a[t - 1], out=out)
 
 
@@ -176,8 +194,8 @@ def train_denoiser(normal_data, cfg: DiffusionConfig | None = None, seed: int = 
     schedule = cfg.schedule()
     data = check_batch(normal_data)
     m, n = data.shape
-    net = Mlp(n, list(cfg.hidden), n, time_embed=cfg.time_embed, seed=seed, stream_name="denoiser-init",
-              dtype=TRAIN_DTYPE)
+    net = Mlp(n + cfg.time_embed, list(cfg.hidden), n, seed=seed, stream_name="denoiser-init", dtype=TRAIN_DTYPE)
+    denoiser = Denoiser(net, schedule)  # holds `net` itself, which `fit` trains in place
     picker = stream(seed, "denoiser-batch")
     noiser = stream(seed, "denoiser-noise")
     steps_rng = stream(seed, "denoiser-steps")
@@ -194,27 +212,27 @@ def train_denoiser(normal_data, cfg: DiffusionConfig | None = None, seed: int = 
     def batch(ws: Workspace) -> Array:
         # mode="clip" leaves these in-range indices alone and writes straight
         # into `out`, which the default mode would buffer; `take` into the
-        # column block ws.emb would also go through a copy.
+        # embedding's column block of ws.x would also go through a copy.
         data.take(picker.integers(0, m, size=rows), axis=0, out=x0, mode="clip")
         s = steps_rng.integers(1, schedule.T + 1, size=rows) - 1
-        ws.table.take(s, axis=0, out=emb, mode="clip")
-        ws.emb[...] = emb
+        denoiser.table.take(s, axis=0, out=emb, mode="clip")
+        ws.x[:, n:] = emb
         noiser.standard_normal(out=drawn)
         np.copyto(eps, drawn)
-        # x_t = sqrt(a_t) x0 + sqrt(1 - a_t) eps, copied into the workspace
-        # input. A ufunc that broadcasts a column, or writes into the column
-        # block ws.x, costs a 64 KiB iterator buffer per operand, so each
-        # column of factors is tiled into `blend` and the sum formed there.
+        # x_t = sqrt(a_t) x0 + sqrt(1 - a_t) eps, copied into ws.x[:, :n]. A
+        # ufunc that broadcasts a column, or writes into a column block of
+        # ws.x, costs a 64 KiB iterator buffer per operand, so each column of
+        # factors is tiled into `blend` and the sum formed there.
         np.copyto(blend, root_a[s, None])
         np.multiply(x0, blend, out=x0)
         np.copyto(blend, root_one_minus_a[s, None])
         np.multiply(blend, eps, out=blend)
         np.add(blend, x0, out=blend)
-        ws.x[...] = blend
+        ws.x[:, :n] = blend
         return eps
 
-    fit(net, rows, batch, cfg, "denoiser", steps=schedule.T)
-    return Denoiser(net, schedule)
+    fit(net, rows, batch, cfg, "denoiser")
+    return denoiser
 
 
 def denoising_loss(denoiser: Denoiser, x0: Array, t, eps: Array) -> float:
@@ -225,7 +243,12 @@ def denoising_loss(denoiser: Denoiser, x0: Array, t, eps: Array) -> float:
     outside = t[(t < 1) | (t > denoiser.schedule.T)]
     if outside.size:
         raise ValueError(f"step {outside[0]} out of range [1, {denoiser.schedule.T}]")
-    a = denoiser.schedule.a[t - 1]
-    x_t = np.sqrt(a)[:, None] * x0 + np.sqrt(1.0 - a)[:, None] * eps
-    pred = denoiser.net.forward_np(x_t, t)
-    return float(np.mean((pred - eps) ** 2))
+    # The net's input rows: x_t = sqrt(a) x0 + sqrt(1 - a) eps, formed in place, then the step embeddings.
+    a, n = denoiser.schedule.a[t - 1], denoiser.n
+    net_in = np.empty((max(len(t), len(x0), len(eps)), n + denoiser.time_embed))
+    x_t = np.multiply(np.sqrt(a)[:, None], x0, out=net_in[:, :n])
+    x_t += np.sqrt(1.0 - a)[:, None] * eps
+    net_in[:, n:] = denoiser.table[t - 1]
+    err = denoiser.net.forward_np(net_in)
+    err -= eps
+    return float(np.mean(np.square(err, out=err)))

@@ -118,7 +118,6 @@ class ExperimentConfig(_Config):
     ablation_instances: int = 20
     quantile: float = 0.9
     confidence: float = 0.95
-    normalize: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -154,7 +153,7 @@ def prepare_pipeline(
     a denoiser passed in samples with `cfg.diffusion.std_mode`, whatever its own."""
     if dataset is None:
         dataset = cfg.data.generate(cfg.seed)
-    train, test = scaled_splits(cfg, dataset)
+    train, test = scaled_splits(dataset)
 
     if detector is None:
         detector = fit_detector(cfg.detector, train, cfg.seed)
@@ -202,11 +201,9 @@ def fit_detector(section: DetectorConfig, train: np.ndarray, seed: int):
     return fit_recon(train, section, seed=seed)
 
 
-def scaled_splits(cfg: ExperimentConfig, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def scaled_splits(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The training and test splits, scaled by a scaler fitted on the
-    training split when `cfg.normalize` is set."""
-    if not cfg.normalize:
-        return dataset.train, dataset.test
+    training split."""
     scaler = fit_scaler(dataset.train)
     return scaler.apply(dataset.train), scaler.apply(dataset.test)
 

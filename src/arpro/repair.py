@@ -28,10 +28,10 @@ noise and the hashes are those of a step-by-step loop; the finiteness check and
 `record_trajectory` stay per step.
 
 The loop allocates its arrays once per repair: the denoiser forward runs in a
-`tensor.Workspace` of the batch height, float32 like the denoiser's net, with
-the step embeddings from its table, and the float64 iterate, the posterior
-mean, the scaled sampling noise, the noised target and the step's draw each
-have one buffer, as do a block's draws and a block's iterates.
+`tensor.Workspace` of the batch height, float32 like the denoiser's net, and
+the float64 iterate, the posterior mean, the scaled sampling noise, the
+noised target and the step's draw each have one buffer, as do a block's
+draws and a block's iterates.
 The guidance gradient runs in a `properties.GuidanceState`, built before the
 loop for the rows whose ramp is nonzero at some step: their masks, weights
 and targets' alphas, the detector's workspace and every buffer of the
@@ -214,7 +214,7 @@ def repair_batch(detector, denoiser: Denoiser, rows) -> list[RepairResult]:
     # Each in-place update below keeps the operation order of its expression,
     # so the bits match it: xhat = mu + sigma_t eps, x_bad_level = sqrt(a_l)
     # x_bad + sqrt(1 - a_l) eps and x = omega_bar x_bad_level + omega xhat.
-    ws = Workspace(denoiser.net, len(rows), steps=schedule.T)
+    ws = Workspace(denoiser.net, len(rows))
     xhat, level_buf, noise = np.empty_like(x_bad), np.empty_like(x_bad), np.empty_like(x_bad)
     eps_t, finite = np.empty_like(x_bad), np.empty(x_bad.shape, dtype=bool)
     # Row g * BLOCK + j of `draws` is key g's draw j of the block. `take` reads

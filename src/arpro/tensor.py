@@ -1,11 +1,11 @@
 """A small MLP with a hand-written backward pass, AdamW, the one training
 loop, and named random streams.
 
-Everything downstream runs on this module. An `Mlp` (silu hidden layers, a
-linear output) is the reconstruction detector's autoencoder and the
-diffusion denoiser alike, and `fit` trains both: AdamW on a mean squared
-error, the caller supplying only the network and a function that writes
-each batch. Parameters are arrays viewing one flat vector per network, of
+Everything downstream runs on this module. A plain `Mlp` (silu hidden
+layers, a linear output) is the reconstruction detector's autoencoder and
+the diffusion denoiser alike, which takes its step as input columns, and
+`fit` trains both: AdamW on a mean squared error, the caller supplying only
+the network and a function that writes each batch. Parameters are arrays viewing one flat vector per network, of
 the one dtype it is built with. Both trained networks are built and
 trained in `TRAIN_DTYPE` (float32): `fit` runs the passes, gradients,
 AdamW moments and updates in the dtype of the net it is given. The
@@ -98,36 +98,16 @@ def stream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# -- sinusoidal step embedding ------------------------------------------------
-
-
-def time_embedding(t, dim: int) -> Array:
-    """Sinusoidal embedding of step indices; `dim` must be even.
-
-    Accepts a scalar or a batch of step indices and returns ``(len(t), dim)``.
-    """
-    if dim % 2 != 0 or dim <= 0:
-        raise ValueError(f"embedding dimension must be positive and even, got {dim}")
-    tv = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    half = dim // 2
-    freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    angles = tv[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-
-
 # -- feed-forward network ------------------------------------------------------
 
 
 class Mlp:
-    """Fully connected network with optional sinusoidal step conditioning:
-    silu hidden layers and a linear output layer.
+    """Fully connected network: silu hidden layers and a linear output layer.
 
-    When `time_embed` is set, the embedding of the step index is concatenated
-    to the input before the first layer, so the first weight matrix has
-    ``in_dim + time_embed`` rows. The weights and biases are views of `flat`,
-    a vector of `dtype`, in `views` order. The weights are drawn from
-    the (seed, stream_name) stream; with `seed` None every parameter starts
-    at zero, for a caller that writes them all, such as a checkpoint load.
+    The weights and biases are views of `flat`, a vector of `dtype`, in
+    `views` order. The weights are drawn from the (seed, stream_name)
+    stream; with `seed` None every parameter starts at zero, for a caller
+    that writes them all, such as a checkpoint load.
     """
 
     def __init__(
@@ -136,19 +116,15 @@ class Mlp:
         hidden: Sequence[int],
         out_dim: int,
         *,
-        time_embed: int | None = None,
         seed: int | None = 0,
         stream_name: str = "mlp-init",
         dtype=np.float64,
     ):
         if in_dim <= 0 or out_dim <= 0 or any(h <= 0 for h in hidden):
             raise ValueError("layer dimensions must be positive")
-        if time_embed is not None and (time_embed % 2 != 0 or time_embed <= 0):
-            raise ValueError(f"time embedding dimension must be even, got {time_embed}")
-        dims = [in_dim + (time_embed or 0), *hidden, out_dim]
+        dims = [in_dim, *hidden, out_dim]
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-        self.time_embed = int(time_embed) if time_embed else None
         self.dims = [int(d) for d in dims]
         self.flat = np.zeros(sum(a * b + b for a, b in zip(dims, dims[1:])), dtype=dtype)
         params = self.views(self.flat)
@@ -166,7 +142,7 @@ class Mlp:
         already are, else a copy with its parameters cast."""
         if self.flat.dtype == dtype:
             return self
-        net = Mlp(self.in_dim, self.dims[1:-1], self.out_dim, time_embed=self.time_embed, seed=None, dtype=dtype)
+        net = Mlp(self.in_dim, self.dims[1:-1], self.out_dim, seed=None, dtype=dtype)
         net.flat[...] = self.flat
         return net
 
@@ -189,55 +165,32 @@ class Mlp:
             for i, w in enumerate(self.weights)
         ]
 
-    def _embedding(self, t, table: Array | None = None) -> Array:
-        """Step embeddings of `t`, computed, or read from `table` (the rows of
-        steps 1 to ``len(table)``) when it is given."""
-        if t is None:
-            raise ValueError("this network is step-conditioned; a step index is required")
-        if table is None:
-            return time_embedding(t, self.time_embed)
-        index = np.asarray(t) - 1
-        if (index < 0).any() or (index >= len(table)).any():
-            raise ValueError(f"step {t} out of range [1, {len(table)}]")
-        return table[index]
-
-    def forward_np(self, x: Array, t=None, ws: Workspace | None = None) -> Array:
+    def forward_np(self, x: Array, ws: Workspace | None = None) -> Array:
         """Forward pass of a vector or a batch.
 
         With a workspace `ws` of the batch's height, `x` is copied into
-        `ws.x`, the embedding of step `t` comes from `ws.table`, and the pass
-        runs in the workspace's buffers. The result is then a view of them,
-        valid until the workspace is used again. Without one the result is a
-        new array (see `_one_off_forward`).
+        `ws.x` (unless it is `ws.x`, which its caller has filled) and the
+        pass runs in the workspace's buffers. The result is then a view of
+        them, valid until the workspace is used again. Without one the
+        result is a new array (see `_one_off_forward`).
         """
         if ws is None:
-            return self._one_off_forward(x, t)
-        if np.shape(x) != ws.x.shape:
-            raise ValueError(f"input shape {np.shape(x)} does not match the workspace's {ws.x.shape}")
-        ws.x[...] = x
-        if self.time_embed is not None:
-            if ws.table is None:
-                raise ValueError("this workspace holds no step-embedding table; make it with `steps`")
-            ws.emb[...] = self._embedding(t, ws.table)
+            return self._one_off_forward(x)
+        if x is not ws.x:
+            if np.shape(x) != ws.x.shape:
+                raise ValueError(f"input shape {np.shape(x)} does not match the workspace's {ws.x.shape}")
+            ws.x[...] = x
         return self._forward(ws)
 
-    def _one_off_forward(self, x, t=None) -> Array:
-        """Forward pass of a vector or a batch at steps `t` (one step for
-        every row, or one per row), run `ONE_OFF_ROWS` rows at a time in a
-        workspace of its own; returns a new array."""
+    def _one_off_forward(self, x) -> Array:
+        """Forward pass of a vector or a batch, run `ONE_OFF_ROWS` rows at a
+        time in a workspace of its own; returns a new array."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValueError(f"expected a vector or a batch, got shape {x.shape}")
         batch = x.reshape(-1, x.shape[-1])
         if batch.shape[1] != self.in_dim:
             raise ValueError(f"input dimension mismatch: expected {self.in_dim}, got {batch.shape[1]}")
-        emb = None
-        if self.time_embed is not None:
-            emb = self._embedding(t)
-            if emb.shape[0] == 1 and len(batch) > 1:
-                emb = np.broadcast_to(emb, (len(batch), self.time_embed))
-            if emb.shape[0] != len(batch):
-                raise ValueError(f"step batch {emb.shape[0]} does not match input batch {len(batch)}")
         out = np.empty((len(batch), self.out_dim))
         ws = None
         for start in range(0, len(batch), ONE_OFF_ROWS):
@@ -245,16 +198,14 @@ class Mlp:
             if ws is None or ws.rows != stop - start:
                 ws = Workspace(self, stop - start)
             ws.x[...] = batch[start:stop]
-            if emb is not None:
-                ws.emb[...] = emb[start:stop]
             out[start:stop] = self._forward(ws)
         return out[0] if x.ndim == 1 else out
 
     def _forward(self, ws: Workspace, derivs: bool = False) -> Array:
-        """Forward pass of the batch its caller wrote into `ws.x` and
-        `ws.emb`, every array in the workspace's buffers; returns a view of
-        the output rows. With `derivs` each layer's activation derivative is
-        kept there too, for `backward` and `input_grad`."""
+        """Forward pass of the batch its caller wrote into `ws.x`, every array
+        in the workspace's buffers; returns a view of the output rows. With
+        `derivs` each layer's activation derivative is kept there too, for
+        `backward` and `input_grad`."""
         h = ws.input
         if ws.rows == 1:
             h[1] = h[0]
@@ -319,11 +270,11 @@ class Mlp:
             if d is not None:
                 g = np.multiply(g, d, out=scratch)
             g = np.matmul(g, ws.transposed[i], out=ws.layers[i - 1][2] if i else ws.g_input)
-        return g[: ws.rows, : self.in_dim]
+        return g[: ws.rows]
 
     def mse_grads(self, ws: Workspace, target: Array, grads: list[Array]) -> list[Array]:
         """Parameter gradients of ``mean((output - target)^2)`` for the batch
-        its caller wrote into `ws.x` and `ws.emb`, written into `grads` and
+        its caller wrote into `ws.x`, written into `grads` and
         returned (see `backward`); every array of the step goes into the
         workspace."""
         y = self._forward(ws, derivs=True)
@@ -337,33 +288,26 @@ class Workspace:
     """Buffers for running an `Mlp` on batches of `rows` rows, allocated once.
 
     Every pass of an `Mlp` runs in one. The batch function of `fit` writes
-    each batch into `x` and, for a step-conditioned net, the step embeddings
-    into `emb`, the two column blocks of `input`, before `fit` runs
-    ``net.mse_grads(ws, target, grads)``. ``net.forward_np(x, t, ws=ws)``
-    fills both blocks itself. `table` holds the embeddings of steps 1 to
-    `steps` (None without `steps` or for a net without step conditioning),
-    rows bit-equal to `time_embedding` of each step. Each entry of `layers`
+    each batch into `x`, the first `rows` rows of `input`, before `fit` runs
+    ``net.mse_grads(ws, target, grads)``; ``net.forward_np(x, ws=ws)`` copies
+    `x` there itself. Each entry of `layers`
     holds one layer's activation, its activation derivative (None for the
     linear output layer) and the gradient with respect to its output, which
     the forward pass borrows as scratch: the buffers a backward pass reads.
     `g_input` holds the input gradient and `transposed` contiguous copies of
     the transposed weights, stale once the weights change; the first
     `input_grad` makes both. A lone row runs as two, like every `Mlp` batch.
-    Every buffer, the table too, has the dtype of the net's parameters.
+    Every buffer has the dtype of the net's parameters.
     """
 
-    def __init__(self, net: Mlp, rows: int, *, steps: int | None = None):
+    def __init__(self, net: Mlp, rows: int):
         if rows < 1:
             raise ValueError(f"a workspace needs at least one row, got {rows}")
         height = max(rows, 2)
         dtype = net.flat.dtype
         self.rows = rows
-        self.input = np.empty((height, net.dims[0]), dtype)
-        self.x = self.input[:rows, : net.in_dim]
-        self.emb = self.input[:rows, net.in_dim :]
-        self.table = None
-        if steps is not None and net.time_embed is not None:
-            self.table = time_embedding(np.arange(1, steps + 1), net.time_embed).astype(dtype, copy=False)
+        self.input = np.empty((height, net.in_dim), dtype)
+        self.x = self.input[:rows]
         *hidden, out = net.dims[1:]
         self.layers = [
             (np.empty((height, width), dtype), np.empty((height, width), dtype), np.empty((height, width), dtype))
@@ -462,21 +406,20 @@ def check_training(cfg) -> None:
         raise ValueError(f"hidden widths must be >= 1, got {list(cfg.hidden)}")
 
 
-def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str, steps: int | None = None) -> None:
+def fit(net: Mlp, rows: int, batch: Callable[[Workspace], Array], cfg, what: str) -> None:
     """Fit `net` to the mean squared error by `cfg.steps` AdamW steps at
     `cfg.lr` and `cfg.weight_decay`, for a model's settings such as
     `DetectorConfig` or `DiffusionConfig`.
 
     `net` is trained in place, in the dtype of its parameters, in a
-    workspace of `rows` rows (with the embeddings of steps 1 to `steps` for
-    a step-conditioned net). Each step calls ``batch(ws)``, which writes one
-    batch into that workspace `ws` (`ws.x`, and `ws.emb` for a
-    step-conditioned net) and returns its target rows. The parameter
+    workspace of `rows` rows. Each step calls ``batch(ws)``, which writes
+    one batch into that workspace's input `ws.x` and returns its target
+    rows. The parameter
     gradients go into one flat vector, from which AdamW updates `net.flat`.
     Non-finite parameters after the last step, a diverged fit that no
     checkpoint load would accept, raise an error naming `what`.
     """
-    ws = Workspace(net, rows, steps=steps)
+    ws = Workspace(net, rows)
     opt = AdamW(net.flat, lr=cfg.lr, weight_decay=cfg.weight_decay)
     grad = np.empty_like(net.flat)
     grads = net.views(grad)

@@ -156,7 +156,7 @@ class TestCheckpointNumbers:
     @staticmethod
     def _models():
         return {
-            "denoiser": Denoiser(Mlp(4, [6], 4, time_embed=4, seed=0), make_schedule(10, 1e-3, 0.05)),
+            "denoiser": Denoiser(Mlp(8, [6], 4, seed=0), make_schedule(10, 1e-3, 0.05)),
             "gauss": GaussDetector(np.zeros(4), np.ones(4), sigma_floor=0.01),
             "recon": ReconDetector(Mlp(4, [3], 4, seed=0)),
         }

@@ -366,6 +366,9 @@ class TestValidationFailures:
          "{}: checkpoint.layers: layer activations must be ['silu', 'silu', 'linear'], got ['relu', 'silu', 'linear']"),
         (lambda p: {**p, "time_embed": None, "in_dim": 32},
          "{}: denoiser input and output dimensions must match"),
+        # The first layer's 32 inputs still add up, as 20 data and 12 embedding columns.
+        (lambda p: {**p, "time_embed": 12, "in_dim": 20},
+         "{}: denoiser input and output dimensions must match"),
         (lambda p: {**p, "schedule": {**p["schedule"], "T": None}},
          "{}: checkpoint.schedule.T must be an int, got None"),
         (lambda p: {**p, "data": 5}, "{}: checkpoint.data must be a base64 string, got int"),
@@ -380,8 +383,8 @@ class TestValidationFailures:
         (lambda p: {**p, "layers": [{**p["layers"][0], "out": 10**12}, {**p["layers"][1], "in": 10**12},
                                     *p["layers"][2:]]},
          "{}: checkpoint.data holds 1208 values, expected 49000000000424"),
-    ], ids=["schedule", "short-data", "activation", "no-step-embedding", "null-T", "int-data", "T-above-cap",
-            "data-not-base64", "data-partial-value", "data-bad-padding", "big-endian-dtype", "huge-layers"])
+    ], ids=["schedule", "short-data", "activation", "no-step-embedding", "wider-step-embedding", "null-T",
+            "int-data", "T-above-cap", "data-not-base64", "data-partial-value", "data-bad-padding", "big-endian-dtype", "huge-layers"])
     def test_malformed_denoiser_exits_1_naming_file(self, workspace, tmp_path, capsys, edit, message):
         _, config, data_dir, models = workspace
         broken = tmp_path / "broken-denoiser.json"
@@ -401,7 +404,7 @@ class TestValidationFailures:
         if which == "detector":
             GaussDetector(np.zeros(8), np.ones(8)).save(paths[which])
         else:
-            Denoiser(Mlp(8, [4], 8, time_embed=4, seed=0), make_schedule(12)).save(paths[which])
+            Denoiser(Mlp(12, [4], 8, seed=0), make_schedule(12)).save(paths[which])
         code = main([*command, "--input", str(data_dir), "--detector", str(paths["detector"]),
                      "--denoiser", str(paths["denoiser"]), "--seed", "7",
                      "--config", str(config), "--out", str(tmp_path / "r")])
@@ -500,7 +503,8 @@ class TestValidationFailures:
 
     @pytest.mark.parametrize("text,message", [
         ('{"diffusion": {"steps": 2.5}}', "config.diffusion.steps must be an int, got 2.5"),
-        ('{"normalize": "no"}', "config.normalize must be a bool, got 'no'"),
+        # The key that turned off the scaler, and its overflow check, is gone.
+        ('{"data": {"noise_std": 1e200}, "normalize": false}', "unknown keys in config: ['normalize']"),
         ('{"seed": 1.5}', "config.seed must be an int, got 1.5"),
         ('{"diffusion": {"T": 0}}', "config.diffusion: step count T must be >= 1, got 0"),
         ('{"diffusion": {"lr": NaN}}', "config.diffusion.lr must be a finite number, got nan"),
@@ -613,6 +617,12 @@ class TestValidationFailures:
         broken = self._broken_checkpoint(workspace, tmp_path, kind, edit)
         assert capsys.readouterr().err == f"error: {broken}: {message}\n"
 
+    def test_autoencoder_with_a_step_embedding_exits_1_naming_file(self, workspace, tmp_path, capsys):
+        # The first layer's 24 inputs still add up, as 20 data and 4 embedding
+        # columns, and the net maps 24 to 24.
+        broken = self._broken_checkpoint(workspace, tmp_path, "recon", lambda p: {**p, "in_dim": 20, "time_embed": 4})
+        assert capsys.readouterr().err == f"error: {broken}: autoencoder output dimension 24 must equal input 20\n"
+
     def test_denoiser_value_beyond_float32_exits_1_naming_data(self, workspace, tmp_path, capsys):
         # The value is finite in a float64 blob, but the denoiser runs in
         # float32, where it would be an infinity.
@@ -650,7 +660,7 @@ class TestValidationFailures:
     def test_huge_final_iterate_exits_1_without_report(self, workspace, tmp_path, capsys):
         _, config, data_dir, models = workspace
         diffusion = TINY_CONFIG["diffusion"]
-        net = Mlp(24, diffusion["hidden"], 24, time_embed=diffusion["time_embed"], seed=0)
+        net = Mlp(24 + diffusion["time_embed"], diffusion["hidden"], 24, seed=0)
         for w in net.weights:
             w[...] = 0.0
         net.biases[-1][...] = 1e30  # huge, yet within the float32 range the denoiser runs in

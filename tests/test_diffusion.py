@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ from arpro.diffusion import (
     make_schedule,
     posterior_mean,
     predict_mu,
+    time_embedding,
     train_denoiser,
 )
 from arpro.repair import RepairConfig, RepairRow, repair_batch
-from arpro.tensor import TRAIN_DTYPE, Mlp, stream
+from arpro.tensor import ONE_OFF_ROWS, TRAIN_DTYPE, Mlp, Workspace, stream
 
 
 def constant_eps_denoiser(n: int, value: float, schedule) -> Denoiser:
-    net = Mlp(n, [4], n, time_embed=4, seed=0)
+    net = Mlp(n + 4, [4], n, seed=0)
     for w in net.weights:
         w[...] = 0.0
     for b in net.biases:
@@ -150,7 +152,7 @@ class TestTraining:
         data = np.stack(rows)
         cfg = DiffusionConfig(T=20, hidden=(32, 32), time_embed=8, steps=500, lr=3e-3)
         den = train_denoiser(data, cfg, seed=1)
-        untrained = Denoiser(Mlp(16, [32, 32], 16, time_embed=8, seed=1, stream_name="denoiser-init"), cfg.schedule())
+        untrained = Denoiser(Mlp(24, [32, 32], 16, seed=1, stream_name="denoiser-init"), cfg.schedule())
         eval_g = stream(35, "sin-eval")
         eps = eval_g.standard_normal((64, 16))
         t = eval_g.integers(1, 21, size=64)
@@ -163,7 +165,7 @@ class TestTraining:
         data = stream(36, "d0").standard_normal((20, 4))
         cfg = DiffusionConfig(T=5, hidden=(8,), time_embed=4, steps=50, lr=0.0)
         den = train_denoiser(data, cfg, seed=2)
-        fresh = Mlp(4, [8], 4, time_embed=4, seed=2, stream_name="denoiser-init")
+        fresh = Mlp(8, [8], 4, seed=2, stream_name="denoiser-init")
         assert den.net.flat.dtype == TRAIN_DTYPE
         assert np.array_equal(den.net.flat, fresh.flat.astype(TRAIN_DTYPE))
 
@@ -211,10 +213,107 @@ class TestDenoiserCheckpoint:
         loaded = Denoiser.load(path)
         assert loaded.schedule.std_mode == "paper-literal"
         assert np.array_equal(loaded.schedule.b, den.schedule.b)
+        assert loaded.time_embed == 4 and np.array_equal(loaded.table, den.table)
         x = stream(0, "ckx").standard_normal(4)
-        assert np.array_equal(den.net.forward_np(x, 3), loaded.net.forward_np(x, 3))
+        assert np.array_equal(predict_mu(den, x, 3), predict_mu(loaded, x, 3))
         assert np.array_equal(sample(den, [1]), sample(loaded, [1]))
 
     def test_requires_time_conditioning(self):
         with pytest.raises(ValueError, match="step-conditioned"):
             Denoiser(Mlp(4, [8], 4, seed=0), make_schedule(5))
+
+
+def _explicit_mu(den, x, t):
+    """The posterior mean at step t, the net run on x beside the embedding
+    of t computed for the call, not read from the denoiser's table."""
+    steps = np.full(len(x), t)
+    eps_hat = den.net.forward_np(np.concatenate([x, time_embedding(steps, den.time_embed)], axis=1))
+    return posterior_mean(x, eps_hat, den.schedule.b[t - 1], den.schedule.a[t - 1])
+
+
+def _explicit_loss(den, x0, t, eps):
+    """`denoising_loss` as allocating expressions, with the per-row step
+    embeddings computed for the call."""
+    a = den.schedule.a[t - 1]
+    x_t = np.sqrt(a)[:, None] * x0 + np.sqrt(1.0 - a)[:, None] * eps
+    pred = den.net.forward_np(np.concatenate([x_t, time_embedding(t, den.time_embed)], axis=1))
+    return float(np.mean((pred - eps) ** 2))
+
+
+class TestStepConditioning:
+    """The denoiser's net is a plain MLP whose last `time_embed` inputs take
+    the sinusoidal embedding of the step; `predict_mu` and `denoising_loss`
+    fill them from the denoiser's float32 table."""
+
+    def test_time_embedding_required_when_configured(self):
+        den = Denoiser(Mlp(12, [8], 4, seed=0), make_schedule(6))
+        assert (den.n, den.time_embed, den.table.shape) == (4, 8, (6, 8))
+        x = stream(0, "one-row").standard_normal(4)
+        out = predict_mu(den, x, 3)
+        assert out.shape == (4,)
+        assert np.array_equal(out, _explicit_mu(den, x[None], 3)[0])
+        with pytest.raises(ValueError, match=r"input shape \(2, 4\) does not fit a workspace of 1 rows of 4"):
+            predict_mu(den, np.zeros((2, 4)), 3, ws=Workspace(den.net, 1))
+        with pytest.raises(ValueError, match=r"input shape \(2, 12\) does not fit a workspace of 2 rows of 4"):
+            predict_mu(den, np.zeros((2, 12)), 3)
+        with pytest.raises(ValueError, match="broadcast"):
+            denoising_loss(den, np.zeros((2, 12)), [1, 2], np.zeros((2, 12)))
+
+    def test_time_embedding_dim_must_be_even(self):
+        for in_dim in (4, 3, 11):  # no embedding, a negative one, an odd one
+            with pytest.raises(ValueError, match=f"must be step-conditioned: {in_dim} inputs for 4 outputs"):
+                Denoiser(Mlp(in_dim, [8], 4, seed=0), make_schedule(5))
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    def test_embedding_table_rows_match_time_embedding(self, dim):
+        # The stock configs use T=100 with a 32-wide embedding; the small test
+        # configs an 8-wide one. The table of all T steps, one step alone and
+        # a batch of steps give the same float64 bits, so the float32 table
+        # holds the rounding of each.
+        table = time_embedding(np.arange(1, 101), dim)
+        for t in range(1, 101):
+            assert np.array_equal(table[t - 1], time_embedding(t, dim)[0])
+        steps = stream(0, "table-steps").integers(1, 101, size=64)
+        assert np.array_equal(table[steps - 1], time_embedding(steps, dim))
+        den = Denoiser(Mlp(4 + dim, [8], 4, seed=0), make_schedule(100))
+        assert den.table.dtype == TRAIN_DTYPE
+        assert np.array_equal(den.table, table.astype(TRAIN_DTYPE))
+
+    @pytest.mark.parametrize("height", [1, 2, 5, ONE_OFF_ROWS + 1, 2 * ONE_OFF_ROWS + 5])
+    def test_predict_mu_matches_the_explicit_embedding(self, height):
+        den = Denoiser(Mlp(9, [7, 6], 5, seed=2), make_schedule(9))
+        ws = Workspace(den.net, height)
+        g = stream(2, f"mu-{height}")
+        for t in (9, 4, 1):
+            x = g.standard_normal((height, 5))
+            want = _explicit_mu(den, x, t)
+            assert np.array_equal(predict_mu(den, x, t, ws=ws), want)
+            assert np.array_equal(predict_mu(den, x, t), want)
+
+    @pytest.mark.parametrize("height", [1, 5, ONE_OFF_ROWS + 1, 2 * ONE_OFF_ROWS + 5])
+    def test_denoising_loss_at_per_row_steps_matches_the_explicit_embedding(self, height):
+        # The one-off forward runs ONE_OFF_ROWS rows at a time: its last
+        # chunk holds 1 row at 65 and 5 at 133.
+        den = Denoiser(Mlp(9, [7, 6], 5, seed=2), make_schedule(9))
+        g = stream(2, f"loss-{height}")
+        x0, eps = g.standard_normal((height, 5)), g.standard_normal((height, 5))
+        steps = g.integers(1, 10, size=height)
+        assert denoising_loss(den, x0, steps, eps) == _explicit_loss(den, x0, steps, eps)
+
+    def test_denoising_loss_holds_one_input_array(self):
+        # The image denoiser's shape with 512 rows, x0 and eps given: the
+        # net's input (x_t and the embeddings) takes 1.1 MiB, the prediction,
+        # whose square is taken in place, 1 MiB, and the one-off forward's
+        # workspace 0.5 MiB (2.7 MiB measured). A separate x_t, or a new
+        # array for the error or its square, would add 1 MiB.
+        den = Denoiser(Mlp(288, [256, 256], 256, seed=0), make_schedule(100))
+        g = stream(0, "loss-alloc")
+        x0, eps = g.standard_normal((512, 256)), g.standard_normal((512, 256))
+        steps = g.integers(1, 101, size=512)
+        tracemalloc.start()
+        try:
+            denoising_loss(den, x0, steps, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

@@ -115,7 +115,7 @@ class TestRunExperiment:
     def test_config_std_mode_reaches_a_passed_denoiser(self):
         cfg = tiny_config(seed=6)
         cfg = dataclasses.replace(cfg, diffusion=dataclasses.replace(cfg.diffusion, std_mode="paper-literal"))
-        train, _ = scaled_splits(cfg, cfg.data.generate(cfg.seed))
+        train, _ = scaled_splits(cfg.data.generate(cfg.seed))
         standard = train_denoiser(train, dataclasses.replace(cfg.diffusion, std_mode="standard"), seed=cfg.seed)
         literal = Denoiser(standard.net, dataclasses.replace(standard.schedule, std_mode="paper-literal"))
         report = run_experiment(cfg, denoiser=standard)
@@ -324,7 +324,6 @@ class TestConfigSchema:
     @pytest.mark.parametrize("payload,message", [
         ({"diffusion": {"steps": 2.5}}, "config.diffusion.steps must be an int, got 2.5"),
         ({"seed": True}, "config.seed must be an int, got True"),
-        ({"normalize": 1}, "config.normalize must be a bool, got 1"),
         ({"quantile": math.nan}, "config.quantile must be a finite number, got nan"),
         ({"repair": {"delta4": -math.inf}}, "config.repair.delta4 must be a finite number, got -inf"),
         ({"data": {"kind": 3}}, "config.data.kind must be a string, got 3"),

@@ -15,7 +15,15 @@ from arpro.detector import (
     fit_gauss,
     fit_recon,
 )
-from arpro.diffusion import Denoiser, DiffusionConfig, make_schedule, posterior_mean, predict_mu, train_denoiser
+from arpro.diffusion import (
+    Denoiser,
+    DiffusionConfig,
+    make_schedule,
+    posterior_mean,
+    predict_mu,
+    time_embedding,
+    train_denoiser,
+)
 from arpro.harness import image_benchmark_config, timeseries_benchmark_config
 from arpro.properties import GuidanceState, PropertyWeights
 from arpro.repair import (
@@ -148,7 +156,8 @@ def _ancestral_sample(den, seed: int, tag: str):
     init, es = stream(seed, f"{tag}/init"), stream(seed, f"{tag}/eps")
     x = init.standard_normal(den.n)
     for t in range(sched.T, 0, -1):
-        mu = posterior_mean(x, den.net.forward_np(x, t), sched.b[t - 1], sched.a[t - 1])
+        eps_hat = den.net.forward_np(np.concatenate([x, time_embedding(t, den.time_embed)[0]]))
+        mu = posterior_mean(x, eps_hat, sched.b[t - 1], sched.a[t - 1])
         eps = es.standard_normal(den.n)
         x = mu + sched.sigma[t - 1] * eps if t > 1 else mu
     return x
@@ -230,7 +239,7 @@ class TestGuidanceDirection:
         # score relative to the unguided step (weights select score only).
         det = GaussDetector(mu=np.zeros(16), sigma=np.ones(16))
         sched = make_schedule(40)
-        net = Mlp(16, [16], 16, time_embed=8, seed=77)
+        net = Mlp(24, [16], 16, seed=77)
         den = Denoiser(net, sched)
         w = PropertyWeights(1.0, 0.0, 0.0, 0.0)
         g = stream(78, "dir")
@@ -417,7 +426,7 @@ def _random_world(seed: int, kind: str):
     else:
         det = ReconDetector(Mlp(n, [int(g.integers(2, 12))], n, seed=seed, stream_name="recon-init"))
     sched = make_schedule(int(g.integers(4, 16)))
-    den = Denoiser(Mlp(n, [int(g.integers(2, 12))], n, time_embed=4, seed=seed), sched)
+    den = Denoiser(Mlp(n + 4, [int(g.integers(2, 12))], n, seed=seed), sched)
     rows = int(g.integers(1, 5))
     x_bad = train[:rows] + g.normal(0.0, 2.0, size=(rows, n))
     omega = (g.random((rows, n)) < 0.5).astype(np.float64)
@@ -478,9 +487,8 @@ def _benchmark_nets():
     n_ts = ts.data.n_features * ts.data.window_len
     n_image = image.data.side ** 2
     nets = {
-        "ts-denoiser": Mlp(n_ts, ts.diffusion.hidden, n_ts, time_embed=ts.diffusion.time_embed, seed=1),
-        "image-denoiser": Mlp(n_image, image.diffusion.hidden, n_image,
-                              time_embed=image.diffusion.time_embed, seed=2),
+        "ts-denoiser": Mlp(n_ts + ts.diffusion.time_embed, ts.diffusion.hidden, n_ts, seed=1),
+        "image-denoiser": Mlp(n_image + image.diffusion.time_embed, image.diffusion.hidden, n_image, seed=2),
         "image-autoencoder": Mlp(n_image, image.detector.hidden, n_image, seed=3),
     }
     for name, net in nets.items():
@@ -502,17 +510,16 @@ class TestBatchHeightsAtBenchmarkShapes:
     def test_forward_rows_do_not_depend_on_batch_height(self, name):
         net = BENCHMARK_NETS[name]
         x = stream(10, f"heights-{name}").standard_normal((HEIGHTS[-1], net.in_dim))
-        t = 37 if net.time_embed else None
 
         def one_pass(rows):
             # A one-off forward would split the taller heights into chunks.
-            return net.forward_np(rows, t, ws=Workspace(net, len(rows), steps=100)).copy()
+            return net.forward_np(rows, ws=Workspace(net, len(rows))).copy()
 
         full = one_pass(x)
         for height in HEIGHTS[:-1]:
             assert np.array_equal(one_pass(x[:height]), full[:height]), height
         assert np.array_equal(one_pass(x[:1]), full[:1])
-        assert np.array_equal(net.forward_np(x[0], t), full[0])
+        assert np.array_equal(net.forward_np(x[0]), full[0])
 
     @pytest.mark.parametrize("name,heights", [("ts-denoiser", (1, 2, 24, 48)),
                                               ("image-denoiser", (1, 2, 20, 40))])
@@ -523,7 +530,7 @@ class TestBatchHeightsAtBenchmarkShapes:
         x = stream(12, f"mu-heights-{name}").standard_normal((heights[-1], den.n))
 
         def one_pass(rows):
-            ws = Workspace(den.net, len(rows), steps=100)
+            ws = Workspace(den.net, len(rows))
             return predict_mu(den, rows, 37, ws=ws, out=np.empty_like(rows))
 
         full = one_pass(x)
@@ -629,7 +636,7 @@ class TestBlockedNoiseAndHashes:
         n = 8
         train = g.standard_normal((40, n))
         det = fit_gauss(train)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=T), make_schedule(T))
+        den = Denoiser(Mlp(n + 4, [16], n, seed=T), make_schedule(T))
         rows = []
         for i in range(3):
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
@@ -662,7 +669,7 @@ class TestBlockedNoiseAndHashes:
         g = stream(T, "guided-set-world")
         train = g.standard_normal((40, n))
         det = fit_gauss(train)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), make_schedule(T))
+        den = Denoiser(Mlp(n + 4, [16], n, seed=3), make_schedule(T))
         rows = []
         for i, eta_start in enumerate((0.0, 0.02, 0.0, 0.01)):
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
@@ -698,7 +705,7 @@ class TestDivergenceStep:
         g = stream(T, "divergence-world")
         train = g.standard_normal((40, n))
         det = fit_gauss(train)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=T), make_schedule(T))
+        den = Denoiser(Mlp(n + 4, [16], n, seed=T), make_schedule(T))
         x_bad = train[0] + g.normal(0.0, 2.0, size=n)
         omega = (g.random(n) < 0.5).astype(np.float64)
         omega[0] = 1.0
@@ -717,7 +724,7 @@ class TestDivergenceStep:
 class TestFinalIterateBound:
     def test_huge_finite_iterate_raises_with_its_tag(self, small_world):
         det, den, x_bad, omega = small_world
-        net = Mlp(8, [8], 8, time_embed=8, seed=1)
+        net = Mlp(16, [8], 8, seed=1)
         for w in net.weights:
             w[...] = 0.0
         net.biases[-1][...] = 1e30  # every noise prediction is 1e30: huge, yet finite in float32 at every step
@@ -751,7 +758,7 @@ def _benchmark_detectors():
     """A Gaussian detector of the time-series benchmark's dimension and the
     image benchmark's autoencoder."""
     g = stream(13, "benchmark-gauss")
-    n_ts = BENCHMARK_NETS["ts-denoiser"].in_dim
+    n_ts = BENCHMARK_NETS["ts-denoiser"].out_dim
     return {
         "gauss": fit_gauss(g.uniform(-1.0, 1.0, size=n_ts) + 0.5 * g.standard_normal((200, n_ts))),
         "recon": ReconDetector(BENCHMARK_NETS["image-autoencoder"]),
@@ -823,7 +830,7 @@ class TestGuidanceState:
         g = stream(height, f"guided-heights-{kind}")
         train = g.standard_normal((40, n))
         det = fit_gauss(train) if kind == "gauss" else ReconDetector(Mlp(n, [6], n, seed=height))
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=height), make_schedule(T))
+        den = Denoiser(Mlp(n + 4, [16], n, seed=height), make_schedule(T))
         rows = []
         for i in range(height):
             x_bad = train[i] + g.normal(0.0, 2.0, size=n)
@@ -854,7 +861,7 @@ class TestOneGuidanceStatePerRepair:
         g = stream(T, "one-state-world")
         train = g.standard_normal((40, n))
         det = fit_gauss(train)
-        den = Denoiser(Mlp(n, [16], n, time_embed=4, seed=3), make_schedule(T))
+        den = Denoiser(Mlp(n + 4, [16], n, seed=3), make_schedule(T))
         rows = []
         for i, eta_start in enumerate(eta_starts):
             omega = (g.random(n) < 0.5).astype(np.float64)

@@ -16,19 +16,16 @@ from arpro.tensor import (
     Workspace,
     fit,
     stream,
-    time_embedding,
 )
 
 from conftest import central_diff, max_rel_err
 
 
-def _forward_in(net, x, t=None):
-    """A workspace of the batch `x`'s height after a forward pass of `x` at
-    steps `t` that keeps the derivatives, and the pass's output rows."""
+def _forward_in(net, x):
+    """A workspace of the batch `x`'s height after a forward pass of `x`
+    that keeps the derivatives, and the pass's output rows."""
     ws = Workspace(net, len(x))
     ws.x[...] = x
-    if net.time_embed:
-        ws.emb[...] = time_embedding(t, net.time_embed)
     return ws, net._forward(ws, derivs=True)
 
 
@@ -62,21 +59,6 @@ class TestMlp:
         with pytest.raises(ValueError, match="dimension mismatch"):
             net.forward_np(np.zeros(5))
 
-    def test_time_embedding_required_when_configured(self):
-        net = Mlp(4, [8], 4, time_embed=8, seed=0)
-        with pytest.raises(ValueError, match="step index"):
-            net.forward_np(np.zeros(4))
-        out = net.forward_np(np.zeros(4), t=3)
-        assert out.shape == (4,)
-        with pytest.raises(ValueError, match="step batch 2 does not match input batch 1"):
-            net.forward_np(np.zeros((1, 4)), t=[3, 4])
-
-    def test_time_embedding_dim_must_be_even(self):
-        with pytest.raises(ValueError, match="even"):
-            Mlp(4, [8], 4, time_embed=7, seed=0)
-        with pytest.raises(ValueError, match="even"):
-            time_embedding(1, 5)
-
     def test_batch_gradient_matches_finite_differences(self):
         net = Mlp(8, [6], 8, seed=5)
         g = stream(5, "mlp-fd")
@@ -92,28 +74,28 @@ class TestMlp:
         assert max_rel_err(g_in[0], central_diff(f, x0)) <= 1e-6
 
 
-# Two silu hidden layers, one, and none (a lone linear layer), with and
-# without the step embedding, for a batch of three rows and for a lone row
-# (which `Mlp` runs padded to two).
+# Two silu hidden layers, one, and none (a lone linear layer), with as many
+# inputs as outputs and with more (the denoiser's shape), for a batch of
+# three rows and for a lone row (which `Mlp` runs padded to two).
 LAYOUTS = {"silu2": [4, 3], "silu1": [4], "linear": []}
+WIDTHS = {"plain": 5, "wide": 9}
 BACKWARD_CASES = [
-    pytest.param(hidden, te, height, id=f"{name}-{'time' if te else 'plain'}{'-lone' if height == 1 else ''}")
+    pytest.param(hidden, in_dim, height, id=f"{name}-{kind}{'-lone' if height == 1 else ''}")
     for name, hidden in LAYOUTS.items()
-    for te in (None, 4)
+    for kind, in_dim in WIDTHS.items()
     for height in (3, 1)
 ]
 
 
-def _probe(hidden, time_embed, height, seed):
-    """A small net, a batch with its steps, and a random output weighting."""
-    net = Mlp(5, hidden, 5, time_embed=time_embed, seed=seed)
-    g = stream(seed, f"backward-{len(hidden)}-{time_embed}")
+def _probe(hidden, in_dim, height, seed):
+    """A small net of 5 outputs, a batch, and a random output weighting."""
+    net = Mlp(in_dim, hidden, 5, seed=seed)
+    g = stream(seed, f"backward-{len(hidden)}-{in_dim}")
     for b in net.biases:
         b[...] = 0.1 * g.standard_normal(b.shape)
-    x = g.standard_normal((height, 5))
-    t = g.integers(1, 20, size=height) if time_embed else None
+    x = g.standard_normal((height, in_dim))
     c = g.standard_normal((height, 5))
-    return net, x, t, c
+    return net, x, c
 
 
 def _param_fd(net, loss):
@@ -135,31 +117,31 @@ class TestMlpBackward:
     # 10 random points per case, max relative error <= 1e-6 against the
     # central-difference oracle with step 1e-5, as for the other gradients.
 
-    @pytest.mark.parametrize("hidden,time_embed,height", BACKWARD_CASES)
-    def test_input_gradient_matches_finite_differences(self, hidden, time_embed, height):
+    @pytest.mark.parametrize("hidden,in_dim,height", BACKWARD_CASES)
+    def test_input_gradient_matches_finite_differences(self, hidden, in_dim, height):
         worst = 0.0
         for seed in range(10):
-            net, x, t, c = _probe(hidden, time_embed, height, seed)
-            ws, _ = _forward_in(net, x, t)
+            net, x, c = _probe(hidden, in_dim, height, seed)
+            ws, _ = _forward_in(net, x)
             g_in = net.input_grad(ws, c)
             assert g_in.shape == x.shape
 
             def f(v):
-                return float((c * net.forward_np(v.reshape(x.shape), t)).sum())
+                return float((c * net.forward_np(v.reshape(x.shape))).sum())
 
             worst = max(worst, max_rel_err(g_in, central_diff(f, x.ravel()).reshape(x.shape)))
         assert worst <= 1e-6
 
-    @pytest.mark.parametrize("hidden,time_embed,height", BACKWARD_CASES)
-    def test_parameter_gradients_match_finite_differences(self, hidden, time_embed, height):
+    @pytest.mark.parametrize("hidden,in_dim,height", BACKWARD_CASES)
+    def test_parameter_gradients_match_finite_differences(self, hidden, in_dim, height):
         worst = 0.0
         for seed in range(10):
-            net, x, t, c = _probe(hidden, time_embed, height, seed)
-            ws, _ = _forward_in(net, x, t)
+            net, x, c = _probe(hidden, in_dim, height, seed)
+            ws, _ = _forward_in(net, x)
             buffers = _grads(net)
             grads = net.backward(ws, c, buffers)
             assert grads is buffers
-            fds = _param_fd(net, lambda: float((c * net.forward_np(x, t)).sum()))
+            fds = _param_fd(net, lambda: float((c * net.forward_np(x)).sum()))
             for grad, fd in zip(grads, fds, strict=True):
                 assert grad.shape == fd.shape
                 worst = max(worst, max_rel_err(grad, fd))
@@ -181,8 +163,8 @@ class TestMlpBackward:
         # The first call on a workspace makes its transposed weights; a later
         # pass in the same workspace multiplies by those same arrays and
         # gives the bits of a fresh workspace.
-        net, x, t, c = _probe([4, 3], 4, 3, seed=3)
-        ws, _ = _forward_in(net, x, t)
+        net, x, c = _probe([4, 3], 9, 3, seed=3)
+        ws, _ = _forward_in(net, x)
         net.input_grad(ws, c)
         transposed = list(ws.transposed)
         x2, c2 = x + 0.5, c[::-1].copy()
@@ -190,7 +172,7 @@ class TestMlpBackward:
         net._forward(ws, derivs=True)
         second = net.input_grad(ws, c2).copy()
         assert all(a is b for a, b in zip(ws.transposed, transposed, strict=True))
-        fresh, _ = _forward_in(net, x2, t)
+        fresh, _ = _forward_in(net, x2)
         assert np.array_equal(second, net.input_grad(fresh, c2))
 
     def test_lone_row_gradient_matches_its_row_in_a_batch(self):
@@ -206,20 +188,19 @@ class TestMlpBackward:
         assert np.array_equal(g_lone, net.input_grad(ws, c)[:1])
 
     def test_mse_grads_match_finite_differences(self):
-        net = Mlp(4, [5], 4, time_embed=4, seed=8)
+        net = Mlp(8, [5], 4, seed=8)
         g = stream(8, "mse-fd")
-        x = g.standard_normal((6, 4))
+        x = g.standard_normal((6, 8))
         target = g.standard_normal((6, 4))
-        t = g.integers(1, 10, size=6)
-        ws, _ = _forward_in(net, x, t)
+        ws, _ = _forward_in(net, x)
         grads = net.mse_grads(ws, target, _grads(net))
-        fds = _param_fd(net, lambda: float(np.mean((net.forward_np(x, t) - target) ** 2)))
+        fds = _param_fd(net, lambda: float(np.mean((net.forward_np(x) - target) ** 2)))
         assert max(max_rel_err(grad, fd) for grad, fd in zip(grads, fds, strict=True)) <= 1e-6
 
-    @pytest.mark.parametrize("hidden,time_embed,height", BACKWARD_CASES)
-    def test_mse_grads_are_backward_of_the_scaled_residual(self, hidden, time_embed, height):
-        net, x, t, target = _probe(hidden, time_embed, height, 0)
-        ws, y = _forward_in(net, x, t)
+    @pytest.mark.parametrize("hidden,in_dim,height", BACKWARD_CASES)
+    def test_mse_grads_are_backward_of_the_scaled_residual(self, hidden, in_dim, height):
+        net, x, target = _probe(hidden, in_dim, height, 0)
+        ws, y = _forward_in(net, x)
         g = y - target
         g *= 2.0 / g.size
         want = net.backward(ws, g, _grads(net))
@@ -300,11 +281,12 @@ class TestAdamW:
         assert not np.array_equal(flat, start)
 
     def test_step_allocates_no_parameter_sized_array(self):
-        # The image denoiser's shape: 256 -> 256 -> 256 -> 256 with a 32-wide
-        # step embedding, whose first weight matrix alone is 576 KiB.
-        net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
+        # The image denoiser's shape: 256 inputs and a 32-wide step
+        # embedding -> 256 -> 256 -> 256, whose first weight matrix alone is
+        # 576 KiB.
+        net = Mlp(288, [256, 256], 256, seed=0)
         g = stream(0, "adamw-alloc")
-        ws, _ = _forward_in(net, g.standard_normal((64, 256)), g.integers(1, 100, size=64))
+        ws, _ = _forward_in(net, g.standard_normal((64, 288)))
         grad = np.empty_like(net.flat)
         net.mse_grads(ws, g.standard_normal((64, 256)), net.views(grad))
         opt = AdamW(net.flat, weight_decay=0.01)
@@ -379,11 +361,11 @@ class TestAdamW:
                 AdamW(w, weight_decay=bad)
 
 
-def _reference_forward(net, params, x, t):
+def _reference_forward(net, params, x):
     """The forward pass of a batch as allocating expressions (`h @ w + b`,
     the `np.where` sigmoid) with `params`; returns the output rows and each
     layer's input and activation derivative (None for a linear layer)."""
-    h = x if net.time_embed is None else np.concatenate([x, time_embedding(t, net.time_embed)], axis=1)
+    h = x
     if h.shape[0] == 1:
         h = np.repeat(h, 2, axis=0)
     cache = []
@@ -410,8 +392,8 @@ class _ReferenceMlp:
         self.params = [p.copy() for p in net.views(net.flat)]
         self.opt = _ReferenceAdamW(self.params, lr=lr, weight_decay=weight_decay)
 
-    def step(self, x, target, t):
-        y, cache = _reference_forward(self.net, self.params, x, t)
+    def step(self, x, target):
+        y, cache = _reference_forward(self.net, self.params, x)
         diff = y - target
         g = (2.0 / diff.size) * diff
         if g.shape[0] == 1:
@@ -428,58 +410,45 @@ class _ReferenceMlp:
         self.opt.step(grads)
 
 
-# Two silu hidden layers, one, and none, with and without the step embedding,
-# at batch heights 1 (run padded to two), 3 and 32; and one net wide enough
-# that its flat vector spans two AdamW slices, the boundary falling inside a
-# weight matrix.
+# Two silu hidden layers, one, and none, with as many inputs as outputs and
+# with more, at batch heights 1 (run padded to two), 3 and 32; and one net
+# wide enough that its flat vector spans two AdamW slices, the boundary
+# falling inside a weight matrix.
 TRAINING_CASES = [
-    pytest.param(te, height, hidden, id=f"{name}-{'time' if te else 'plain'}-{height}")
+    pytest.param(in_dim, height, hidden, id=f"{name}-{kind}-{height}")
     for name, hidden in {"silu2": [6, 4], "silu1": [6], "linear": []}.items()
-    for te in (None, 4)
+    for kind, in_dim in WIDTHS.items()
     for height in (1, 3, 32)
-] + [pytest.param(4, 32, [200, 160], id="silu2-time-32-two-chunks")]
+] + [pytest.param(9, 32, [200, 160], id="silu2-wide-32-two-chunks")]
 
 
 class TestWorkspaceTraining:
-    @pytest.mark.parametrize("time_embed,height,hidden", TRAINING_CASES)
-    def test_matches_allocating_reference_bit_for_bit(self, time_embed, height, hidden):
-        net = Mlp(5, hidden, 5, time_embed=time_embed, seed=1)
+    @pytest.mark.parametrize("in_dim,height,hidden", TRAINING_CASES)
+    def test_matches_allocating_reference_bit_for_bit(self, in_dim, height, hidden):
+        net = Mlp(in_dim, hidden, 5, seed=1)
         ref = _ReferenceMlp(net, lr=3e-2, weight_decay=0.01)
         start = net.flat.copy()
         ws = Workspace(net, height)
         opt = AdamW(net.flat, lr=3e-2, weight_decay=0.01)
         grad = np.empty_like(net.flat)
         grads = net.views(grad)
-        g = stream(1, f"train-ref-{len(hidden)}-{time_embed}-{height}")
-        table = time_embedding(np.arange(1, 21), time_embed) if time_embed else None
+        g = stream(1, f"train-ref-{len(hidden)}-{in_dim}-{height}")
         for _ in range(20):
-            x = g.standard_normal((height, 5))
+            x = g.standard_normal((height, in_dim))
             target = g.standard_normal((height, 5))
-            t = g.integers(1, 21, size=height) if time_embed else None
-            ref.step(x, target, t)
+            ref.step(x, target)
             ws.x[...] = x
-            if time_embed:
-                ws.emb[...] = table[t - 1]
             net.mse_grads(ws, target, grads)
             opt.step(grad)
         for got, want in zip(net.views(net.flat), ref.params, strict=True):
             assert np.array_equal(got, want)
         assert not np.array_equal(net.flat, start)
 
-    @pytest.mark.parametrize("dim", [8, 32])
-    def test_embedding_table_rows_match_time_embedding(self, dim):
-        # The stock configs use T=100 with a 32-wide embedding; the small test
-        # configs an 8-wide one.
-        table = time_embedding(np.arange(1, 101), dim)
-        for t in range(1, 101):
-            assert np.array_equal(table[t - 1], time_embedding(t, dim)[0])
-        steps = stream(0, "table-steps").integers(1, 101, size=64)
-        assert np.array_equal(table[steps - 1], time_embedding(steps, dim))
-
     def test_warm_step_allocates_no_batch_or_parameter_sized_array(self):
-        # The image denoiser's shape: 256 -> 256 -> 256 -> 256 with a 32-wide
-        # step embedding and batch 64; one batch-by-width array is 128 KiB.
-        net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
+        # The image denoiser's shape, 256 inputs and a 32-wide step
+        # embedding -> 256 -> 256 -> 256, and batch 64; one batch-by-width
+        # array is 128 KiB.
+        net = Mlp(288, [256, 256], 256, seed=0)
         ws = Workspace(net, 64)
         g = stream(0, "workspace-alloc")
         ws.input[...] = g.standard_normal(ws.input.shape)
@@ -550,36 +519,30 @@ class TestMixedPrecisionFit:
     denoiser keeps its float32 net, and the autoencoder detector widens its
     net to float64."""
 
-    @pytest.mark.parametrize("time_embed,height,hidden", TRAINING_CASES)
-    def test_tracks_the_float64_reference(self, time_embed, height, hidden):
+    @pytest.mark.parametrize("in_dim,height,hidden", TRAINING_CASES)
+    def test_tracks_the_float64_reference(self, in_dim, height, hidden):
         # 20 steps at lr 3e-2 move the largest parameter by 25-50%. The small
         # nets stay within 1e-6 of the float64 reference, relative to their
         # largest parameter (2e-7 measured). The wide net's Adam steps
         # normalise gradients near zero, whose float32 rounding is large
         # relative to them, so it drifts further (1.2e-3 measured).
-        ref = _ReferenceMlp(Mlp(5, hidden, 5, time_embed=time_embed, seed=1), lr=3e-2, weight_decay=0.01)
-        net = Mlp(5, hidden, 5, time_embed=time_embed, seed=1, dtype=TRAIN_DTYPE)
+        ref = _ReferenceMlp(Mlp(in_dim, hidden, 5, seed=1), lr=3e-2, weight_decay=0.01)
+        net = Mlp(in_dim, hidden, 5, seed=1, dtype=TRAIN_DTYPE)
         flat = net.flat
-        g = stream(1, f"train-f32-{len(hidden)}-{time_embed}-{height}")
-        draws = [
-            (g.standard_normal((height, 5)), g.standard_normal((height, 5)),
-             g.integers(1, 21, size=height) if time_embed else None)
-            for _ in range(20)
-        ]
+        g = stream(1, f"train-f32-{len(hidden)}-{in_dim}-{height}")
+        draws = [(g.standard_normal((height, in_dim)), g.standard_normal((height, 5))) for _ in range(20)]
         batches = iter(draws)
 
         def batch(ws):
-            x, target, t = next(batches)
+            x, target = next(batches)
             ws.x[...] = x
-            if time_embed:
-                ws.emb[...] = ws.table[t - 1]
             assert ws.x.dtype == TRAIN_DTYPE
             return target.astype(TRAIN_DTYPE)
 
-        for x, target, t in draws:
-            ref.step(x, target, t)
+        for x, target in draws:
+            ref.step(x, target)
         cfg = DiffusionConfig(hidden=tuple(hidden), steps=20, lr=3e-2, weight_decay=0.01)
-        fit(net, height, batch, cfg, "test", steps=20)
+        fit(net, height, batch, cfg, "test")
         assert net.flat is flat and net.flat.dtype == TRAIN_DTYPE
         want = np.concatenate([p.ravel() for p in ref.params])
         assert max_rel_err(net.flat, want) <= (5e-3 if net.flat.size > CHUNK else 1e-6)
@@ -604,7 +567,7 @@ class TestMixedPrecisionFit:
         # with no net of another precision built on the way.
         path = tmp_path / f"{kind}.json"
         if kind == "denoiser":
-            Denoiser(Mlp(4, [8], 4, time_embed=4, seed=0), make_schedule(5)).save(path)
+            Denoiser(Mlp(8, [8], 4, seed=0), make_schedule(5)).save(path)
         else:
             ReconDetector(Mlp(4, [8], 4, seed=0)).save(path)
         built, init = [], Mlp.__init__
@@ -635,55 +598,55 @@ class TestMixedPrecisionFit:
         data = stream(43, "d0-f32").standard_normal((20, 4))
         cfg = DiffusionConfig(T=5, hidden=(8, 3), time_embed=4, steps=50, lr=0.0, weight_decay=0.01)
         den = train_denoiser(data, cfg, seed=2)
-        fresh = Mlp(4, [8, 3], 4, time_embed=4, seed=2, stream_name="denoiser-init")
+        fresh = Mlp(8, [8, 3], 4, seed=2, stream_name="denoiser-init")
         assert not np.array_equal(fresh.flat, fresh.flat.astype(TRAIN_DTYPE))
         assert den.net.flat.dtype == TRAIN_DTYPE
         assert np.array_equal(den.net.flat, fresh.flat.astype(TRAIN_DTYPE))
 
 
-def _reference(net, x, t):
-    return _reference_forward(net, net.views(net.flat), x, t)[0]
+def _reference(net, x):
+    return _reference_forward(net, net.views(net.flat), x)[0]
 
 
 class TestWorkspaceInference:
     @pytest.mark.parametrize("height", [1, 2, 5])
-    @pytest.mark.parametrize("time_embed", [None, 4])
-    def test_forward_matches_allocating_forward(self, height, time_embed):
-        net = Mlp(5, [7, 6], 5, time_embed=time_embed, seed=2)
-        ws = Workspace(net, height, steps=9)
-        g = stream(2, f"inference-{height}-{time_embed}")
-        for t in (9, 4, 1):
-            x = g.standard_normal((height, 5))
-            t_arg = t if time_embed else None
-            want = _reference(net, x, np.full(height, t))
-            assert np.array_equal(net.forward_np(x, t_arg, ws=ws), want)
-            assert np.array_equal(net.forward_np(x, t_arg), want)
-        steps = g.integers(1, 10, size=height)
-        if time_embed:
-            want = _reference(net, x, steps)
-            assert np.array_equal(net.forward_np(x, steps, ws=ws), want)
-            assert np.array_equal(net.forward_np(x, steps), want)
+    @pytest.mark.parametrize("in_dim", WIDTHS.values(), ids=WIDTHS.keys())
+    def test_forward_matches_allocating_forward(self, height, in_dim):
+        net = Mlp(in_dim, [7, 6], 5, seed=2)
+        ws = Workspace(net, height)
+        g = stream(2, f"inference-{height}-{in_dim}")
+        for _ in range(3):
+            x = g.standard_normal((height, in_dim))
+            want = _reference(net, x)
+            assert np.array_equal(net.forward_np(x, ws=ws), want)
+            assert np.array_equal(net.forward_np(x), want)
+
+    def test_forward_of_the_workspace_input_reads_it_in_place(self):
+        # A caller that fills ws.x itself, column block by column block,
+        # passes ws.x; the pass reads it where it lies.
+        net = Mlp(9, [7, 6], 5, seed=2)
+        ws = Workspace(net, 3)
+        x = stream(2, "in-place").standard_normal((3, 9))
+        want = net.forward_np(x, ws=ws).copy()
+        ws.x[:, :5], ws.x[:, 5:] = x[:, :5], x[:, 5:]
+        assert np.array_equal(net.forward_np(ws.x, ws=ws), want)
 
     @pytest.mark.parametrize("height", [ONE_OFF_ROWS + 1, 2 * ONE_OFF_ROWS + 5])
     def test_one_off_forward_over_several_chunks_matches_allocating_forward(self, height):
         # The last chunk holds 1 row at 65 and 5 at 133.
-        net = Mlp(5, [7, 6], 5, time_embed=4, seed=2)
-        g = stream(2, f"one-off-{height}")
-        x = g.standard_normal((height, 5))
-        steps = g.integers(1, 10, size=height)
-        assert np.array_equal(net.forward_np(x, steps), _reference(net, x, steps))
+        net = Mlp(9, [7, 6], 5, seed=2)
+        x = stream(2, f"one-off-{height}").standard_normal((height, 9))
+        assert np.array_equal(net.forward_np(x), _reference(net, x))
 
     def test_one_off_forward_holds_one_chunk_of_layer_buffers(self):
-        # The image denoiser's shape with 512 rows: the output and the step
-        # embeddings take 1.1 MiB; each layer's buffers at the full height
-        # would take 1 MiB more apiece.
-        net = Mlp(256, [256, 256], 256, time_embed=32, seed=0)
-        g = stream(0, "one-off-alloc")
-        x = g.standard_normal((512, 256))
-        steps = g.integers(1, 101, size=512)
+        # The image denoiser's shape with 512 rows: the output takes 1 MiB;
+        # each layer's buffers at the full height would take 1 MiB more
+        # apiece.
+        net = Mlp(288, [256, 256], 256, seed=0)
+        x = stream(0, "one-off-alloc").standard_normal((512, 288))
         tracemalloc.start()
         try:
-            net.forward_np(x, steps)
+            net.forward_np(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -691,8 +654,8 @@ class TestWorkspaceInference:
 
     def test_predict_mu_in_workspace_matches(self):
         sched = make_schedule(6)
-        den = Denoiser(Mlp(4, [8], 4, time_embed=4, seed=3), sched)
-        ws = Workspace(den.net, 3, steps=sched.T)
+        den = Denoiser(Mlp(8, [8], 4, seed=3), sched)
+        ws = Workspace(den.net, 3)
         out = np.empty((3, 4))
         x = stream(3, "mu-ws").standard_normal((3, 4))
         for t in range(sched.T, 0, -1):
@@ -701,15 +664,14 @@ class TestWorkspaceInference:
             assert np.array_equal(got, predict_mu(den, x, t))
 
     def test_rejects_bad_inputs(self):
-        net = Mlp(3, [4], 3, time_embed=4, seed=0)
-        ws = Workspace(net, 2, steps=5)
-        with pytest.raises(ValueError, match="shape"):
-            net.forward_np(np.zeros((3, 3)), 1, ws=ws)
-        for t in (0, 6, None):
-            with pytest.raises(ValueError, match="step"):
-                net.forward_np(np.zeros((2, 3)), t, ws=ws)
-        with pytest.raises(ValueError, match="table"):
-            net.forward_np(np.zeros((2, 3)), 1, ws=Workspace(net, 2))
+        net = Mlp(3, [4], 3, seed=0)
+        ws = Workspace(net, 2)
+        with pytest.raises(ValueError, match=r"input shape \(3, 3\) does not match the workspace's \(2, 3\)"):
+            net.forward_np(np.zeros((3, 3)), ws=ws)
+        with pytest.raises(ValueError, match="input dimension mismatch: expected 3, got 4"):
+            net.forward_np(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="a workspace needs at least one row, got 0"):
+            Workspace(net, 0)
 
 
 class TestRandomStreams:
@@ -734,12 +696,15 @@ class TestRandomStreams:
 
 class TestCheckpoint:
     def test_mlp_round_trip_bit_exact(self, tmp_path):
-        net = Mlp(6, [5, 4], 6, time_embed=4, seed=11)
+        # The last 4 inputs are a step embedding's; `in_dim` counts the others.
+        net = Mlp(10, [5, 4], 6, seed=11)
         path = tmp_path / "model.json"
-        ckpt.write(path, ckpt.mlp_payload(net, kind="mlp"))
-        loaded = ckpt.mlp_from_payload(ckpt.read(path, expected_kind="mlp"))
-        x = stream(0, "ckpt-x").standard_normal(6)
-        assert np.array_equal(net.forward_np(x, t=2), loaded.forward_np(x, t=2))
+        ckpt.write(path, ckpt.mlp_payload(net, kind="mlp", time_embed=4))
+        payload = ckpt.read(path, expected_kind="mlp")
+        assert (payload["in_dim"], payload["time_embed"], payload["layers"][0]["in"]) == (6, 4, 10)
+        loaded = ckpt.mlp_from_payload(payload)
+        x = stream(0, "ckpt-x").standard_normal(10)
+        assert np.array_equal(net.forward_np(x), loaded.forward_np(x))
 
     def test_schema_and_kind_checked(self, tmp_path):
         net = Mlp(3, [], 3, seed=0)
